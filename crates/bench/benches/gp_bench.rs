@@ -1,11 +1,13 @@
-//! Criterion micro-benchmarks for the GP stack: fit (Cholesky), batch
-//! prediction and the analytic LML gradient, as functions of training-set
-//! size. These are the inner loops of every AL iteration.
+//! Criterion micro-benchmarks for the GP stack: fit (Cholesky) and batch
+//! prediction as functions of training-set size, plus the augment-vs-refit
+//! contrast. These are the inner loops of every AL iteration. The LML
+//! gradient and warm-start optimizer benches live in the `perf` registry
+//! (`lml_gradient_n*`, `gp_fit_optimized_n250`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use al_gp::{FitOptions, GpModel, KernelKind};
+use al_gp::{GpModel, KernelKind};
 use al_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -54,35 +56,6 @@ fn bench_gp_predict(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lml_gradient(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lml_gradient");
-    group.sample_size(10);
-    for n in [50usize, 100, 200] {
-        let (x, y) = training_data(n, 5, 4);
-        let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-        gp.fit(&x, &y).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(gp.lml_gradient().unwrap()));
-        });
-    }
-    group.finish();
-}
-
-fn bench_fit_optimized(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fit_optimized_warmstart");
-    group.sample_size(10);
-    let (x, y) = training_data(100, 5, 5);
-    group.bench_function("n100", |b| {
-        let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-        let opts = FitOptions::warm_start_only();
-        b.iter(|| {
-            gp.fit_optimized(black_box(&x), black_box(&y), &opts)
-                .unwrap();
-        });
-    });
-    group.finish();
-}
-
 fn bench_augment_vs_refit(c: &mut Criterion) {
     // The AL loop's per-sample model update: O(n²) bordered-Cholesky
     // augment against the O(n³) full refactorization it replaces.
@@ -119,8 +92,6 @@ criterion_group!(
     benches,
     bench_gp_fit,
     bench_gp_predict,
-    bench_lml_gradient,
-    bench_fit_optimized,
     bench_augment_vs_refit
 );
 criterion_main!(benches);

@@ -475,6 +475,19 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
             },
         ));
     }
+    // The explicit inverse the LML gradient builds once per Adam step, at
+    // the largest model the paper's Fig. 3 loop fits (n = 250).
+    out.push(Scenario::new(
+        "linalg",
+        "cholesky_inverse_n250".to_string(),
+        || {
+            let ch = al_linalg::Cholesky::new(&spd_gram(250, 19)).expect("SPD gram factors");
+            Box::new(move || {
+                let inv = ch.inverse().expect("inverse of a factor");
+                std::hint::black_box(inv.as_slice()[0]);
+            })
+        },
+    ));
     // Blocked vs. unblocked factorization of the same gram matrix: the
     // pair pins the cache-tiling speedup of the panel-packed `Cholesky`
     // (DESIGN §13), while the in-crate parity tests pin that both paths
@@ -574,6 +587,41 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
             Box::new(move || {
                 gp.fit(&x_next, &y_next).expect("synthetic data fits");
+                std::hint::black_box(gp.n_train());
+            })
+        },
+    ));
+    // The hyperparameter optimizer's inner loop: one analytic LML gradient
+    // (dominated by the explicit K_y⁻¹) at the start and the end of the
+    // paper's Fig. 3 model sizes, and a whole warm-start retraining step.
+    for n in [50usize, 250] {
+        out.push(Scenario::new(
+            "gp",
+            format!("lml_gradient_n{n}"),
+            move || {
+                let (x, y) = training_data(n, 5, 29);
+                let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+                gp.fit(&x, &y).expect("synthetic data fits");
+                Box::new(move || {
+                    let g = gp.lml_gradient().expect("fitted model has a gradient");
+                    std::hint::black_box(g[0]);
+                })
+            },
+        ));
+    }
+    out.push(Scenario::new(
+        "gp",
+        "gp_fit_optimized_n250".to_string(),
+        || {
+            let (x, y) = training_data(250, 5, 30);
+            let template = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+            let opts = FitOptions::warm_start_only();
+            Box::new(move || {
+                // Every sample starts from the same hyperparameters, so each
+                // call runs the same Adam trajectory.
+                let mut gp = template.clone();
+                gp.fit_optimized(&x, &y, &opts)
+                    .expect("synthetic data fits");
                 std::hint::black_box(gp.n_train());
             })
         },
@@ -1477,6 +1525,12 @@ mod tests {
         // PR 10: workers hammering the sharded SessionStore — the priced
         // counterpart of the alint L7 locking contract.
         assert!(names.contains(&"al/store_contention".to_string()));
+        // The LML-gradient layer: the multi-RHS inverse it is built on,
+        // the gradient itself, and a whole warm-start retraining step.
+        assert!(names.contains(&"linalg/cholesky_inverse_n250".to_string()));
+        assert!(names.contains(&"gp/lml_gradient_n50".to_string()));
+        assert!(names.contains(&"gp/lml_gradient_n250".to_string()));
+        assert!(names.contains(&"gp/gp_fit_optimized_n250".to_string()));
         // Unknown group is a typed error.
         assert!(matches!(
             registry(Tier::Quick, &["nope".to_string()]),

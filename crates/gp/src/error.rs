@@ -17,6 +17,13 @@ pub enum GpError {
         /// Number of responses supplied.
         n_y: usize,
     },
+    /// A training input or response is NaN or infinite; it would poison
+    /// the kernel matrix and every posterior built on it.
+    NonFiniteTrainingData {
+        /// Training-set row of the first offending value (for an augment,
+        /// the row the new observation would have taken).
+        row: usize,
+    },
     /// A hyperparameter vector of the wrong length was supplied.
     BadParamLength {
         /// Expected number of parameters.
@@ -33,6 +40,9 @@ impl fmt::Display for GpError {
             GpError::NotFitted => write!(f, "model must be fit before prediction"),
             GpError::InvalidTrainingData { n_x, n_y } => {
                 write!(f, "X has {n_x} rows but y has {n_y} entries")
+            }
+            GpError::NonFiniteTrainingData { row } => {
+                write!(f, "training row {row} contains a non-finite value")
             }
             GpError::BadParamLength { expected, got } => {
                 write!(f, "expected {expected} hyperparameters, got {got}")
@@ -60,6 +70,8 @@ mod tests {
         assert!(GpError::NotFitted.to_string().contains("fit"));
         let e = GpError::InvalidTrainingData { n_x: 3, n_y: 4 };
         assert!(e.to_string().contains('3'));
+        let e = GpError::NonFiniteTrainingData { row: 7 };
+        assert!(e.to_string().contains("row 7"));
         let e = GpError::BadParamLength {
             expected: 2,
             got: 5,

@@ -166,6 +166,8 @@ impl GpModel {
     ///
     /// This is the inner operation of the AL loop's retraining step; use
     /// [`GpModel::fit_optimized`] to also maximize the marginal likelihood.
+    /// A NaN or infinite input or response fails with
+    /// [`GpError::NonFiniteTrainingData`] and leaves the model untouched.
     pub fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), GpError> {
         if x.rows() != y.len() {
             return Err(GpError::InvalidTrainingData {
@@ -178,16 +180,7 @@ impl GpModel {
                 "training set",
             )));
         }
-        // Non-finite training data would silently poison the kernel matrix
-        // and every downstream posterior; fail loudly in debug builds.
-        debug_assert!(
-            x.as_slice().iter().all(|v| v.is_finite()),
-            "GP design matrix contains non-finite entries"
-        );
-        debug_assert!(
-            y.iter().all(|v| v.is_finite()),
-            "GP responses contain non-finite entries"
-        );
+        check_finite(x, y)?;
         let y_mean = if self.normalize_y {
             al_linalg::stats::mean(y)
         } else {
@@ -223,7 +216,9 @@ impl GpModel {
     /// [`GpModel::fit`]; call `fit`/[`GpModel::fit_optimized`]
     /// periodically to refresh it (the AL procedure does this on its
     /// hyperparameter-optimization cadence). Falls back to a full refit
-    /// internally when the bordered matrix is numerically not SPD.
+    /// internally when the bordered matrix is numerically not SPD. A NaN
+    /// or infinite observation fails with
+    /// [`GpError::NonFiniteTrainingData`] before the fit is touched.
     pub fn augment(&mut self, x_new: &[f64], y_new: f64) -> Result<(), GpError> {
         let fitted = self.fitted.as_mut().ok_or(GpError::NotFitted)?;
         if x_new.len() != fitted.x.cols() {
@@ -234,6 +229,9 @@ impl GpModel {
             }));
         }
         let n = fitted.x.rows();
+        if !y_new.is_finite() || x_new.iter().any(|v| !v.is_finite()) {
+            return Err(GpError::NonFiniteTrainingData { row: n });
+        }
         let mut k_vec = vec![0.0; n];
         for (i, k) in k_vec.iter_mut().enumerate() {
             *k = self.kernel.value(x_new, fitted.x.row(i));
@@ -286,6 +284,7 @@ impl GpModel {
                 n_y: y.len(),
             });
         }
+        check_finite(x, y)?;
         self.set_n_threads(opts.n_threads);
         // With a single observation the LML surface is degenerate; just fit.
         if x.rows() < 2 {
@@ -531,6 +530,15 @@ impl GpModel {
             }
         }
         k
+    }
+}
+
+/// Reject a training set holding NaN or ±∞, naming the first bad row
+/// (`x` and `y` must already agree in length).
+fn check_finite(x: &Matrix, y: &[f64]) -> Result<(), GpError> {
+    match (0..y.len()).find(|&i| !y[i].is_finite() || x.row(i).iter().any(|v| !v.is_finite())) {
+        Some(row) => Err(GpError::NonFiniteTrainingData { row }),
+        None => Ok(()),
     }
 }
 
@@ -826,6 +834,51 @@ mod tests {
         let (x, y) = sine_data(5);
         m.fit(&x, &y).unwrap();
         assert!(m.augment(&[0.0, 1.0], 1.0).is_err());
+    }
+
+    #[test]
+    fn fit_rejects_non_finite_data_without_touching_the_fit() {
+        let (x, y) = sine_data(6);
+        let mut m = toy_model();
+        m.fit(&x, &y).unwrap();
+        let lml = m.lml().unwrap();
+        let mut bad_y = y.clone();
+        bad_y[4] = f64::NAN;
+        assert_eq!(
+            m.fit(&x, &bad_y),
+            Err(GpError::NonFiniteTrainingData { row: 4 })
+        );
+        let mut bad_x = x.clone();
+        bad_x[(2, 0)] = f64::INFINITY;
+        assert_eq!(
+            m.fit(&bad_x, &y),
+            Err(GpError::NonFiniteTrainingData { row: 2 })
+        );
+        let params = m.hyperparams();
+        assert_eq!(
+            m.fit_optimized(&bad_x, &y, &FitOptions::warm_start_only()),
+            Err(GpError::NonFiniteTrainingData { row: 2 })
+        );
+        // The previous fit and hyperparameters survive every rejection.
+        assert_eq!(m.hyperparams(), params);
+        assert_eq!(m.n_train(), 6);
+        assert_eq!(m.lml().unwrap().to_bits(), lml.to_bits());
+    }
+
+    #[test]
+    fn augment_rejects_non_finite_observation_without_touching_the_fit() {
+        let (x, y) = sine_data(5);
+        let mut m = toy_model();
+        m.fit(&x, &y).unwrap();
+        let lml = m.lml().unwrap();
+        for (x_new, y_new) in [([0.5], f64::NAN), ([f64::NEG_INFINITY], 0.5)] {
+            assert_eq!(
+                m.augment(&x_new, y_new),
+                Err(GpError::NonFiniteTrainingData { row: 5 })
+            );
+        }
+        assert_eq!(m.n_train(), 5);
+        assert_eq!(m.lml().unwrap().to_bits(), lml.to_bits());
     }
 
     #[test]

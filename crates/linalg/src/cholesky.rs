@@ -353,26 +353,6 @@ impl Cholesky {
         self.solve_upper(&z)
     }
 
-    /// Solve `A X = B` column by column.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        if b.rows() != self.dim() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_matrix",
-                lhs: (self.dim(), self.dim()),
-                rhs: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve(&col)?;
-            for i in 0..b.rows() {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
-    }
-
     /// `log |A| = 2 Σ log L_ii` — the model-complexity term of the paper's
     /// Eq. 8.
     pub fn log_det(&self) -> f64 {
@@ -387,8 +367,56 @@ impl Cholesky {
 
     /// Explicit inverse `A⁻¹` (used by the LML gradient, which needs the
     /// full matrix `K⁻¹` once per gradient evaluation).
+    ///
+    /// One multi-RHS solve `L Lᵀ X = I` in a single `n × n` buffer whose
+    /// row `i` holds element `i` of every column, so both passes vectorize
+    /// across the column index `j`. It is **bitwise identical** to solving
+    /// `A x = e_j` column by column with [`Cholesky::solve`] (DESIGN §13):
+    /// each element performs the per-column operations in their order —
+    /// forward `z_j[i] = (e_j[i] − Σ_k L(i,k)·z_j[k]) / L(i,i)`, the sum
+    /// folded from zero in ascending `k`; backward, in place,
+    /// `x_j[i] = (z_j[i] − L(i+1,i)·x_j[i+1] − …) / L(i,i)`, term by term.
+    /// The forward terms with `k < j` multiply structural zeros
+    /// `z_j[k] = +0.0`, so a fold may skip them: with `L` finite they only
+    /// flip the sign of an all-zero partial sum, which `e − (±0.0)` erases.
+    /// Columns run in schedule-only tiles of `JB` that keep the streamed
+    /// rows in cache.
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
+        const JB: usize = 64;
+        let n = self.dim();
+        let ld = self.l.as_slice();
+        let mut inv = Matrix::zeros(n, n);
+        let buf = inv.as_mut_slice();
+        let mut j0 = 0;
+        while j0 < n {
+            let j1 = (j0 + JB).min(n);
+            // Forward pass; rows above the tile are zero in its columns.
+            for i in j0..n {
+                let (done, rest) = buf.split_at_mut(i * n);
+                let acc = &mut rest[j0..j1];
+                fold_rows(acc, done, n, j0, j0..i, |k| ld[i * n + k]);
+                // Columns j > i keep their +0.0 = (0 − +0.0) / L(i,i).
+                let d = ld[i * n + i];
+                let w = (i + 1).min(j1) - j0;
+                for (jj, a) in acc[..w].iter_mut().enumerate() {
+                    let e = if j0 + jj == i { 1.0 } else { 0.0 };
+                    *a = (e - *a) / d;
+                }
+            }
+            // Backward pass, bottom row first. `s − l·x` is the IEEE
+            // operation `s + (−l)·x`, so the fold subtracts term by term.
+            for i in (0..n).rev() {
+                let (head, below) = buf.split_at_mut((i + 1) * n);
+                let s = &mut head[i * n + j0..i * n + j1];
+                fold_rows(s, below, n, j0, 0..n - i - 1, |r| -ld[(i + 1 + r) * n + i]);
+                let d = ld[i * n + i];
+                for v in s.iter_mut() {
+                    *v /= d;
+                }
+            }
+            j0 = j1;
+        }
+        Ok(inv)
     }
 
     /// Reconstruct `L Lᵀ` (test helper; includes the jitter on the diagonal).
@@ -499,6 +527,37 @@ impl Cholesky {
     }
 }
 
+/// `acc[j] += coef(k) · rows[k·n + col + j]` for each `k` in `ks`, in
+/// order: every element folds its terms one at a time in ascending `k`,
+/// exactly as a sequential loop would. Four rows per sweep keep `acc` in
+/// registers across their terms.
+fn fold_rows(
+    acc: &mut [f64],
+    rows: &[f64],
+    n: usize,
+    col: usize,
+    ks: std::ops::Range<usize>,
+    coef: impl Fn(usize) -> f64,
+) {
+    let w = acc.len();
+    let row = |k: usize| &rows[k * n + col..k * n + col + w];
+    let mut k = ks.start;
+    while k + 4 <= ks.end {
+        let (c0, c1, c2, c3) = (coef(k), coef(k + 1), coef(k + 2), coef(k + 3));
+        let (r0, r1, r2, r3) = (row(k), row(k + 1), row(k + 2), row(k + 3));
+        for j in 0..w {
+            acc[j] = acc[j] + c0 * r0[j] + c1 * r1[j] + c2 * r2[j] + c3 * r3[j];
+        }
+        k += 4;
+    }
+    for k in k..ks.end {
+        let c = coef(k);
+        for (a, v) in acc.iter_mut().zip(row(k)) {
+            *a += c * v;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_matrix_and_inverse() {
+    fn inverse_times_input_is_identity() {
         let a = spd3();
         let ch = Cholesky::new(&a).unwrap();
         let inv = ch.inverse().unwrap();
@@ -545,6 +604,14 @@ mod tests {
                 assert!((prod[(i, j)] - eye[(i, j)]).abs() < 1e-10);
             }
         }
+        assert_eq!(
+            Cholesky::new(&Matrix::zeros(0, 0))
+                .unwrap()
+                .inverse()
+                .unwrap()
+                .shape(),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -607,7 +674,6 @@ mod tests {
         assert!(ch.solve(&[1.0]).is_err());
         assert!(ch.solve_lower(&[1.0]).is_err());
         assert!(ch.solve_upper(&[1.0]).is_err());
-        assert!(ch.solve_matrix(&Matrix::zeros(2, 2)).is_err());
     }
 
     #[test]
@@ -805,6 +871,106 @@ mod tests {
                 assert_eq!(f.to_bits(), s.to_bits(), "x[{i}] diverges at n={n}");
             }
         }
+    }
+
+    /// The pre-tiling inverse, verbatim: solve `A x = e_j` column by column.
+    fn inverse_reference(ch: &Cholesky) -> Matrix {
+        let n = ch.dim();
+        let eye = Matrix::identity(n);
+        let mut out = Matrix::zeros(n, n);
+        for j in 0..n {
+            let x = ch.solve(&eye.col(j)).unwrap();
+            for i in 0..n {
+                out[(i, j)] = x[i];
+            }
+        }
+        out
+    }
+
+    fn assert_inverse_matches_reference(ch: &Cholesky, label: &str) {
+        let fast = ch.inverse().unwrap();
+        let slow = inverse_reference(ch);
+        assert_eq!(fast.shape(), slow.shape(), "{label}");
+        for (e, (f, s)) in fast.as_slice().iter().zip(slow.as_slice()).enumerate() {
+            assert_eq!(
+                f.to_bits(),
+                s.to_bits(),
+                "{label}: inverse({}, {}) diverges: {f} vs {s}",
+                e / ch.dim(),
+                e % ch.dim(),
+            );
+        }
+    }
+
+    /// Symmetric, strictly diagonally dominant (hence SPD) matrix with
+    /// mixed-sign off-diagonals, built in O(n²) so the size sweep stays
+    /// cheap in debug builds.
+    fn spd_dominant(n: usize) -> Matrix {
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            a[(i, i)] = n as f64 + 1.0;
+            for j in 0..i {
+                let v = ((i * 31 + j * 17) as f64 * 0.37).sin();
+                a[(i, j)] = v;
+                a[(j, i)] = v;
+            }
+        }
+        a
+    }
+
+    /// RBF gram `exp(−(x_i − x_j)² / 2ℓ²)` over `pts` plus `nugget` on
+    /// the diagonal.
+    fn rbf_gram(pts: &[f64], length: f64, nugget: f64) -> Matrix {
+        let n = pts.len();
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let d = (pts[i] - pts[j]) / length;
+                a[(i, j)] = (-0.5 * d * d).exp();
+            }
+            a[(i, i)] += nugget;
+        }
+        a
+    }
+
+    #[test]
+    fn inverse_matches_reference_bitwise_across_sizes() {
+        // Every size up to 200, plus sizes past any tile boundary; Miri
+        // interprets every op, so it sweeps only the small sizes.
+        let sizes: Vec<usize> = if cfg!(miri) {
+            (1..=24).collect()
+        } else {
+            (1..=200).chain([250, 257]).collect()
+        };
+        for n in sizes {
+            let ch = Cholesky::new(&spd_dominant(n)).unwrap();
+            assert_inverse_matches_reference(&ch, &format!("n={n}"));
+        }
+    }
+
+    #[test]
+    fn inverse_matches_reference_bitwise_after_jitter() {
+        // Near-duplicate points make the gram numerically singular.
+        let n = if cfg!(miri) { 12 } else { 90 };
+        let pts: Vec<f64> = (0..n)
+            .map(|i| (i / 2) as f64 * 0.05 + (i % 2) as f64 * 1e-13)
+            .collect();
+        let ch = Cholesky::with_jitter(&rbf_gram(&pts, 1.0, 0.0), 1e-10, 1e-2).unwrap();
+        assert!(ch.jitter() > 0.0, "the factor needed jitter");
+        assert_inverse_matches_reference(&ch, "jittered");
+    }
+
+    #[test]
+    fn inverse_matches_reference_bitwise_when_ill_conditioned() {
+        // Long length scale over a dense grid with a tiny nugget: the
+        // condition number is near 1/nugget.
+        let n = if cfg!(miri) { 16 } else { 120 };
+        let pts: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
+        let ch = Cholesky::with_jitter(&rbf_gram(&pts, 0.5, 1e-9), 1e-10, 1e-2).unwrap();
+        let inv = ch.inverse().unwrap();
+        let max = inv.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        assert!(max > 1e6, "inverse entries reach {max}");
+        assert_inverse_matches_reference(&ch, "ill-conditioned");
     }
 
     fn delete_row_col(a: &Matrix, index: usize) -> Matrix {
