@@ -212,6 +212,7 @@ impl Default for Config {
                 "solve",
                 "solve_upper",
                 "solve_lower",
+                "solve_lower_multi",
                 "run_trajectory",
                 "sleep",
                 "read_to_string",

@@ -247,6 +247,64 @@ fn l7_clean_fixture_is_silent_under_every_lint() {
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
+/// `GpModel::predict` reaches the expensive set only through its tiled
+/// forward solve, so `solve_lower_multi` must stay listed for a predict
+/// under a shard guard to be flagged. Lints the fixture as a file of the
+/// gp crate beside the real `gp.rs`, with and without that entry.
+#[test]
+fn l7_flags_a_real_gp_predict_under_a_shard_guard() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(|p| p.parent())
+        .map(PathBuf::from)
+        .unwrap_or_default();
+    let gp_path = root.join("crates/gp/src/gp.rs");
+    if !gp_path.is_file() {
+        return;
+    }
+    let gp_src = std::fs::read_to_string(&gp_path).unwrap();
+    let fixture_src = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/l7_predict_under_guard.rs"),
+    )
+    .unwrap();
+    let (gp, fixture) = (lex(&gp_src), lex(&fixture_src));
+    let fixture_path = "crates/gp/src/l7_predict_under_guard.rs";
+    let lint_with = |config: &Config| {
+        let locks = LockTables::from_config(config);
+        let files = [
+            ("crates/gp/src/gp.rs".to_string(), &gp),
+            (fixture_path.to_string(), &fixture),
+        ];
+        let graph = CallGraph::build(&files, &locks.expensive);
+        lint_file(
+            fixture_path,
+            &fixture,
+            only(|s| s.lock_discipline = true),
+            &UnitTables::from_config(config),
+            &DeterminismTables::from_config(config),
+            &locks,
+            &graph,
+        )
+    };
+    let diags = lint_with(&Config::default());
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].line, 12, "{diags:#?}");
+    assert!(
+        diags[0].message.contains("`predict`")
+            && diags[0]
+                .message
+                .contains("reaches expensive `solve_lower_multi`"),
+        "{}",
+        diags[0].message
+    );
+    let mut without = Config::default();
+    without
+        .expensive_idents
+        .retain(|e| e != "solve_lower_multi");
+    let diags = lint_with(&without);
+    assert!(diags.is_empty(), "{diags:#?}");
+}
+
 /// The ratchet probe: the defaults keep the real workspace clean, and
 /// explicitly emptying `lock_order` must *surface* raw L7 findings at every
 /// declared acquisition in `crates/core/src/store.rs` — deleting the order

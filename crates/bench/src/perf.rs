@@ -560,6 +560,25 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             })
         },
     ));
+    // One round-opening predict over the Active pool at the shapes the
+    // repository benchmark runs: the Fig. 3 loop's largest model over its
+    // 400 candidates, and a serving session's model over its 380.
+    for (n, q) in [(250usize, 400usize), (50, 380)] {
+        out.push(Scenario::new(
+            "gp",
+            format!("gp_predict_n{n}_q{q}"),
+            move || {
+                let (x, y) = training_data(n, 5, 31);
+                let (xq, _) = training_data(q, 5, 32);
+                let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+                gp.fit(&x, &y).expect("synthetic data fits");
+                Box::new(move || {
+                    let p = gp.predict(&xq).expect("prediction succeeds");
+                    std::hint::black_box(p.mean.len());
+                })
+            },
+        ));
+    }
     out.push(Scenario::new(
         "gp",
         format!("gp_augment_n{augment_n}"),
@@ -1531,6 +1550,10 @@ mod tests {
         assert!(names.contains(&"gp/lml_gradient_n50".to_string()));
         assert!(names.contains(&"gp/lml_gradient_n250".to_string()));
         assert!(names.contains(&"gp/gp_fit_optimized_n250".to_string()));
+        // Posterior prediction over the pool at the Fig. 3 and the
+        // serving shapes.
+        assert!(names.contains(&"gp/gp_predict_n250_q400".to_string()));
+        assert!(names.contains(&"gp/gp_predict_n50_q380".to_string()));
         // Unknown group is a typed error.
         assert!(matches!(
             registry(Tier::Quick, &["nope".to_string()]),

@@ -24,6 +24,12 @@ pub enum GpError {
         /// the row the new observation would have taken).
         row: usize,
     },
+    /// A query point holds a NaN or infinite coordinate; its posterior
+    /// would be NaN.
+    NonFiniteQuery {
+        /// Query row of the first offending value.
+        row: usize,
+    },
     /// A hyperparameter vector of the wrong length was supplied.
     BadParamLength {
         /// Expected number of parameters.
@@ -43,6 +49,9 @@ impl fmt::Display for GpError {
             }
             GpError::NonFiniteTrainingData { row } => {
                 write!(f, "training row {row} contains a non-finite value")
+            }
+            GpError::NonFiniteQuery { row } => {
+                write!(f, "query row {row} contains a non-finite value")
             }
             GpError::BadParamLength { expected, got } => {
                 write!(f, "expected {expected} hyperparameters, got {got}")
@@ -72,6 +81,8 @@ mod tests {
         assert!(e.to_string().contains('3'));
         let e = GpError::NonFiniteTrainingData { row: 7 };
         assert!(e.to_string().contains("row 7"));
+        let e = GpError::NonFiniteQuery { row: 3 };
+        assert!(e.to_string().contains("query row 3"));
         let e = GpError::BadParamLength {
             expected: 2,
             got: 5,

@@ -17,6 +17,11 @@ use al_parallel::{chunk_ranges, chunk_ranges_weighted, WorkerPool};
 /// Fewest rows a parallel chunk may hold; smaller problems run inline.
 const MIN_ROWS_PER_CHUNK: usize = 8;
 
+/// Query points per tile of [`GpModel::predict`]; a chunk reuses one
+/// `n × QB` cross-kernel buffer across its tiles. Schedule-only: any
+/// value gives the same bits.
+const QB: usize = 64;
+
 /// Posterior predictive summary at a batch of query points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
@@ -342,6 +347,9 @@ impl GpModel {
     }
 
     /// Posterior mean and standard deviation at each row of `xs` (Eq. 2–3).
+    ///
+    /// A NaN or infinite query coordinate fails with
+    /// [`GpError::NonFiniteQuery`] before any work is done.
     pub fn predict(&self, xs: &Matrix) -> Result<Prediction, GpError> {
         let fitted = self.fitted.as_ref().ok_or(GpError::NotFitted)?;
         if xs.cols() != fitted.x.cols() {
@@ -351,16 +359,20 @@ impl GpModel {
                 rhs: xs.shape(),
             }));
         }
-        debug_assert!(
-            xs.as_slice().iter().all(|v| v.is_finite()),
-            "GP query points contain non-finite entries"
-        );
+        if let Some(row) = (0..xs.rows()).find(|&q| xs.row(q).iter().any(|v| !v.is_finite())) {
+            return Err(GpError::NonFiniteQuery { row });
+        }
         let n = fitted.x.rows();
         let m = xs.rows();
-        // Each query row is computed independently into its own (μ, σ)
-        // slot, so chunking the rows across workers cannot change a bit;
-        // errors surface in chunk (= query) order, matching the serial
-        // loop's first failure.
+        let prior = self.kernel.diag_value();
+        // Queries run in tiles of QB through one n × QB buffer per chunk
+        // whose row i holds k(x_q, x_i) for every query q of the tile.
+        // Each (μ, σ) keeps the bits of the per-query loop this replaced
+        // (DESIGN §13): μ − ȳ = Σ_i k_i·α_i and ‖L⁻¹k*‖² = Σ_i v_i² fold
+        // from −0.0 in ascending i, as `ops::dot` does, and
+        // `solve_lower_multi` matches `solve_lower` column by column.
+        // Every query owns its (μ, σ) slot, so chunking the rows across
+        // workers cannot change a bit; errors surface in chunk order.
         let mut slots: Vec<(f64, f64)> = vec![(0.0, 0.0); m];
         let ranges = chunk_ranges(m, self.pool.n_workers(), MIN_ROWS_PER_CHUNK);
         let statuses = self.pool.chunked_map(
@@ -368,17 +380,34 @@ impl GpModel {
             &ranges,
             1,
             |range, chunk| -> Result<(), GpError> {
-                let mut kstar = vec![0.0; n];
-                for (local, q) in range.enumerate() {
-                    let xq = xs.row(q);
-                    for (i, k) in kstar.iter_mut().enumerate() {
-                        *k = self.kernel.value(xq, fitted.x.row(i));
+                let mut buf = vec![0.0; n * QB.min(range.len())];
+                for (tile_idx, tile) in chunk.chunks_mut(QB).enumerate() {
+                    let q0 = range.start + tile_idx * QB;
+                    let w = tile.len();
+                    let kt = &mut buf[..n * w];
+                    for (i, row) in kt.chunks_exact_mut(w).enumerate() {
+                        let xi = fitted.x.row(i);
+                        for (t, k) in row.iter_mut().enumerate() {
+                            *k = self.kernel.value(xs.row(q0 + t), xi);
+                        }
                     }
-                    let mu = fitted.y_mean + ops::dot(&kstar, &fitted.alpha);
-                    // σ² = k(x*,x*) − ‖L⁻¹ k*‖², clamped at 0 against rounding.
-                    let v = fitted.chol.solve_lower(&kstar)?;
-                    let var = (self.kernel.diag_value() - ops::dot(&v, &v)).max(0.0);
-                    chunk[local] = (mu, var.sqrt());
+                    let (mut mu, mut ss) = ([-0.0f64; QB], [-0.0f64; QB]);
+                    let (mu, ss) = (&mut mu[..w], &mut ss[..w]);
+                    for (row, a) in kt.chunks_exact(w).zip(&fitted.alpha) {
+                        for (acc, k) in mu.iter_mut().zip(row) {
+                            *acc += k * a;
+                        }
+                    }
+                    fitted.chol.solve_lower_multi(kt, w)?;
+                    for row in kt.chunks_exact(w) {
+                        for (acc, v) in ss.iter_mut().zip(row) {
+                            *acc += v * v;
+                        }
+                    }
+                    for (slot, (acc_mu, acc_ss)) in tile.iter_mut().zip(mu.iter().zip(ss.iter())) {
+                        // σ² = k** − ‖L⁻¹ k*‖², clamped at 0 against rounding.
+                        *slot = (fitted.y_mean + acc_mu, (prior - acc_ss).max(0.0).sqrt());
+                    }
                 }
                 Ok(())
             },
@@ -388,84 +417,6 @@ impl GpModel {
         }
         let (mean, std) = slots.into_iter().unzip();
         Ok(Prediction { mean, std })
-    }
-
-    /// Full joint posterior at the rows of `xs`: mean vector and the
-    /// `m × m` posterior covariance of the latent function.
-    ///
-    /// Needed for correlated-uncertainty queries and posterior sampling
-    /// (e.g. Thompson-style selection); [`GpModel::predict`] returns only
-    /// the diagonal.
-    pub fn predict_full(&self, xs: &Matrix) -> Result<(Vec<f64>, Matrix), GpError> {
-        let fitted = self.fitted.as_ref().ok_or(GpError::NotFitted)?;
-        if xs.cols() != fitted.x.cols() {
-            return Err(GpError::Linalg(al_linalg::LinalgError::ShapeMismatch {
-                op: "predict_full",
-                lhs: fitted.x.shape(),
-                rhs: xs.shape(),
-            }));
-        }
-        let n = fitted.x.rows();
-        let m = xs.rows();
-        // Row q of vt is L⁻¹ k*(x_q) — stored row-major (the transpose of
-        // the classic V) so each query owns one contiguous stripe: workers
-        // fill disjoint stripes, and the covariance dots below stream two
-        // contiguous rows instead of two stride-m columns. Posterior cov =
-        // K** − VᵀV. Per-chunk means come back in chunk order, so their
-        // concatenation is the serial mean vector; so is the first error.
-        let mut vt = vec![0.0f64; m * n];
-        let ranges = chunk_ranges(m, self.pool.n_workers(), MIN_ROWS_PER_CHUNK);
-        let chunk_means = self.pool.chunked_map(
-            &mut vt,
-            &ranges,
-            n.max(1),
-            |range, stripe| -> Result<Vec<f64>, GpError> {
-                let mut kstar = vec![0.0; n];
-                let mut means = Vec::with_capacity(range.len());
-                for (local, q) in range.enumerate() {
-                    let xq = xs.row(q);
-                    for (i, k) in kstar.iter_mut().enumerate() {
-                        *k = self.kernel.value(xq, fitted.x.row(i));
-                    }
-                    means.push(fitted.y_mean + ops::dot(&kstar, &fitted.alpha));
-                    let col = fitted.chol.solve_lower(&kstar)?;
-                    stripe[local * n..(local + 1) * n].copy_from_slice(&col);
-                }
-                Ok(means)
-            },
-        );
-        let mut mean = Vec::with_capacity(m);
-        for chunk in chunk_means {
-            mean.extend(chunk?);
-        }
-        let mut cov = Matrix::zeros(m, m);
-        for a in 0..m {
-            for b in a..m {
-                let prior = self.kernel.value(xs.row(a), xs.row(b));
-                let reduction = ops::dot(&vt[a * n..(a + 1) * n], &vt[b * n..(b + 1) * n]);
-                let c = prior - reduction;
-                cov[(a, b)] = c;
-                cov[(b, a)] = c;
-            }
-        }
-        Ok((mean, cov))
-    }
-
-    /// Draw one sample of the latent function at the rows of `xs` from the
-    /// joint posterior: `f = μ + L_cov z`, `z ~ N(0, I)`.
-    pub fn sample_posterior<R: rand::Rng + ?Sized>(
-        &self,
-        xs: &Matrix,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, GpError> {
-        let (mean, cov) = self.predict_full(xs)?;
-        let chol = Cholesky::with_jitter(&cov, 1e-10, 1e-2)?;
-        let m = mean.len();
-        let z: Vec<f64> = (0..m)
-            .map(|_| al_linalg::rng::standard_normal(rng))
-            .collect();
-        let lz = chol.l().matvec(&z)?;
-        Ok(mean.iter().zip(&lz).map(|(mu, d)| mu + d).collect())
     }
 
     /// Posterior mean/std at a single point.
@@ -881,69 +832,106 @@ mod tests {
         assert_eq!(m.lml().unwrap().to_bits(), lml.to_bits());
     }
 
-    #[test]
-    fn predict_full_diagonal_matches_predict() {
-        let (x, y) = sine_data(10);
-        let mut m = toy_model();
-        m.fit(&x, &y).unwrap();
-        let xq = Matrix::from_vec(3, 1, vec![0.3, 1.1, 2.7]);
-        let p = m.predict(&xq).unwrap();
-        let (mean, cov) = m.predict_full(&xq).unwrap();
-        for i in 0..3 {
-            assert!((mean[i] - p.mean[i]).abs() < 1e-12);
-            assert!((cov[(i, i)].max(0.0).sqrt() - p.std[i]).abs() < 1e-9);
+    /// The per-query prediction loop `predict` replaced, verbatim: one
+    /// `solve_lower` and two `ops::dot` folds per query.
+    fn predict_reference(model: &GpModel, xs: &Matrix) -> Prediction {
+        let fitted = model.fitted.as_ref().unwrap();
+        let n = fitted.x.rows();
+        let mut mean = Vec::new();
+        let mut std = Vec::new();
+        let mut kstar = vec![0.0; n];
+        for q in 0..xs.rows() {
+            let xq = xs.row(q);
+            for (i, k) in kstar.iter_mut().enumerate() {
+                *k = model.kernel.value(xq, fitted.x.row(i));
+            }
+            let mu = fitted.y_mean + ops::dot(&kstar, &fitted.alpha);
+            let v = fitted.chol.solve_lower(&kstar).unwrap();
+            let var = (model.kernel.diag_value() - ops::dot(&v, &v)).max(0.0);
+            mean.push(mu);
+            std.push(var.sqrt());
         }
-        // Covariance is symmetric with nonnegative-ish diagonal.
-        assert!(cov.is_symmetric(1e-12));
-        // Nearby points are strongly correlated.
-        let xq = Matrix::from_vec(2, 1, vec![5.0, 5.01]);
-        let (_, cov) = m.predict_full(&xq).unwrap();
-        let corr = cov[(0, 1)] / (cov[(0, 0)] * cov[(1, 1)]).sqrt();
-        assert!(corr > 0.99, "correlation {corr}");
+        Prediction { mean, std }
     }
 
     #[test]
-    fn posterior_samples_track_mean_and_spread() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let (x, y) = sine_data(10);
-        let mut m = toy_model();
-        m.fit(&x, &y).unwrap();
-        let xq = Matrix::from_vec(2, 1, vec![1.0, 10.0]); // in-data, far away
-        let p = m.predict(&xq).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let draws: Vec<Vec<f64>> = (0..300)
-            .map(|_| m.sample_posterior(&xq, &mut rng).unwrap())
-            .collect();
-        for q in 0..2 {
-            let vals: Vec<f64> = draws.iter().map(|d| d[q]).collect();
-            let mean = al_linalg::stats::mean(&vals);
-            let std = al_linalg::stats::std_dev(&vals);
-            assert!(
-                (mean - p.mean[q]).abs() < 0.2,
-                "q{q}: {mean} vs {}",
-                p.mean[q]
-            );
-            assert!(
-                (std - p.std[q]).abs() < 0.15 * (1.0 + p.std[q]),
-                "q{q}: sample std {std} vs posterior {}",
-                p.std[q]
-            );
+    fn tiled_predict_matches_per_query_loop_bitwise() {
+        use crate::kernel::KernelKind;
+        let dim = 3;
+        let kinds = [
+            KernelKind::Rbf,
+            KernelKind::ArdRbf { dim },
+            KernelKind::Matern32,
+            KernelKind::Matern52,
+            KernelKind::RationalQuadratic,
+        ];
+        let coord = |i: usize, salt: f64| ((i as f64) * 0.618 + salt).sin().abs() * 3.0;
+        let mut clamped = 0;
+        for &n in &[1usize, 7, 63, 64, 65, 150, 250] {
+            let x = Matrix::from_vec(n, dim, (0..n * dim).map(|i| coord(i, 0.1)).collect());
+            let y: Vec<f64> = (0..n)
+                .map(|i| x.row(i).iter().map(|v| v.cos()).sum())
+                .collect();
+            for kind in kinds {
+                // A noise variance below the resolution of k** = 1 leaves
+                // σ² at a training point to rounding, so some clamp at 0;
+                // the larger sets also need jitter to factor.
+                let mut model = GpModel::new(kind.build(0.8), 1e-17);
+                model.fit(&x, &y).unwrap();
+                for &m in &[1usize, 63, 64, 65, 257, 400] {
+                    // Every fifth query sits on a training point (σ clamps
+                    // to 0 there) and every seventh far from the data,
+                    // where k* underflows to +0 for the fast-decaying kernels.
+                    let data: Vec<f64> = (0..m * dim)
+                        .map(|e| {
+                            let (q, c) = (e / dim, e % dim);
+                            if q % 5 == 0 {
+                                x[((q / 5) % n, c)]
+                            } else if q % 7 == 0 {
+                                1e6 + coord(e, 0.4)
+                            } else {
+                                coord(e, 0.9)
+                            }
+                        })
+                        .collect();
+                    let xs = Matrix::from_vec(m, dim, data);
+                    let got = model.predict(&xs).unwrap();
+                    let want = predict_reference(&model, &xs);
+                    for q in 0..m {
+                        assert_eq!(
+                            (got.mean[q].to_bits(), got.std[q].to_bits()),
+                            (want.mean[q].to_bits(), want.std[q].to_bits()),
+                            "{} n={n} m={m} q={q}: ({}, {}) vs ({}, {})",
+                            kind.label(),
+                            got.mean[q],
+                            got.std[q],
+                            want.mean[q],
+                            want.std[q],
+                        );
+                    }
+                    clamped += got.std.iter().filter(|s| **s == 0.0).count();
+                }
+            }
         }
-        // The in-data point has far less spread than the far point.
-        let near: Vec<f64> = draws.iter().map(|d| d[0]).collect();
-        let far: Vec<f64> = draws.iter().map(|d| d[1]).collect();
-        assert!(al_linalg::stats::std_dev(&near) < al_linalg::stats::std_dev(&far));
+        assert!(clamped > 0, "no query exercised the σ clamp");
     }
 
     #[test]
-    fn predict_full_rejects_unfitted_and_mismatched() {
-        let m = toy_model();
-        assert!(m.predict_full(&Matrix::zeros(1, 1)).is_err());
-        let (x, y) = sine_data(5);
+    fn predict_rejects_non_finite_queries_before_any_work() {
+        let (x, y) = sine_data(6);
         let mut m = toy_model();
         m.fit(&x, &y).unwrap();
-        assert!(m.predict_full(&Matrix::zeros(1, 2)).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let xs = Matrix::from_vec(4, 1, vec![0.5, 1.0, bad, bad]);
+            assert_eq!(m.predict(&xs), Err(GpError::NonFiniteQuery { row: 2 }));
+            assert_eq!(
+                m.predict_one(&[bad]),
+                Err(GpError::NonFiniteQuery { row: 0 })
+            );
+        }
+        // A shape error still wins over the finiteness check.
+        let xs = Matrix::from_vec(1, 2, vec![f64::NAN, 0.0]);
+        assert!(matches!(m.predict(&xs), Err(GpError::Linalg(_))));
     }
 
     #[test]

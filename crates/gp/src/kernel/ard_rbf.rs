@@ -10,6 +10,9 @@ use crate::error::GpError;
 pub struct ArdRbfKernel {
     log_sigma_f2: f64,
     log_lengths: Vec<f64>,
+    /// `σ_f²` and each `l_k`, cached from the log parameters.
+    sigma_f2: f64,
+    lengths: Vec<f64>,
 }
 
 impl ArdRbfKernel {
@@ -18,9 +21,13 @@ impl ArdRbfKernel {
         assert!(sigma_f2 > 0.0);
         assert!(!length_scales.is_empty());
         assert!(length_scales.iter().all(|&l| l > 0.0));
+        let log_sigma_f2 = sigma_f2.ln();
+        let log_lengths: Vec<f64> = length_scales.iter().map(|l| l.ln()).collect();
         ArdRbfKernel {
-            log_sigma_f2: sigma_f2.ln(),
-            log_lengths: length_scales.iter().map(|l| l.ln()).collect(),
+            log_sigma_f2,
+            sigma_f2: log_sigma_f2.exp(),
+            lengths: log_lengths.iter().map(|ll| ll.exp()).collect(),
+            log_lengths,
         }
     }
 
@@ -31,21 +38,17 @@ impl ArdRbfKernel {
 
     /// Natural-space length scales.
     pub fn length_scales(&self) -> Vec<f64> {
-        self.log_lengths.iter().map(|l| l.exp()).collect()
-    }
-
-    fn sigma_f2(&self) -> f64 {
-        self.log_sigma_f2.exp()
+        self.lengths.clone()
     }
 
     /// Scaled squared distance `Σ ((a_k−b_k)/l_k)²`.
     fn scaled_sq_dist(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), self.log_lengths.len());
+        debug_assert_eq!(a.len(), self.lengths.len());
         a.iter()
             .zip(b)
-            .zip(&self.log_lengths)
-            .map(|((x, y), ll)| {
-                let d = (x - y) / ll.exp();
+            .zip(&self.lengths)
+            .map(|((x, y), l)| {
+                let d = (x - y) / l;
                 d * d
             })
             .sum()
@@ -76,27 +79,31 @@ impl Kernel for ArdRbfKernel {
             });
         }
         self.log_sigma_f2 = p[0];
+        self.sigma_f2 = p[0].exp();
         self.log_lengths.copy_from_slice(&p[1..]);
+        for (l, ll) in self.lengths.iter_mut().zip(&self.log_lengths) {
+            *l = ll.exp();
+        }
         Ok(())
     }
 
     #[inline]
     fn value(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.sigma_f2() * (-0.5 * self.scaled_sq_dist(a, b)).exp()
+        self.sigma_f2 * (-0.5 * self.scaled_sq_dist(a, b)).exp()
     }
 
     fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
         let k = self.value(a, b);
         out[0] = k;
         // ∂k/∂log l_j = k · ((a_j−b_j)/l_j)².
-        for (j, ll) in self.log_lengths.iter().enumerate() {
-            let d = (a[j] - b[j]) / ll.exp();
+        for (j, l) in self.lengths.iter().enumerate() {
+            let d = (a[j] - b[j]) / l;
             out[1 + j] = k * d * d;
         }
     }
 
     fn diag_value(&self) -> f64 {
-        self.sigma_f2()
+        self.sigma_f2
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
@@ -127,6 +134,34 @@ mod tests {
         assert!((near - 1.0).abs() < 1e-6);
         let far = ard.value(&[0.0, 0.0], &[1.0, 0.0]);
         assert!(far < 0.2);
+    }
+
+    #[test]
+    fn cached_constants_match_the_per_call_formulas_bitwise() {
+        fn scaled(p: &[f64], a: &[f64], b: &[f64]) -> f64 {
+            a.iter()
+                .zip(b)
+                .zip(&p[1..])
+                .map(|((x, y), ll)| {
+                    let d = (x - y) / ll.exp();
+                    d * d
+                })
+                .sum()
+        }
+        let legacy = crate::kernel::Legacy {
+            value: |p, a, b| p[0].exp() * (-0.5 * scaled(p, a, b)).exp(),
+            gradient: |p, a, b, out| {
+                let k = p[0].exp() * (-0.5 * scaled(p, a, b)).exp();
+                out[0] = k;
+                for (j, ll) in p[1..].iter().enumerate() {
+                    let d = (a[j] - b[j]) / ll.exp();
+                    out[1 + j] = k * d * d;
+                }
+            },
+            diag: |p| p[0].exp(),
+        };
+        let mut k = ArdRbfKernel::new(1.4, &[0.7, 2.0, 0.3]);
+        crate::kernel::check_legacy_parity(&mut k, 3, &legacy);
     }
 
     #[test]

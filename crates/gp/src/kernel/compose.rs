@@ -33,6 +33,8 @@ pub struct ProductKernel {
 #[derive(Debug, Clone)]
 pub struct WhiteKernel {
     log_sigma2: f64,
+    /// `σ_w²`, cached from the log parameter.
+    sigma2: f64,
 }
 
 impl SumKernel {
@@ -53,8 +55,14 @@ impl WhiteKernel {
     /// Create with natural-space variance `σ_w²`.
     pub fn new(sigma2: f64) -> Self {
         assert!(sigma2 > 0.0);
+        WhiteKernel::from_log(sigma2.ln())
+    }
+
+    /// Build from the log variance, caching `σ_w²`.
+    fn from_log(log_sigma2: f64) -> Self {
         WhiteKernel {
-            log_sigma2: sigma2.ln(),
+            log_sigma2,
+            sigma2: log_sigma2.exp(),
         }
     }
 }
@@ -180,7 +188,7 @@ impl Kernel for WhiteKernel {
                 got: p.len(),
             });
         }
-        self.log_sigma2 = p[0];
+        *self = WhiteKernel::from_log(p[0]);
         Ok(())
     }
 
@@ -190,7 +198,7 @@ impl Kernel for WhiteKernel {
         // of the distance against zero is the intended test.
         #[allow(clippy::float_cmp)] // alint: allow(L2)
         if sq_dist(a, b) == 0.0 {
-            self.log_sigma2.exp()
+            self.sigma2
         } else {
             0.0
         }
@@ -201,7 +209,7 @@ impl Kernel for WhiteKernel {
     }
 
     fn diag_value(&self) -> f64 {
-        self.log_sigma2.exp()
+        self.sigma2
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
@@ -278,6 +286,25 @@ mod tests {
         let mut g = [0.0];
         w.gradient(&a, &a, &mut g);
         assert!((g[0] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn white_cached_variance_matches_the_per_call_formula_bitwise() {
+        let legacy = crate::kernel::Legacy {
+            value: |p, a, b| {
+                if sq_dist(a, b) == 0.0 {
+                    p[0].exp()
+                } else {
+                    0.0
+                }
+            },
+            gradient: |p, a, b, out| {
+                let hit = sq_dist(a, b) == 0.0;
+                out[0] = if hit { p[0].exp() } else { 0.0 };
+            },
+            diag: |p| p[0].exp(),
+        };
+        crate::kernel::check_legacy_parity(&mut WhiteKernel::new(0.25), 2, &legacy);
     }
 
     #[test]

@@ -11,6 +11,9 @@ use al_linalg::ops::sq_dist;
 pub struct Matern32Kernel {
     log_sigma_f2: f64,
     log_length: f64,
+    /// `σ_f²` and `l`, cached from the log parameters.
+    sigma_f2: f64,
+    length: f64,
 }
 
 /// Matérn ν = 5/2: `k = σ_f² (1 + s + s²/3) e^{−s}` with `s = √5 ‖a−b‖ / l`.
@@ -19,15 +22,25 @@ pub struct Matern32Kernel {
 pub struct Matern52Kernel {
     log_sigma_f2: f64,
     log_length: f64,
+    /// `σ_f²` and `l`, cached from the log parameters.
+    sigma_f2: f64,
+    length: f64,
 }
 
 impl Matern32Kernel {
     /// Create from natural-space amplitude and length scale.
     pub fn new(sigma_f2: f64, length_scale: f64) -> Self {
         assert!(sigma_f2 > 0.0 && length_scale > 0.0);
+        Matern32Kernel::from_log(sigma_f2.ln(), length_scale.ln())
+    }
+
+    /// Build from log-space parameters, caching `σ_f²` and `l`.
+    fn from_log(log_sigma_f2: f64, log_length: f64) -> Self {
         Matern32Kernel {
-            log_sigma_f2: sigma_f2.ln(),
-            log_length: length_scale.ln(),
+            log_sigma_f2,
+            log_length,
+            sigma_f2: log_sigma_f2.exp(),
+            length: log_length.exp(),
         }
     }
 }
@@ -36,9 +49,16 @@ impl Matern52Kernel {
     /// Create from natural-space amplitude and length scale.
     pub fn new(sigma_f2: f64, length_scale: f64) -> Self {
         assert!(sigma_f2 > 0.0 && length_scale > 0.0);
+        Matern52Kernel::from_log(sigma_f2.ln(), length_scale.ln())
+    }
+
+    /// Build from log-space parameters, caching `σ_f²` and `l`.
+    fn from_log(log_sigma_f2: f64, log_length: f64) -> Self {
         Matern52Kernel {
-            log_sigma_f2: sigma_f2.ln(),
-            log_length: length_scale.ln(),
+            log_sigma_f2,
+            log_length,
+            sigma_f2: log_sigma_f2.exp(),
+            length: log_length.exp(),
         }
     }
 }
@@ -63,30 +83,29 @@ impl Kernel for Matern32Kernel {
                 got: p.len(),
             });
         }
-        self.log_sigma_f2 = p[0];
-        self.log_length = p[1];
+        *self = Matern32Kernel::from_log(p[0], p[1]);
         Ok(())
     }
 
     #[inline]
     fn value(&self, a: &[f64], b: &[f64]) -> f64 {
         let r = sq_dist(a, b).sqrt();
-        let s = 3f64.sqrt() * r / self.log_length.exp();
-        self.log_sigma_f2.exp() * (1.0 + s) * (-s).exp()
+        let s = 3f64.sqrt() * r / self.length;
+        self.sigma_f2 * (1.0 + s) * (-s).exp()
     }
 
     fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
         let r = sq_dist(a, b).sqrt();
-        let s = 3f64.sqrt() * r / self.log_length.exp();
+        let s = 3f64.sqrt() * r / self.length;
         let e = (-s).exp();
-        let sf2 = self.log_sigma_f2.exp();
+        let sf2 = self.sigma_f2;
         out[0] = sf2 * (1.0 + s) * e;
         // dk/ds = −σ_f² s e^{−s}; ds/d(log l) = −s ⇒ dk/d(log l) = σ_f² s² e^{−s}.
         out[1] = sf2 * s * s * e;
     }
 
     fn diag_value(&self) -> f64 {
-        self.log_sigma_f2.exp()
+        self.sigma_f2
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
@@ -114,23 +133,22 @@ impl Kernel for Matern52Kernel {
                 got: p.len(),
             });
         }
-        self.log_sigma_f2 = p[0];
-        self.log_length = p[1];
+        *self = Matern52Kernel::from_log(p[0], p[1]);
         Ok(())
     }
 
     #[inline]
     fn value(&self, a: &[f64], b: &[f64]) -> f64 {
         let r = sq_dist(a, b).sqrt();
-        let s = 5f64.sqrt() * r / self.log_length.exp();
-        self.log_sigma_f2.exp() * (1.0 + s + s * s / 3.0) * (-s).exp()
+        let s = 5f64.sqrt() * r / self.length;
+        self.sigma_f2 * (1.0 + s + s * s / 3.0) * (-s).exp()
     }
 
     fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
         let r = sq_dist(a, b).sqrt();
-        let s = 5f64.sqrt() * r / self.log_length.exp();
+        let s = 5f64.sqrt() * r / self.length;
         let e = (-s).exp();
-        let sf2 = self.log_sigma_f2.exp();
+        let sf2 = self.sigma_f2;
         out[0] = sf2 * (1.0 + s + s * s / 3.0) * e;
         // dk/ds = −σ_f² (s/3)(1+s) e^{−s}; ds/d(log l) = −s
         // ⇒ dk/d(log l) = σ_f² (s²/3)(1+s) e^{−s}.
@@ -138,7 +156,7 @@ impl Kernel for Matern52Kernel {
     }
 
     fn diag_value(&self) -> f64 {
-        self.log_sigma_f2.exp()
+        self.sigma_f2
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
@@ -203,6 +221,44 @@ mod tests {
         k.set_params(&[0.1, 0.2]).unwrap();
         assert_eq!(k.params(), vec![0.1, 0.2]);
         assert!(k.set_params(&[]).is_err());
+    }
+
+    #[test]
+    fn cached_constants_match_the_per_call_formulas_bitwise() {
+        let legacy32 = crate::kernel::Legacy {
+            value: |p, a, b| {
+                let r = sq_dist(a, b).sqrt();
+                let s = 3f64.sqrt() * r / p[1].exp();
+                p[0].exp() * (1.0 + s) * (-s).exp()
+            },
+            gradient: |p, a, b, out| {
+                let r = sq_dist(a, b).sqrt();
+                let s = 3f64.sqrt() * r / p[1].exp();
+                let e = (-s).exp();
+                let sf2 = p[0].exp();
+                out[0] = sf2 * (1.0 + s) * e;
+                out[1] = sf2 * s * s * e;
+            },
+            diag: |p| p[0].exp(),
+        };
+        crate::kernel::check_legacy_parity(&mut Matern32Kernel::new(1.6, 0.8), 2, &legacy32);
+        let legacy52 = crate::kernel::Legacy {
+            value: |p, a, b| {
+                let r = sq_dist(a, b).sqrt();
+                let s = 5f64.sqrt() * r / p[1].exp();
+                p[0].exp() * (1.0 + s + s * s / 3.0) * (-s).exp()
+            },
+            gradient: |p, a, b, out| {
+                let r = sq_dist(a, b).sqrt();
+                let s = 5f64.sqrt() * r / p[1].exp();
+                let e = (-s).exp();
+                let sf2 = p[0].exp();
+                out[0] = sf2 * (1.0 + s + s * s / 3.0) * e;
+                out[1] = sf2 * (s * s / 3.0) * (1.0 + s) * e;
+            },
+            diag: |p| p[0].exp(),
+        };
+        crate::kernel::check_legacy_parity(&mut Matern52Kernel::new(0.9, 1.4), 2, &legacy52);
     }
 
     #[test]

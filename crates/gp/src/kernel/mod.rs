@@ -130,6 +130,61 @@ pub(crate) fn check_gradient(kernel: &mut dyn Kernel, a: &[f64], b: &[f64]) {
     }
 }
 
+/// `(p, a, b, out)`: a kernel gradient evaluated from log parameters `p`.
+#[cfg(test)]
+pub(crate) type LegacyGradient = fn(&[f64], &[f64], &[f64], &mut [f64]);
+
+/// A kernel's formulas as they were before its natural-space constants
+/// were cached, each evaluated from the log parameters `p`.
+#[cfg(test)]
+pub(crate) struct Legacy {
+    pub value: fn(p: &[f64], a: &[f64], b: &[f64]) -> f64,
+    pub gradient: LegacyGradient,
+    pub diag: fn(p: &[f64]) -> f64,
+}
+
+/// Assert that `value`, `gradient` and `diag_value` return the bits of the
+/// [`Legacy`] formulas at several parameter vectors, each reached through
+/// a `set_params` round trip, over coincident, near and far point pairs
+/// of dimension `dim`.
+#[cfg(test)]
+pub(crate) fn check_legacy_parity(kernel: &mut dyn Kernel, dim: usize, legacy: &Legacy) {
+    let p0 = kernel.params();
+    let points: Vec<Vec<f64>> = (0..7)
+        .map(|r| {
+            (0..dim)
+                .map(|c| ((r * dim + c) as f64 * 0.77).sin() + if r == 6 { 40.0 } else { 0.0 })
+                .collect()
+        })
+        .collect();
+    let mut got = vec![0.0; p0.len()];
+    let mut want = vec![0.0; p0.len()];
+    for shift in [0.0, -2.3, -0.4, 0.9, 3.1] {
+        let p: Vec<f64> = p0
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + shift + 0.37 * i as f64)
+            .collect();
+        kernel.set_params(&p).unwrap();
+        kernel.set_params(&p0).unwrap();
+        kernel.set_params(&p).unwrap();
+        assert_eq!(kernel.params(), p);
+        assert_eq!(kernel.diag_value().to_bits(), (legacy.diag)(&p).to_bits());
+        for a in &points {
+            for b in &points {
+                let (v, lv) = (kernel.value(a, b), (legacy.value)(&p, a, b));
+                assert_eq!(v.to_bits(), lv.to_bits(), "value at {p:?}: {v} vs {lv}");
+                kernel.gradient(a, b, &mut got);
+                (legacy.gradient)(&p, a, b, &mut want);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "gradient at {p:?}: {g} vs {w}");
+                }
+            }
+        }
+    }
+    kernel.set_params(&p0).unwrap();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

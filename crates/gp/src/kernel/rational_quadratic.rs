@@ -14,6 +14,10 @@ pub struct RationalQuadraticKernel {
     log_sigma_f2: f64,
     log_length: f64,
     log_alpha: f64,
+    /// `σ_f²`, `l²` and `α`, cached from the log parameters.
+    sigma_f2: f64,
+    l2: f64,
+    alpha: f64,
 }
 
 impl RationalQuadraticKernel {
@@ -21,10 +25,18 @@ impl RationalQuadraticKernel {
     /// parameter `α` (all positive).
     pub fn new(sigma_f2: f64, length_scale: f64, alpha: f64) -> Self {
         assert!(sigma_f2 > 0.0 && length_scale > 0.0 && alpha > 0.0);
+        RationalQuadraticKernel::from_log(sigma_f2.ln(), length_scale.ln(), alpha.ln())
+    }
+
+    /// Build from log-space parameters, caching `σ_f²`, `l²` and `α`.
+    fn from_log(log_sigma_f2: f64, log_length: f64, log_alpha: f64) -> Self {
         RationalQuadraticKernel {
-            log_sigma_f2: sigma_f2.ln(),
-            log_length: length_scale.ln(),
-            log_alpha: alpha.ln(),
+            log_sigma_f2,
+            log_length,
+            log_alpha,
+            sigma_f2: log_sigma_f2.exp(),
+            l2: (2.0 * log_length).exp(),
+            alpha: log_alpha.exp(),
         }
     }
 }
@@ -49,28 +61,23 @@ impl Kernel for RationalQuadraticKernel {
                 got: p.len(),
             });
         }
-        self.log_sigma_f2 = p[0];
-        self.log_length = p[1];
-        self.log_alpha = p[2];
+        *self = RationalQuadraticKernel::from_log(p[0], p[1], p[2]);
         Ok(())
     }
 
     #[inline]
     fn value(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = sq_dist(a, b);
-        let l2 = (2.0 * self.log_length).exp();
-        let alpha = self.log_alpha.exp();
-        let base = 1.0 + d2 / (2.0 * alpha * l2);
-        self.log_sigma_f2.exp() * base.powf(-alpha)
+        let (l2, alpha) = (self.l2, self.alpha);
+        let base = 1.0 + sq_dist(a, b) / (2.0 * alpha * l2);
+        self.sigma_f2 * base.powf(-alpha)
     }
 
     fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
         let d2 = sq_dist(a, b);
-        let l2 = (2.0 * self.log_length).exp();
-        let alpha = self.log_alpha.exp();
+        let (l2, alpha) = (self.l2, self.alpha);
         let u = d2 / (2.0 * alpha * l2);
         let base = 1.0 + u;
-        let k = self.log_sigma_f2.exp() * base.powf(-alpha);
+        let k = self.sigma_f2 * base.powf(-alpha);
         // ∂k/∂log σ_f² = k.
         out[0] = k;
         // ∂k/∂log l = k · d²/(l² base)   (chain rule through u ∝ l⁻²).
@@ -80,7 +87,7 @@ impl Kernel for RationalQuadraticKernel {
     }
 
     fn diag_value(&self) -> f64 {
-        self.log_sigma_f2.exp()
+        self.sigma_f2
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
@@ -130,6 +137,33 @@ mod tests {
         check_gradient(&mut k, &[0.5, 0.5], &[0.5, 0.5]);
         let mut k = RationalQuadraticKernel::new(0.8, 1.4, 0.3);
         check_gradient(&mut k, &[0.0], &[2.0]);
+    }
+
+    #[test]
+    fn cached_constants_match_the_per_call_formulas_bitwise() {
+        let legacy = crate::kernel::Legacy {
+            value: |p, a, b| {
+                let d2 = sq_dist(a, b);
+                let l2 = (2.0 * p[1]).exp();
+                let alpha = p[2].exp();
+                let base = 1.0 + d2 / (2.0 * alpha * l2);
+                p[0].exp() * base.powf(-alpha)
+            },
+            gradient: |p, a, b, out| {
+                let d2 = sq_dist(a, b);
+                let l2 = (2.0 * p[1]).exp();
+                let alpha = p[2].exp();
+                let u = d2 / (2.0 * alpha * l2);
+                let base = 1.0 + u;
+                let k = p[0].exp() * base.powf(-alpha);
+                out[0] = k;
+                out[1] = k * d2 / (l2 * base);
+                out[2] = k * alpha * (u / base - base.ln());
+            },
+            diag: |p| p[0].exp(),
+        };
+        let mut k = RationalQuadraticKernel::new(1.6, 0.6, 1.3);
+        crate::kernel::check_legacy_parity(&mut k, 2, &legacy);
     }
 
     #[test]

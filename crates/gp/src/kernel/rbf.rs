@@ -10,6 +10,10 @@ use al_linalg::ops::sq_dist;
 pub struct RbfKernel {
     log_sigma_f2: f64,
     log_length: f64,
+    /// `σ_f²`, cached from the log parameters.
+    sigma_f2: f64,
+    /// `l²`, cached from the log parameters.
+    l2: f64,
 }
 
 impl RbfKernel {
@@ -17,15 +21,23 @@ impl RbfKernel {
     /// (both must be positive).
     pub fn new(sigma_f2: f64, length_scale: f64) -> Self {
         assert!(sigma_f2 > 0.0 && length_scale > 0.0);
+        RbfKernel::from_log(sigma_f2.ln(), length_scale.ln())
+    }
+
+    /// Build from log-space parameters, caching their natural-space
+    /// constants with the expressions `value` used to evaluate per call.
+    fn from_log(log_sigma_f2: f64, log_length: f64) -> Self {
         RbfKernel {
-            log_sigma_f2: sigma_f2.ln(),
-            log_length: length_scale.ln(),
+            log_sigma_f2,
+            log_length,
+            sigma_f2: log_sigma_f2.exp(),
+            l2: (2.0 * log_length).exp(),
         }
     }
 
     /// Amplitude `σ_f²` in natural space.
     pub fn sigma_f2(&self) -> f64 {
-        self.log_sigma_f2.exp()
+        self.sigma_f2
     }
 
     /// Length scale `l` in natural space.
@@ -54,28 +66,25 @@ impl Kernel for RbfKernel {
                 got: p.len(),
             });
         }
-        self.log_sigma_f2 = p[0];
-        self.log_length = p[1];
+        *self = RbfKernel::from_log(p[0], p[1]);
         Ok(())
     }
 
     #[inline]
     fn value(&self, a: &[f64], b: &[f64]) -> f64 {
-        let l2 = (2.0 * self.log_length).exp();
-        self.sigma_f2() * (-0.5 * sq_dist(a, b) / l2).exp()
+        self.sigma_f2 * (-0.5 * sq_dist(a, b) / self.l2).exp()
     }
 
     fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
         let d2 = sq_dist(a, b);
-        let l2 = (2.0 * self.log_length).exp();
-        let k = self.sigma_f2() * (-0.5 * d2 / l2).exp();
+        let k = self.sigma_f2 * (-0.5 * d2 / self.l2).exp();
         // ∂k/∂log σ_f² = k; ∂k/∂log l = k · d²/l².
         out[0] = k;
-        out[1] = k * d2 / l2;
+        out[1] = k * d2 / self.l2;
     }
 
     fn diag_value(&self) -> f64 {
-        self.sigma_f2()
+        self.sigma_f2
     }
 
     fn clone_box(&self) -> Box<dyn Kernel> {
@@ -126,6 +135,25 @@ mod tests {
         let mut k = RbfKernel::new(1.7, 0.6);
         check_gradient(&mut k, &[0.1, 0.9, 0.4], &[0.7, 0.2, 0.3]);
         check_gradient(&mut k, &[0.5], &[0.5]);
+    }
+
+    #[test]
+    fn cached_constants_match_the_per_call_formulas_bitwise() {
+        let legacy = crate::kernel::Legacy {
+            value: |p, a, b| {
+                let l2 = (2.0 * p[1]).exp();
+                p[0].exp() * (-0.5 * sq_dist(a, b) / l2).exp()
+            },
+            gradient: |p, a, b, out| {
+                let d2 = sq_dist(a, b);
+                let l2 = (2.0 * p[1]).exp();
+                let k = p[0].exp() * (-0.5 * d2 / l2).exp();
+                out[0] = k;
+                out[1] = k * d2 / l2;
+            },
+            diag: |p| p[0].exp(),
+        };
+        crate::kernel::check_legacy_parity(&mut RbfKernel::new(1.7, 0.6), 3, &legacy);
     }
 
     #[test]

@@ -136,16 +136,18 @@ impl Cholesky {
     /// exactly one accumulator — the diagonal starts at `a(j,j) + jitter`
     /// and subtracts `L(j,k)²` term by term in ascending `k`; an
     /// off-diagonal subtracts one sequential ascending-`k` dot product
-    /// (itself a fold from 0.0) from `a(i,j)` in a single operation. The
+    /// (itself a fold from −0.0) from `a(i,j)` in a single operation. The
     /// blocked code keeps those exact accumulation sequences — panel `acc`
-    /// slots start at 0.0 and receive products in ascending `k` across
-    /// panel boundaries, diagonals subtract term by term — and only
-    /// regroups *which loop iteration* performs each add, never the adds
-    /// themselves. What it buys: the panel of already-final columns is
-    /// packed transposed so the inner kernel is a contiguous vectorizable
-    /// multi-accumulator AXPY instead of a strided latency-bound chain,
-    /// and each `L` row is streamed once per (column-panel, k-panel) pair
-    /// instead of once per column.
+    /// slots receive products in ascending `k` across panel boundaries,
+    /// diagonals subtract term by term — and only regroups *which loop
+    /// iteration* performs each add, never the adds themselves. The slots
+    /// start at +0.0 rather than −0.0, which changes a sum only when every
+    /// term is zero; subtracting it from `a(i,j)` then gives the same bits
+    /// unless `a(i,j)` is −0.0. What it buys: the panel of already-final
+    /// columns is packed transposed so the inner kernel is a contiguous
+    /// vectorizable multi-accumulator AXPY instead of a strided
+    /// latency-bound chain, and each `L` row is streamed once per
+    /// (column-panel, k-panel) pair instead of once per column.
     fn factor(a: &Matrix, jitter: f64) -> Result<Self, LinalgError> {
         Self::check_input(a, jitter)?;
         let n = a.rows();
@@ -165,8 +167,8 @@ impl Cholesky {
         let mut l = Matrix::zeros(n, n);
         let nb_cap = NB.min(n.max(1));
         // acc[(i − jb)·nb + jj] accumulates Σ_k L(i,k)·L(j,k) for column
-        // j = jb + jj, ascending k, starting from 0.0 — the same fold the
-        // reference dot performs.
+        // j = jb + jj, ascending k, starting from +0.0 — the reference
+        // dot's fold up to its start value (see the doc comment).
         let mut acc = vec![0.0f64; n * nb_cap];
         // dacc[jj] is the diagonal accumulator: a(j,j) + jitter minus
         // L(j,k)² term by term, ascending k.
@@ -292,6 +294,46 @@ impl Cholesky {
             z[i] = (z[i] - s) / row[i];
         }
         Ok(z)
+    }
+
+    /// Solve `L Z = B` in place for `w` right-hand sides stored row-major:
+    /// `b[i·w + t]` holds element `i` of right-hand side `t`.
+    ///
+    /// **Bitwise identical** to [`Cholesky::solve_lower`] on each column
+    /// (DESIGN §13): element `(i, t)` computes
+    /// `z[i] = (b[i] − Σ_k L(i,k)·z[k]) / L(i,i)` with the sum folded in
+    /// ascending `k` from −0.0, the start value of the `Iterator::sum`
+    /// behind `ops::dot`. Each row of `B` is contiguous across `t`, so the
+    /// fold vectorizes across the right-hand sides; they run in
+    /// schedule-only tiles of `TB` so the accumulators live on the stack.
+    pub fn solve_lower_multi(&self, b: &mut [f64], w: usize) -> Result<(), LinalgError> {
+        const TB: usize = 64;
+        let n = self.dim();
+        if b.len() != n * w {
+            return Err(LinalgError::ShapeMismatch {
+                op: "solve_lower_multi",
+                lhs: (n, n),
+                rhs: (b.len() / w.max(1), w),
+            });
+        }
+        let ld = self.l.as_slice();
+        let mut acc = [0.0f64; TB];
+        let mut t0 = 0;
+        while t0 < w {
+            let t1 = (t0 + TB).min(w);
+            let acc = &mut acc[..t1 - t0];
+            for i in 0..n {
+                acc.fill(-0.0);
+                let (done, rest) = b.split_at_mut(i * w);
+                fold_rows(acc, done, w, t0, 0..i, |k| ld[i * n + k]);
+                let d = ld[i * n + i];
+                for (z, s) in rest[t0..t1].iter_mut().zip(acc.iter()) {
+                    *z = (*z - s) / d;
+                }
+            }
+            t0 = t1;
+        }
+        Ok(())
     }
 
     /// Solve `Lᵀ x = b` (backward substitution).
@@ -459,69 +501,6 @@ impl Cholesky {
         let last = l.row_mut(n);
         last[..n].copy_from_slice(&w);
         last[n] = d2.sqrt();
-        self.l = l;
-        Ok(())
-    }
-
-    /// Remove row and column `index` from the factored matrix in `O(n²)` —
-    /// the inverse of [`Cholesky::extend`], letting active learning evict
-    /// a sample from its kernel matrix without an `O(n³)` refactorization.
-    ///
-    /// Write `L` partitioned around row `index` as
-    /// `[[L₁₁, 0, 0], [lᵀ, d, 0], [L₃₁, c, S]]`. Deleting row/column
-    /// `index` of `A = L Lᵀ` leaves the leading rows `L₁₁`, `L₃₁`
-    /// untouched, while the trailing block becomes
-    /// `L₃₁ L₃₁ᵀ + S Sᵀ + c cᵀ` — so the new trailing factor `L̃` must
-    /// satisfy `L̃ L̃ᵀ = S Sᵀ + c cᵀ`, an *additive* rank-1 update of `S`
-    /// with the deleted subdiagonal column `c` as carrier. That update is
-    /// computed with the standard Givens-style recurrence, which is
-    /// unconditionally stable (every rotation grows the diagonal).
-    /// Removing the last row (`index == n − 1`) is a pure truncation and
-    /// round-trips [`Cholesky::extend`] bitwise. The jitter recorded at
-    /// factorization time is preserved: the result factors the same
-    /// `A + jitter·I` with one row/column deleted.
-    pub fn downdate(&mut self, index: usize) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if index >= n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "downdate",
-                lhs: (n, n),
-                rhs: (index, 1),
-            });
-        }
-        let m = n - index - 1;
-        // Carrier: the deleted column below its pivot.
-        let mut x: Vec<f64> = (0..m).map(|t| self.l[(index + 1 + t, index)]).collect();
-        // Copy L minus row/column `index`.
-        let mut l = Matrix::zeros(n - 1, n - 1);
-        for i in 0..index {
-            l.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
-        }
-        for i in (index + 1)..n {
-            let src = self.l.row(i);
-            let dst = l.row_mut(i - 1);
-            dst[..index].copy_from_slice(&src[..index]);
-            dst[index..i].copy_from_slice(&src[index + 1..=i]);
-        }
-        // Rank-1 update of the trailing block: L̃ L̃ᵀ = S Sᵀ + x xᵀ.
-        for k in 0..m {
-            let r = index + k;
-            let lkk = l[(r, r)];
-            let xk = x[k];
-            let h = (lkk * lkk + xk * xk).sqrt();
-            if h <= 0.0 || !h.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: r, value: h });
-            }
-            let c = h / lkk;
-            let s = xk / lkk;
-            l[(r, r)] = h;
-            for (off, xi) in x[k + 1..m].iter_mut().enumerate() {
-                let ri = index + k + 1 + off;
-                let v = (l[(ri, r)] + s * *xi) / c;
-                *xi = c * *xi - s * v;
-                l[(ri, r)] = v;
-            }
-        }
         self.l = l;
         Ok(())
     }
@@ -973,75 +952,81 @@ mod tests {
         assert_inverse_matches_reference(&ch, "ill-conditioned");
     }
 
-    fn delete_row_col(a: &Matrix, index: usize) -> Matrix {
-        let n = a.rows();
-        let mut out = Matrix::zeros(n - 1, n - 1);
-        for i in 0..n - 1 {
-            for j in 0..n - 1 {
-                let si = if i < index { i } else { i + 1 };
-                let sj = if j < index { j } else { j + 1 };
-                out[(i, j)] = a[(si, sj)];
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn downdate_last_row_roundtrips_extend_bitwise() {
-        let a = spd_random(12, 5);
-        let before = Cholesky::new(&a).unwrap();
-        let mut ch = before.clone();
-        let b: Vec<f64> = (0..12).map(|i| 0.1 * (i as f64 + 1.0)).collect();
-        ch.extend(&b, 30.0).unwrap();
-        ch.downdate(12).unwrap();
-        assert_factors_bitwise_equal(&ch, &before);
-    }
-
-    #[test]
-    fn downdate_interior_matches_fresh_factorization() {
-        for &(n, index) in &[(6usize, 0usize), (9, 4), (40, 17), (70, 66)] {
-            let a = spd_random(n, n as u64 + index as u64);
-            let mut ch = Cholesky::new(&a).unwrap();
-            ch.downdate(index).unwrap();
-            let fresh = Cholesky::new(&delete_row_col(&a, index)).unwrap();
-            for i in 0..n - 1 {
-                for j in 0..n - 1 {
-                    assert!(
-                        (ch.l()[(i, j)] - fresh.l()[(i, j)]).abs() < 1e-8,
-                        "L({i},{j}) after removing {index} from n={n}"
-                    );
+    /// `w` right-hand sides, row-major, mixing ordinary values with +0.0,
+    /// −0.0 and subnormals (whose products underflow to zero); column 1
+    /// is all −0.0 and column 2 all +0.0 when present.
+    fn mixed_rhs(n: usize, w: usize) -> Vec<f64> {
+        (0..n * w)
+            .map(|e| {
+                let (i, t) = (e / w, e % w);
+                match (t, (i * 7 + t * 3) % 9) {
+                    (1, _) => -0.0,
+                    (2, _) => 0.0,
+                    (_, 0) => 0.0,
+                    (_, 1) => -0.0,
+                    (_, 2) => 3e-310,
+                    (_, 3) => -1e-320,
+                    _ => ((e as f64) * 0.61 + 0.3).sin(),
                 }
+            })
+            .collect()
+    }
+
+    fn assert_multi_matches_columns(ch: &Cholesky, b: &[f64], w: usize, label: &str) {
+        let n = ch.dim();
+        let mut z = b.to_vec();
+        ch.solve_lower_multi(&mut z, w).unwrap();
+        for t in 0..w {
+            let col: Vec<f64> = (0..n).map(|i| b[i * w + t]).collect();
+            let want = ch.solve_lower(&col).unwrap();
+            for (i, v) in want.iter().enumerate() {
+                assert_eq!(
+                    z[i * w + t].to_bits(),
+                    v.to_bits(),
+                    "{label}, w={w}: z[{i}] of column {t}: {} vs {v}",
+                    z[i * w + t],
+                );
             }
         }
     }
 
     #[test]
-    fn downdate_preserves_jitter() {
-        // Semidefinite: ones * onesᵀ needs jitter to factor.
-        let a = Matrix::from_vec(3, 3, vec![1.0; 9]);
-        let mut ch = Cholesky::with_jitter(&a, 1e-10, 1e-2).unwrap();
-        let jitter = ch.jitter();
-        assert!(jitter > 0.0);
-        ch.downdate(1).unwrap();
-        assert_eq!(ch.jitter(), jitter);
-        // The result factors the 2x2 submatrix of A + jitter·I.
-        let r = ch.reconstruct().unwrap();
-        assert!((r[(0, 0)] - (1.0 + jitter)).abs() < 1e-9);
-        assert!((r[(0, 1)] - 1.0).abs() < 1e-9);
-        assert!((r[(1, 1)] - (1.0 + jitter)).abs() < 1e-9);
+    fn solve_lower_multi_matches_per_column_solve_bitwise() {
+        // Every size up to 130 plus sizes past the 64-wide tile and the
+        // four-row sweep; Miri interprets every op, so it stops at 24.
+        let sizes: Vec<usize> = if cfg!(miri) {
+            (1..=24).collect()
+        } else {
+            (1..=130).chain([250, 257]).collect()
+        };
+        for n in sizes {
+            let ch = Cholesky::new(&spd_dominant(n)).unwrap();
+            for w in [1usize, 3, 64] {
+                assert_multi_matches_columns(&ch, &mixed_rhs(n, w), w, &format!("n={n}"));
+            }
+        }
     }
 
     #[test]
-    fn downdate_handles_edges() {
-        // Shrinking to the empty factor is allowed.
-        let mut ch = Cholesky::new(&Matrix::from_vec(1, 1, vec![4.0])).unwrap();
-        ch.downdate(0).unwrap();
-        assert_eq!(ch.dim(), 0);
-        // Out-of-range index is a shape error.
-        let mut ch = Cholesky::new(&spd3()).unwrap();
+    fn solve_lower_multi_matches_per_column_solve_after_jitter() {
+        let n = if cfg!(miri) { 12 } else { 90 };
+        let pts: Vec<f64> = (0..n)
+            .map(|i| (i / 2) as f64 * 0.05 + (i % 2) as f64 * 1e-13)
+            .collect();
+        let ch = Cholesky::with_jitter(&rbf_gram(&pts, 1.0, 0.0), 1e-10, 1e-2).unwrap();
+        assert!(ch.jitter() > 0.0, "the factor needed jitter");
+        for w in [1usize, 3, 64, 65] {
+            assert_multi_matches_columns(&ch, &mixed_rhs(n, w), w, "jittered");
+        }
+    }
+
+    #[test]
+    fn solve_lower_multi_rejects_wrong_length_and_accepts_no_columns() {
+        let ch = Cholesky::new(&spd3()).unwrap();
         assert!(matches!(
-            ch.downdate(3),
+            ch.solve_lower_multi(&mut [1.0; 5], 2),
             Err(LinalgError::ShapeMismatch { .. })
         ));
+        ch.solve_lower_multi(&mut [], 0).unwrap();
     }
 }
