@@ -159,16 +159,10 @@ impl Default for Config {
             ]
             .map(String::from)
             .to_vec(),
-            // Each blessed module owns a fan-out with an audited ordered
-            // reduction (index-addressed result slots folded in input
-            // order); see DESIGN §7/§9 and §13.
-            spawn_approved: [
-                "crates/parallel/src/pool.rs",
-                "crates/core/src/batch.rs",
-                "crates/dataset/src/generate.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
+            // The one blessed module owns every fan-out, each with an
+            // audited ordered reduction (index-addressed result slots
+            // folded in input order); see DESIGN §7/§9 and §13.
+            spawn_approved: vec!["crates/parallel/src/pool.rs".to_string()],
             // Bench binaries time the *host* run for BENCH notes; that
             // wall-clock never feeds priced results (machine.rs contract).
             wall_clock_approved: ["crates/bench"].map(String::from).to_vec(),
@@ -186,18 +180,11 @@ impl Default for Config {
             .map(String::from)
             .to_vec(),
             // The store's documented contract (core/store.rs): the warm
-            // cache is below the shards, batch-result slots never nest
-            // with either.
-            lock_classes: [
-                ("warm", "warm"),
-                ("shard", "shard"),
-                ("results", "batch_results"),
-            ]
-            .map(|(r, c)| (r.to_string(), c.to_string()))
-            .to_vec(),
-            lock_order: ["warm", "shard", "batch_results"]
-                .map(String::from)
+            // cache is below the shards.
+            lock_classes: [("warm", "warm"), ("shard", "shard")]
+                .map(|(r, c)| (r.to_string(), c.to_string()))
                 .to_vec(),
+            lock_order: ["warm", "shard"].map(String::from).to_vec(),
             // The paper's hot verbs plus file I/O and sleeping: anything
             // here is multi-millisecond work that must never run under a
             // shard lock (tail-latency contract, DESIGN §14).
@@ -596,7 +583,7 @@ count = 1
         // Defaults encode the store's documented contract: warm below
         // shard, and the paper's hot verbs in the expensive set.
         let d = Config::default();
-        assert_eq!(d.lock_order, vec!["warm", "shard", "batch_results"]);
+        assert_eq!(d.lock_order, vec!["warm", "shard"]);
         assert!(d
             .lock_classes
             .iter()
@@ -655,15 +642,10 @@ count = 1
         assert_eq!(cfg.spawn_approved, vec!["crates/x/src/pool.rs"]);
         assert_eq!(cfg.wall_clock_approved, vec!["crates/y"]);
         assert_eq!(cfg.ordered_containers, vec!["IndexMap"]);
-        // Defaults: the blessed pool modules are exactly the audited
-        // fan-outs, and bench may read wall-clock for BENCH notes.
+        // Defaults: the one blessed pool module is the audited fan-out,
+        // and bench may read wall-clock for BENCH notes.
         let d = Config::default();
-        assert!(d
-            .spawn_approved
-            .contains(&"crates/parallel/src/pool.rs".to_string()));
-        assert!(d
-            .spawn_approved
-            .contains(&"crates/core/src/batch.rs".to_string()));
+        assert_eq!(d.spawn_approved, vec!["crates/parallel/src/pool.rs"]);
         assert!(d.wall_clock_approved.contains(&"crates/bench".to_string()));
         assert!(d.determinism_crates.contains(&"crates/amr".to_string()));
         assert!(d

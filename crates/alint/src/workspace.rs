@@ -150,10 +150,11 @@ mod tests {
         // The old amr pool delegates to al-parallel now — no longer blessed.
         let s = scope_for("crates/amr/src/pool.rs", &config);
         assert!(s.determinism && !s.spawn_blessed);
+        // The batch and dataset fan-outs run on the pool's `map_jobs`.
         let s = scope_for("crates/core/src/batch.rs", &config);
-        assert!(s.determinism && s.spawn_blessed);
+        assert!(s.determinism && !s.spawn_blessed);
         let s = scope_for("crates/dataset/src/generate.rs", &config);
-        assert!(s.determinism && s.spawn_blessed);
+        assert!(s.determinism && !s.spawn_blessed);
         // Wall-clock approval is a path prefix: the whole bench crate may
         // time the host run, including its bin/ targets.
         let s = scope_for("crates/bench/src/data.rs", &config);

@@ -21,7 +21,7 @@ pub struct SimulationOutcome {
     pub cost_node_hours: NodeHours,
     /// MaxRSS per process (response 3).
     pub memory_mb: Megabytes,
-    /// Raw work counters, for diagnostics and the Criterion benches.
+    /// Raw work counters, for diagnostics and the benchmarks.
     pub work: WorkStats,
 }
 

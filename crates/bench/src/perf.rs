@@ -380,8 +380,7 @@ pub fn group_names() -> [&'static str; 4] {
 }
 
 /// Deterministic pseudo-random training data on the unit cube with a
-/// smooth multi-dimensional response (the same generator the Criterion
-/// micro-benches use).
+/// smooth multi-dimensional response.
 fn training_data(n: usize, d: usize, seed: u64) -> (Matrix, Vec<f64>) {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -422,8 +421,19 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
         Tier::Quick => &[200, 400],
         Tier::Full => &[200, 400, 800, 1600],
     };
+    // The factorization curve, timed once per n on the blocked path
+    // `Cholesky::new` takes, with the unblocked reference loop beside it at
+    // the naive sizes: each pair pins the cache-tiling speedup of the
+    // panel-packed `Cholesky` (DESIGN §13), while the in-crate parity tests
+    // pin that both paths produce identical bits. The quick tier keeps
+    // n = 1600 so the committed trajectory records the ratio at paper
+    // scale.
+    let (factor_sizes, naive_sizes): (&[usize], &[usize]) = match tier {
+        Tier::Quick => (&[200, 400, 1600], &[400, 1600]),
+        Tier::Full => (&[200, 400, 800, 1600], &[400, 800, 1600]),
+    };
     let mut out = Vec::new();
-    for &n in sizes {
+    for &n in factor_sizes {
         out.push(Scenario::new(
             "linalg",
             format!("cholesky_factor_n{n}"),
@@ -435,6 +445,21 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
                 })
             },
         ));
+        if naive_sizes.contains(&n) {
+            out.push(Scenario::new(
+                "linalg",
+                format!("cholesky_factor_naive_n{n}"),
+                move || {
+                    let a = spd_gram(n, 11);
+                    Box::new(move || {
+                        let ch = al_linalg::Cholesky::new_reference(&a).expect("SPD gram factors");
+                        std::hint::black_box(ch.log_det());
+                    })
+                },
+            ));
+        }
+    }
+    for &n in sizes {
         // The augment-vs-refit pair: extending an n-point factor by one
         // bordered row (O(n²), includes the clone the GP augment path
         // performs) against refactoring the (n+1)-point matrix (O(n³)).
@@ -488,39 +513,6 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
             })
         },
     ));
-    // Blocked vs. unblocked factorization of the same gram matrix: the
-    // pair pins the cache-tiling speedup of the panel-packed `Cholesky`
-    // (DESIGN §13), while the in-crate parity tests pin that both paths
-    // produce identical bits. The quick tier keeps n = 1600 so the
-    // committed trajectory records the ratio at paper scale.
-    let pair_sizes: &[usize] = match tier {
-        Tier::Quick => &[400, 1600],
-        Tier::Full => &[400, 800, 1600],
-    };
-    for &n in pair_sizes {
-        out.push(Scenario::new(
-            "linalg",
-            format!("cholesky_factor_blocked_n{n}"),
-            move || {
-                let a = spd_gram(n, 17);
-                Box::new(move || {
-                    let ch = al_linalg::Cholesky::new(&a).expect("SPD gram factors");
-                    std::hint::black_box(ch.log_det());
-                })
-            },
-        ));
-        out.push(Scenario::new(
-            "linalg",
-            format!("cholesky_factor_naive_n{n}"),
-            move || {
-                let a = spd_gram(n, 17);
-                Box::new(move || {
-                    let ch = al_linalg::Cholesky::new_reference(&a).expect("SPD gram factors");
-                    std::hint::black_box(ch.log_det());
-                })
-            },
-        ));
-    }
     out
 }
 
@@ -741,7 +733,7 @@ fn amr_scenarios(tier: Tier) -> Vec<Scenario> {
     // 1 worker vs. all cores on the same subcycled hierarchy — results are
     // bitwise identical by the PR 3 contract, so the pair measures pure
     // wall-clock scaling of the within-level sweep pool.
-    [
+    let mut out: Vec<Scenario> = [
         ("solver_step_threads_1", 1usize),
         ("solver_step_threads_all", 0),
     ]
@@ -759,7 +751,39 @@ fn amr_scenarios(tier: Tier) -> Vec<Scenario> {
             })
         })
     })
-    .collect()
+    .collect();
+    // The flop kernel alone: one x-sweep of a single patch at three of the
+    // paper's patch sizes, so per-cell time is median / mx². Each call
+    // advances the same patch; its ghost cells stay fixed, and the state
+    // stays smooth over the few thousand calls a run makes.
+    for mx in [8usize, 16, 32] {
+        out.push(Scenario::new(
+            "amr",
+            format!("patch_sweep_x_mx{mx}"),
+            move || {
+                use al_amr_sim::euler::conservative;
+                use al_amr_sim::patch::{Patch, Side, SweepScratch};
+                let mut patch = Patch::new(0, 0, 0, mx);
+                patch.fill_with(&|x, y| {
+                    conservative(
+                        1.0 + 0.5 * (6.0 * x).sin() * (4.0 * y).cos(),
+                        0.3,
+                        -0.1,
+                        1.0,
+                    )
+                });
+                for side in Side::ALL {
+                    patch.extrapolate_boundary(side);
+                }
+                let mut scratch = SweepScratch::default();
+                let dt = 0.2 * patch.h() / patch.max_wave_speed();
+                Box::new(move || {
+                    std::hint::black_box(patch.sweep_x(dt, &mut scratch));
+                })
+            },
+        ));
+    }
+    out
 }
 
 /// Synthetic AMR-shaped dataset (no solver runs) for the end-to-end AL
@@ -789,48 +813,44 @@ fn synthetic_dataset(n: usize) -> al_dataset::Dataset {
     Dataset::new(samples)
 }
 
-fn al_scenarios(tier: Tier) -> Vec<Scenario> {
+fn al_scenarios() -> Vec<Scenario> {
     use al_core::{
-        run_trajectory, step, AlOptions, Decision, Observation, SessionConfig, SessionState,
+        step, AlOptions, Decision, Observation, SelectionContext, SessionConfig, SessionState,
         StrategyKind,
     };
     use al_dataset::Partition;
     use al_gp::FitOptions;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let iterations = match tier {
-        Tier::Quick => 10,
-        Tier::Full => 20,
-    };
-    let mut out = vec![Scenario::new(
-        "al",
-        format!("rgma_sweep_{iterations}iter"),
-        move || {
-            let dataset = synthetic_dataset(120);
-            let mut rng = StdRng::seed_from_u64(31);
-            let partition = Partition::random(dataset.len(), 10, 40, &mut rng);
-            let opts = AlOptions {
-                max_iterations: Some(iterations),
-                initial_fit: FitOptions {
-                    n_restarts: 0,
-                    max_iters: 10,
-                    ..FitOptions::default()
-                },
-                mem_limit_log: Some(dataset.memory_limit_log(0.95)),
-                ..AlOptions::default()
-            };
-            Box::new(move || {
-                let t = run_trajectory(
-                    &dataset,
-                    &partition,
-                    StrategyKind::Rgma { base: 10.0 },
-                    &opts,
-                )
-                .expect("synthetic trajectory runs");
-                std::hint::black_box(t.records.len());
+    use rand::{RngExt, SeedableRng};
+    // One selection per paper strategy over a 400-candidate pool (the
+    // paper's Active-set size), from fixed synthetic μ/σ vectors: the
+    // `core.strategy.select` layer without the GP predict in front of it.
+    let mut out: Vec<Scenario> = StrategyKind::paper_five()
+        .into_iter()
+        .map(|kind| {
+            let name = format!("strategy_select_{}_q400", kind.label().to_lowercase());
+            Scenario::new("al", name, move || {
+                let mut rng = StdRng::seed_from_u64(1);
+                let mut draw = |lo: f64, hi: f64| -> Vec<f64> {
+                    (0..400).map(|_| rng.random_range(lo..hi)).collect()
+                };
+                let (mu_cost, sigma_cost) = (draw(-3.0, 1.0), draw(0.01, 0.5));
+                let (mu_mem, sigma_mem) = (draw(-2.0, 1.5), draw(0.01, 0.5));
+                let strategy = kind.build();
+                let mut rng = StdRng::seed_from_u64(2);
+                Box::new(move || {
+                    let ctx = SelectionContext {
+                        mu_cost: &mu_cost,
+                        sigma_cost: &sigma_cost,
+                        mu_mem: &mu_mem,
+                        sigma_mem: &sigma_mem,
+                        mem_limit_log: Some(al_units::LogMegabytes::new(1.0)),
+                    };
+                    std::hint::black_box(strategy.select(&ctx, &mut rng));
+                })
             })
-        },
-    )];
+        })
+        .collect();
     // One pure session transition on a mid-flight RGMA session — the
     // serving-layer latency unit behind SessionStore::observe (ingest the
     // observation, close the round: incremental augment + refit decision +
@@ -1016,7 +1036,7 @@ pub fn registry(tier: Tier, groups: &[String]) -> Result<Vec<Scenario>, BenchErr
         out.extend(amr_scenarios(tier));
     }
     if wanted("al") {
-        out.extend(al_scenarios(tier));
+        out.extend(al_scenarios());
     }
     Ok(out)
 }
@@ -1527,16 +1547,30 @@ mod tests {
         assert!(names.contains(&"gp/local_select_100k".to_string()));
         assert!(names.contains(&"amr/solver_step_threads_1".to_string()));
         assert!(names.contains(&"amr/solver_step_threads_all".to_string()));
-        assert!(names.iter().any(|n| n.starts_with("al/rgma_sweep_")));
+        // One selection per paper strategy, and the AMR flop kernel alone.
+        for label in ["randuniform", "maxsigma", "minpred", "randgoodness", "rgma"] {
+            assert!(
+                names.contains(&format!("al/strategy_select_{label}_q400")),
+                "{label}"
+            );
+        }
+        for mx in [8, 16, 32] {
+            assert!(
+                names.contains(&format!("amr/patch_sweep_x_mx{mx}")),
+                "mx={mx}"
+            );
+        }
         // PR 8: the session core's serving-latency unit and the warm-start
         // contrast pair backing the SessionStore's hyperparameter LRU.
         assert!(names.contains(&"al/session_step".to_string()));
         assert!(names.contains(&"al/warm_start_cold".to_string()));
         assert!(names.contains(&"al/warm_start_hit".to_string()));
-        // PR 9: blocked-vs-naive factorization at paper scale, plus the
-        // GP thread-scaling pairs over the shared worker pool.
-        assert!(names.contains(&"linalg/cholesky_factor_blocked_n1600".to_string()));
+        // Blocked-vs-naive factorization at paper scale, each path timed
+        // once per n, plus the GP thread-scaling pairs over the shared
+        // worker pool.
+        assert!(names.contains(&"linalg/cholesky_factor_n1600".to_string()));
         assert!(names.contains(&"linalg/cholesky_factor_naive_n1600".to_string()));
+        assert!(!names.iter().any(|n| n.contains("cholesky_factor_blocked")));
         assert!(names.contains(&"gp/kernel_matrix_threads_1".to_string()));
         assert!(names.contains(&"gp/kernel_matrix_threads_all".to_string()));
         assert!(names.contains(&"gp/local_select_threads_1".to_string()));
@@ -1562,7 +1596,7 @@ mod tests {
         // Group filter narrows the registry.
         let only_amr = registry(Tier::Quick, &["amr".to_string()]).unwrap();
         assert!(only_amr.iter().all(|s| s.group == "amr"));
-        assert_eq!(only_amr.len(), 2);
+        assert_eq!(only_amr.len(), 5);
     }
 
     #[test]
@@ -1579,14 +1613,11 @@ mod tests {
         }
         for n in [400, 800, 1600] {
             assert!(
-                full.contains(&format!("cholesky_factor_blocked_n{n}")),
-                "n={n}"
-            );
-            assert!(
                 full.contains(&format!("cholesky_factor_naive_n{n}")),
                 "n={n}"
             );
         }
+        assert!(!full.iter().any(|n| n.contains("cholesky_factor_blocked")));
     }
 
     #[test]

@@ -3,23 +3,20 @@
 //! strategies) and statistics are independent of any single shuffle —
 //! the role of the paper's `multiprocessing` outer loop.
 //!
-//! This module is one of the three `spawn_approved` fan-outs under
-//! alint L6 (DESIGN §9): the job list is a deterministic cross
-//! product, every worker writes its result into the job's own
-//! index-addressed slot, each trajectory's RNG is seeded from
-//! `base_seed + t` alone, and the assembly loop below reads the slots
-//! in input order — no hash containers anywhere, so thread scheduling
-//! can never reach the numbers.
+//! The fan-out is [`WorkerPool::map_jobs`]: job `k` is strategy
+//! `k / n_trajectories` on partition `k % n_trajectories`, each
+//! trajectory's RNG is seeded from `base_seed + t` alone, and the results
+//! come back in job order, so thread scheduling can never reach the
+//! numbers.
 
 use crate::procedure::{run_trajectory, AlOptions};
 use crate::strategy::StrategyKind;
 use crate::trajectory::Trajectory;
 use al_dataset::{Dataset, Partition};
 use al_gp::GpError;
-use parking_lot::Mutex;
+use al_parallel::WorkerPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// What to run: the cross product of strategies × random partitions.
 #[derive(Debug, Clone)]
@@ -40,81 +37,37 @@ pub struct BatchSpec {
 }
 
 /// Run the batch; returns, per strategy, its trajectories in partition
-/// order. Results are deterministic regardless of thread count.
+/// order, or the first error in job order. Results are deterministic
+/// regardless of thread count.
 pub fn run_batch(
     dataset: &Dataset,
     spec: &BatchSpec,
     opts: &AlOptions,
 ) -> Result<Vec<(StrategyKind, Vec<Trajectory>)>, GpError> {
-    let jobs: Vec<(usize, usize)> = (0..spec.strategies.len())
-        .flat_map(|s| (0..spec.n_trajectories).map(move |t| (s, t)))
-        .collect();
-    if jobs.is_empty() {
-        return Ok(spec.strategies.iter().map(|&s| (s, Vec::new())).collect());
-    }
-
-    let n_threads = if spec.n_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        spec.n_threads
-    }
-    .min(jobs.len());
-
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<Trajectory, GpError>>>> =
-        Mutex::new((0..jobs.len()).map(|_| None).collect());
-
-    if let Err(payload) = crossbeam::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let cursor = &cursor;
-            let results = &results;
-            let jobs = &jobs;
-            scope.spawn(move |_| loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= jobs.len() {
-                    break;
-                }
-                let (s, t) = jobs[k];
-                let kind = spec.strategies[s];
-                let mut prng = StdRng::seed_from_u64(spec.base_seed.wrapping_add(t as u64));
-                let partition =
-                    Partition::random(dataset.len(), spec.n_init, spec.n_test, &mut prng);
-                // Strategy randomness differs per (strategy, trajectory).
-                let traj_opts = AlOptions {
-                    seed: spec
-                        .base_seed
-                        .wrapping_add((t as u64) << 8)
-                        .wrapping_add(s as u64),
-                    ..opts.clone()
-                };
-                let result = run_trajectory(dataset, &partition, kind, &traj_opts);
-                results.lock()[k] = Some(result);
-            });
-        }
-    }) {
-        // A worker panicked; re-raise its payload rather than masking it
-        // behind a second, less informative panic here.
-        std::panic::resume_unwind(payload);
-    }
-
-    let collected = results.into_inner();
-    // Every worker exited normally (a panic would have unwound above), so
-    // the work-stealing cursor guarantees each slot was filled exactly once.
-    debug_assert!(collected.iter().all(Option::is_some));
-    let mut per_strategy: Vec<(StrategyKind, Vec<Trajectory>)> = spec
-        .strategies
+    let n_traj = spec.n_trajectories;
+    let results = WorkerPool::new(spec.n_threads).map_jobs(spec.strategies.len() * n_traj, |k| {
+        let (s, t) = (k / n_traj, k % n_traj);
+        let mut prng = StdRng::seed_from_u64(spec.base_seed.wrapping_add(t as u64));
+        let partition = Partition::random(dataset.len(), spec.n_init, spec.n_test, &mut prng);
+        // Strategy randomness differs per (strategy, trajectory).
+        let traj_opts = AlOptions {
+            seed: spec
+                .base_seed
+                .wrapping_add((t as u64) << 8)
+                .wrapping_add(s as u64),
+            ..opts.clone()
+        };
+        run_trajectory(dataset, &partition, spec.strategies[s], &traj_opts)
+    });
+    let mut results = results.into_iter();
+    spec.strategies
         .iter()
-        .map(|&s| (s, Vec::with_capacity(spec.n_trajectories)))
-        .collect();
-    for (k, result) in collected.into_iter().enumerate() {
-        let (s, _) = jobs[k];
-        if let Some(result) = result {
-            per_strategy[s].1.push(result?);
-        }
-    }
-    Ok(per_strategy)
+        .map(|&kind| {
+            let trajectories: Result<Vec<Trajectory>, GpError> =
+                results.by_ref().take(n_traj).collect();
+            Ok((kind, trajectories?))
+        })
+        .collect()
 }
 
 #[cfg(test)]

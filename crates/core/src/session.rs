@@ -620,6 +620,11 @@ impl SessionState {
         self.round.as_ref().and_then(|r| r.picked.last().copied())
     }
 
+    /// Rows in the training set, i.e. the row the next observation takes.
+    pub(crate) fn training_rows(&self) -> usize {
+        self.train.n
+    }
+
     /// Records emitted so far (one per completed selection).
     pub fn records(&self) -> &[IterationRecord] {
         &self.records

@@ -298,9 +298,10 @@ impl SessionStore {
     /// Feed the result of a session's outstanding query; returns the next
     /// decision.
     ///
-    /// The observation is validated against the outstanding query before
-    /// any state is touched, so a mismatched report leaves the session
-    /// intact. A GP failure mid-step is fatal for that session: it is
+    /// The observation is validated against the outstanding query, and its
+    /// responses and features checked finite, before any state is touched,
+    /// so a mismatched or non-finite report leaves the session intact. A
+    /// GP failure mid-step is fatal for that session: it is
     /// removed from the store and the error returned.
     ///
     /// The GP step runs with the shard guard dropped (alint L7: no fit
@@ -327,6 +328,14 @@ impl SessionStore {
                     expected,
                     got: obs.dataset_index,
                 });
+            }
+            if !obs.log_cost.is_finite()
+                || !obs.log_mem.is_finite()
+                || obs.features_scaled.iter().any(|v| !v.is_finite())
+            {
+                return Err(SessionError::Gp(GpError::NonFiniteTrainingData {
+                    row: entry.state.training_rows(),
+                }));
             }
             match shard.remove(&id) {
                 Some(entry) => entry,
@@ -526,6 +535,39 @@ mod tests {
             .observe(2, &Observation::from_dataset(&d, q.dataset_index))
             .unwrap();
         assert!(next.query().is_some());
+    }
+
+    /// Answer every query from the dataset until the session stops, then
+    /// finish it.
+    fn drive_to_finish(store: &SessionStore, id: u64, d: &al_dataset::Dataset) -> Trajectory {
+        let mut decision = store.decision(id).unwrap();
+        while let Decision::Query(q) = decision {
+            decision = store
+                .observe(id, &Observation::from_dataset(d, q.dataset_index))
+                .unwrap();
+        }
+        store.finish(id).unwrap()
+    }
+
+    #[test]
+    fn non_finite_observation_leaves_session_intact() {
+        let (cfg, d) = config(8);
+        let clean = SessionStore::new(2);
+        clean.create(3, cfg.clone(), None).unwrap();
+        let reference = drive_to_finish(&clean, 3, &d);
+
+        let store = SessionStore::new(2);
+        let q = store.create(3, cfg, None).unwrap().query().unwrap();
+        let mut bad = Observation::from_dataset(&d, q.dataset_index);
+        bad.log_cost = f64::NAN;
+        // The row the observation would have taken: after the 3 initial ones.
+        assert!(matches!(
+            store.observe(3, &bad),
+            Err(SessionError::Gp(GpError::NonFiniteTrainingData { row: 3 }))
+        ));
+        assert!(store.contains(3));
+        assert_eq!(store.decision(3).unwrap().query(), Some(q));
+        assert_eq!(drive_to_finish(&store, 3, &d), reference);
     }
 
     #[test]

@@ -127,12 +127,12 @@ fn run_store(dataset: &Dataset, n_threads: usize) -> Vec<Trajectory> {
     // claim slot is 0 = free, 1 = claimed, 2 = stopped.
     let claims: Vec<AtomicUsize> = (0..N_SESSIONS).map(|_| AtomicUsize::new(0)).collect();
     let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..n_threads {
             let store = &store;
             let claims = &claims;
             let cursor = &cursor;
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 if claims.iter().all(|c| c.load(Ordering::Acquire) == 2) {
                     break;
                 }
@@ -158,8 +158,7 @@ fn run_store(dataset: &Dataset, n_threads: usize) -> Vec<Trajectory> {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     (0..N_SESSIONS)
         .map(|id| store.finish(id).unwrap())

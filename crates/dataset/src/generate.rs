@@ -2,15 +2,13 @@
 //! pool of worker threads (the local stand-in for the paper's >1K SLURM
 //! jobs on Edison).
 //!
-//! One of the three `spawn_approved` fan-outs under alint L6 (DESIGN
-//! §9): jobs are an ordered list, each worker writes into its job's own
-//! index-addressed slot, and results are returned in job order — the
-//! regenerated `data/dataset.csv` is byte-identical for any
+//! The fan-out is [`WorkerPool::map_jobs`], which returns results in job
+//! order — the regenerated `data/dataset.csv` is byte-identical for any
 //! `n_threads`.
 
 use crate::sample::Sample;
 use al_amr_sim::{run_simulation, AmrError, MachineModel, SimulationConfig, SolverProfile};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use al_parallel::WorkerPool;
 
 /// Options for [`generate_parallel`].
 #[derive(Debug, Clone, Copy)]
@@ -34,73 +32,25 @@ impl Default for GenerateOptions {
 }
 
 /// Run every `(config, repeat)` job and return samples in job order, or
-/// the first [`AmrError`] any simulation reported — including
+/// the first [`AmrError`] in job order — including
 /// [`AmrError::Truncated`] for a run that stopped short of its horizon,
 /// so a partial burst can never be recorded as a completed measurement.
 ///
-/// Work is distributed dynamically via an atomic cursor so the expensive
-/// tail (deep `maxlevel`, large `mx`) does not serialize behind one thread.
-/// Results are deterministic regardless of thread count because each job's
-/// noise seed depends only on `(config, repeat)`.
+/// Workers claim jobs one at a time, so the expensive tail (deep
+/// `maxlevel`, large `mx`) does not serialize behind one thread. Results
+/// are deterministic regardless of thread count because each job's noise
+/// seed depends only on `(config, repeat)`.
 pub fn generate_parallel(
     jobs: &[(SimulationConfig, u32)],
     opts: &GenerateOptions,
 ) -> Result<Vec<Sample>, AmrError> {
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let n_threads = if opts.n_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        opts.n_threads
-    }
-    .min(jobs.len());
-
-    let cursor = AtomicUsize::new(0);
-    let mut per_thread: Vec<Result<Vec<(usize, Sample)>, AmrError>> = Vec::new();
-
-    let scope_result = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            let cursor = &cursor;
-            handles.push(scope.spawn(move |_| {
-                let mut local: Vec<(usize, Sample)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let (config, repeat) = jobs[i];
-                    let outcome = run_simulation(&config, opts.profile, &opts.machine, repeat)?;
-                    local.push((i, Sample::from(outcome)));
-                }
-                Ok(local)
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(local) => per_thread.push(local),
-                // Re-raise the worker's panic with its original payload
-                // instead of masking it behind a second panic here.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    if let Err(payload) = scope_result {
-        std::panic::resume_unwind(payload);
-    }
-
-    let mut pairs: Vec<(usize, Sample)> = Vec::with_capacity(jobs.len());
-    for local in per_thread {
-        pairs.extend(local?);
-    }
-    // The cursor hands every index to exactly one worker, so after all
-    // workers returned Ok the pairs cover the jobs exactly once.
-    debug_assert_eq!(pairs.len(), jobs.len());
-    pairs.sort_by_key(|(i, _)| *i);
-    Ok(pairs.into_iter().map(|(_, sample)| sample).collect())
+    WorkerPool::new(opts.n_threads)
+        .map_jobs(jobs.len(), |i| {
+            let (config, repeat) = jobs[i];
+            run_simulation(&config, opts.profile, &opts.machine, repeat).map(Sample::from)
+        })
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,8 +5,6 @@
 //! with box bounds and multi-start: one start is always the model's current
 //! hyperparameters (the paper's "use old model's parameters as a starting
 //! point" warm start), the rest are drawn uniformly from the bounds.
-//! A derivative-free Nelder–Mead simplex is provided as a cross-check and
-//! for ablations.
 
 use crate::gp::GpModel;
 use al_linalg::Matrix;
@@ -171,114 +169,6 @@ pub fn adam_maximize(
     Some(best)
 }
 
-/// Whether a simplex objective value is the `−∞` "evaluation failed"
-/// sentinel. The sentinel propagates exactly (no arithmetic touches it),
-/// so an equality test is the intended check.
-#[allow(clippy::float_cmp)] // alint: allow(L2)
-fn is_failed_eval(f: f64) -> bool {
-    f == f64::NEG_INFINITY
-}
-
-/// Derivative-free Nelder–Mead simplex maximization with box bounds.
-///
-/// Used as a cross-check on the gradient path and by the kernel ablation
-/// (Matérn gradients are easy to get subtly wrong). Infeasible points
-/// evaluate to `−∞`.
-pub fn nelder_mead_maximize(
-    objective: &mut dyn FnMut(&[f64]) -> Option<f64>,
-    start: &[f64],
-    bounds: (f64, f64),
-    max_iters: usize,
-) -> Option<(f64, Vec<f64>)> {
-    let dim = start.len();
-    let eval = |obj: &mut dyn FnMut(&[f64]) -> Option<f64>, p: &[f64]| -> f64 {
-        let clamped: Vec<f64> = p.iter().map(|v| v.clamp(bounds.0, bounds.1)).collect();
-        obj(&clamped).unwrap_or(f64::NEG_INFINITY)
-    };
-
-    // Initial simplex: start plus a perturbation of each coordinate.
-    let mut simplex: Vec<(f64, Vec<f64>)> = Vec::with_capacity(dim + 1);
-    let f0 = eval(objective, start);
-    simplex.push((f0, start.to_vec()));
-    for i in 0..dim {
-        let mut p = start.to_vec();
-        p[i] += 0.5;
-        let f = eval(objective, &p);
-        simplex.push((f, p));
-    }
-    if simplex.iter().all(|(f, _)| is_failed_eval(*f)) {
-        return None;
-    }
-
-    let (alpha, gamma, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
-    for _ in 0..max_iters {
-        // Sort descending (we maximize).
-        simplex.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let best = simplex[0].0;
-        let worst = simplex[dim].0;
-        if best.is_finite() && worst.is_finite() && (best - worst).abs() < 1e-10 {
-            break;
-        }
-        // Centroid of all but the worst.
-        let mut centroid = vec![0.0; dim];
-        for (_, p) in &simplex[..dim] {
-            for (c, v) in centroid.iter_mut().zip(p) {
-                *c += v / dim as f64;
-            }
-        }
-        let worst_p = simplex[dim].1.clone();
-        let reflect: Vec<f64> = centroid
-            .iter()
-            .zip(&worst_p)
-            .map(|(c, w)| c + alpha * (c - w))
-            .collect();
-        let fr = eval(objective, &reflect);
-        if fr > simplex[0].0 {
-            // Try expansion.
-            let expand: Vec<f64> = centroid
-                .iter()
-                .zip(&worst_p)
-                .map(|(c, w)| c + gamma * (c - w))
-                .collect();
-            let fe = eval(objective, &expand);
-            simplex[dim] = if fe > fr { (fe, expand) } else { (fr, reflect) };
-        } else if fr > simplex[dim - 1].0 {
-            simplex[dim] = (fr, reflect);
-        } else {
-            // Contraction.
-            let contract: Vec<f64> = centroid
-                .iter()
-                .zip(&worst_p)
-                .map(|(c, w)| c + rho * (w - c))
-                .collect();
-            let fc = eval(objective, &contract);
-            if fc > simplex[dim].0 {
-                simplex[dim] = (fc, contract);
-            } else {
-                // Shrink towards the best vertex.
-                let best_p = simplex[0].1.clone();
-                for entry in simplex.iter_mut().skip(1) {
-                    let shrunk: Vec<f64> = best_p
-                        .iter()
-                        .zip(&entry.1)
-                        .map(|(b, p)| b + sigma * (p - b))
-                        .collect();
-                    let fs = eval(objective, &shrunk);
-                    *entry = (fs, shrunk);
-                }
-            }
-        }
-    }
-    simplex.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    let (f, p) = simplex.swap_remove(0);
-    if is_failed_eval(f) {
-        None
-    } else {
-        let clamped: Vec<f64> = p.iter().map(|v| v.clamp(bounds.0, bounds.1)).collect();
-        Some((f, clamped))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,21 +219,6 @@ mod tests {
         };
         let (_, p) = adam_maximize(&mut obj, &[0.0], (-1.0, 1.0), 500, 0.05).unwrap();
         assert!((p[0] - 0.4).abs() < 0.05, "{p:?}");
-    }
-
-    #[test]
-    fn nelder_mead_finds_quadratic_maximum() {
-        let mut obj = |p: &[f64]| Some(quad(p).0);
-        let (f, p) = nelder_mead_maximize(&mut obj, &[0.0, 0.0], (-10.0, 10.0), 500).unwrap();
-        assert!((p[0] - 1.0).abs() < 1e-3, "{p:?}");
-        assert!((p[1] + 2.0).abs() < 1e-3, "{p:?}");
-        assert!(f > -1e-5);
-    }
-
-    #[test]
-    fn nelder_mead_all_infeasible_returns_none() {
-        let mut obj = |_: &[f64]| -> Option<f64> { None };
-        assert!(nelder_mead_maximize(&mut obj, &[0.0, 0.0], (-1.0, 1.0), 50).is_none());
     }
 
     #[test]
