@@ -276,7 +276,9 @@ impl GpModel {
 
     /// Fit with hyperparameter optimization: maximize the LML (Eq. 9) by
     /// multi-start Adam in log space, warm-starting from the current
-    /// hyperparameters, then refit at the optimum.
+    /// hyperparameters, then refit at the optimum. The refit is skipped
+    /// when the optimizer's last evaluation already fit `(x, y)` at the
+    /// optimum's exact bits, since it would rebuild that fit bit for bit.
     pub fn fit_optimized(
         &mut self,
         x: &Matrix,
@@ -297,6 +299,16 @@ impl GpModel {
         }
         let best = optimize::maximize_lml(self, x, y, opts);
         if let Some(params) = best {
+            // Any fit held now is the last `lml_at`'s fit of (x, y): each
+            // evaluation drops the previous fit first.
+            let at_optimum = self
+                .hyperparams()
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(params.iter().map(|v| v.to_bits()));
+            if at_optimum && self.fitted.is_some() {
+                return Ok(());
+            }
             self.set_hyperparams(&params)?;
         }
         self.fit(x, y)
@@ -435,6 +447,9 @@ impl GpModel {
         x: &Matrix,
         y: &[f64],
     ) -> Option<(f64, Vec<f64>)> {
+        // A failed evaluation must leave no fit behind: `fit_optimized`
+        // keeps a held fit as the optimum's.
+        self.fitted = None;
         if self.set_hyperparams(params).is_err() {
             return None;
         }
@@ -932,6 +947,69 @@ mod tests {
         // A shape error still wins over the finiteness check.
         let xs = Matrix::from_vec(1, 2, vec![f64::NAN, 0.0]);
         assert!(matches!(m.predict(&xs), Err(GpError::Linalg(_))));
+    }
+
+    /// `n` points in 3-D with a smooth response plus a ripple.
+    fn cube_data(n: usize) -> (Matrix, Vec<f64>) {
+        let xs: Vec<f64> = (0..n * 3).map(|e| ((e as f64) * 0.618).fract()).collect();
+        let x = Matrix::from_vec(n, 3, xs);
+        let y = (0..n)
+            .map(|i| {
+                let r = x.row(i);
+                (3.0 * r[0]).sin() + r[1] * r[2] + 0.1 * (17.0 * r[1]).cos()
+            })
+            .collect();
+        (x, y)
+    }
+
+    #[test]
+    fn fit_optimized_matches_an_explicit_refit_at_the_optimum_bitwise() {
+        let warm = FitOptions::warm_start_only();
+        let multi = FitOptions::default();
+        let cases = [
+            ("sine, warm start", sine_data(30), &warm),
+            ("sine, multi-start", sine_data(30), &multi),
+            ("cube, warm start", cube_data(40), &warm),
+            ("cube, multi-start", cube_data(40), &multi),
+        ];
+        let (mut skipped, mut refitted) = (0, 0);
+        for (label, (x, y), opts) in cases {
+            let base = GpModel::new(Box::new(RbfKernel::new(0.7, 0.4)), 1e-3);
+            // Which path does fit_optimized take? The same optimizer run
+            // on a clone says whether its last evaluation sits at the
+            // optimum.
+            let mut probe = base.clone();
+            let best = optimize::maximize_lml(&mut probe, &x, &y, opts).unwrap();
+            let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            if probe.fitted.is_some() && bits(&probe.hyperparams()) == bits(&best) {
+                skipped += 1;
+            } else {
+                refitted += 1;
+            }
+
+            let mut fast = base.clone();
+            fast.fit_optimized(&x, &y, opts).unwrap();
+            let mut explicit = base.clone();
+            explicit.set_hyperparams(&best).unwrap();
+            explicit.fit(&x, &y).unwrap();
+            assert_eq!(bits(&fast.hyperparams()), bits(&best), "{label}");
+            assert_eq!(
+                fast.lml().unwrap().to_bits(),
+                explicit.lml().unwrap().to_bits(),
+                "{label}"
+            );
+            // Queries between and beyond the training points.
+            let q = Matrix::from_vec(
+                x.rows(),
+                x.cols(),
+                x.as_slice().iter().map(|v| v * 1.1 - 0.05).collect(),
+            );
+            let (pf, pe) = (fast.predict(&q).unwrap(), explicit.predict(&q).unwrap());
+            let pbits = |p: &Prediction| (bits(&p.mean), bits(&p.std));
+            assert_eq!(pbits(&pf), pbits(&pe), "{label}");
+        }
+        assert!(skipped > 0, "no case skipped the closing refit");
+        assert!(refitted > 0, "every case skipped the closing refit");
     }
 
     #[test]

@@ -129,6 +129,21 @@ impl Cholesky {
         Ok(())
     }
 
+    /// Factor `A + jitter·I`. Small matrices fit in cache whole and the
+    /// session hot path factors them by the hundreds; the panel buffers
+    /// would cost more than the O(n³) work, so `n ≤ NB` takes the
+    /// reference loop (same bits either way: the parity tests cover both
+    /// loops at those sizes). That loop stays on the portable copy: each
+    /// element is one sequential dot product, which AVX2 cannot widen, and
+    /// its AVX2 copy measured 10–20% slower at n = 20…60. Larger matrices
+    /// run [`Cholesky::factor_blocked`] through [`dispatch`].
+    fn factor(a: &Matrix, jitter: f64) -> Result<Self, LinalgError> {
+        if a.rows() <= NB {
+            return Self::factor_reference(a, jitter);
+        }
+        dispatch(Factor { a, jitter })
+    }
+
     /// Cache-tiled, panel-packed left-looking factorization, **bitwise
     /// identical** to [`Cholesky::new_reference`] (DESIGN §13).
     ///
@@ -148,22 +163,15 @@ impl Cholesky {
     /// vectorizable multi-accumulator AXPY instead of a strided
     /// latency-bound chain, and each `L` row is streamed once per
     /// (column-panel, k-panel) pair instead of once per column.
-    fn factor(a: &Matrix, jitter: f64) -> Result<Self, LinalgError> {
+    #[inline(always)]
+    fn factor_blocked(a: &Matrix, jitter: f64) -> Result<Self, LinalgError> {
         Self::check_input(a, jitter)?;
         let n = a.rows();
-        // Panel width (columns factored together) and k-panel depth (how
-        // much history is packed per pass). Schedule-only knobs: any values
-        // produce identical bits; these keep the pack (NB·KB doubles) and
-        // one history row segment inside L1/L2.
-        const NB: usize = 64;
+        // k-panel depth (how much history is packed per pass). Like NB, a
+        // schedule-only knob: any values produce identical bits; these
+        // keep the pack (NB·KB doubles) and one history row segment inside
+        // L1/L2.
         const KB: usize = 128;
-        // Small matrices fit in cache whole and the session hot path
-        // factors them by the hundreds; the panel buffers would cost more
-        // than the O(n³) work. Same bits either way (the parity tests
-        // cover n ≤ NB), so dispatch on size freely.
-        if n <= NB {
-            return Self::factor_reference(a, jitter);
-        }
         let mut l = Matrix::zeros(n, n);
         let nb_cap = NB.min(n.max(1));
         // acc[(i − jb)·nb + jj] accumulates Σ_k L(i,k)·L(j,k) for column
@@ -306,8 +314,9 @@ impl Cholesky {
     /// behind `ops::dot`. Each row of `B` is contiguous across `t`, so the
     /// fold vectorizes across the right-hand sides; they run in
     /// schedule-only tiles of `TB` so the accumulators live on the stack.
+    /// Like [`Cholesky::inverse`], it runs in an AVX2-compiled copy when
+    /// the CPU has AVX2, with the same bits.
     pub fn solve_lower_multi(&self, b: &mut [f64], w: usize) -> Result<(), LinalgError> {
-        const TB: usize = 64;
         let n = self.dim();
         if b.len() != n * w {
             return Err(LinalgError::ShapeMismatch {
@@ -316,6 +325,15 @@ impl Cholesky {
                 rhs: (b.len() / w.max(1), w),
             });
         }
+        dispatch(SolveLowerMulti { ch: self, b, w });
+        Ok(())
+    }
+
+    /// The body of [`Cholesky::solve_lower_multi`], shape already checked.
+    #[inline(always)]
+    fn solve_lower_multi_body(&self, b: &mut [f64], w: usize) {
+        const TB: usize = 64;
+        let n = self.dim();
         let ld = self.l.as_slice();
         let mut acc = [0.0f64; TB];
         let mut t0 = 0;
@@ -333,7 +351,6 @@ impl Cholesky {
             }
             t0 = t1;
         }
-        Ok(())
     }
 
     /// Solve `Lᵀ x = b` (backward substitution).
@@ -410,9 +427,7 @@ impl Cholesky {
     /// Explicit inverse `A⁻¹` (used by the LML gradient, which needs the
     /// full matrix `K⁻¹` once per gradient evaluation).
     ///
-    /// One multi-RHS solve `L Lᵀ X = I` in a single `n × n` buffer whose
-    /// row `i` holds element `i` of every column, so both passes vectorize
-    /// across the column index `j`. It is **bitwise identical** to solving
+    /// A multi-RHS solve `L Lᵀ X = I`, **bitwise identical** to solving
     /// `A x = e_j` column by column with [`Cholesky::solve`] (DESIGN §13):
     /// each element performs the per-column operations in their order —
     /// forward `z_j[i] = (e_j[i] − Σ_k L(i,k)·z_j[k]) / L(i,i)`, the sum
@@ -421,44 +436,79 @@ impl Cholesky {
     /// The forward terms with `k < j` multiply structural zeros
     /// `z_j[k] = +0.0`, so a fold may skip them: with `L` finite they only
     /// flip the sign of an all-zero partial sum, which `e − (±0.0)` erases.
-    /// Columns run in schedule-only tiles of `JB` that keep the streamed
-    /// rows in cache.
+    ///
+    /// Columns run in tiles of `IB = 16`, each solved in one packed
+    /// `n × 16` buffer whose row `i` holds element `i` of the tile's
+    /// columns. A row's 16 accumulators stay in registers across its whole
+    /// `k` fold; the backward pass reads its coefficients `−L(k,i)` from
+    /// `L` in place, with stride `n`. The finished tile is copied into the
+    /// output. When the CPU has AVX2 the folds run in a copy compiled
+    /// for it; only `avx2` is enabled, never `fma`, so each lane performs
+    /// the same IEEE operations and the bits do not move.
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        const JB: usize = 64;
+        Ok(dispatch(Inverse(self)))
+    }
+
+    /// The body of [`Cholesky::inverse`].
+    #[inline(always)]
+    fn inverse_body(&self) -> Matrix {
+        const IB: usize = 16;
         let n = self.dim();
         let ld = self.l.as_slice();
         let mut inv = Matrix::zeros(n, n);
-        let buf = inv.as_mut_slice();
+        let out = inv.as_mut_slice();
+        let mut tile = vec![[0.0f64; IB]; n];
         let mut j0 = 0;
         while j0 < n {
-            let j1 = (j0 + JB).min(n);
-            // Forward pass; rows above the tile are zero in its columns.
+            let w = IB.min(n - j0);
+            // Rows above the tile are zero in its columns.
+            tile[..j0].fill([0.0; IB]);
+            // Forward pass, from row j0 down; lanes past the last column
+            // solve for an all-zero right-hand side and are never copied.
             for i in j0..n {
-                let (done, rest) = buf.split_at_mut(i * n);
-                let acc = &mut rest[j0..j1];
-                fold_rows(acc, done, n, j0, j0..i, |k| ld[i * n + k]);
-                // Columns j > i keep their +0.0 = (0 − +0.0) / L(i,i).
+                let (done, rest) = tile.split_at_mut(i);
+                let mut acc = [0.0f64; IB];
+                for (&c, z) in ld[i * n + j0..i * n + i].iter().zip(&done[j0..]) {
+                    for t in 0..IB {
+                        acc[t] += c * z[t];
+                    }
+                }
+                let mut e = [0.0f64; IB];
+                if let Some(diag) = e.get_mut(i - j0) {
+                    *diag = 1.0;
+                }
                 let d = ld[i * n + i];
-                let w = (i + 1).min(j1) - j0;
-                for (jj, a) in acc[..w].iter_mut().enumerate() {
-                    let e = if j0 + jj == i { 1.0 } else { 0.0 };
-                    *a = (e - *a) / d;
+                let z = &mut rest[0];
+                for t in 0..IB {
+                    z[t] = (e[t] - acc[t]) / d;
+                }
+                // Columns j > i keep their +0.0 = (0 − +0.0) / L(i,i).
+                if let Some(upper) = z.get_mut(i - j0 + 1..) {
+                    upper.fill(0.0);
                 }
             }
             // Backward pass, bottom row first. `s − l·x` is the IEEE
             // operation `s + (−l)·x`, so the fold subtracts term by term.
             for i in (0..n).rev() {
-                let (head, below) = buf.split_at_mut((i + 1) * n);
-                let s = &mut head[i * n + j0..i * n + j1];
-                fold_rows(s, below, n, j0, 0..n - i - 1, |r| -ld[(i + 1 + r) * n + i]);
+                let (head, below) = tile.split_at_mut(i + 1);
+                let mut s = head[i];
+                for (k, x) in (i + 1..n).zip(below.iter()) {
+                    let c = -ld[k * n + i];
+                    for t in 0..IB {
+                        s[t] += c * x[t];
+                    }
+                }
                 let d = ld[i * n + i];
-                for v in s.iter_mut() {
-                    *v /= d;
+                for t in 0..IB {
+                    head[i][t] = s[t] / d;
                 }
             }
-            j0 = j1;
+            for (dst, src) in out.chunks_exact_mut(n).zip(&tile) {
+                dst[j0..j0 + w].copy_from_slice(&src[..w]);
+            }
+            j0 += w;
         }
-        Ok(inv)
+        inv
     }
 
     /// Reconstruct `L Lᵀ` (test helper; includes the jitter on the diagonal).
@@ -510,6 +560,7 @@ impl Cholesky {
 /// order: every element folds its terms one at a time in ascending `k`,
 /// exactly as a sequential loop would. Four rows per sweep keep `acc` in
 /// registers across their terms.
+#[inline(always)]
 fn fold_rows(
     acc: &mut [f64],
     rows: &[f64],
@@ -535,6 +586,89 @@ fn fold_rows(
             *a += c * v;
         }
     }
+}
+
+/// Panel width of the blocked factorization (columns factored together),
+/// a schedule-only knob: any value gives identical bits.
+/// [`Cholesky::factor`] hands matrices up to this size to the reference
+/// loop.
+const NB: usize = 64;
+
+/// A dense fold that [`dispatch`] compiles twice. `run` is
+/// `#[inline(always)]`, and so is every helper its body calls, so each
+/// copy holds the whole fold.
+trait DenseFold {
+    type Output;
+    fn run(self) -> Self::Output;
+}
+
+/// [`Cholesky::factor_blocked`].
+#[derive(Clone, Copy)]
+struct Factor<'a> {
+    a: &'a Matrix,
+    jitter: f64,
+}
+
+impl DenseFold for Factor<'_> {
+    type Output = Result<Cholesky, LinalgError>;
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        Cholesky::factor_blocked(self.a, self.jitter)
+    }
+}
+
+/// [`Cholesky::inverse_body`].
+#[derive(Clone, Copy)]
+struct Inverse<'a>(&'a Cholesky);
+
+impl DenseFold for Inverse<'_> {
+    type Output = Matrix;
+    #[inline(always)]
+    fn run(self) -> Matrix {
+        self.0.inverse_body()
+    }
+}
+
+/// [`Cholesky::solve_lower_multi_body`].
+struct SolveLowerMulti<'a> {
+    ch: &'a Cholesky,
+    b: &'a mut [f64],
+    w: usize,
+}
+
+impl DenseFold for SolveLowerMulti<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        self.ch.solve_lower_multi_body(self.b, self.w);
+    }
+}
+
+/// Run `fold` in a copy compiled with AVX2 enabled when the CPU has AVX2,
+/// else in the portable copy; other targets and Miri always run the
+/// portable one. Both copies come from the same `#[inline(always)]` body.
+///
+/// Why the bits cannot move: only `avx2` is enabled, never `fma`, and the
+/// bodies never call `mul_add`. Rust never contracts `a + b·c` into a fused
+/// multiply-add, so each lane of a wide AVX2 op performs the same IEEE
+/// multiply, add, subtract, divide or square root, in the same order, as
+/// the portable copy's narrower SSE2 op or scalar op does.
+#[allow(unsafe_code)]
+#[inline]
+fn dispatch<F: DenseFold>(fold: F) -> F::Output {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        #[target_feature(enable = "avx2")]
+        fn avx2<F: DenseFold>(fold: F) -> F::Output {
+            fold.run()
+        }
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `avx2` only requires the AVX2 target feature, and
+            // `is_x86_feature_detected!` just confirmed this CPU has it.
+            return unsafe { avx2(fold) };
+        }
+    }
+    fold.run()
 }
 
 #[cfg(test)]
@@ -866,17 +1000,50 @@ mod tests {
         out
     }
 
-    fn assert_inverse_matches_reference(ch: &Cholesky, label: &str) {
-        let fast = ch.inverse().unwrap();
-        let slow = inverse_reference(ch);
-        assert_eq!(fast.shape(), slow.shape(), "{label}");
-        for (e, (f, s)) in fast.as_slice().iter().zip(slow.as_slice()).enumerate() {
+    /// Whether [`dispatch`] runs the AVX2 copy here. Where it does not (no
+    /// AVX2 on this CPU, another target, or Miri, which always runs the
+    /// portable copy), the both-copies tests skip the dispatched side.
+    fn avx2_copy_runs() -> bool {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        return std::is_x86_feature_detected!("avx2");
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        false
+    }
+
+    /// The portable copy of `fold` and, when it runs here, the AVX2 copy
+    /// (see [`avx2_copy_runs`]), with a label for each.
+    fn both_copies<F: DenseFold + Copy>(fold: F) -> Vec<(&'static str, F::Output)> {
+        let mut out = vec![("portable", fold.run())];
+        if avx2_copy_runs() {
+            out.push(("avx2", dispatch(fold)));
+        }
+        out
+    }
+
+    fn assert_bits_equal(got: &[f64], want: &[f64], cols: usize, label: &str) {
+        assert_eq!(got.len(), want.len(), "{label}");
+        for (e, (g, w)) in got.iter().zip(want).enumerate() {
             assert_eq!(
-                f.to_bits(),
-                s.to_bits(),
-                "{label}: inverse({}, {}) diverges: {f} vs {s}",
-                e / ch.dim(),
-                e % ch.dim(),
+                g.to_bits(),
+                w.to_bits(),
+                "{label}: ({}, {}) diverges: {g} vs {w}",
+                e / cols.max(1),
+                e % cols.max(1),
+            );
+        }
+    }
+
+    fn assert_inverse_matches_reference(ch: &Cholesky, label: &str) {
+        let slow = inverse_reference(ch);
+        let n = ch.dim();
+        let public = ch.inverse().unwrap();
+        assert_bits_equal(public.as_slice(), slow.as_slice(), n, label);
+        for (copy, fast) in both_copies(Inverse(ch)) {
+            assert_bits_equal(
+                fast.as_slice(),
+                slow.as_slice(),
+                n,
+                &format!("{label} {copy}"),
             );
         }
     }
@@ -928,6 +1095,56 @@ mod tests {
     }
 
     #[test]
+    fn inverse_matches_reference_bitwise_with_subnormal_entries() {
+        // Subnormal off-diagonals put subnormal entries in L, and their
+        // products with the tile's values underflow to ±0 or lose bits.
+        let n = if cfg!(miri) { 20 } else { 130 };
+        let mut a = spd_dominant(n);
+        for i in 0..n {
+            for j in 0..i {
+                if (i + 2 * j) % 5 == 0 {
+                    let v = if (i + j) % 2 == 0 { 3e-310 } else { -1e-320 };
+                    a[(i, j)] = v;
+                    a[(j, i)] = v;
+                }
+            }
+        }
+        let ch = Cholesky::new(&a).unwrap();
+        let subnormal = ch
+            .l()
+            .as_slice()
+            .iter()
+            .filter(|v| v.is_subnormal())
+            .count();
+        assert!(subnormal > 0, "L holds subnormal entries");
+        assert_inverse_matches_reference(&ch, "subnormal");
+    }
+
+    #[test]
+    fn blocked_factor_copies_match_reference_bitwise() {
+        // Sizes straddle the NB = 64 panel and the KB = 128 k-panel
+        // boundaries (n > 192 folds more than one k-panel of history).
+        // The blocked loop runs at every size here, n ≤ 64 included,
+        // though `Cholesky::new` sends those to the reference loop.
+        let sizes: &[usize] = if cfg!(miri) {
+            &[1, 5, 24]
+        } else {
+            &[
+                1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 256, 257, 320, 400,
+            ]
+        };
+        for &n in sizes {
+            let a = spd_random(n, 7 + n as u64);
+            let reference = Cholesky::new_reference(&a).unwrap();
+            assert_factors_bitwise_equal(&Cholesky::new(&a).unwrap(), &reference);
+            for (copy, blocked) in both_copies(Factor { a: &a, jitter: 0.0 }) {
+                let blocked = blocked.unwrap_or_else(|e| panic!("{copy}, n={n}: {e}"));
+                assert_factors_bitwise_equal(&blocked, &reference);
+            }
+        }
+    }
+
+    #[test]
     fn inverse_matches_reference_bitwise_after_jitter() {
         // Near-duplicate points make the gram numerically singular.
         let n = if cfg!(miri) { 12 } else { 90 };
@@ -972,21 +1189,37 @@ mod tests {
             .collect()
     }
 
+    /// `solve_lower_multi` through its public entry, its portable copy and
+    /// (when it runs here) its AVX2 copy, each against `solve_lower` column
+    /// by column.
     fn assert_multi_matches_columns(ch: &Cholesky, b: &[f64], w: usize, label: &str) {
         let n = ch.dim();
-        let mut z = b.to_vec();
-        ch.solve_lower_multi(&mut z, w).unwrap();
+        let mut want = vec![0.0; n * w];
         for t in 0..w {
             let col: Vec<f64> = (0..n).map(|i| b[i * w + t]).collect();
-            let want = ch.solve_lower(&col).unwrap();
-            for (i, v) in want.iter().enumerate() {
-                assert_eq!(
-                    z[i * w + t].to_bits(),
-                    v.to_bits(),
-                    "{label}, w={w}: z[{i}] of column {t}: {} vs {v}",
-                    z[i * w + t],
-                );
+            for (i, v) in ch.solve_lower(&col).unwrap().into_iter().enumerate() {
+                want[i * w + t] = v;
             }
+        }
+        let mut public = b.to_vec();
+        ch.solve_lower_multi(&mut public, w).unwrap();
+        assert_bits_equal(&public, &want, w, &format!("{label}, w={w}"));
+        let mut portable = b.to_vec();
+        SolveLowerMulti {
+            ch,
+            b: &mut portable,
+            w,
+        }
+        .run();
+        assert_bits_equal(&portable, &want, w, &format!("{label}, w={w} portable"));
+        if avx2_copy_runs() {
+            let mut wide = b.to_vec();
+            dispatch(SolveLowerMulti {
+                ch,
+                b: &mut wide,
+                w,
+            });
+            assert_bits_equal(&wide, &want, w, &format!("{label}, w={w} avx2"));
         }
     }
 
@@ -1004,6 +1237,22 @@ mod tests {
             for w in [1usize, 3, 64] {
                 assert_multi_matches_columns(&ch, &mixed_rhs(n, w), w, &format!("n={n}"));
             }
+        }
+    }
+
+    #[test]
+    fn solve_lower_multi_matches_per_column_solve_across_tile_widths() {
+        // Right-hand-side counts on both sides of the TB = 64 tile and of
+        // its second multiple.
+        let n = if cfg!(miri) { 9 } else { 70 };
+        let ch = Cholesky::new(&spd_dominant(n)).unwrap();
+        let widths: &[usize] = if cfg!(miri) {
+            &[1, 2, 5]
+        } else {
+            &[1, 2, 5, 63, 64, 65, 127, 128, 129, 200]
+        };
+        for &w in widths {
+            assert_multi_matches_columns(&ch, &mixed_rhs(n, w), w, &format!("n={n}"));
         }
     }
 

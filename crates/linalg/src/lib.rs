@@ -11,11 +11,11 @@
 //! log-determinants — plus the descriptive statistics and random sampling
 //! helpers used by the dataset pipeline and the experiment harness.
 //!
-//! Everything is `f64`; the matrices involved in GPR over a few hundred
-//! training points are small enough that cache-blocking or SIMD dispatch
-//! would be premature. The hot kernels (`Matrix::matmul`, [`Cholesky`])
-//! are written as straightforward loops over contiguous row-major storage so
-//! the compiler can vectorize them.
+//! Everything is `f64`. The hot kernels (`Matrix::matmul`, [`Cholesky`])
+//! are written as loops over contiguous row-major storage so the compiler
+//! can vectorize them; the dense Cholesky folds also run in an
+//! AVX2-compiled copy when the CPU has AVX2, with bitwise-identical
+//! results (DESIGN §13).
 
 pub mod cholesky;
 pub mod error;
