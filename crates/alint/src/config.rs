@@ -23,17 +23,12 @@ pub struct Allowance {
     pub reason: String,
 }
 
-/// Parsed configuration.
-#[derive(Debug, Clone)]
+/// Parsed configuration. `alint.toml` is the only source of the tables:
+/// the default is all-empty, and a key the file omits stays empty.
+#[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Crate roots whose `src/` trees L1 (panic-freedom) applies to.
-    pub lib_crates: Vec<String>,
     /// Crate roots whose public `Result` functions L3 (typed errors) covers.
     pub typed_error_crates: Vec<String>,
-    /// Files L4 (lossy casts) covers.
-    pub hot_paths: Vec<String>,
-    /// Files exempt from L2 (bare float comparison).
-    pub float_cmp_approved: Vec<String>,
     /// Directories (workspace-relative) scanned for sources.
     pub scan_roots: Vec<String>,
     /// L5 (unit safety): identifier suffix → unit, written `"_us:microseconds"`.
@@ -73,148 +68,6 @@ pub struct Config {
     /// this and `lock_classes`/`lock_order` disables L7.
     pub expensive_idents: Vec<String>,
     pub allowances: Vec<Allowance>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            lib_crates: [
-                "crates/linalg",
-                "crates/gp",
-                "crates/amr",
-                "crates/dataset",
-                "crates/core",
-                "crates/parallel",
-                "crates/alint",
-            ]
-            .map(String::from)
-            .to_vec(),
-            typed_error_crates: [
-                "crates/linalg",
-                "crates/gp",
-                "crates/amr",
-                "crates/dataset",
-                "crates/core",
-                "crates/alint",
-            ]
-            .map(String::from)
-            .to_vec(),
-            hot_paths: [
-                "crates/linalg/src/cholesky.rs",
-                "crates/gp/src/gp.rs",
-                "crates/amr/src/tree.rs",
-                "crates/bench/src/perf.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
-            float_cmp_approved: Vec::new(),
-            scan_roots: ["crates", "src"].map(String::from).to_vec(),
-            unit_suffixes: [
-                ("_seconds", "seconds"),
-                ("_us", "microseconds"),
-                ("_ns", "nanoseconds"),
-                ("_node_hours", "node_hours"),
-                ("_mb", "megabytes"),
-                ("_bytes", "bytes"),
-                ("_cells", "cells"),
-            ]
-            .map(|(s, u)| (s.to_string(), u.to_string()))
-            .to_vec(),
-            unit_types: [
-                ("Seconds", "seconds"),
-                ("Micros", "microseconds"),
-                ("Nanos", "nanoseconds"),
-                ("NodeHours", "node_hours"),
-                ("Megabytes", "megabytes"),
-                ("Bytes", "bytes"),
-                ("CellUpdates", "cells"),
-                ("LogMegabytes", "log_megabytes"),
-            ]
-            .map(|(s, u)| (s.to_string(), u.to_string()))
-            .to_vec(),
-            // `.value()` is deliberately absent: unwrapping to raw f64 is
-            // not a unit conversion, and comparisons between mismatched
-            // `.value()` results are exactly the bug class L5 targets.
-            unit_conversions: [
-                "to_seconds",
-                "to_micros",
-                "to_megabytes",
-                "to_bytes",
-                "node_hours",
-                "log10",
-                "log10_response",
-                "unlog10_response",
-            ]
-            .map(String::from)
-            .to_vec(),
-            determinism_crates: [
-                "crates/linalg",
-                "crates/gp",
-                "crates/amr",
-                "crates/dataset",
-                "crates/core",
-                "crates/units",
-                "crates/bench",
-                "crates/parallel",
-            ]
-            .map(String::from)
-            .to_vec(),
-            // The one blessed module owns every fan-out, each with an
-            // audited ordered reduction (index-addressed result slots
-            // folded in input order); see DESIGN §7/§9 and §13.
-            spawn_approved: vec!["crates/parallel/src/pool.rs".to_string()],
-            // Bench binaries time the *host* run for BENCH notes; that
-            // wall-clock never feeds priced results (machine.rs contract).
-            wall_clock_approved: ["crates/bench"].map(String::from).to_vec(),
-            ordered_containers: [
-                "BTreeMap",
-                "BTreeSet",
-                "sort",
-                "sort_by",
-                "sort_by_key",
-                "sort_unstable",
-                "sort_unstable_by",
-                "sort_unstable_by_key",
-                "sorted",
-            ]
-            .map(String::from)
-            .to_vec(),
-            // The store's documented contract (core/store.rs): the warm
-            // cache is below the shards.
-            lock_classes: [("warm", "warm"), ("shard", "shard")]
-                .map(|(r, c)| (r.to_string(), c.to_string()))
-                .to_vec(),
-            lock_order: ["warm", "shard"].map(String::from).to_vec(),
-            // The paper's hot verbs plus file I/O and sleeping: anything
-            // here is multi-millisecond work that must never run under a
-            // shard lock (tail-latency contract, DESIGN §14).
-            expensive_idents: [
-                "fit",
-                "fit_optimized",
-                "initial_fit",
-                "refit",
-                "factor",
-                "optimize",
-                "step",
-                "solve",
-                "solve_upper",
-                "solve_lower",
-                "solve_lower_multi",
-                "run_trajectory",
-                "sleep",
-                "read_to_string",
-                "write_all",
-                "flush",
-                "open",
-                "create_dir_all",
-                "read_dir",
-                "remove_file",
-            ]
-            .map(String::from)
-            .to_vec(),
-            allowances: Vec::new(),
-        }
-    }
 }
 
 /// A config-file problem with its line number.
@@ -358,10 +211,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         }
         Ok(())
     };
-    take_list("lib_crates", &mut config.lib_crates)?;
     take_list("typed_error_crates", &mut config.typed_error_crates)?;
-    take_list("hot_paths", &mut config.hot_paths)?;
-    take_list("float_cmp_approved", &mut config.float_cmp_approved)?;
     take_list("scan_roots", &mut config.scan_roots)?;
     take_list("unit_conversions", &mut config.unit_conversions)?;
     take_list("determinism_crates", &mut config.determinism_crates)?;
@@ -455,7 +305,7 @@ fn strip_comment(line: &str) -> &str {
 /// Why `alint.toml` could not be loaded.
 #[derive(Debug)]
 pub enum LoadError {
-    /// The file exists but could not be read.
+    /// The file is missing or could not be read.
     Io {
         /// Path that failed.
         path: String,
@@ -490,17 +340,21 @@ impl From<ConfigError> for LoadError {
     }
 }
 
-/// Load `alint.toml` from `root`, or defaults when the file is absent.
+/// Load `alint.toml` from `root`. A missing file is an error: there are no
+/// built-in tables to fall back on.
 pub fn load(root: &Path) -> Result<Config, LoadError> {
     let path = root.join("alint.toml");
-    match std::fs::read_to_string(&path) {
-        Ok(text) => Ok(parse(&text)?),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Config::default()),
-        Err(e) => Err(LoadError::Io {
-            path: path.display().to_string(),
-            error: e,
-        }),
-    }
+    let text = std::fs::read_to_string(&path).map_err(|error| LoadError::Io {
+        path: path.display().to_string(),
+        error,
+    })?;
+    Ok(parse(&text)?)
+}
+
+/// The committed `alint.toml`, parsed: the repo's tables for unit tests.
+#[cfg(test)]
+pub(crate) fn committed() -> Config {
+    parse(include_str!("../../../alint.toml")).expect("the committed alint.toml parses")
 }
 
 #[cfg(test)]
@@ -513,59 +367,57 @@ mod tests {
             r#"
 # comment
 [scope]
-lib_crates = ["crates/a", "crates/b"]
-hot_paths = ["crates/a/src/hot.rs"]
+typed_error_crates = ["crates/a", "crates/b"]
+scan_roots = ["crates"]
 
 [[allow]]
 path = "crates/a/src/x.rs"   # trailing comment
-lint = "L1"
+lint = "L3"
 count = 3
 reason = "grandfathered"
 
 [[allow]]
 path = "crates/b/src/y.rs"
-lint = "L4"
+lint = "L6"
 count = 1
 "#,
         )
         .expect("parse");
-        assert_eq!(cfg.lib_crates, vec!["crates/a", "crates/b"]);
-        assert_eq!(cfg.hot_paths, vec!["crates/a/src/hot.rs"]);
+        assert_eq!(cfg.typed_error_crates, vec!["crates/a", "crates/b"]);
+        assert_eq!(cfg.scan_roots, vec!["crates"]);
         assert_eq!(cfg.allowances.len(), 2);
         assert_eq!(cfg.allowances[0].count, 3);
         assert_eq!(cfg.allowances[0].reason, "grandfathered");
-        assert_eq!(cfg.allowances[1].lint, "L4");
+        assert_eq!(cfg.allowances[1].lint, "L6");
     }
 
     #[test]
     fn missing_allow_fields_are_errors() {
-        let err = parse("[[allow]]\npath = \"x\"\nlint = \"L1\"\n").unwrap_err();
+        let err = parse("[[allow]]\npath = \"x\"\nlint = \"L3\"\n").unwrap_err();
         assert!(err.message.contains("count"), "{err}");
     }
 
     #[test]
     fn unknown_keys_are_errors() {
         assert!(parse("wibble = 3\n").is_err());
+        // The keys of the passes retired to clippy are unknown now.
+        for key in ["lib_crates", "hot_paths", "float_cmp_approved"] {
+            assert!(parse(&format!("{key} = []\n")).is_err(), "{key}");
+        }
         assert!(parse("[[allow]]\nwibble = \"x\"\n").is_err());
     }
 
     #[test]
-    fn defaults_cover_the_lib_crates() {
-        let cfg = Config::default();
-        assert_eq!(cfg.lib_crates.len(), 7);
-        assert!(cfg.lib_crates.contains(&"crates/parallel".to_string()));
-        // alint lints itself: panic-freedom and typed errors apply to the
-        // linter's own library sources.
-        assert!(cfg.lib_crates.contains(&"crates/alint".to_string()));
+    fn committed_config_covers_the_typed_error_crates() {
+        let cfg = committed();
+        // alint lints itself: typed errors apply to the linter's own
+        // library sources.
         assert!(cfg.typed_error_crates.contains(&"crates/alint".to_string()));
         assert!(cfg.typed_error_crates.contains(&"crates/gp".to_string()));
-        assert!(cfg
-            .hot_paths
-            .contains(&"crates/bench/src/perf.rs".to_string()));
     }
 
     #[test]
-    fn lock_tables_parse_and_have_defaults() {
+    fn lock_tables_parse_and_are_committed() {
         let cfg = parse(
             "[locks]\nlock_classes = [\"cache:cache\", \"slab:slab\"]\n\
              lock_order = [\"cache\", \"slab\"]\nexpensive_idents = [\"churn\"]\n",
@@ -580,9 +432,9 @@ count = 1
         );
         assert_eq!(cfg.lock_order, vec!["cache", "slab"]);
         assert_eq!(cfg.expensive_idents, vec!["churn"]);
-        // Defaults encode the store's documented contract: warm below
-        // shard, and the paper's hot verbs in the expensive set.
-        let d = Config::default();
+        // The committed tables encode the store's documented contract:
+        // warm below shard, and the paper's hot verbs in the expensive set.
+        let d = committed();
         assert_eq!(d.lock_order, vec!["warm", "shard"]);
         assert!(d
             .lock_classes
@@ -595,15 +447,15 @@ count = 1
 
     #[test]
     fn emptied_lock_order_parses_to_empty() {
-        // The probe from the acceptance criteria: an explicitly emptied
-        // order table must override the default, not fall back to it.
-        let cfg = parse("[locks]\nlock_order = []\n").expect("parse");
+        // The ratchet probe empties the order table and keeps the classes.
+        let cfg =
+            parse("[locks]\nlock_classes = [\"shard:shard\"]\nlock_order = []\n").expect("parse");
         assert!(cfg.lock_order.is_empty());
-        assert!(!cfg.lock_classes.is_empty(), "classes keep their default");
+        assert!(!cfg.lock_classes.is_empty());
     }
 
     #[test]
-    fn unit_tables_parse_and_have_defaults() {
+    fn unit_tables_parse_and_are_committed() {
         let cfg = parse(
             "[units]\nunit_suffixes = [\"_ticks:ticks\"]\nunit_types = [\"Ticks:ticks\"]\n\
              unit_conversions = [\"to_ticks\"]\n",
@@ -618,9 +470,9 @@ count = 1
             vec![("Ticks".to_string(), "ticks".to_string())]
         );
         assert_eq!(cfg.unit_conversions, vec!["to_ticks"]);
-        // Defaults ship the repo's quantity tables; `value` (the raw-f64
-        // escape hatch) must never count as a conversion.
-        let d = Config::default();
+        // The committed file ships the repo's quantity tables; `value` (the
+        // raw-f64 escape hatch) must never count as a conversion.
+        let d = committed();
         assert!(d
             .unit_suffixes
             .iter()
@@ -630,7 +482,7 @@ count = 1
     }
 
     #[test]
-    fn determinism_tables_parse_and_have_defaults() {
+    fn determinism_tables_parse_and_are_committed() {
         let cfg = parse(
             "[determinism]\ndeterminism_crates = [\"crates/x\"]\n\
              spawn_approved = [\"crates/x/src/pool.rs\"]\n\
@@ -642,9 +494,9 @@ count = 1
         assert_eq!(cfg.spawn_approved, vec!["crates/x/src/pool.rs"]);
         assert_eq!(cfg.wall_clock_approved, vec!["crates/y"]);
         assert_eq!(cfg.ordered_containers, vec!["IndexMap"]);
-        // Defaults: the one blessed pool module is the audited fan-out,
+        // Committed: the one blessed pool module is the audited fan-out,
         // and bench may read wall-clock for BENCH notes.
-        let d = Config::default();
+        let d = committed();
         assert_eq!(d.spawn_approved, vec!["crates/parallel/src/pool.rs"]);
         assert!(d.wall_clock_approved.contains(&"crates/bench".to_string()));
         assert!(d.determinism_crates.contains(&"crates/amr".to_string()));
@@ -662,7 +514,7 @@ count = 1
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let cfg = parse("[[allow]]\npath = \"a#b.rs\"\nlint = \"L1\"\ncount = 1\n").expect("ok");
+        let cfg = parse("[[allow]]\npath = \"a#b.rs\"\nlint = \"L2\"\ncount = 1\n").expect("ok");
         assert_eq!(cfg.allowances[0].path, "a#b.rs");
     }
 }

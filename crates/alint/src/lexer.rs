@@ -4,8 +4,8 @@
 //! on a token stream produced here. The lexer understands everything that
 //! can *hide* lint-relevant tokens — line/block comments (nested), string /
 //! raw-string / byte-string / char literals, lifetimes — and classifies
-//! numeric literals as integer or float, which the float-compare and
-//! lossy-cast lints depend on.
+//! numeric literals as integer or float, which the float-compare lint
+//! depends on.
 //!
 //! Comments are not discarded: `// alint: allow(...)` markers are collected
 //! per line so lints can honour inline suppressions.
@@ -518,10 +518,10 @@ mod tests {
 
     #[test]
     fn comments_are_collected_not_tokenized() {
-        let lexed = lex("let a = 1; // alint: allow(L4)\n/* unwrap() */ let b = 2;");
+        let lexed = lex("let a = 1; // alint: allow(L2)\n/* unwrap() */ let b = 2;");
         assert!(!lexed.tokens.iter().any(|t| t.text == "unwrap"));
         assert_eq!(lexed.comments.len(), 2);
-        assert_eq!(lexed.comments[0], (1, "alint: allow(L4)".to_string()));
+        assert_eq!(lexed.comments[0], (1, "alint: allow(L2)".to_string()));
         assert_eq!(lexed.comments[1], (2, "unwrap()".to_string()));
     }
 

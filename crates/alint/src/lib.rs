@@ -1,13 +1,13 @@
 //! alint — workspace static analysis for numerical-robustness invariants.
 //!
-//! The seven lints (L1 panic_site, L2 float_cmp, L3 typed_error, L4
-//! lossy_cast, L5 unit_safety, L6 determinism_safety, L7 lock_discipline)
-//! encode repo-specific rules that clippy cannot express because they
-//! depend on which crate, module, or file the code lives in — or, for
-//! L5/L6/L7, on the repo's own unit vocabulary, reproducibility contract,
-//! and locking contract. L7 is the first *cross-file* pass: it runs on a
-//! workspace call graph (`callgraph`) built from every scanned file
-//! before any file is linted.
+//! The five lints (L2 float_cmp, L3 typed_error, L5 unit_safety, L6
+//! determinism_safety, L7 lock_discipline) encode rules that rustc and
+//! clippy cannot express: float comparisons clippy's `float_cmp` exempts,
+//! which crates owe typed errors, and the repo's own unit vocabulary,
+//! reproducibility contract, and locking contract. The retired IDs L1 and
+//! L4 are checked by clippy (see the workspace `[lints]` tables). L7 is
+//! the one *cross-file* pass: it runs on a workspace call graph
+//! (`callgraph`) built from every scanned file before any file is linted.
 //! See `lints` for the rules, `config` for `alint.toml`, and `DESIGN.md`
 //! ("Static analysis & invariants") for the policy.
 //!
@@ -117,7 +117,7 @@ pub fn raw_diagnostics(root: &Path, config: &Config) -> std::io::Result<(Vec<Dia
 }
 
 /// Every lint ID, in order.
-pub const LINT_IDS: [&str; 7] = ["L1", "L2", "L3", "L4", "L5", "L6", "L7"];
+pub const LINT_IDS: [&str; 5] = ["L2", "L3", "L5", "L6", "L7"];
 
 /// Normalize a user-supplied lint selector (`L6`, `l6`, or
 /// `determinism_safety`) to its canonical ID, or `None` when unknown.
@@ -196,11 +196,11 @@ fn json_escape(s: &str) -> String {
 ///
 /// ```json
 /// {"clean": false, "files_scanned": 2,
-///  "violations": [{"path": "...", "line": 3, "lint": "L1",
-///                  "name": "panic_site", "message": "..."}],
+///  "violations": [{"path": "...", "line": 3, "lint": "L3",
+///                  "name": "typed_error", "message": "..."}],
 ///  "grandfathered": 0,
-///  "slack": [{"path": "...", "lint": "L1", "budget": 5, "actual": 1}],
-///  "stale_allowances": [{"path": "...", "lint": "L4"}]}
+///  "slack": [{"path": "...", "lint": "L3", "budget": 5, "actual": 1}],
+///  "stale_allowances": [{"path": "...", "lint": "L6"}]}
 /// ```
 pub fn render_json(report: &Report) -> String {
     let violations: Vec<String> = report
@@ -308,14 +308,14 @@ mod tests {
     fn allowlist_absorbs_up_to_budget() {
         let cfg = config_with(vec![Allowance {
             path: "a.rs".into(),
-            lint: "L1".into(),
+            lint: "L3".into(),
             count: 2,
             reason: String::new(),
         }]);
         let diags = vec![
-            diag("a.rs", 1, "L1"),
-            diag("a.rs", 2, "L1"),
-            diag("a.rs", 3, "L1"),
+            diag("a.rs", 1, "L3"),
+            diag("a.rs", 2, "L3"),
+            diag("a.rs", 3, "L3"),
         ];
         let report = apply_allowlist(diags, &cfg, 1);
         assert_eq!(report.grandfathered.len(), 2);
@@ -328,23 +328,23 @@ mod tests {
     fn slack_budgets_are_notes_but_stale_entries_fail() {
         let slack_only = config_with(vec![Allowance {
             path: "a.rs".into(),
-            lint: "L1".into(),
+            lint: "L3".into(),
             count: 5,
             reason: String::new(),
         }]);
-        let report = apply_allowlist(vec![diag("a.rs", 1, "L1")], &slack_only, 1);
+        let report = apply_allowlist(vec![diag("a.rs", 1, "L3")], &slack_only, 1);
         assert!(report.is_clean(), "slack alone must not fail the check");
-        assert_eq!(report.slack, vec![("a.rs".into(), "L1".into(), 5, 1)]);
+        assert_eq!(report.slack, vec![("a.rs".into(), "L3".into(), 5, 1)]);
 
         let with_stale = config_with(vec![Allowance {
             path: "gone.rs".into(),
-            lint: "L4".into(),
+            lint: "L6".into(),
             count: 1,
             reason: String::new(),
         }]);
         let report = apply_allowlist(Vec::new(), &with_stale, 1);
         assert!(report.violations.is_empty());
-        assert_eq!(report.unused, vec![("gone.rs".into(), "L4".into())]);
+        assert_eq!(report.unused, vec![("gone.rs".into(), "L6".into())]);
         assert!(!report.is_clean(), "a stale allowance is an error");
     }
 
@@ -352,20 +352,20 @@ mod tests {
     fn json_rendering_has_a_stable_shape() {
         let cfg = config_with(vec![Allowance {
             path: "gone.rs".into(),
-            lint: "L4".into(),
+            lint: "L6".into(),
             count: 2,
             reason: String::new(),
         }]);
-        let mut d = diag("crates/a/src/x.rs", 3, "L1");
+        let mut d = diag("crates/a/src/x.rs", 3, "L3");
         d.message = "say \"no\"".into();
         let report = apply_allowlist(vec![d], &cfg, 7);
         assert_eq!(
             render_json(&report),
             "{\"clean\": false, \"files_scanned\": 7, \"violations\": \
-             [{\"path\": \"crates/a/src/x.rs\", \"line\": 3, \"lint\": \"L1\", \
-             \"name\": \"panic_site\", \"message\": \"say \\\"no\\\"\"}], \
+             [{\"path\": \"crates/a/src/x.rs\", \"line\": 3, \"lint\": \"L3\", \
+             \"name\": \"typed_error\", \"message\": \"say \\\"no\\\"\"}], \
              \"grandfathered\": 0, \"slack\": [], \"stale_allowances\": \
-             [{\"path\": \"gone.rs\", \"lint\": \"L4\"}]}"
+             [{\"path\": \"gone.rs\", \"lint\": \"L6\"}]}"
         );
     }
 
@@ -383,7 +383,7 @@ mod tests {
     fn github_rendering_annotates_violations_and_stale_entries() {
         let cfg = config_with(vec![Allowance {
             path: "gone.rs".into(),
-            lint: "L4".into(),
+            lint: "L6".into(),
             count: 2,
             reason: String::new(),
         }]);
@@ -419,7 +419,7 @@ mod tests {
     fn allowance_for_one_lint_does_not_cover_another() {
         let cfg = config_with(vec![Allowance {
             path: "a.rs".into(),
-            lint: "L1".into(),
+            lint: "L3".into(),
             count: 9,
             reason: String::new(),
         }]);

@@ -1,23 +1,27 @@
-//! The seven lint passes.
+//! The five lint passes.
 //!
 //! | ID | name         | invariant                                                            |
 //! |----|--------------|----------------------------------------------------------------------|
-//! | L1 | `panic_site` | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in lib crates |
 //! | L2 | `float_cmp`  | no bare `==`/`!=` against floating-point expressions                 |
 //! | L3 | `typed_error`| public `Result` fns in typed-error crates use a typed error          |
-//! | L4 | `lossy_cast` | no unmarked float→int `as` casts in hot-path modules                 |
 //! | L5 | `unit_safety`| no `+`/`-`/comparison between operands of different inferred units   |
 //! | L6 | `determinism_safety` | no hash-order iteration into reductions/output, ad-hoc      |
 //! |    |              | thread fan-out, or wall-clock/entropy in determinism-scoped crates   |
 //! | L7 | `lock_discipline` | no expensive calls, order inversions, double-acquires, or       |
 //! |    |              | `.await` inside lock-guard windows (call-graph backed)               |
 //!
+//! The IDs L1 (`panic_site`) and L4 (`lossy_cast`) are retired, not reused:
+//! clippy's `unwrap_used`/`expect_used`/`panic`/`todo`/`unimplemented` and
+//! a module-scoped `cast_possible_truncation` check them with real types.
+//! L2 stays because clippy's `float_cmp` exempts comparisons against zero
+//! and the infinities, and every function whose name contains `eq`.
+//!
 //! All passes skip `#[cfg(test)]` items and honour inline suppression
-//! markers of the form `// alint: allow(L4)` or `// alint: allow(lossy_cast)`
+//! markers of the form `// alint: allow(L2)` or `// alint: allow(float_cmp)`
 //! on the same or the immediately preceding line.
 //!
 //! The passes run on the token stream from [`crate::lexer`]; where real type
-//! information would be needed (L2, L4, L6) the heuristics are deliberately
+//! information would be needed (L2, L6) the heuristics are deliberately
 //! conservative and documented on each pass. L7 is the first pass with
 //! *cross-file* context: it consumes the workspace [`CallGraph`] built in
 //! [`crate::callgraph`].
@@ -32,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Diagnostic {
     pub path: String,
     pub line: u32,
-    /// Lint ID: `L1`..`L6`.
+    /// Lint ID: `L2`, `L3` or `L5`..`L7`.
     pub lint: &'static str,
     pub message: String,
 }
@@ -54,10 +58,8 @@ impl std::fmt::Display for Diagnostic {
 /// Human-readable name for a lint ID.
 pub fn lint_name(id: &str) -> &'static str {
     match id {
-        "L1" => "panic_site",
         "L2" => "float_cmp",
         "L3" => "typed_error",
-        "L4" => "lossy_cast",
         "L5" => "unit_safety",
         "L6" => "determinism_safety",
         "L7" => "lock_discipline",
@@ -68,10 +70,8 @@ pub fn lint_name(id: &str) -> &'static str {
 /// One-line description of what a lint enforces (shown by `alint lints`).
 pub fn lint_description(id: &str) -> &'static str {
     match id {
-        "L1" => "no unwrap()/expect()/panic!/todo!/unimplemented! in library crates",
         "L2" => "no bare ==/!= against floating-point expressions",
         "L3" => "public Result functions in typed-error crates return typed errors",
-        "L4" => "float\u{2192}int `as` casts in hot-path modules carry an intent marker",
         "L5" => "no arithmetic/comparison between operands of different inferred units",
         "L6" => "no hash-order iteration, ad-hoc spawns, or wall-clock in deterministic code",
         "L7" => "no expensive calls, order inversions, re-locks, or .await under lock guards",
@@ -80,16 +80,11 @@ pub fn lint_description(id: &str) -> &'static str {
 }
 
 /// Which passes apply to the file being linted (decided by scope config).
+/// L2 has no switch: it runs on every scanned file.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileScope {
-    /// L1: the file belongs to a library crate's `src/` tree.
-    pub lib_crate: bool,
-    /// L2: the file is *not* in the approved-modules list.
-    pub float_cmp: bool,
     /// L3: the file belongs to a typed-error crate's `src/` tree.
     pub typed_error: bool,
-    /// L4: the file is a hot-path module.
-    pub hot_path: bool,
     /// L5: unit-safety dataflow over suffix- and ascription-inferred units.
     pub unit_safety: bool,
     /// L6: the file sits in a determinism-scoped crate (bitwise
@@ -254,17 +249,9 @@ pub fn lint_file(
         });
     };
 
-    if scope.lib_crate {
-        l1_panic_sites(tokens, &in_test, &mut push);
-    }
-    if scope.float_cmp {
-        l2_float_cmp(tokens, &in_test, &mut push);
-    }
+    l2_float_cmp(tokens, &in_test, &mut push);
     if scope.typed_error {
         l3_typed_errors(tokens, &in_test, &mut push);
-    }
-    if scope.hot_path {
-        l4_lossy_casts(tokens, &in_test, &mut push);
     }
     if scope.unit_safety {
         l5_unit_safety(tokens, &in_test, units, &mut push);
@@ -389,12 +376,8 @@ fn matching_delim(tokens: &[Token], open_at: usize, open: &str, close: &str) -> 
     None
 }
 
-const INT_TYPES: [&str; 12] = [
-    "usize", "u64", "u32", "u16", "u8", "u128", "isize", "i64", "i32", "i16", "i8", "i128",
-];
-
-/// Float-returning method names used to classify a cast operand as floating
-/// point without type information. Ambiguous names that exist on both int
+/// Float-returning method names used to classify a comparison operand as
+/// floating point without type information. Ambiguous names that exist on both int
 /// and float types (`abs`, `min`, `max`, `pow*` on ints) are excluded.
 const FLOAT_METHODS: [&str; 20] = [
     "sqrt",
@@ -418,45 +401,6 @@ const FLOAT_METHODS: [&str; 20] = [
     "to_radians",
     "mul_add",
 ];
-
-/// L1: panic-capable constructs in library code.
-fn l1_panic_sites(
-    tokens: &[Token],
-    in_test: &[bool],
-    push: &mut impl FnMut(&'static str, u32, String),
-) {
-    for (i, token) in tokens.iter().enumerate() {
-        if in_test[i] || token.kind != TokenKind::Ident {
-            continue;
-        }
-        let next = tokens.get(i + 1).map(|t| t.text.as_str());
-        match token.text.as_str() {
-            // `.unwrap()` / `.expect(` method calls. Requiring the leading
-            // dot keeps locally defined fns named `unwrap` out of scope.
-            "unwrap" | "expect" if next == Some("(") && i > 0 && tokens[i - 1].text == "." => {
-                push(
-                    "L1",
-                    token.line,
-                    format!(
-                        ".{}() can panic mid-run; propagate a typed error instead",
-                        token.text
-                    ),
-                );
-            }
-            "panic" | "todo" | "unimplemented" if next == Some("!") => {
-                push(
-                    "L1",
-                    token.line,
-                    format!(
-                        "{}! aborts the whole sweep; return the crate's error type",
-                        token.text
-                    ),
-                );
-            }
-            _ => {}
-        }
-    }
-}
 
 /// Variables bound with an explicit float type ascription —
 /// `let [mut] name: [&[mut]] (f64 | f32) = …` — outside test regions.
@@ -738,111 +682,6 @@ fn untyped_result_error(ret: &[Token]) -> Option<String> {
         );
     }
     None
-}
-
-/// L4: `expr as {int}` where the operand is manifestly floating-point.
-///
-/// The operand is recovered by walking the postfix-expression chain
-/// backwards from `as` (matched `()`/`[]` groups, `.` chains, `::` paths);
-/// it is "manifestly float" under the same evidence L2 uses. Intentional
-/// truncations carry an `// alint: allow(lossy_cast)` marker.
-fn l4_lossy_casts(
-    tokens: &[Token],
-    in_test: &[bool],
-    push: &mut impl FnMut(&'static str, u32, String),
-) {
-    for i in 0..tokens.len() {
-        if in_test[i] || tokens[i].text != "as" || tokens[i].kind != TokenKind::Ident {
-            continue;
-        }
-        let Some(target) = tokens.get(i + 1) else {
-            continue;
-        };
-        if !INT_TYPES.contains(&target.text.as_str()) {
-            continue;
-        }
-        let start = cast_operand_start(tokens, i);
-        let operand = &tokens[start..i];
-        let floaty = operand.iter().enumerate().any(|(k, t)| match t.kind {
-            TokenKind::Float => true,
-            TokenKind::Ident => {
-                t.text == "f64"
-                    || t.text == "f32"
-                    || (FLOAT_METHODS.contains(&t.text.as_str())
-                        && operand.get(k + 1).is_some_and(|n| n.text == "("))
-            }
-            _ => false,
-        });
-        if floaty {
-            push(
-                "L4",
-                tokens[i].line,
-                format!(
-                    "float → {} cast truncates; mark intent with \
-                     `// alint: allow(lossy_cast)` or round explicitly",
-                    target.text
-                ),
-            );
-        }
-    }
-}
-
-/// First token index of the cast operand preceding `tokens[as_idx]`.
-fn cast_operand_start(tokens: &[Token], as_idx: usize) -> usize {
-    let mut j = as_idx;
-    loop {
-        if j == 0 {
-            return 0;
-        }
-        let prev = &tokens[j - 1];
-        match prev.text.as_str() {
-            ")" | "]" => {
-                let close_text = prev.text.clone();
-                let open_text = if close_text == ")" { "(" } else { "[" };
-                // Walk back to the matching opener.
-                let mut depth = 0i64;
-                let mut k = j - 1;
-                loop {
-                    if tokens[k].text == close_text {
-                        depth += 1;
-                    } else if tokens[k].text == open_text {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if k == 0 {
-                        return 0;
-                    }
-                    k -= 1;
-                }
-                j = k;
-            }
-            "." | "::" => {
-                if j - 1 == 0 {
-                    return 0;
-                }
-                j -= 1;
-            }
-            _ => match prev.kind {
-                TokenKind::Ident | TokenKind::Int | TokenKind::Float => {
-                    // Part of the operand if connected via `.`/`::` or it is
-                    // the operand head; decide by looking one further back.
-                    let head = j - 1;
-                    let connector = head
-                        .checked_sub(1)
-                        .map(|k| tokens[k].text == "." || tokens[k].text == "::")
-                        .unwrap_or(false);
-                    if connector {
-                        j = head;
-                    } else {
-                        return head;
-                    }
-                }
-                _ => return j,
-            },
-        }
-    }
 }
 
 /// Variables bound with an explicit quantity-type ascription —
@@ -1574,18 +1413,20 @@ fn l7_lock_discipline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::committed;
     use crate::lexer::lex;
 
     fn run(src: &str, scope: FileScope) -> Vec<Diagnostic> {
         let lexed = lex(src);
-        let locks = LockTables::from_config(&Config::default());
+        let config = committed();
+        let locks = LockTables::from_config(&config);
         let graph = CallGraph::build(&[("test.rs".to_string(), &lexed)], &locks.expensive);
         lint_file(
             "test.rs",
             &lexed,
             scope,
-            &UnitTables::from_config(&Config::default()),
-            &DeterminismTables::from_config(&Config::default()),
+            &UnitTables::from_config(&config),
+            &DeterminismTables::from_config(&config),
             &locks,
             &graph,
         )
@@ -1593,54 +1434,13 @@ mod tests {
 
     fn all_scopes() -> FileScope {
         FileScope {
-            lib_crate: true,
-            float_cmp: true,
             typed_error: true,
-            hot_path: true,
             unit_safety: true,
             determinism: true,
             spawn_blessed: false,
             wall_clock_approved: false,
             lock_discipline: true,
         }
-    }
-
-    #[test]
-    fn l1_flags_unwrap_expect_panic_todo() {
-        let src = r#"
-            fn f(x: Option<u32>) -> u32 {
-                let a = x.unwrap();
-                let b = x.expect("msg");
-                if a == 0 { panic!("boom"); }
-                if b == 0 { todo!(); }
-                a + b
-            }
-        "#;
-        let diags = run(src, all_scopes());
-        let l1: Vec<_> = diags.iter().filter(|d| d.lint == "L1").collect();
-        assert_eq!(l1.len(), 4, "{l1:?}");
-    }
-
-    #[test]
-    fn l1_ignores_unwrap_or_variants_and_test_mods() {
-        let src = r#"
-            fn f(x: Option<u32>) -> u32 { x.unwrap_or(3).min(x.unwrap_or_default()) }
-            #[cfg(test)]
-            mod tests {
-                fn g(x: Option<u32>) -> u32 { x.unwrap() }
-            }
-            #[cfg(test)]
-            fn h(x: Option<u32>) -> u32 { x.expect("test only") }
-        "#;
-        assert!(run(src, all_scopes()).iter().all(|d| d.lint != "L1"));
-    }
-
-    #[test]
-    fn l1_marker_suppresses() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() } // alint: allow(L1)\n";
-        assert!(run(src, all_scopes()).is_empty());
-        let above = "// alint: allow(panic_site)\nfn g() { panic!(\"x\") }\n";
-        assert!(run(above, all_scopes()).is_empty());
     }
 
     #[test]
@@ -1770,58 +1570,24 @@ mod tests {
     }
 
     #[test]
-    fn l4_flags_manifest_float_to_int_casts() {
-        let src = r#"
-            fn f(x: f64) -> usize {
-                let a = (x * 2.0) as usize;
-                let b = x.floor() as u64;
-                let c = 3.7 as i32;
-                a + b as usize + c as usize
-            }
-        "#;
-        let diags = run(src, all_scopes());
-        assert_eq!(
-            diags.iter().filter(|d| d.lint == "L4").count(),
-            3,
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn l4_ignores_int_casts_and_markers() {
-        let src = r#"
-            fn f(n: usize) -> f64 {
-                let a = n as u32;
-                let b = n as f64;
-                let c = (n * 2) as u64;
-                // alint: allow(lossy_cast)
-                let d = (b * 0.5) as usize;
-                a as f64 + b + c as f64 + d as f64
-            }
-        "#;
-        let diags = run(src, all_scopes());
-        assert!(diags.iter().all(|d| d.lint != "L4"), "{diags:?}");
-    }
-
-    #[test]
     fn scopes_gate_the_passes() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
+        let src = "pub fn f() -> Result<u32, String> { Ok(1) }";
         assert!(run(src, FileScope::default()).is_empty());
-        let only_l1 = FileScope {
-            lib_crate: true,
+        let only_l3 = FileScope {
+            typed_error: true,
             ..FileScope::default()
         };
-        assert_eq!(run(src, only_l1).len(), 1);
+        assert_eq!(run(src, only_l3).len(), 1);
     }
 
     #[test]
     fn diagnostics_carry_file_line_and_id() {
-        let src = "\n\nfn f(x: Option<u32>) -> u32 { x.unwrap() }";
+        let src = "\n\nfn f(x: f64) -> bool { x == 0.0 }";
         let d = &run(src, all_scopes())[0];
         assert_eq!(d.path, "test.rs");
         assert_eq!(d.line, 3);
-        assert_eq!(d.lint, "L1");
-        assert!(d.to_string().contains("test.rs:3: L1(panic_site)"));
+        assert_eq!(d.lint, "L2");
+        assert!(d.to_string().contains("test.rs:3: L2(float_cmp)"));
     }
 
     fn l5_only() -> FileScope {
@@ -1944,7 +1710,7 @@ mod tests {
             unit_suffixes: Vec::new(),
             unit_types: Vec::new(),
             unit_conversions: Vec::new(),
-            ..Config::default()
+            ..committed()
         };
         let src = "fn f(a_us: f64, b_seconds: f64) -> f64 { a_us + b_seconds }";
         let lexed = lex(src);
@@ -2293,8 +2059,8 @@ mod tests {
             "test.rs",
             &lexed,
             l7_only(),
-            &UnitTables::from_config(&Config::default()),
-            &DeterminismTables::from_config(&Config::default()),
+            &UnitTables::from_config(&committed()),
+            &DeterminismTables::from_config(&committed()),
             &empty,
             &graph,
         );
@@ -2306,7 +2072,7 @@ mod tests {
         // The probe: classes stay declared, the order table is emptied —
         // every acquisition site must surface, not silence.
         let lexed = lex("pub fn f(&self) -> usize { self.shard.lock().len() }");
-        let mut cfg = Config::default();
+        let mut cfg = committed();
         cfg.lock_order.clear();
         let locks = LockTables::from_config(&cfg);
         let graph = CallGraph::build(&[("test.rs".to_string(), &lexed)], &locks.expensive);
@@ -2314,8 +2080,8 @@ mod tests {
             "test.rs",
             &lexed,
             l7_only(),
-            &UnitTables::from_config(&Config::default()),
-            &DeterminismTables::from_config(&Config::default()),
+            &UnitTables::from_config(&committed()),
+            &DeterminismTables::from_config(&committed()),
             &locks,
             &graph,
         );

@@ -42,8 +42,8 @@ fn main() -> ExitCode {
                 Some(Some(id)) => lint = Some(id),
                 Some(None) => {
                     eprintln!(
-                        "alint: --lint requires a lint ID (L1..L7) or name \
-                         (panic_site, …, lock_discipline)"
+                        "alint: --lint requires a lint ID (L2, L3, L5..L7) or name \
+                         (float_cmp, …, lock_discipline)"
                     );
                     return ExitCode::from(2);
                 }
@@ -110,8 +110,8 @@ usage: cargo run -p alint -- [check|dump|ratchet|lints] [--root <dir>]
 
   --format  check output style: text (default), json (one machine-readable
             object), or github (::error workflow-command annotations)
-  --lint    restrict check/dump to one lint, by ID (L1..L7) or name
-            (panic_site, …, lock_discipline) — fast single-pass
+  --lint    restrict check/dump to one lint, by ID (L2, L3, L5..L7) or
+            name (float_cmp, …, lock_discipline) — fast single-pass
             iteration while developing a lint
 ";
 
@@ -227,10 +227,8 @@ fn dump(
 fn lints(config: &alint::config::Config) -> ExitCode {
     for id in alint::LINT_IDS {
         let enabled = match id {
-            "L1" => !config.lib_crates.is_empty(),
             "L2" => true,
             "L3" => !config.typed_error_crates.is_empty(),
-            "L4" => !config.hot_paths.is_empty(),
             "L5" => {
                 !(config.unit_suffixes.is_empty()
                     && config.unit_types.is_empty()

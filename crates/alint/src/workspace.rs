@@ -70,11 +70,9 @@ fn rel_string(path: &Path, root: &Path) -> String {
 
 /// Map a workspace-relative path onto the passes that cover it.
 ///
-/// - L1 runs on `src/` files of the configured library crates — binaries
-///   (`main.rs`, `bin/`) may still panic at the top level.
-/// - L2 runs on everything scanned except the approved modules.
-/// - L3 runs on `src/` files of the typed-error crates.
-/// - L4 runs only on the listed hot-path files.
+/// - L2 runs on everything scanned (it has no scope switch).
+/// - L3 runs on `src/` library files of the typed-error crates — binaries
+///   (`main.rs`, `bin/`) are not public API.
 /// - L5 runs on everything scanned (disabling it means emptying the unit
 ///   tables in `alint.toml`, not a per-file carve-out).
 /// - L6 runs on every `src/` file of the determinism crates — *including*
@@ -95,10 +93,7 @@ pub fn scope_for(rel_path: &str, config: &Config) -> FileScope {
     let prefix_match =
         |entry: &str| rel_path == entry || rel_path.starts_with(&format!("{entry}/"));
     FileScope {
-        lib_crate: config.lib_crates.iter().any(|c| in_crate_src(c)),
-        float_cmp: !config.float_cmp_approved.iter().any(|p| p == rel_path),
         typed_error: config.typed_error_crates.iter().any(|c| in_crate_src(c)),
-        hot_path: config.hot_paths.iter().any(|p| p == rel_path),
         unit_safety: true,
         determinism: config
             .determinism_crates
@@ -113,38 +108,35 @@ pub fn scope_for(rel_path: &str, config: &Config) -> FileScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::committed;
 
     #[test]
     fn scope_assignment_follows_config() {
-        let config = Config::default();
+        let config = committed();
         let s = scope_for("crates/linalg/src/cholesky.rs", &config);
-        assert!(s.lib_crate && s.typed_error && s.hot_path && s.float_cmp && s.unit_safety);
+        assert!(s.typed_error && s.unit_safety);
         assert!(s.determinism && !s.spawn_blessed && !s.wall_clock_approved);
 
         let s = scope_for("crates/core/src/procedure.rs", &config);
-        assert!(s.lib_crate && !s.hot_path && s.unit_safety && s.determinism);
+        assert!(s.typed_error && s.unit_safety && s.determinism);
 
-        // The linter lints itself: L1 and L3 cover its own src/ files.
+        // The linter lints itself: L3 covers its own src/ files.
         let s = scope_for("crates/alint/src/lints.rs", &config);
-        assert!(s.lib_crate && s.typed_error && !s.hot_path && s.float_cmp);
+        assert!(s.typed_error);
         assert!(!s.determinism, "the lint runner is not determinism-scoped");
         assert!(s.lock_discipline, "L7 covers everything scanned");
-
-        // The bench scenario registry is a listed hot path for L4.
-        let s = scope_for("crates/bench/src/perf.rs", &config);
-        assert!(s.hot_path && s.lock_discipline);
 
         // Binaries are exempt from the library-only passes but NOT from L6:
         // hash-order output from a bin corrupts regenerated datasets too.
         let s = scope_for("crates/core/src/main.rs", &config);
-        assert!(!s.lib_crate && s.determinism);
+        assert!(!s.typed_error && s.determinism);
         let s = scope_for("src/main.rs", &config);
-        assert!(!s.lib_crate && s.float_cmp);
+        assert!(!s.typed_error && s.unit_safety);
     }
 
     #[test]
     fn determinism_exemptions_follow_config() {
-        let config = Config::default();
+        let config = committed();
         let s = scope_for("crates/parallel/src/pool.rs", &config);
         assert!(s.determinism && s.spawn_blessed && !s.wall_clock_approved);
         // The old amr pool delegates to al-parallel now — no longer blessed.
@@ -167,16 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn approved_modules_drop_float_cmp() {
-        let mut config = Config::default();
-        config
-            .float_cmp_approved
-            .push("crates/linalg/src/stats.rs".to_string());
-        assert!(!scope_for("crates/linalg/src/stats.rs", &config).float_cmp);
-        assert!(scope_for("crates/linalg/src/matrix.rs", &config).float_cmp);
-    }
-
-    #[test]
     fn scan_skips_vendored_and_test_trees() {
         // Run against the real workspace when invoked from the repo.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -187,7 +169,7 @@ mod tests {
         if !root.join("Cargo.toml").is_file() {
             return;
         }
-        let files = scan(&root, &Config::default()).expect("scan");
+        let files = scan(&root, &committed()).expect("scan");
         assert!(!files.is_empty());
         for f in &files {
             assert!(

@@ -12,6 +12,11 @@ use alint::lexer::lex;
 use alint::lints::{lint_file, DeterminismTables, Diagnostic, FileScope, LockTables, UnitTables};
 use std::path::{Path, PathBuf};
 
+/// The committed `alint.toml`, parsed: the repo's tables.
+fn repo_config() -> Config {
+    alint::config::parse(include_str!("../../../alint.toml")).expect("alint.toml parses")
+}
+
 fn lint_fixture(name: &str, scope: FileScope) -> Vec<Diagnostic> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -19,7 +24,8 @@ fn lint_fixture(name: &str, scope: FileScope) -> Vec<Diagnostic> {
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
     let lexed = lex(&src);
-    let locks = LockTables::from_config(&Config::default());
+    let config = repo_config();
+    let locks = LockTables::from_config(&config);
     // Fixtures are single files, so the call graph sees exactly one file —
     // cross-file resolution is covered by the callgraph unit tests and the
     // workspace probe below.
@@ -28,8 +34,8 @@ fn lint_fixture(name: &str, scope: FileScope) -> Vec<Diagnostic> {
         name,
         &lexed,
         scope,
-        &UnitTables::from_config(&Config::default()),
-        &DeterminismTables::from_config(&Config::default()),
+        &UnitTables::from_config(&config),
+        &DeterminismTables::from_config(&config),
         &locks,
         &graph,
     )
@@ -37,10 +43,7 @@ fn lint_fixture(name: &str, scope: FileScope) -> Vec<Diagnostic> {
 
 fn all_scopes() -> FileScope {
     FileScope {
-        lib_crate: true,
-        float_cmp: true,
         typed_error: true,
-        hot_path: true,
         unit_safety: true,
         determinism: true,
         spawn_blessed: false,
@@ -55,26 +58,12 @@ fn only(select: impl Fn(&mut FileScope)) -> FileScope {
     scope
 }
 
-#[test]
-fn l1_flags_every_panic_site_outside_tests() {
-    let diags = lint_fixture("l1_violations.rs", only(|s| s.lib_crate = true));
-    assert_eq!(diags.len(), 5, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.lint == "L1"), "{diags:#?}");
-    // One diagnostic per construct: unwrap, expect, todo!, unimplemented!,
-    // panic! — and nothing from the #[cfg(test)] module.
-    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![7, 11, 17, 18, 19], "{diags:#?}");
-}
-
-#[test]
-fn l1_clean_fixture_is_silent_under_every_lint() {
-    let diags = lint_fixture("l1_clean.rs", all_scopes());
-    assert!(diags.is_empty(), "{diags:#?}");
-}
+/// A scratch-crate source with one L3 finding, on line 2.
+const UNTYPED_ERROR: &str = "//! Demo.\npub fn boom() -> Result<u8, String> {\n    Ok(1)\n}\n";
 
 #[test]
 fn l2_flags_each_kind_of_float_evidence() {
-    let diags = lint_fixture("l2_violations.rs", only(|s| s.float_cmp = true));
+    let diags = lint_fixture("l2_violations.rs", FileScope::default());
     assert_eq!(diags.len(), 3, "{diags:#?}");
     assert!(diags.iter().all(|d| d.lint == "L2"), "{diags:#?}");
     assert_eq!(
@@ -92,7 +81,7 @@ fn l2_clean_fixture_is_silent_under_every_lint() {
 
 #[test]
 fn l2_flags_ascribed_float_variables() {
-    let diags = lint_fixture("l2_ascription_violations.rs", only(|s| s.float_cmp = true));
+    let diags = lint_fixture("l2_ascription_violations.rs", FileScope::default());
     assert_eq!(diags.len(), 3, "{diags:#?}");
     assert!(diags.iter().all(|d| d.lint == "L2"), "{diags:#?}");
     // `t == b`, `lo != hi`, `r == &a`: every comparison is opaque to the
@@ -112,7 +101,7 @@ fn l2_ascription_clean_fixture_is_silent_under_every_lint() {
 
 #[test]
 fn l2_markers_suppress_by_id_and_by_name() {
-    let diags = lint_fixture("l2_suppressed.rs", only(|s| s.float_cmp = true));
+    let diags = lint_fixture("l2_suppressed.rs", FileScope::default());
     assert_eq!(diags.len(), 1, "{diags:#?}");
     assert_eq!(diags[0].line, 16, "only the unmarked comparison remains");
 }
@@ -132,24 +121,6 @@ fn l3_flags_untyped_error_slots() {
 #[test]
 fn l3_clean_fixture_is_silent_under_every_lint() {
     let diags = lint_fixture("l3_clean.rs", all_scopes());
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn l4_flags_unmarked_float_to_int_casts() {
-    let diags = lint_fixture("l4_violations.rs", only(|s| s.hot_path = true));
-    assert_eq!(diags.len(), 2, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.lint == "L4"), "{diags:#?}");
-    assert_eq!(
-        diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-        vec![4, 8],
-        "{diags:#?}"
-    );
-}
-
-#[test]
-fn l4_clean_fixture_is_silent_under_every_lint() {
-    let diags = lint_fixture("l4_clean.rs", all_scopes());
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
@@ -286,7 +257,7 @@ fn l7_flags_a_real_gp_predict_under_a_shard_guard() {
             &graph,
         )
     };
-    let diags = lint_with(&Config::default());
+    let diags = lint_with(&repo_config());
     assert_eq!(diags.len(), 1, "{diags:#?}");
     assert_eq!(diags[0].line, 12, "{diags:#?}");
     assert!(
@@ -297,7 +268,7 @@ fn l7_flags_a_real_gp_predict_under_a_shard_guard() {
         "{}",
         diags[0].message
     );
-    let mut without = Config::default();
+    let mut without = repo_config();
     without
         .expensive_idents
         .retain(|e| e != "solve_lower_multi");
@@ -305,7 +276,7 @@ fn l7_flags_a_real_gp_predict_under_a_shard_guard() {
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
-/// The ratchet probe: the defaults keep the real workspace clean, and
+/// The ratchet probe: the committed tables keep the real workspace clean, and
 /// explicitly emptying `lock_order` must *surface* raw L7 findings at every
 /// declared acquisition in `crates/core/src/store.rs` — deleting the order
 /// table can never silence the lint.
@@ -319,7 +290,7 @@ fn l7_emptied_order_probes_the_real_workspace() {
     if !root.join("Cargo.toml").is_file() {
         return;
     }
-    let mut config = Config::default();
+    let mut config = repo_config();
     config.lock_order.clear();
     let (diags, _) = alint::raw_diagnostics(&root, &config).expect("scan workspace");
     let store_findings: Vec<&Diagnostic> = diags
@@ -348,25 +319,25 @@ fn l7_emptied_order_probes_the_real_workspace() {
 
 #[test]
 fn allowlist_budget_absorbs_fixture_violations_exactly() {
-    let diags = lint_fixture("l1_violations.rs", only(|s| s.lib_crate = true));
+    let diags = lint_fixture("l6_violations.rs", only(|s| s.determinism = true));
     let allow = |count| Config {
         allowances: vec![Allowance {
-            path: "l1_violations.rs".into(),
-            lint: "L1".into(),
+            path: "l6_violations.rs".into(),
+            lint: "L6".into(),
             count,
             reason: "fixture".into(),
         }],
         ..Config::default()
     };
 
-    let report = alint::apply_allowlist(diags.clone(), &allow(5), 1);
+    let report = alint::apply_allowlist(diags.clone(), &allow(6), 1);
     assert!(report.is_clean(), "{:#?}", report.violations);
-    assert_eq!(report.grandfathered.len(), 5);
+    assert_eq!(report.grandfathered.len(), 6);
 
     // One site fewer in the budget: exactly one (the last) escapes.
-    let report = alint::apply_allowlist(diags, &allow(4), 1);
+    let report = alint::apply_allowlist(diags, &allow(5), 1);
     assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
-    assert_eq!(report.grandfathered.len(), 4);
+    assert_eq!(report.grandfathered.len(), 5);
 }
 
 /// End-to-end CLI checks against a scratch workspace: a violation makes
@@ -376,12 +347,8 @@ fn cli_exits_nonzero_on_violation_and_zero_when_allowlisted() {
     let root = scratch_workspace("cli_exit");
     let src_dir = root.join("crates/demo/src");
     std::fs::create_dir_all(&src_dir).expect("mkdir");
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "pub fn boom(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\n",
-    )
-    .expect("write fixture source");
-    let scope = "lib_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n";
+    std::fs::write(src_dir.join("lib.rs"), UNTYPED_ERROR).expect("write fixture source");
+    let scope = "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n";
     std::fs::write(root.join("alint.toml"), scope).expect("write config");
 
     let run = |root: &Path| {
@@ -396,12 +363,12 @@ fn cli_exits_nonzero_on_violation_and_zero_when_allowlisted() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/demo/src/lib.rs:2: L1(panic_site)"),
+        stdout.contains("crates/demo/src/lib.rs:2: L3(typed_error)"),
         "{stdout}"
     );
 
     let allow = format!(
-        "{scope}\n[[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L1\"\n\
+        "{scope}\n[[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\n\
          count = 1\nreason = \"fixture\"\n"
     );
     std::fs::write(root.join("alint.toml"), allow).expect("rewrite config");
@@ -422,8 +389,8 @@ fn cli_fails_on_stale_allowlist_entries() {
         .expect("write fixture source");
     std::fs::write(
         root.join("alint.toml"),
-        "lib_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
-         [[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L1\"\n\
+        "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
+         [[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\n\
          count = 1\nreason = \"paid down\"\n",
     )
     .expect("write config");
@@ -435,7 +402,7 @@ fn cli_fails_on_stale_allowlist_entries() {
         .expect("run alint");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("stale [[allow]] entry for L1"), "{stdout}");
+    assert!(stdout.contains("stale [[allow]] entry for L3"), "{stdout}");
 
     std::fs::remove_dir_all(&root).ok();
 }
@@ -447,14 +414,10 @@ fn cli_formats_json_and_github_output() {
     let root = scratch_workspace("formats");
     let src_dir = root.join("crates/demo/src");
     std::fs::create_dir_all(&src_dir).expect("mkdir");
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "pub fn boom(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\n",
-    )
-    .expect("write fixture source");
+    std::fs::write(src_dir.join("lib.rs"), UNTYPED_ERROR).expect("write fixture source");
     std::fs::write(
         root.join("alint.toml"),
-        "lib_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n",
+        "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n",
     )
     .expect("write config");
 
@@ -473,7 +436,7 @@ fn cli_formats_json_and_github_output() {
     assert!(
         stdout.contains(
             "\"path\": \"crates/demo/src/lib.rs\", \"line\": 2, \
-             \"lint\": \"L1\", \"name\": \"panic_site\""
+             \"lint\": \"L3\", \"name\": \"typed_error\""
         ),
         "{stdout}"
     );
@@ -482,7 +445,7 @@ fn cli_formats_json_and_github_output() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("::error file=crates/demo/src/lib.rs,line=2,title=alint L1(panic_site)::"),
+        stdout.contains("::error file=crates/demo/src/lib.rs,line=2,title=alint L3(typed_error)::"),
         "{stdout}"
     );
 
@@ -497,18 +460,18 @@ fn cli_lint_flag_filters_check_to_one_pass() {
     let root = scratch_workspace("lint_flag");
     let src_dir = root.join("crates/demo/src");
     std::fs::create_dir_all(&src_dir).expect("mkdir");
-    // One L1 finding (unwrap) and one L6 finding (thread::spawn) in a file
-    // scoped to both passes.
+    // One L3 finding (a `String` error) and one L6 finding (thread::spawn)
+    // in a file scoped to both passes.
     std::fs::write(
         src_dir.join("lib.rs"),
-        "pub fn go(v: Option<u8>) -> u8 {\n    std::thread::spawn(|| 1);\n    v.unwrap()\n}\n",
+        "pub fn go() -> Result<u8, String> {\n    std::thread::spawn(|| 1);\n    Ok(1)\n}\n",
     )
     .expect("write fixture source");
     std::fs::write(
         root.join("alint.toml"),
-        "lib_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
+        "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
          [determinism]\ndeterminism_crates = [\"crates/demo\"]\n\
-         [[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L1\"\n\
+         [[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\n\
          count = 1\nreason = \"fixture\"\n",
     )
     .expect("write config");
@@ -521,8 +484,8 @@ fn cli_lint_flag_filters_check_to_one_pass() {
             .expect("run alint")
     };
 
-    // L6 alone: the spawn finding fires; the L1 allowance for the same file
-    // must NOT be reported stale just because L1 was filtered out.
+    // L6 alone: the spawn finding fires; the L3 allowance for the same file
+    // must NOT be reported stale just because L3 was filtered out.
     let out = run("L6");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -530,17 +493,19 @@ fn cli_lint_flag_filters_check_to_one_pass() {
         stdout.contains("crates/demo/src/lib.rs:2: L6(determinism_safety)"),
         "{stdout}"
     );
-    assert!(!stdout.contains("L1"), "{stdout}");
+    assert!(!stdout.contains("L3"), "{stdout}");
     assert!(!stdout.contains("stale [[allow]]"), "{stdout}");
 
-    // L1 alone (by name, mixed case): the unwrap is absorbed by its
+    // L3 alone (by name, mixed case): the finding is absorbed by its
     // allowance, so the filtered check is clean.
-    let out = run("Panic_Site");
+    let out = run("Typed_Error");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
-    // Unknown selector: usage error, exit 2.
-    let out = run("L9");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // Unknown selector, or an ID retired to clippy: usage error, exit 2.
+    for unknown in ["L9", "L1", "lossy_cast"] {
+        let out = run(unknown);
+        assert_eq!(out.status.code(), Some(2), "{unknown}: {out:?}");
+    }
 
     std::fs::remove_dir_all(&root).ok();
 }
@@ -556,8 +521,8 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
     std::fs::create_dir_all(&src_dir).expect("mkdir");
     std::fs::write(
         src_dir.join("lib.rs"),
-        "pub fn a(v: Option<u8>) -> u8 {\n    v.unwrap()\n}\n\
-         pub fn b(v: Option<u8>) -> u8 {\n    v.expect(\"b\")\n}\n",
+        "pub fn a() -> Result<u8, String> {\n    Ok(1)\n}\n\
+         pub fn b() -> Result<u8, &'static str> {\n    Ok(2)\n}\n",
     )
     .expect("write fixture source");
     std::fs::write(
@@ -566,15 +531,16 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
     )
     .expect("write fixture source");
     // Two L7 findings: an undeclared receiver class and an expensive call
-    // under the guard (the default [locks] tables apply to the scratch
-    // workspace too).
+    // under the guard.
     std::fs::write(
         src_dir.join("locked.rs"),
         "pub fn hold(m: &Mutex<u32>) -> u32 {\n    let g = m.lock();\n    fit(*g)\n}\n",
     )
     .expect("write fixture source");
-    let scope = "lib_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
-                 [determinism]\ndeterminism_crates = [\"crates/demo\"]\n";
+    let scope = "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
+                 [determinism]\ndeterminism_crates = [\"crates/demo\"]\n\
+                 [locks]\nlock_classes = [\"shard:shard\"]\nlock_order = [\"shard\"]\n\
+                 expensive_idents = [\"fit\"]\n";
     std::fs::write(root.join("alint.toml"), scope).expect("write config");
 
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
@@ -595,7 +561,7 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
             .find(|a| a.path == path && a.lint == lint)
             .unwrap_or_else(|| panic!("missing [[allow]] for {path} {lint}\n{printed}"))
     };
-    assert_eq!(entry("crates/demo/src/lib.rs", "L1").count, 2, "{printed}");
+    assert_eq!(entry("crates/demo/src/lib.rs", "L3").count, 2, "{printed}");
     assert_eq!(
         entry("crates/demo/src/extra.rs", "L6").count,
         1,
@@ -631,10 +597,11 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
 fn cli_lints_subcommand_lists_passes_with_enabled_status() {
     let root = scratch_workspace("lints_list");
     std::fs::create_dir_all(root.join("crates")).expect("mkdir");
-    // hot_paths emptied → L4 off; everything else inherits the defaults.
+    // typed_error_crates emptied → L3 off; a declared lock class → L7 on.
     std::fs::write(
         root.join("alint.toml"),
-        "scan_roots = [\"crates\"]\nhot_paths = []\n",
+        "scan_roots = [\"crates\"]\ntyped_error_crates = []\n\
+         [locks]\nlock_classes = [\"shard:shard\"]\n",
     )
     .expect("write config");
 
@@ -646,11 +613,8 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 7, "{stdout}");
-    for (i, id) in ["L1", "L2", "L3", "L4", "L5", "L6", "L7"]
-        .iter()
-        .enumerate()
-    {
+    assert_eq!(lines.len(), 5, "{stdout}");
+    for (i, id) in ["L2", "L3", "L5", "L6", "L7"].iter().enumerate() {
         assert!(lines[i].starts_with(id), "{stdout}");
     }
     let row = |id: &str| {
@@ -661,11 +625,11 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
             .to_string()
     };
     assert!(
-        row("L4").contains("lossy_cast") && row("L4").contains("off"),
+        row("L3").contains("typed_error") && row("L3").contains("off"),
         "{stdout}"
     );
     assert!(
-        row("L1").contains("panic_site") && row("L1").contains("on"),
+        row("L2").contains("float_cmp") && row("L2").contains("on"),
         "{stdout}"
     );
     assert!(
@@ -673,6 +637,24 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
         "{stdout}"
     );
     assert!(row("L7").contains("under lock guards"), "{stdout}");
+
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// alint has no built-in tables: a `--root` without `alint.toml` is a
+/// config error (exit 2), not a clean check with empty tables.
+#[test]
+fn cli_fails_without_an_alint_toml() {
+    let root = scratch_workspace("no_config");
+    std::fs::create_dir_all(root.join("crates")).expect("mkdir");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
+        .args(["check", "--root"])
+        .arg(&root)
+        .output()
+        .expect("run alint");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("alint.toml"), "{stderr}");
 
     std::fs::remove_dir_all(&root).ok();
 }

@@ -6,6 +6,9 @@
 //! order — and therefore every floating-point reduction — is deterministic
 //! across runs, which the reproducibility of dataset generation relies on.
 
+// Hot path: every truncating `as` cast carries a checked reason.
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::error::AmrError;
 use crate::euler::{self, State, NVAR};
 use crate::patch::{BoundaryFluxes, Patch, Side, DOMAIN, NG};
@@ -194,11 +197,6 @@ impl Forest {
             .unwrap_or(self.minlevel)
     }
 
-    /// Interior cells over the leaves of one level.
-    pub fn interior_cells_at(&self, level: u8) -> u64 {
-        (self.leaf_keys_at(level).len() * self.mx * self.mx) as u64
-    }
-
     /// Borrow a leaf patch.
     pub fn get(&self, key: PatchKey) -> Option<&Patch> {
         self.leaves.get(&key)
@@ -256,14 +254,6 @@ impl Forest {
     /// Integral of density over the domain.
     pub fn total_mass(&self) -> f64 {
         self.leaves.values().map(|p| p.total_mass()).sum()
-    }
-
-    /// Finest cell width currently present.
-    pub fn min_h(&self) -> f64 {
-        self.leaves
-            .values()
-            .map(|p| p.h())
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Global CFL time step: `cfl · min_leaves(h / s_max)`.
@@ -382,6 +372,10 @@ impl Forest {
             stats.boundary_cells += band;
             return Ok(());
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "ni, nj are checked in 0..n_side above"
+        )]
         let nk = (level, ni as u32, nj as u32);
 
         if let Some(nb) = self.leaves.get(&nk) {
@@ -391,6 +385,10 @@ impl Forest {
         }
         // Coarser neighbour: the parent of the would-be same-level
         // neighbour (2:1 balance guarantees at most one level difference).
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "ni, nj are checked in 0..n_side above"
+        )]
         let parent = (level - 1, (ni / 2) as u32, (nj / 2) as u32);
         if level > 0 {
             if let Some(nb) = self.leaves.get(&parent) {
@@ -468,7 +466,15 @@ impl Forest {
             for ix in xr.clone() {
                 let (gx, gy) = self.global_coords(key, ix, iy);
                 // Coordinates at the coarse level are halved.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "2:1 balance puts the ghost cell inside the coarse patch: 0..mx"
+                )]
                 let cgx = (gx.div_euclid(2) - nb_i as i64 * self.mx as i64) as usize;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "2:1 balance puts the ghost cell inside the coarse patch: 0..mx"
+                )]
                 let cgy = (gy.div_euclid(2) - nb_j as i64 * self.mx as i64) as usize;
                 let mut value = *nb.interior(cgx, cgy);
                 if let Some((prev, theta)) = old {
@@ -500,7 +506,15 @@ impl Forest {
                 for (ox, oy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
                     let fx = gx * 2 + ox;
                     let fy = gy * 2 + oy;
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "an in-domain fine cell's patch index is in 0..2^level"
+                    )]
                     let pi = (fx.div_euclid(self.mx as i64)) as u32;
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "an in-domain fine cell's patch index is in 0..2^level"
+                    )]
                     let pj = (fy.div_euclid(self.mx as i64)) as u32;
                     let fine_key = (fine_level, pi, pj);
                     // 2:1 balance guarantees the fine neighbour leaves exist.
@@ -508,7 +522,15 @@ impl Forest {
                         .leaves
                         .get(&fine_key)
                         .ok_or(AmrError::MissingLeaf(fine_key))?;
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "div_euclid leaves a remainder in 0..mx"
+                    )]
                     let cx = (fx - pi as i64 * self.mx as i64) as usize;
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "div_euclid leaves a remainder in 0..mx"
+                    )]
                     let cy = (fy - pj as i64 * self.mx as i64) as usize;
                     let s = leaf.interior(cx, cy);
                     for k in 0..NVAR {
@@ -580,11 +602,17 @@ impl Forest {
                     let mut correct = [0.0; NVAR];
                     for half in 0..2u32 {
                         // Global fine transverse coordinate.
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "mx and t < mx are patch-sized"
+                        )]
                         let transverse_global = match side {
                             Side::East | Side::West => (j * mx as u32 + t as u32) * 2 + half,
                             Side::North | Side::South => (i * mx as u32 + t as u32) * 2 + half,
                         };
+                        #[expect(clippy::cast_possible_truncation, reason = "mx is patch-sized")]
                         let fine_patch_t = transverse_global / mx as u32;
+                        #[expect(clippy::cast_possible_truncation, reason = "mx is patch-sized")]
                         let local = (transverse_global % mx as u32) as usize;
                         // Fine patch coordinate along the sweep axis: the
                         // child column/row touching the shared face.
@@ -775,6 +803,10 @@ impl Forest {
         if ni < 0 || ni >= n_side || nj < 0 || nj >= n_side {
             return None;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "ni, nj are checked in 0..n_side above"
+        )]
         let (ni, nj) = (ni as u32, nj as u32);
         if self.leaves.contains_key(&(level, ni, nj)) {
             return Some(level);
@@ -836,6 +868,10 @@ impl Forest {
                             // Neighbour region is too coarse: refine the
                             // covering coarse leaf.
                             let (di, dj) = side.offset();
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "neighbor_level returned Some, so the neighbour is in-domain"
+                            )]
                             let (ni, nj) = ((key.1 as i64 + di) as u32, (key.2 as i64 + dj) as u32);
                             let shift = level - nl;
                             let ck = (nl, ni >> shift, nj >> shift);
@@ -964,11 +1000,27 @@ impl Forest {
         for level in (self.minlevel..=self.maxlevel).rev() {
             let n_side = 1u32 << level;
             let s = DOMAIN / n_side as f64;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "clamped by .min; a negative value saturates to 0"
+            )]
             let i = ((x / s) as u32).min(n_side - 1);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "clamped by .min; a negative value saturates to 0"
+            )]
             let j = ((y / s) as u32).min(n_side - 1);
             if let Some(patch) = self.leaves.get(&(level, i, j)) {
                 let (x0, y0) = patch.origin();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "clamped by .min; a negative value saturates to 0"
+                )]
                 let cx = (((x - x0) / patch.h()) as usize).min(self.mx - 1);
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "clamped by .min; a negative value saturates to 0"
+                )]
                 let cy = (((y - y0) / patch.h()) as usize).min(self.mx - 1);
                 return patch.interior(cx, cy)[0];
             }

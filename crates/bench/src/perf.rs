@@ -19,6 +19,9 @@
 //! `wall_clock_approved` carve-out: timings annotate the BENCH trajectory
 //! only and never feed priced results (DESIGN §9, machine.rs contract).
 
+// Hot path: every truncating `as` cast carries a checked reason.
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::error::BenchError;
 use crate::json::{parse, Json};
 use al_linalg::{stats::Summary, Matrix};
@@ -236,7 +239,7 @@ impl BenchReport {
 
     /// Convert a parsed JSON document, validating every schema field.
     pub fn from_json(doc: &Json) -> Result<BenchReport, BenchError> {
-        let schema_version = get_uint(doc, "schema_version")?;
+        let schema_version = get_uint(doc, "schema_version")? as u64;
         if schema_version != SCHEMA_VERSION {
             return Err(schema_err(
                 "schema_version",
@@ -251,7 +254,7 @@ impl BenchReport {
         let fingerprint = Fingerprint {
             os: get_str(fp, "fingerprint.os")?,
             arch: get_str(fp, "fingerprint.arch")?,
-            cores: get_uint(fp, "fingerprint.cores")? as usize,
+            cores: get_uint(fp, "fingerprint.cores")?,
             debug_assertions: fp
                 .get("debug_assertions")
                 .and_then(Json::as_bool)
@@ -289,9 +292,9 @@ impl BenchReport {
             }
             scenarios.push(ScenarioResult {
                 name,
-                warmup: get_uint(s, &format!("{ctx}.warmup"))? as usize,
-                repeats: get_uint(s, &format!("{ctx}.repeats"))? as usize,
-                inner: get_uint(s, &format!("{ctx}.inner"))? as usize,
+                warmup: get_uint(s, &format!("{ctx}.warmup"))?,
+                repeats: get_uint(s, &format!("{ctx}.repeats"))?,
+                inner: get_uint(s, &format!("{ctx}.inner"))?,
                 stats,
             });
         }
@@ -322,17 +325,22 @@ fn get_str(doc: &Json, field: &str) -> Result<String, BenchError> {
         .ok_or_else(|| schema_err(field, "missing string"))
 }
 
-fn get_uint(doc: &Json, field: &str) -> Result<u64, BenchError> {
+fn get_uint(doc: &Json, field: &str) -> Result<usize, BenchError> {
     let key = field.rsplit('.').next().unwrap_or(field);
     let v = doc
         .get(key)
         .and_then(Json::as_f64)
         .ok_or_else(|| schema_err(field, "missing number"))?;
     let rounded = v.round();
-    if !(0.0..=(u64::MAX as f64)).contains(&v) || (v - rounded).abs() > 0.0 {
+    if !(0.0..=(usize::MAX as f64)).contains(&v) || (v - rounded).abs() > 0.0 {
         return Err(schema_err(field, "must be a non-negative integer"));
     }
-    Ok(rounded as u64)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an integer range-checked against usize::MAX above"
+    )]
+    let n = rounded as usize;
+    Ok(n)
 }
 
 fn get_finite(stats: &Json, ctx: &str, key: &str) -> Result<f64, BenchError> {
@@ -1059,8 +1067,11 @@ fn measure(scenario: Scenario, tier: Tier) -> ScenarioResult {
     let started = Instant::now();
     body();
     let once = started.elapsed().as_secs_f64().max(1e-9);
-    // Ceiled and clamped to [1, 1024] first, so the cast is exact.
-    let inner = ((tier.min_sample_s() / once).ceil().clamp(1.0, 1024.0)) as usize; // alint: allow(L4)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "ceiled and clamped to [1, 1024] first, so the cast is exact"
+    )]
+    let inner = ((tier.min_sample_s() / once).ceil().clamp(1.0, 1024.0)) as usize;
     let mut samples = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let started = Instant::now();

@@ -63,8 +63,8 @@ pub fn format_violin(label: &str, values: &[f64], bins: usize) -> String {
 /// Align several labelled curves into one CSV block with a shared
 /// iteration column: `iter,label1,label2,...`. Shorter curves print empty
 /// cells once exhausted (RGMA stops early). Errors (instead of panicking —
-/// this is library code under the L1/L3 policy) when the label and curve
-/// counts disagree.
+/// this is library code under the panic-free, typed-error policy) when
+/// the label and curve counts disagree.
 pub fn format_curves(
     labels: &[&str],
     curves: &[Vec<f64>],

@@ -604,11 +604,6 @@ impl SessionState {
         self.iteration
     }
 
-    /// Candidates still in the pool.
-    pub fn remaining_candidates(&self) -> usize {
-        self.active_ids.len()
-    }
-
     /// Why the session stopped, once it has.
     pub fn stop_reason(&self) -> Option<StopReason> {
         self.stopped

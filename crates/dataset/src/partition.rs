@@ -48,12 +48,6 @@ impl Partition {
         Partition { init, active, test }
     }
 
-    /// Paper defaults: `n_test = 200` of 600 samples, with the given
-    /// `n_init ∈ {1, 50, 100}`.
-    pub fn paper_default<R: Rng + ?Sized>(n: usize, n_init: usize, rng: &mut R) -> Self {
-        Self::random(n, n_init, n.min(600) / 3, rng)
-    }
-
     /// Total indexed samples.
     pub fn len(&self) -> usize {
         self.init.len() + self.active.len() + self.test.len()
@@ -98,15 +92,6 @@ mod tests {
         let p = Partition::random(600, 1, 200, &mut rng);
         assert_eq!(p.init.len(), 1);
         assert_eq!(p.active.len(), 399);
-    }
-
-    #[test]
-    fn paper_default_reserves_a_third_for_test() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let p = Partition::paper_default(600, 100, &mut rng);
-        assert_eq!(p.test.len(), 200);
-        assert_eq!(p.init.len(), 100);
-        assert_eq!(p.active.len(), 300);
     }
 
     #[test]

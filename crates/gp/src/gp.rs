@@ -8,6 +8,9 @@
 //! likelihood (Eq. 8) and its analytic gradient drive hyperparameter
 //! optimization.
 
+// Hot path: every truncating `as` cast carries a checked reason.
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::error::GpError;
 use crate::kernel::Kernel;
 use crate::optimize::{self, FitOptions};

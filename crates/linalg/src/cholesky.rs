@@ -5,6 +5,9 @@
 //! likelihood (paper Eqs. 3 and 8) are triangular solves plus a
 //! log-determinant read off the factor's diagonal.
 
+// Hot path: every truncating `as` cast carries a checked reason.
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 
@@ -418,12 +421,6 @@ impl Cholesky {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
-    /// Quadratic form `bᵀ A⁻¹ b` computed stably as `‖L⁻¹ b‖²`.
-    pub fn quad_form(&self, b: &[f64]) -> Result<f64, LinalgError> {
-        let z = self.solve_lower(b)?;
-        Ok(crate::ops::dot(&z, &z))
-    }
-
     /// Explicit inverse `A⁻¹` (used by the LML gradient, which needs the
     /// full matrix `K⁻¹` once per gradient evaluation).
     ///
@@ -733,16 +730,6 @@ mod tests {
         let ch = Cholesky::new(&a).unwrap();
         let det = 4.0 * 3.0 - 1.0;
         assert!((ch.log_det() - f64::ln(det)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quad_form_matches_direct() {
-        let a = spd3();
-        let ch = Cholesky::new(&a).unwrap();
-        let b = vec![1.0, 2.0, 3.0];
-        let x = ch.solve(&b).unwrap();
-        let direct = crate::ops::dot(&b, &x);
-        assert!((ch.quad_form(&b).unwrap() - direct).abs() < 1e-10);
     }
 
     #[test]

@@ -137,11 +137,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix, returning the row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Transpose into a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);

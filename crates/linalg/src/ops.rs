@@ -46,15 +46,6 @@ pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// `y += alpha * x` in place.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Element-wise difference `a - b` into a new vector.
 #[inline]
 pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -118,13 +109,6 @@ mod tests {
         assert!((weighted_sq_dist(&a, &b, &w) - sq_dist(&a, &b)).abs() < 1e-12);
         // Zero weight masks a coordinate entirely.
         assert_eq!(weighted_sq_dist(&[0.0], &[9.0], &[0.0]), 0.0);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
     }
 
     #[test]

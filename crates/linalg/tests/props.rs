@@ -65,14 +65,6 @@ proptest! {
     }
 
     #[test]
-    fn quad_form_is_nonnegative(a in spd_matrix(), seed in 0u64..1000) {
-        let n = a.rows();
-        let b: Vec<f64> = (0..n).map(|i| ((seed as f64 + 1.0) * (i as f64 + 0.5)).sin()).collect();
-        let ch = Cholesky::new(&a).unwrap();
-        prop_assert!(ch.quad_form(&b).unwrap() >= 0.0);
-    }
-
-    #[test]
     fn matmul_is_associative_on_small_matrices(
         d1 in proptest::collection::vec(-2.0f64..2.0, 9),
         d2 in proptest::collection::vec(-2.0f64..2.0, 9),

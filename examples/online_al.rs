@@ -12,8 +12,8 @@
 //!
 //! Run: `cargo run --release --example online_al`
 
-// Examples abort on failure by design; the panic-site lints target
-// library code (see alint L1).
+// Examples abort on failure by design, so they opt out of the
+// workspace's clippy panic lints.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use al_for_amr::al::{
