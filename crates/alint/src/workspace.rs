@@ -139,8 +139,8 @@ mod tests {
         let config = committed();
         let s = scope_for("crates/parallel/src/pool.rs", &config);
         assert!(s.determinism && s.spawn_blessed && !s.wall_clock_approved);
-        // The old amr pool delegates to al-parallel now — no longer blessed.
-        let s = scope_for("crates/amr/src/pool.rs", &config);
+        // The AMR solver sweeps serially — not blessed.
+        let s = scope_for("crates/amr/src/solver.rs", &config);
         assert!(s.determinism && !s.spawn_blessed);
         // The batch and dataset fan-outs run on the pool's `map_jobs`.
         let s = scope_for("crates/core/src/batch.rs", &config);

@@ -26,7 +26,6 @@ pub mod euler;
 pub mod exact_riemann;
 pub mod machine;
 pub mod patch;
-pub mod pool;
 pub mod problem;
 pub mod refine;
 pub mod runner;
@@ -37,7 +36,6 @@ pub mod viz;
 
 pub use error::AmrError;
 pub use machine::{MachineModel, MachineOutcome};
-pub use pool::{chunk_ranges, SweepOutcome, SweepPool};
 pub use runner::{run_simulation, SimulationOutcome};
 pub use shockbubble::SimulationConfig;
 pub use solver::{AmrSolver, SolverProfile, TimeStepping, TruncationReason, WorkStats};

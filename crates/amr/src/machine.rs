@@ -22,12 +22,11 @@
 //! **Counted work vs. host wall-clock.** The model prices the *simulated*
 //! machine: its parallelism is the `p` Edison nodes in the input
 //! configuration, and its inputs are the order-invariant counters in
-//! [`WorkStats`]. The host-side sweep-pool threading
-//! ([`SolverProfile::n_threads`](crate::solver::SolverProfile)) only
-//! shortens how long we wait for those counters to be produced — it must
-//! never appear in them, and the parallel-sweeps determinism suite pins
-//! exactly that. A host run on 8 threads therefore predicts the same
-//! Edison wall-clock, cost and MaxRSS as the same run on 1 thread.
+//! [`WorkStats`]. How the host schedules runs (the job-level workers of
+//! dataset generation) only shortens how long we wait for those counters
+//! to be produced — it never appears in them, so a host run predicts the
+//! same Edison wall-clock, cost and MaxRSS however many runs share the
+//! host.
 //! alint L6 (`determinism_safety`, DESIGN §9) enforces the same
 //! contract statically: `Instant::now`/`SystemTime::now` and unseeded
 //! RNG construction are lint violations everywhere outside the

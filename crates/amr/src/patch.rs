@@ -140,9 +140,7 @@ impl Patch {
     }
 
     /// Interior cells of this patch — the directional-sweep work unit the
-    /// machine model prices. Counted per patch so the parallel sweep pool
-    /// can tally work exactly as the serial loop did (threading changes
-    /// wall-clock, never counted work).
+    /// machine model prices, counted per patch as the solver sweeps it.
     #[inline]
     pub fn interior_cell_count(&self) -> u64 {
         (self.mx * self.mx) as u64

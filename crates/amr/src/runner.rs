@@ -30,13 +30,10 @@ pub struct SimulationOutcome {
 /// realization: the same `(config, repeat)` pair always reproduces the
 /// same responses, while different repeats model run-to-run variability.
 ///
-/// `profile.n_threads` controls within-level sweep parallelism for this
-/// run (0 = all cores). It changes only the host wall-clock of the run
-/// itself — the counted work in [`WorkStats`], and therefore every
-/// machine-model response, is bitwise identical for any thread count, so
-/// callers may thread runs however they like without perturbing the
-/// dataset. The batch runner keeps the default of 1 and parallelizes
-/// across runs instead.
+/// The run is serial and depends only on its arguments: the counted work
+/// in [`WorkStats`], and therefore every machine-model response, is the
+/// same bits whichever worker runs it, so callers may run many
+/// simulations in parallel without perturbing the dataset.
 ///
 /// A run that stops short of `t_final` (step cap, collapsed dt) returns
 /// [`AmrError::Truncated`] instead of an outcome: a partial burst priced
@@ -112,25 +109,6 @@ mod tests {
         assert_ne!(a.cost_node_hours, c.cost_node_hours, "repeats differ");
         // But the underlying work is identical — only the noise changes.
         assert_eq!(a.work, c.work);
-    }
-
-    #[test]
-    fn outcome_is_independent_of_thread_count() {
-        let m = MachineModel::default();
-        let serial = run_simulation(&config(), SolverProfile::smoke(), &m, 0).unwrap();
-        for n_threads in [2, 4] {
-            let profile = SolverProfile {
-                n_threads,
-                ..SolverProfile::smoke()
-            };
-            let threaded = run_simulation(&config(), profile, &m, 0).unwrap();
-            // Bitwise: counted work and every machine-model response are
-            // reduced in patch order regardless of host threading.
-            assert_eq!(serial.work, threaded.work);
-            assert_eq!(serial.wall_seconds, threaded.wall_seconds);
-            assert_eq!(serial.cost_node_hours, threaded.cost_node_hours);
-            assert_eq!(serial.memory_mb, threaded.memory_mb);
-        }
     }
 
     #[test]

@@ -8,18 +8,16 @@
 //! recursive order *coarse step → two fine sub-steps → reflux*, with fine
 //! ghost bands at coarse–fine interfaces filled by time-interpolated
 //! prolongation. Both modes refill ghost layers before each directional
-//! sweep and regrid on a fixed cadence. In both modes the directional
-//! sweeps of a level run on the [`SweepPool`] (`SolverProfile::n_threads`
-//! workers) with order-deterministic reduction, so results are bitwise
-//! independent of the thread count; ghost fill stays serial (see
-//! `Forest::fill_ghost_set`). Every unit of work the machine model later
+//! sweep and regrid on a fixed cadence. In both modes a directional sweep
+//! visits the patches of a level serially in ascending key order, reusing
+//! one scratch buffer, so the reflux registers and work counters come out
+//! in a fixed order. Every unit of work the machine model later
 //! converts into wall-clock time and memory is counted here: cell
 //! updates, per-level advances, ghost-exchange volume, regrids and the
 //! peak number of resident cells.
 
 use crate::error::AmrError;
-use crate::patch::{BoundaryFluxes, Patch};
-use crate::pool::SweepPool;
+use crate::patch::{BoundaryFluxes, Patch, SweepScratch};
 use crate::refine::RefinementCriteria;
 use crate::shockbubble::SimulationConfig;
 use crate::tree::{Axis, Bc, Forest, PatchKey};
@@ -77,13 +75,6 @@ pub struct SolverProfile {
     /// Time-integration mode (level-synchronous or Berger–Oliger
     /// subcycled).
     pub time_stepping: TimeStepping,
-    /// Worker threads for within-level parallel sweeps (`0` = all cores,
-    /// `1` = serial). Results are bitwise identical for any value — the
-    /// sweep pool reduces per-patch fluxes and work counters in patch
-    /// order — so this knob trades wall-clock only, never reproducibility.
-    /// Defaults to 1: the batch runner and dataset generator already
-    /// parallelize across runs, and nested pools would oversubscribe.
-    pub n_threads: usize,
 }
 
 impl SolverProfile {
@@ -102,7 +93,6 @@ impl SolverProfile {
             max_steps: 200_000,
             reflux: true,
             time_stepping: TimeStepping::Subcycled,
-            n_threads: 1,
         }
     }
 
@@ -129,14 +119,13 @@ impl SolverProfile {
             max_steps: 200_000,
             reflux: true,
             time_stepping: TimeStepping::LevelSynchronous,
-            n_threads: 1,
         }
     }
 
     /// Open-ended subcycled profile for perf measurement: `t_final` is
     /// unbounded so the caller times individual `step()` calls instead of
     /// racing a horizon, and subcycling matches the production
-    /// (dataset-generation) integration path. Callers choose `n_threads`.
+    /// (dataset-generation) integration path.
     pub fn bench() -> Self {
         SolverProfile {
             t_final: f64::INFINITY,
@@ -195,7 +184,8 @@ pub struct AmrSolver {
     profile: SolverProfile,
     time: f64,
     stats: WorkStats,
-    pool: SweepPool,
+    /// Sweep buffers reused across every patch and sweep of the run.
+    scratch: SweepScratch,
     /// Per-level substep counters (indexed by level) driving the
     /// alternating x/y sweep order under subcycling; level ℓ alternates
     /// on its own cadence so a uniform forest reproduces the
@@ -276,7 +266,7 @@ impl AmrSolver {
             profile,
             time: 0.0,
             stats,
-            pool: SweepPool::new(profile.n_threads),
+            scratch: SweepScratch::default(),
             level_substeps: Vec::new(),
         }
     }
@@ -335,14 +325,9 @@ impl AmrSolver {
             } else {
                 Axis::Y
             };
-            let outcome = {
-                let mut patches = self.forest.patches_mut(None);
-                self.pool.sweep(axis, dt, &mut patches)
-            };
-            self.stats.cell_updates += outcome.cells_updated;
+            let registers = self.sweep(None, axis, dt);
             if self.profile.reflux {
-                let registers: BTreeMap<PatchKey, BoundaryFluxes> =
-                    outcome.registers.into_iter().collect();
+                let registers: BTreeMap<PatchKey, BoundaryFluxes> = registers.into_iter().collect();
                 self.stats.reflux_faces += self.forest.reflux(axis, &registers, dt)?;
             }
         }
@@ -377,6 +362,24 @@ impl AmrSolver {
         self.time += dt;
         self.finish_step();
         Ok(dt)
+    }
+
+    /// Sweep every leaf of `level` (all leaves when `None`) in direction
+    /// `axis` by `dt`, in ascending key order, and count the directional
+    /// cell updates. Returns the `(key, boundary fluxes)` reflux registers
+    /// in that order.
+    fn sweep(&mut self, level: Option<u8>, axis: Axis, dt: f64) -> Vec<(PatchKey, BoundaryFluxes)> {
+        let patches = self.forest.patches_mut(level);
+        let mut registers = Vec::with_capacity(patches.len());
+        for (key, patch) in patches {
+            let fluxes = match axis {
+                Axis::X => patch.sweep_x(dt, &mut self.scratch),
+                Axis::Y => patch.sweep_y(dt, &mut self.scratch),
+            };
+            registers.push((key, fluxes));
+            self.stats.cell_updates += patch.interior_cell_count();
+        }
+        registers
     }
 
     /// Advance every leaf on `level` by `dt` (two directional sweeps),
@@ -424,15 +427,11 @@ impl AmrSolver {
             } else {
                 Axis::Y
             };
-            let outcome = {
-                let mut patches = self.forest.patches_mut(Some(level));
-                self.pool.sweep(axis, dt, &mut patches)
-            };
-            self.stats.cell_updates += outcome.cells_updated;
+            let registers = self.sweep(Some(level), axis, dt);
             if self.profile.reflux {
                 match axis {
-                    Axis::X => fluxes.x.extend(outcome.registers),
-                    Axis::Y => fluxes.y.extend(outcome.registers),
+                    Axis::X => fluxes.x.extend(registers),
+                    Axis::Y => fluxes.y.extend(registers),
                 }
             }
         }

@@ -218,12 +218,9 @@ impl Forest {
     }
 
     /// Disjoint mutable borrows of every leaf (or only the leaves of
-    /// `level`, when given), in ascending key order — the unit the
-    /// parallel sweep pool chunks across workers. Each patch appears
-    /// exactly once, so handing different sub-slices to different threads
-    /// is sound, and the ascending order is what makes the pool's ordered
-    /// reduction reproduce serial results bitwise
-    /// (see [`SweepPool`](crate::pool::SweepPool)).
+    /// `level`, when given), in ascending key order — the order in which
+    /// the solver sweeps a level, so its reflux registers and work
+    /// counters are reproducible.
     pub fn patches_mut(&mut self, level: Option<u8>) -> Vec<(PatchKey, &mut Patch)> {
         self.leaves
             .iter_mut()
@@ -319,13 +316,9 @@ impl Forest {
         self.fill_ghost_set(&self.leaf_keys_at(level), bc, Some((coarse_old, theta)))
     }
 
-    // Ghost fill is intentionally SERIAL (the parallel sweep pool only
-    // covers the sweeps themselves): each patch is taken out of the map so
-    // its neighbours can be read immutably, which mutates the shared
-    // `leaves` structure per patch — a data dependence the chunked-slice
-    // trick that parallelizes sweeps cannot express. A parallel ghost fill
-    // would need a two-phase copy-out/copy-in exchange; until that exists,
-    // this loop runs on the coordinating thread in deterministic key order.
+    // Each patch is taken out of the map so its neighbours can be read
+    // immutably, which mutates the shared `leaves` structure per patch;
+    // the loop runs in deterministic key order.
     fn fill_ghost_set(
         &mut self,
         keys: &[PatchKey],

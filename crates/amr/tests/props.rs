@@ -201,51 +201,4 @@ proptest! {
         f.fill_all(&|x, y| conservative(1.0 + x + y, 0.0, 0.0, 1.0));
         let _ = f.fill_ghosts(&al_amr_sim::tree::Bc::all_extrapolate());
     }
-
-    #[test]
-    fn chunk_ranges_cover_every_index_exactly_once(
-        n_items in 0usize..10_000,
-        max_chunks in 0usize..64,
-        min_per_chunk in 0usize..64,
-    ) {
-        // Includes every degenerate shape the sweep pool can feed it:
-        // 0 or 1 patches, more workers than patches, zero hints.
-        let ranges = al_amr_sim::chunk_ranges(n_items, max_chunks, min_per_chunk);
-
-        // Contiguous ascending partition: chunk c starts where c−1 ended.
-        let mut next = 0usize;
-        for r in &ranges {
-            prop_assert_eq!(r.start, next, "gap or overlap before {:?}", r);
-            prop_assert!(r.end > r.start, "empty chunk {:?}", r);
-            next = r.end;
-        }
-        prop_assert_eq!(next, n_items, "indices not fully covered");
-
-        // Never more chunks than requested (one chunk minimum when work
-        // exists, even for a degenerate max_chunks of 0).
-        prop_assert!(ranges.len() <= max_chunks.max(1));
-        if n_items == 0 {
-            prop_assert!(ranges.is_empty());
-        }
-
-        // Minimum chunk size holds whenever splitting happened; a single
-        // chunk may be undersized (fewer items than the minimum exist).
-        if ranges.len() > 1 {
-            for r in &ranges {
-                prop_assert!(
-                    r.len() >= min_per_chunk.max(1),
-                    "chunk {:?} below minimum {}", r, min_per_chunk
-                );
-            }
-        }
-
-        // Near-even split: chunk sizes differ by at most one cell, so no
-        // worker inherits a pathological share.
-        if let (Some(min), Some(max)) = (
-            ranges.iter().map(|r| r.len()).min(),
-            ranges.iter().map(|r| r.len()).max(),
-        ) {
-            prop_assert!(max - min <= 1, "uneven split: {} vs {}", min, max);
-        }
-    }
 }

@@ -3,8 +3,8 @@
 //! A registry of named, fixed-seed scenarios covers every hot path of the
 //! workspace — Cholesky factorization and the O(n²) bordered extension vs.
 //! the O(n³) refit it replaces, GP fit/predict/augment, local-GP selection
-//! over a 10⁵-candidate grid, the AMR solver step at 1 vs. all threads, and
-//! one end-to-end RGMA sweep iteration. Each scenario runs warmup calls,
+//! over a 10⁵-candidate grid, the AMR solver step and single-patch sweep,
+//! and one end-to-end RGMA sweep iteration. Each scenario runs warmup calls,
 //! then N timed repeats (auto-batched so a sample spans at least a few
 //! milliseconds), and records robust statistics (min / quartiles / median)
 //! plus a machine fingerprint and a schema version into one
@@ -673,55 +673,6 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             })
         },
     ));
-    // Thread-scaling pairs for the PR 9 parallel GP kernels: results are
-    // bitwise identical at any count (the index-addressed slot contract),
-    // so each pair measures pure wall-clock scaling — 1 worker vs. all
-    // cores; the all-cores variant only engages on multi-core runners.
-    for (name, n_threads) in [
-        ("kernel_matrix_threads_1", 1usize),
-        ("kernel_matrix_threads_all", 0),
-    ] {
-        out.push(Scenario::new("gp", name.to_string(), move || {
-            let (x, _) = training_data(800, 5, 28);
-            let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-            gp.set_n_threads(n_threads);
-            Box::new(move || {
-                let k = gp.noisy_kernel_matrix(&x);
-                std::hint::black_box(k.as_slice()[0]);
-            })
-        }));
-    }
-    // Local-GP selection again, but with the region fan-out across the
-    // pool — the 10⁵-candidate routing loop is the AL selection hot path
-    // this PR parallelizes.
-    for (name, n_threads) in [
-        ("local_select_threads_1", 1usize),
-        ("local_select_threads_all", 0),
-    ] {
-        out.push(Scenario::new("gp", name.to_string(), move || {
-            let (x, y) = training_data(200, 5, 26);
-            let template = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-            let mut local = LocalGpModel::new(template, 0, 4);
-            let opts = FitOptions {
-                n_threads,
-                ..FitOptions::warm_start_only()
-            };
-            local
-                .fit_optimized(&x, &y, &opts)
-                .expect("local model fits");
-            let (grid, _) = training_data(candidates, 5, 27);
-            Box::new(move || {
-                let p = local.predict(&grid).expect("grid prediction succeeds");
-                let pick = p
-                    .std
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i);
-                std::hint::black_box(pick);
-            })
-        }));
-    }
     out
 }
 
@@ -738,28 +689,15 @@ fn amr_scenarios(tier: Tier) -> Vec<Scenario> {
         r0: 0.35,
         rhoin: 0.1,
     };
-    // 1 worker vs. all cores on the same subcycled hierarchy — results are
-    // bitwise identical by the PR 3 contract, so the pair measures pure
-    // wall-clock scaling of the within-level sweep pool.
-    let mut out: Vec<Scenario> = [
-        ("solver_step_threads_1", 1usize),
-        ("solver_step_threads_all", 0),
-    ]
-    .into_iter()
-    .map(|(name, n_threads)| {
-        Scenario::new("amr", name.to_string(), move || {
-            let profile = SolverProfile {
-                n_threads,
-                ..SolverProfile::bench()
-            };
-            let mut solver = AmrSolver::new(&config, profile);
-            Box::new(move || {
-                let dt = solver.step().expect("bench hierarchy steps");
-                std::hint::black_box(dt);
-            })
+    // One coarse step of the subcycled hierarchy: ghost fill, key-ordered
+    // level sweeps, reflux and the regrid cadence.
+    let mut out = vec![Scenario::new("amr", "solver_step".to_string(), move || {
+        let mut solver = AmrSolver::new(&config, SolverProfile::bench());
+        Box::new(move || {
+            let dt = solver.step().expect("bench hierarchy steps");
+            std::hint::black_box(dt);
         })
-    })
-    .collect();
+    })];
     // The flop kernel alone: one x-sweep of a single patch at three of the
     // paper's patch sizes, so per-cell time is median / mx². Each call
     // advances the same patch; its ghost cells stay fixed, and the state
@@ -947,37 +885,25 @@ fn al_scenarios() -> Vec<Scenario> {
             let pool = WorkerPool::new(4);
             let store = SessionStore::new(4);
             Box::new(move || {
-                let jobs: Vec<_> = (0..pool.n_workers() as u64)
-                    .map(|worker| {
-                        let store = &store;
-                        let dataset = &dataset;
-                        let config = config.clone();
-                        move || {
-                            // Each worker owns its ids (the per-session caller
-                            // contract); ids differ mod n_shards so the workers
-                            // spread over every shard. Four sessions per worker
-                            // keep one timed call long enough that scheduler
-                            // noise on oversubscribed runners averages out.
-                            for k in 0..4u64 {
-                                let id = worker + 4 * k;
-                                let mut decision = store
-                                    .create(
-                                        id,
-                                        config.clone(),
-                                        Some(WarmKey::new("bench-grid", "RBF")),
-                                    )
-                                    .expect("session creates");
-                                while let Some(q) = decision.query() {
-                                    let obs = Observation::from_dataset(dataset, q.dataset_index);
-                                    decision = store.observe(id, &obs).expect("session observes");
-                                }
-                                let t = store.finish(id).expect("session finishes");
-                                std::hint::black_box(t.records.len());
-                            }
+                pool.map_jobs(pool.n_workers(), |worker| {
+                    // Each job owns its ids (the per-session caller
+                    // contract); ids differ mod n_shards so the jobs spread
+                    // over every shard. Four sessions per job keep one
+                    // timed call long enough that scheduler noise on
+                    // oversubscribed runners averages out.
+                    for k in 0..4u64 {
+                        let id = worker as u64 + 4 * k;
+                        let mut decision = store
+                            .create(id, config.clone(), Some(WarmKey::new("bench-grid", "RBF")))
+                            .expect("session creates");
+                        while let Some(q) = decision.query() {
+                            let obs = Observation::from_dataset(&dataset, q.dataset_index);
+                            decision = store.observe(id, &obs).expect("session observes");
                         }
-                    })
-                    .collect();
-                pool.run(jobs);
+                        let t = store.finish(id).expect("session finishes");
+                        std::hint::black_box(t.records.len());
+                    }
+                });
                 std::hint::black_box(store.len());
             })
         },
@@ -1548,7 +1474,7 @@ mod tests {
             .map(|s| format!("{}/{}", s.group, s.name))
             .collect();
         // The ROADMAP-contracted coverage: extend-vs-refit curve, local
-        // selection at 1e5 candidates, thread scaling, end-to-end AL.
+        // selection at 1e5 candidates, the AMR solver step, end-to-end AL.
         assert!(names
             .iter()
             .any(|n| n.starts_with("linalg/cholesky_extend_n")));
@@ -1556,8 +1482,9 @@ mod tests {
             .iter()
             .any(|n| n.starts_with("linalg/cholesky_refit_n")));
         assert!(names.contains(&"gp/local_select_100k".to_string()));
-        assert!(names.contains(&"amr/solver_step_threads_1".to_string()));
-        assert!(names.contains(&"amr/solver_step_threads_all".to_string()));
+        assert!(names.contains(&"amr/solver_step".to_string()));
+        // One level of parallelism: no intra-run thread-scaling pairs.
+        assert!(!names.iter().any(|n| n.contains("_threads_")));
         // One selection per paper strategy, and the AMR flop kernel alone.
         for label in ["randuniform", "maxsigma", "minpred", "randgoodness", "rgma"] {
             assert!(
@@ -1577,15 +1504,10 @@ mod tests {
         assert!(names.contains(&"al/warm_start_cold".to_string()));
         assert!(names.contains(&"al/warm_start_hit".to_string()));
         // Blocked-vs-naive factorization at paper scale, each path timed
-        // once per n, plus the GP thread-scaling pairs over the shared
-        // worker pool.
+        // once per n.
         assert!(names.contains(&"linalg/cholesky_factor_n1600".to_string()));
         assert!(names.contains(&"linalg/cholesky_factor_naive_n1600".to_string()));
         assert!(!names.iter().any(|n| n.contains("cholesky_factor_blocked")));
-        assert!(names.contains(&"gp/kernel_matrix_threads_1".to_string()));
-        assert!(names.contains(&"gp/kernel_matrix_threads_all".to_string()));
-        assert!(names.contains(&"gp/local_select_threads_1".to_string()));
-        assert!(names.contains(&"gp/local_select_threads_all".to_string()));
         // PR 10: workers hammering the sharded SessionStore — the priced
         // counterpart of the alint L7 locking contract.
         assert!(names.contains(&"al/store_contention".to_string()));
@@ -1607,7 +1529,7 @@ mod tests {
         // Group filter narrows the registry.
         let only_amr = registry(Tier::Quick, &["amr".to_string()]).unwrap();
         assert!(only_amr.iter().all(|s| s.group == "amr"));
-        assert_eq!(only_amr.len(), 5);
+        assert_eq!(only_amr.len(), 4);
     }
 
     #[test]

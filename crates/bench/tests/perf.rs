@@ -49,7 +49,7 @@ fn run_validate_and_compare_round_trip() {
     let report = load_report(&bench_path).expect("emitted file validates");
     assert_eq!(report.schema_version, SCHEMA_VERSION);
     assert_eq!(report.group, "amr");
-    assert_eq!(report.scenarios.len(), 5);
+    assert_eq!(report.scenarios.len(), 4);
     let out = perf(&["validate", bench_path.to_str().unwrap()], &dir);
     assert!(out.status.success(), "validate failed: {out:?}");
 
@@ -171,7 +171,7 @@ fn list_names_the_contracted_scenarios() {
         "linalg/cholesky_extend_n",
         "linalg/cholesky_refit_n",
         "gp/local_select_100k",
-        "amr/solver_step_threads_1",
+        "amr/solver_step",
         "al/strategy_select_rgma_q400",
         "amr/patch_sweep_x_mx32",
     ] {

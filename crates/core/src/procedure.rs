@@ -24,14 +24,13 @@ pub struct AlOptions {
     /// Initial observation-noise variance (log10-response units squared).
     pub noise_variance: f64,
     /// Hyperparameter optimization for the initial fit (multi-start).
-    /// `FitOptions::n_threads` also sets the worker count for the GP's
-    /// parallel kernel paths (bitwise identical for any value).
     pub initial_fit: FitOptions,
     /// Hyperparameter optimization during AL (warm-started, cheap) — the
     /// paper's "use old model's parameters as a starting point".
     pub refit: FitOptions,
     /// Re-optimize hyperparameters every this many iterations; in between,
-    /// models are refit (refactored) at fixed hyperparameters.
+    /// models are refit (refactored) at fixed hyperparameters. Must be at
+    /// least 1.
     pub optimize_every: usize,
     /// Optional cap on AL iterations (default: run the Active pool dry).
     /// With batching, each *selection* counts as one iteration.
@@ -284,6 +283,20 @@ mod tests {
         let d = synth_dataset(24);
         let p = partition(&d, 2, 7);
         let _ = run_trajectory(&d, &p, StrategyKind::Rgma { base: 10.0 }, &fast_opts());
+    }
+
+    #[test]
+    #[should_panic(expected = "optimize_every")]
+    fn zero_optimize_every_is_rejected() {
+        // Rejected up front: a round close would otherwise divide by zero
+        // mid-session.
+        let d = synth_dataset(24);
+        let p = partition(&d, 2, 7);
+        let opts = AlOptions {
+            optimize_every: 0,
+            ..fast_opts()
+        };
+        let _ = run_trajectory(&d, &p, StrategyKind::RandUniform, &opts);
     }
 
     #[test]

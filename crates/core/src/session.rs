@@ -332,6 +332,10 @@ impl SessionState {
         );
         assert!(opts.batch_size >= 1, "batch_size must be at least 1");
         assert!(
+            opts.optimize_every >= 1,
+            "optimize_every must be at least 1"
+        );
+        assert!(
             candidate_features.rows() == candidate_ids.len(),
             "candidate_features rows must match candidate_ids"
         );

@@ -1,7 +1,6 @@
 //! Property-based tests for the warm-start hyperparameter LRU
-//! (`al_core::HyperparamLru`), mirroring the `chunk_ranges` proptest
-//! style in `crates/amr/tests/props.rs`: arbitrary insert/get/remove
-//! sequences are checked against a tiny reference recency model.
+//! (`al_core::HyperparamLru`): arbitrary insert/get/remove sequences are
+//! checked against a tiny reference recency model.
 //!
 //! The properties the serving layer depends on (DESIGN §12):
 //! - the cache never exceeds its capacity;

@@ -10,9 +10,7 @@
 //! instead).
 //!
 //! Set `AL_TEST_THREADS` to add a thread count to the sweep (CI runs the
-//! suite twice, with `AL_TEST_THREADS=1` and unset = the default sweep),
-//! mirroring the `AMR_TEST_THREADS` pattern of
-//! `crates/amr/tests/parallel_sweeps.rs`.
+//! suite twice, with `AL_TEST_THREADS=1` and unset = the default sweep).
 
 // Integration tests run outside #[cfg(test)]; tests may panic and compare
 // exact copied floats.

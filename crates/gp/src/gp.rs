@@ -15,14 +15,10 @@ use crate::error::GpError;
 use crate::kernel::Kernel;
 use crate::optimize::{self, FitOptions};
 use al_linalg::{ops, Cholesky, Matrix};
-use al_parallel::{chunk_ranges, chunk_ranges_weighted, WorkerPool};
 
-/// Fewest rows a parallel chunk may hold; smaller problems run inline.
-const MIN_ROWS_PER_CHUNK: usize = 8;
-
-/// Query points per tile of [`GpModel::predict`]; a chunk reuses one
-/// `n × QB` cross-kernel buffer across its tiles. Schedule-only: any
-/// value gives the same bits.
+/// Query points per tile of [`GpModel::predict`]; every tile reuses one
+/// `n × QB` cross-kernel buffer. Schedule-only: any value gives the same
+/// bits.
 const QB: usize = 64;
 
 /// Posterior predictive summary at a batch of query points.
@@ -73,9 +69,6 @@ pub struct GpModel {
     /// When true (default), the training targets are centered before
     /// fitting and the mean is added back at prediction time.
     normalize_y: bool,
-    /// Worker pool for the kernel-matrix and batch-prediction hot paths.
-    /// Schedule-only: every path is bitwise identical for any count.
-    pool: WorkerPool,
     fitted: Option<Fitted>,
 }
 
@@ -85,7 +78,6 @@ impl std::fmt::Debug for GpModel {
             .field("kernel", &self.kernel.name())
             .field("params", &self.kernel.params())
             .field("log_noise", &self.log_noise)
-            .field("n_threads", &self.pool.n_workers())
             .field("fitted", &self.fitted.is_some())
             .finish()
     }
@@ -100,7 +92,6 @@ impl GpModel {
             kernel,
             log_noise: noise_variance.ln(),
             normalize_y: true,
-            pool: WorkerPool::new(1),
             fitted: None,
         }
     }
@@ -109,21 +100,6 @@ impl GpModel {
     pub fn without_normalization(mut self) -> Self {
         self.normalize_y = false;
         self
-    }
-
-    /// Set the worker-thread count for the parallel kernel-matrix and
-    /// batch-prediction paths (`0` = all cores, `1` = serial — the
-    /// `SolverProfile::n_threads` convention). A schedule knob only:
-    /// results are bitwise identical for any value.
-    /// [`GpModel::fit_optimized`] applies [`FitOptions::n_threads`]
-    /// automatically.
-    pub fn set_n_threads(&mut self, n_threads: usize) {
-        self.pool = WorkerPool::new(n_threads);
-    }
-
-    /// Resolved worker count used by the parallel paths.
-    pub fn n_threads(&self) -> usize {
-        self.pool.n_workers()
     }
 
     /// Natural-space noise variance `σ_n²`.
@@ -295,7 +271,6 @@ impl GpModel {
             });
         }
         check_finite(x, y)?;
-        self.set_n_threads(opts.n_threads);
         // With a single observation the LML surface is degenerate; just fit.
         if x.rows() < 2 {
             return self.fit(x, y);
@@ -380,55 +355,41 @@ impl GpModel {
         let n = fitted.x.rows();
         let m = xs.rows();
         let prior = self.kernel.diag_value();
-        // Queries run in tiles of QB through one n × QB buffer per chunk
-        // whose row i holds k(x_q, x_i) for every query q of the tile.
-        // Each (μ, σ) keeps the bits of the per-query loop this replaced
-        // (DESIGN §13): μ − ȳ = Σ_i k_i·α_i and ‖L⁻¹k*‖² = Σ_i v_i² fold
-        // from −0.0 in ascending i, as `ops::dot` does, and
-        // `solve_lower_multi` matches `solve_lower` column by column.
-        // Every query owns its (μ, σ) slot, so chunking the rows across
-        // workers cannot change a bit; errors surface in chunk order.
+        // Queries run in tiles of QB through one n × QB buffer whose row i
+        // holds k(x_q, x_i) for every query q of the tile. Each (μ, σ)
+        // keeps the bits of the per-query loop this replaced (DESIGN §13):
+        // μ − ȳ = Σ_i k_i·α_i and ‖L⁻¹k*‖² = Σ_i v_i² fold from −0.0 in
+        // ascending i, as `ops::dot` does, and `solve_lower_multi` matches
+        // `solve_lower` column by column.
         let mut slots: Vec<(f64, f64)> = vec![(0.0, 0.0); m];
-        let ranges = chunk_ranges(m, self.pool.n_workers(), MIN_ROWS_PER_CHUNK);
-        let statuses = self.pool.chunked_map(
-            &mut slots,
-            &ranges,
-            1,
-            |range, chunk| -> Result<(), GpError> {
-                let mut buf = vec![0.0; n * QB.min(range.len())];
-                for (tile_idx, tile) in chunk.chunks_mut(QB).enumerate() {
-                    let q0 = range.start + tile_idx * QB;
-                    let w = tile.len();
-                    let kt = &mut buf[..n * w];
-                    for (i, row) in kt.chunks_exact_mut(w).enumerate() {
-                        let xi = fitted.x.row(i);
-                        for (t, k) in row.iter_mut().enumerate() {
-                            *k = self.kernel.value(xs.row(q0 + t), xi);
-                        }
-                    }
-                    let (mut mu, mut ss) = ([-0.0f64; QB], [-0.0f64; QB]);
-                    let (mu, ss) = (&mut mu[..w], &mut ss[..w]);
-                    for (row, a) in kt.chunks_exact(w).zip(&fitted.alpha) {
-                        for (acc, k) in mu.iter_mut().zip(row) {
-                            *acc += k * a;
-                        }
-                    }
-                    fitted.chol.solve_lower_multi(kt, w)?;
-                    for row in kt.chunks_exact(w) {
-                        for (acc, v) in ss.iter_mut().zip(row) {
-                            *acc += v * v;
-                        }
-                    }
-                    for (slot, (acc_mu, acc_ss)) in tile.iter_mut().zip(mu.iter().zip(ss.iter())) {
-                        // σ² = k** − ‖L⁻¹ k*‖², clamped at 0 against rounding.
-                        *slot = (fitted.y_mean + acc_mu, (prior - acc_ss).max(0.0).sqrt());
-                    }
+        let mut buf = vec![0.0; n * QB.min(m)];
+        for (tile_idx, tile) in slots.chunks_mut(QB).enumerate() {
+            let q0 = tile_idx * QB;
+            let w = tile.len();
+            let kt = &mut buf[..n * w];
+            for (i, row) in kt.chunks_exact_mut(w).enumerate() {
+                let xi = fitted.x.row(i);
+                for (t, k) in row.iter_mut().enumerate() {
+                    *k = self.kernel.value(xs.row(q0 + t), xi);
                 }
-                Ok(())
-            },
-        );
-        for status in statuses {
-            status?;
+            }
+            let (mut mu, mut ss) = ([-0.0f64; QB], [-0.0f64; QB]);
+            let (mu, ss) = (&mut mu[..w], &mut ss[..w]);
+            for (row, a) in kt.chunks_exact(w).zip(&fitted.alpha) {
+                for (acc, k) in mu.iter_mut().zip(row) {
+                    *acc += k * a;
+                }
+            }
+            fitted.chol.solve_lower_multi(kt, w)?;
+            for row in kt.chunks_exact(w) {
+                for (acc, v) in ss.iter_mut().zip(row) {
+                    *acc += v * v;
+                }
+            }
+            for (slot, (acc_mu, acc_ss)) in tile.iter_mut().zip(mu.iter().zip(ss.iter())) {
+                // σ² = k** − ‖L⁻¹ k*‖², clamped at 0 against rounding.
+                *slot = (fitted.y_mean + acc_mu, (prior - acc_ss).max(0.0).sqrt());
+            }
         }
         let (mean, std) = slots.into_iter().unzip();
         Ok(Prediction { mean, std })
@@ -468,31 +429,20 @@ impl GpModel {
     }
 
     /// The noisy training covariance `K_y = K + σ_n² I` over the rows of
-    /// `x` (Eq. 3) — the matrix [`GpModel::fit`] factors. Public so the
-    /// perf harness can measure its thread scaling in isolation.
-    pub fn noisy_kernel_matrix(&self, x: &Matrix) -> Matrix {
+    /// `x` (Eq. 3) — the matrix [`GpModel::fit`] factors. Fills the
+    /// diagonal and upper triangle row by row, then mirrors the lower
+    /// triangle.
+    fn noisy_kernel_matrix(&self, x: &Matrix) -> Matrix {
         let n = x.rows();
         let mut k = Matrix::zeros(n, n);
         let diag = self.kernel.diag_value() + self.noise_variance();
-        // Each worker owns a disjoint band of rows and fills that band's
-        // diagonal + upper triangle; row i costs n − i kernel evaluations,
-        // so the bands are weighted triangularly. Every entry is a single
-        // independent kernel evaluation, so the schedule cannot change any
-        // bit. The coordinator mirrors the lower triangle afterwards.
-        let ranges = chunk_ranges_weighted(n, self.pool.n_workers(), MIN_ROWS_PER_CHUNK, |i| {
-            (n - i) as u64
-        });
-        self.pool
-            .chunked_map(k.as_mut_slice(), &ranges, n.max(1), |range, band| {
-                for (local, i) in range.enumerate() {
-                    let row = &mut band[local * n..(local + 1) * n];
-                    let xi = x.row(i);
-                    row[i] = diag;
-                    for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
-                        *slot = self.kernel.value(xi, x.row(j));
-                    }
-                }
-            });
+        for (i, row) in k.as_mut_slice().chunks_exact_mut(n.max(1)).enumerate() {
+            let xi = x.row(i);
+            row[i] = diag;
+            for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
+                *slot = self.kernel.value(xi, x.row(j));
+            }
+        }
         for i in 0..n {
             for j in (i + 1)..n {
                 k[(j, i)] = k[(i, j)];

@@ -11,7 +11,6 @@ use crate::error::GpError;
 use crate::gp::{GpModel, Prediction};
 use crate::optimize::FitOptions;
 use al_linalg::Matrix;
-use al_parallel::{chunk_ranges, WorkerPool};
 
 /// A one-axis partition of GP models.
 #[derive(Debug, Clone)]
@@ -22,9 +21,6 @@ pub struct LocalGpModel {
     /// Internal boundaries (length = regions − 1), ascending.
     boundaries: Vec<f64>,
     models: Vec<GpModel>,
-    /// Pool for the region-level prediction fan-out. The regions are the
-    /// parallel axis here, so the per-region models run serial inside it.
-    pool: WorkerPool,
 }
 
 /// Fewest training points a region may hold; sparser partitions collapse
@@ -43,7 +39,6 @@ impl LocalGpModel {
             requested_regions: n_regions,
             boundaries: Vec::new(),
             models: Vec::new(),
-            pool: WorkerPool::new(1),
         }
     }
 
@@ -79,6 +74,7 @@ impl LocalGpModel {
                 n_y: y.len(),
             });
         }
+        self.check_axis("local fit", x.shape())?;
         let n = x.rows();
         if n == 0 {
             return Err(GpError::Linalg(al_linalg::LinalgError::Empty(
@@ -120,22 +116,13 @@ impl LocalGpModel {
             ys[r].push(yi);
         }
 
-        // Threads fan out over regions (below, in `predict`), so each
-        // region's model runs its own kernels serially — nesting both
-        // levels would oversubscribe the pool.
-        self.pool = WorkerPool::new(opts.n_threads);
-        let region_opts = FitOptions {
-            n_threads: 1,
-            ..opts.clone()
-        };
-
         self.models.clear();
         for (data, yr) in rows.into_iter().zip(ys) {
             let m = data.len() / x.cols();
             debug_assert!(m > 0, "equal-count split leaves no empty region");
             let xr = Matrix::from_vec(m, x.cols(), data);
             let mut model = self.template.clone();
-            model.fit_optimized(&xr, &yr, &region_opts)?;
+            model.fit_optimized(&xr, &yr, opts)?;
             self.models.push(model);
         }
         Ok(())
@@ -150,50 +137,28 @@ impl LocalGpModel {
     /// candidate — the difference between routing 10⁵ grid points and
     /// crawling them. Each row's numbers are bitwise identical to
     /// [`LocalGpModel::predict_one`]: batching only regroups the loop,
-    /// the per-row arithmetic is unchanged.
-    ///
-    /// Regions are independent, so they fan out across the pool set by
-    /// [`LocalGpModel::fit_optimized`]: each worker predicts its regions
-    /// into index-addressed slots (reusing one scratch matrix per chunk
-    /// instead of allocating per bucket), and the coordinator scatters the
-    /// slots back in region order — bitwise identical for any thread
-    /// count.
+    /// the per-row arithmetic is unchanged. One scratch matrix is reused
+    /// across the region buckets.
     pub fn predict(&self, xs: &Matrix) -> Result<Prediction, GpError> {
         if self.models.is_empty() {
             return Err(GpError::NotFitted);
         }
+        self.check_axis("local predict", xs.shape())?;
         let m = xs.rows();
         let k = self.models.len();
         let mut region_rows: Vec<Vec<usize>> = vec![Vec::new(); k];
         for q in 0..m {
             region_rows[self.region_of(xs.row(q))].push(q);
         }
-        let mut region_preds: Vec<Option<Prediction>> = vec![None; k];
-        let ranges = chunk_ranges(k, self.pool.n_workers(), 1);
-        let statuses = self.pool.chunked_map(
-            &mut region_preds,
-            &ranges,
-            1,
-            |range, slots| -> Result<(), GpError> {
-                let mut scratch = Matrix::zeros(0, xs.cols());
-                for (local, r) in range.enumerate() {
-                    let rows = &region_rows[r];
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    xs.select_rows_into(rows, &mut scratch);
-                    slots[local] = Some(self.models[r].predict(&scratch)?);
-                }
-                Ok(())
-            },
-        );
-        for status in statuses {
-            status?;
-        }
         let mut mean = vec![0.0; m];
         let mut std = vec![0.0; m];
-        for (rows, pred) in region_rows.iter().zip(&region_preds) {
-            let Some(p) = pred else { continue };
+        let mut scratch = Matrix::zeros(0, xs.cols());
+        for (rows, model) in region_rows.iter().zip(&self.models) {
+            if rows.is_empty() {
+                continue;
+            }
+            xs.select_rows_into(rows, &mut scratch);
+            let p = model.predict(&scratch)?;
             for (slot, (mu, sigma)) in rows.iter().zip(p.mean.iter().zip(&p.std)) {
                 mean[*slot] = *mu;
                 std[*slot] = *sigma;
@@ -207,7 +172,22 @@ impl LocalGpModel {
         if self.models.is_empty() {
             return Err(GpError::NotFitted);
         }
+        self.check_axis("local predict", (1, x.len()))?;
         self.models[self.region_of(x)].predict_one(x)
+    }
+
+    /// Reject points of `shape` too narrow to hold the split axis, which
+    /// [`LocalGpModel::region_of`] indexes. `lhs` of the error is the
+    /// narrowest accepted shape.
+    fn check_axis(&self, op: &'static str, shape: (usize, usize)) -> Result<(), GpError> {
+        if shape.1 > self.axis {
+            return Ok(());
+        }
+        Err(GpError::Linalg(al_linalg::LinalgError::ShapeMismatch {
+            op,
+            lhs: (shape.0, self.axis + 1),
+            rhs: shape,
+        }))
     }
 }
 
@@ -335,6 +315,33 @@ mod tests {
             assert_eq!(batch.mean[i], mu);
             assert_eq!(batch.std[i], sigma);
         }
+    }
+
+    #[test]
+    fn points_narrower_than_the_split_axis_are_rejected() {
+        fn is_shape_err<T>(r: Result<T, GpError>) -> bool {
+            matches!(
+                r,
+                Err(GpError::Linalg(
+                    al_linalg::LinalgError::ShapeMismatch { .. }
+                ))
+            )
+        }
+        let (x, y) = piecewise_data(20);
+        let mut m = LocalGpModel::new(template(), 1, 2);
+        assert!(is_shape_err(m.fit_optimized(
+            &x,
+            &y,
+            &FitOptions::warm_start_only()
+        )));
+        // Fitted on two columns, split on the second, queried with one.
+        let wide: Vec<f64> = x.as_slice().iter().flat_map(|&v| [v, v]).collect();
+        let x2 = Matrix::from_vec(20, 2, wide);
+        m.fit_optimized(&x2, &y, &FitOptions::warm_start_only())
+            .unwrap();
+        let narrow = Matrix::from_vec(3, 1, vec![0.1, 0.5, 0.9]);
+        assert!(is_shape_err(m.predict(&narrow)));
+        assert!(is_shape_err(m.predict_one(&[0.5])));
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub struct FitOptions {
     pub bounds: (f64, f64),
     /// Seed for restart sampling, so trajectories are reproducible.
     pub seed: u64,
-    /// Worker threads for the parallel kernel-matrix and prediction paths
-    /// (the `SolverProfile::n_threads` convention: `0` = all available
-    /// cores, `1` = serial). Purely a schedule knob — results are bitwise
-    /// identical for any value (DESIGN §13).
-    pub n_threads: usize,
 }
 
 impl Default for FitOptions {
@@ -42,7 +37,6 @@ impl Default for FitOptions {
             // ample for unit-cube features and log10 responses.
             bounds: (-8.0, 8.0),
             seed: 0,
-            n_threads: 1,
         }
     }
 }
