@@ -429,16 +429,16 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
         Tier::Quick => &[200, 400],
         Tier::Full => &[200, 400, 800, 1600],
     };
-    // The factorization curve, timed once per n on the blocked path
+    // The factorization curve, timed once per n on the register-tiled path
     // `Cholesky::new` takes, with the unblocked reference loop beside it at
-    // the naive sizes: each pair pins the cache-tiling speedup of the
-    // panel-packed `Cholesky` (DESIGN §13), while the in-crate parity tests
-    // pin that both paths produce identical bits. The quick tier keeps
-    // n = 1600 so the committed trajectory records the ratio at paper
-    // scale.
+    // the naive sizes: each pair pins the tiling speedup (DESIGN §13),
+    // while the in-crate parity tests pin that both paths produce
+    // identical bits. n = 250 is the largest model the Fig. 3 loop fits;
+    // the quick tier keeps n = 1600 so the committed trajectory records
+    // the ratio at paper scale.
     let (factor_sizes, naive_sizes): (&[usize], &[usize]) = match tier {
-        Tier::Quick => (&[200, 400, 1600], &[400, 1600]),
-        Tier::Full => (&[200, 400, 800, 1600], &[400, 800, 1600]),
+        Tier::Quick => (&[200, 250, 400, 1600], &[400, 1600]),
+        Tier::Full => (&[200, 250, 400, 800, 1600], &[400, 800, 1600]),
     };
     let mut out = Vec::new();
     for &n in factor_sizes {
@@ -607,6 +607,26 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             Box::new(move || {
                 gp.fit(&x_next, &y_next).expect("synthetic data fits");
                 std::hint::black_box(gp.n_train());
+            })
+        },
+    ));
+    // A refit between optimize boundaries at the Fig. 3 loop's largest
+    // model: `fit` on one more row than a held n-row fit, which grows the
+    // held factor by one exact border step (clone included, as in
+    // `gp_augment`).
+    out.push(Scenario::new(
+        "gp",
+        "gp_fit_border_n250".to_string(),
+        || {
+            let (x, y) = training_data(251, 5, 28);
+            let head: Vec<usize> = (0..250).collect();
+            let mut held = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+            held.fit(&x.select_rows(&head), &y[..250])
+                .expect("synthetic data fits");
+            Box::new(move || {
+                let mut m = held.clone();
+                m.fit(&x, &y).expect("synthetic data fits");
+                std::hint::black_box(m.n_train());
             })
         },
     ));
@@ -1503,7 +1523,7 @@ mod tests {
         assert!(names.contains(&"al/session_step".to_string()));
         assert!(names.contains(&"al/warm_start_cold".to_string()));
         assert!(names.contains(&"al/warm_start_hit".to_string()));
-        // Blocked-vs-naive factorization at paper scale, each path timed
+        // Tiled-vs-naive factorization at paper scale, each path timed
         // once per n.
         assert!(names.contains(&"linalg/cholesky_factor_n1600".to_string()));
         assert!(names.contains(&"linalg/cholesky_factor_naive_n1600".to_string()));
@@ -1517,6 +1537,10 @@ mod tests {
         assert!(names.contains(&"gp/lml_gradient_n50".to_string()));
         assert!(names.contains(&"gp/lml_gradient_n250".to_string()));
         assert!(names.contains(&"gp/gp_fit_optimized_n250".to_string()));
+        // The Fig. 3 loop's largest factor, and its refit between
+        // optimize boundaries.
+        assert!(names.contains(&"linalg/cholesky_factor_n250".to_string()));
+        assert!(names.contains(&"gp/gp_fit_border_n250".to_string()));
         // Posterior prediction over the pool at the Fig. 3 and the
         // serving shapes.
         assert!(names.contains(&"gp/gp_predict_n250_q400".to_string()));

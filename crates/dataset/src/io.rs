@@ -8,8 +8,8 @@ use crate::sample::Sample;
 use al_amr_sim::SimulationConfig;
 use al_units::{Megabytes, NodeHours, Seconds};
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// Column header written and expected by this module.
@@ -69,11 +69,13 @@ pub fn write_csv(samples: &[Sample], path: &Path) -> Result<(), IoError> {
 }
 
 /// Read samples from CSV (as written by [`write_csv`]).
+///
+/// The file is read in one buffer and each row split into a fixed array
+/// of field slices, so parsing allocates only the returned samples.
 pub fn read_csv(path: &Path) -> Result<Vec<Sample>, IoError> {
-    let reader = BufReader::new(File::open(path)?);
+    let text = fs::read_to_string(path)?;
     let mut samples = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
+    for (lineno, line) in text.lines().enumerate() {
         if lineno == 0 {
             if line.trim() != HEADER {
                 return Err(IoError::Parse {
@@ -86,11 +88,18 @@ pub fn read_csv(path: &Path) -> Result<Vec<Sample>, IoError> {
         if line.trim().is_empty() {
             continue;
         }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 8 {
+        let mut fields = [""; 8];
+        let mut count = 0;
+        for field in line.split(',') {
+            if let Some(slot) = fields.get_mut(count) {
+                *slot = field;
+            }
+            count += 1;
+        }
+        if count != fields.len() {
             return Err(IoError::Parse {
                 line: lineno + 1,
-                message: format!("expected 8 fields, got {}", fields.len()),
+                message: format!("expected 8 fields, got {count}"),
             });
         }
         let parse_f = |idx: usize| -> Result<f64, IoError> {
@@ -200,6 +209,21 @@ mod tests {
         std::fs::write(&path, format!("{HEADER}\n4,8,3,0.2,abc,1.0,0.1,0.5\n")).unwrap();
         let err = read_csv(&path).unwrap_err();
         assert!(err.to_string().contains("line 2"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_reports_field_counts_with_their_line_numbers() {
+        // Blank lines still count toward the line number.
+        let path = tmpfile("fieldcount");
+        let good = "4,8,3,0.2,0.05,1.0,0.1,0.5";
+        for (row, got) in [("1,2,3", 3), ("4,8,3,0.2,0.05,1.0,0.1,0.5,9", 9)] {
+            std::fs::write(&path, format!("{HEADER}\n{good}\n\n{row}\n")).unwrap();
+            assert_eq!(
+                read_csv(&path).unwrap_err().to_string(),
+                format!("parse error at line 4: expected 8 fields, got {got}")
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -40,6 +40,10 @@ struct Fitted {
     /// `α = K_y⁻¹ (y − ȳ)`.
     alpha: Vec<f64>,
     lml: f64,
+    /// `chol` has zero jitter and is bit for bit the factor a fresh
+    /// [`GpModel::fit`] of `x` computes, so [`GpModel::fit`] may border
+    /// it. False after [`GpModel::augment`], whose pivot is not exact.
+    exact: bool,
 }
 
 /// Gaussian process regressor with a pluggable stationary kernel.
@@ -150,8 +154,11 @@ impl GpModel {
     ///
     /// This is the inner operation of the AL loop's retraining step; use
     /// [`GpModel::fit_optimized`] to also maximize the marginal likelihood.
-    /// A NaN or infinite input or response fails with
-    /// [`GpError::NonFiniteTrainingData`] and leaves the model untouched.
+    /// When `x` only appends rows to a held fit's, the held factor grows by
+    /// one `O(n²)` border step per new row instead of an `O(n³)`
+    /// factorization, with the same bits. A NaN or infinite input or
+    /// response fails with [`GpError::NonFiniteTrainingData`] and leaves
+    /// the model untouched.
     pub fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), GpError> {
         if x.rows() != y.len() {
             return Err(GpError::InvalidTrainingData {
@@ -172,8 +179,10 @@ impl GpModel {
         };
         let y_centered: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
-        let ky = self.noisy_kernel_matrix(x);
-        let chol = Cholesky::with_jitter(&ky, 1e-10, 1e-2)?;
+        let chol = match self.border_held_fit(x) {
+            Some(chol) => chol,
+            None => Cholesky::with_jitter(&self.noisy_kernel_matrix(x), 1e-10, 1e-2)?,
+        };
         let alpha = chol.solve(&y_centered)?;
 
         let n = x.rows() as f64;
@@ -184,11 +193,46 @@ impl GpModel {
             x: x.clone(),
             y_centered,
             y_mean,
+            exact: chol.jitter() <= 0.0,
             chol,
             alpha,
             lml,
         });
         Ok(())
+    }
+
+    /// The held factor grown by one exact [`Cholesky::border`] step per
+    /// row `x` appends to the held fit's rows, bit for bit the factor
+    /// [`GpModel::fit`] would compute from scratch (DESIGN §13). `None`
+    /// unless a fit is held (so the hyperparameters are the ones it was
+    /// fitted at), its factor is exact, `x` adds at least one row and
+    /// keeps every held row bitwise, and every border pivot succeeds.
+    fn border_held_fit(&self, x: &Matrix) -> Option<Cholesky> {
+        let held = self.fitted.as_ref().filter(|f| f.exact)?;
+        let n = held.x.rows();
+        let same_rows = x
+            .as_slice()
+            .get(..held.x.as_slice().len())
+            .is_some_and(|lead| {
+                lead.iter()
+                    .zip(held.x.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            });
+        if x.cols() != held.x.cols() || x.rows() <= n || !same_rows {
+            return None;
+        }
+        let diag = self.kernel.diag_value() + self.noise_variance();
+        // New entries in `noisy_kernel_matrix`'s argument order.
+        let column = |r: usize| -> Vec<f64> {
+            (0..r)
+                .map(|i| self.kernel.value(x.row(i), x.row(r)))
+                .collect()
+        };
+        let mut chol = held.chol.border(&column(n), diag).ok()?;
+        for r in n + 1..x.rows() {
+            chol = chol.border(&column(r), diag).ok()?;
+        }
+        Some(chol)
     }
 
     /// Incrementally absorb one new observation into the current fit in
@@ -249,6 +293,7 @@ impl GpModel {
             chol,
             alpha,
             lml,
+            exact: false,
         };
         Ok(())
     }
@@ -963,6 +1008,141 @@ mod tests {
         }
         assert!(skipped > 0, "no case skipped the closing refit");
         assert!(refitted > 0, "every case skipped the closing refit");
+    }
+
+    /// Two fits hold the same factor, α, LML and centering, bit for bit.
+    fn assert_fits_bitwise_equal(got: &GpModel, want: &GpModel, label: &str) {
+        let (g, w) = (got.fitted.as_ref().unwrap(), want.fitted.as_ref().unwrap());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(g.x.shape(), w.x.shape(), "{label}");
+        assert_eq!(
+            g.chol.jitter().to_bits(),
+            w.chol.jitter().to_bits(),
+            "{label}"
+        );
+        assert!(
+            bits(g.chol.l().as_slice()) == bits(w.chol.l().as_slice()),
+            "{label}: factor"
+        );
+        assert_eq!(bits(&g.alpha), bits(&w.alpha), "{label}: alpha");
+        assert_eq!(g.lml.to_bits(), w.lml.to_bits(), "{label}: lml");
+        assert_eq!(g.y_mean.to_bits(), w.y_mean.to_bits(), "{label}: y_mean");
+        assert_eq!(g.exact, w.exact, "{label}: exact");
+    }
+
+    /// A model fitted from scratch on the first `n` rows.
+    fn fresh_fit(base: &GpModel, x: &Matrix, y: &[f64], n: usize) -> GpModel {
+        let mut m = base.clone();
+        m.fit(&x.select_rows(&(0..n).collect::<Vec<_>>()), &y[..n])
+            .unwrap();
+        m
+    }
+
+    #[test]
+    fn fit_borders_a_held_fit_bitwise() {
+        // Held fits on both sides of the factor's reference/tiled
+        // crossover, grown by 1 and 3 rows, then by 2 more from a bordered
+        // fit; each against a fresh model's fit of the same rows.
+        let sizes: Vec<usize> = (1..=200).chain([250, 257]).collect();
+        let (x, y) = cube_data(260);
+        let base = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-3);
+        for n in sizes {
+            let held = fresh_fit(&base, &x, &y, n);
+            let mut grown = Vec::new();
+            for k in [1usize, 3] {
+                let rows = x.select_rows(&(0..n + k).collect::<Vec<_>>());
+                let mut m = held.clone();
+                assert!(m.border_held_fit(&rows).is_some(), "n={n} k={k}");
+                m.fit(&rows, &y[..n + k]).unwrap();
+                assert_fits_bitwise_equal(
+                    &m,
+                    &fresh_fit(&base, &x, &y, n + k),
+                    &format!("n={n} k={k}"),
+                );
+                grown.push((m, rows));
+            }
+            let (mut m, _) = grown.swap_remove(0);
+            let rows = &grown[0].1;
+            assert!(m.border_held_fit(rows).is_some(), "n={n} chained");
+            m.fit(rows, &y[..n + 3]).unwrap();
+            assert_fits_bitwise_equal(&m, &grown[0].0, &format!("n={n} chained"));
+        }
+    }
+
+    #[test]
+    fn fit_refactors_when_bordering_would_not_be_exact() {
+        let (x, y) = cube_data(40);
+        let base = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-3);
+        let rows = |n: usize| x.select_rows(&(0..n).collect::<Vec<_>>());
+        // `held` takes the full path and lands on a fresh fit's bits.
+        let check = |mut held: GpModel, xs: &Matrix, ys: &[f64], label: &str| {
+            assert!(held.border_held_fit(xs).is_none(), "{label}");
+            let mut fresh = held.clone();
+            fresh.fitted = None;
+            fresh.fit(xs, ys).unwrap();
+            held.fit(xs, ys).unwrap();
+            assert_fits_bitwise_equal(&held, &fresh, label);
+        };
+
+        // After `augment`: its pivot is not exact, so its factor differs
+        // from a fresh one, and bordering it would carry that on.
+        let mut augmented = fresh_fit(&base, &x, &y, 30);
+        augmented.augment(x.row(30), y[30]).unwrap();
+        let fresh31 = fresh_fit(&base, &x, &y, 31);
+        let l_bits = |m: &GpModel| {
+            let l = m.fitted.as_ref().unwrap().chol.l().as_slice().to_vec();
+            l.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_ne!(
+            l_bits(&augmented),
+            l_bits(&fresh31),
+            "augment is exact here"
+        );
+        check(augmented, &rows(32), &y[..32], "after augment");
+
+        // A changed leading row.
+        let mut moved = rows(33);
+        moved[(4, 1)] = f64::from_bits(moved[(4, 1)].to_bits() + 1);
+        check(
+            fresh_fit(&base, &x, &y, 32),
+            &moved,
+            &y[..33],
+            "changed row",
+        );
+
+        // No new row.
+        check(
+            fresh_fit(&base, &x, &y, 32),
+            &rows(32),
+            &y[..32],
+            "same rows",
+        );
+
+        // A jittered held factor: a duplicated point at a noise below the
+        // resolution of k(x, x) = 1 cannot factor without jitter.
+        let tiny = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-17);
+        let mut dup = rows(6).vstack(&rows(1)).unwrap();
+        let y_dup: Vec<f64> = y[..6].iter().chain(&y[..1]).copied().collect();
+        let mut jittered = tiny.clone();
+        jittered.fit(&dup, &y_dup).unwrap();
+        assert!(jittered.fitted.as_ref().unwrap().chol.jitter() > 0.0);
+        dup = dup.vstack(&x.select_rows(&[6])).unwrap();
+        let mut y_next = y_dup.clone();
+        y_next.push(y[6]);
+        check(jittered, &dup, &y_next, "jittered held factor");
+
+        // A failed border pivot: the held fit is exact, but the new row
+        // duplicates one, so the fresh factor needs jitter too.
+        let far = Matrix::from_vec(3, 1, vec![0.0, 5.0, 10.0]);
+        let mut held = tiny.clone();
+        held.fit(&far, &[1.0, 2.0, 3.0]).unwrap();
+        assert!(held.fitted.as_ref().unwrap().exact);
+        let far_dup = far.vstack(&Matrix::from_vec(1, 1, vec![0.0])).unwrap();
+        let ys = [1.0, 2.0, 3.0, 1.1];
+        let mut fresh = tiny.clone();
+        fresh.fit(&far_dup, &ys).unwrap();
+        assert!(fresh.fitted.as_ref().unwrap().chol.jitter() > 0.0);
+        check(held, &far_dup, &ys, "failed border pivot");
     }
 
     #[test]

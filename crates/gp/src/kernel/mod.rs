@@ -10,13 +10,11 @@
 //! `(l, σ_f², σ_n²)` triple.
 
 mod ard_rbf;
-mod compose;
 mod matern;
 mod rational_quadratic;
 mod rbf;
 
 pub use ard_rbf::ArdRbfKernel;
-pub use compose::{ProductKernel, SumKernel, WhiteKernel};
 pub use matern::{Matern32Kernel, Matern52Kernel};
 pub use rational_quadratic::RationalQuadraticKernel;
 pub use rbf::RbfKernel;

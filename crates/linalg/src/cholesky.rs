@@ -73,13 +73,9 @@ impl Cholesky {
         Err(last_err)
     }
 
-    /// Factor with the unblocked reference loop.
-    ///
-    /// This is the original textbook left-looking implementation. It is
-    /// kept (a) as the oracle for the bitwise-parity tests pinning the
-    /// blocked [`Cholesky::new`] path and (b) as the baseline body of the
-    /// `cholesky_factor_naive` perf scenarios, so the committed BENCH
-    /// trajectory can show the blocked/naive ratio on every machine.
+    /// Factor with the unblocked reference loop: the textbook left-looking
+    /// loop, kept as the oracle of the bitwise-parity tests and as the
+    /// body of the `cholesky_factor_naive` perf scenarios.
     pub fn new_reference(a: &Matrix) -> Result<Self, LinalgError> {
         Self::factor_reference(a, 0.0)
     }
@@ -132,143 +128,92 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Factor `A + jitter·I`. Small matrices fit in cache whole and the
-    /// session hot path factors them by the hundreds; the panel buffers
-    /// would cost more than the O(n³) work, so `n ≤ NB` takes the
-    /// reference loop (same bits either way: the parity tests cover both
-    /// loops at those sizes). That loop stays on the portable copy: each
-    /// element is one sequential dot product, which AVX2 cannot widen, and
-    /// its AVX2 copy measured 10–20% slower at n = 20…60. Larger matrices
-    /// run [`Cholesky::factor_blocked`] through [`dispatch`].
+    /// Factor `A + jitter·I`: below [`TILED_MIN_N`] with the reference loop
+    /// on the portable copy (one sequential dot per element, which AVX2
+    /// cannot widen), else with [`Cholesky::factor_tiled`] through
+    /// [`dispatch`]. Both give the same bits.
     fn factor(a: &Matrix, jitter: f64) -> Result<Self, LinalgError> {
-        if a.rows() <= NB {
+        if a.rows() < TILED_MIN_N {
             return Self::factor_reference(a, jitter);
         }
         dispatch(Factor { a, jitter })
     }
 
-    /// Cache-tiled, panel-packed left-looking factorization, **bitwise
-    /// identical** to [`Cholesky::new_reference`] (DESIGN §13).
-    ///
-    /// Why tiling is legal here: in the reference loop every element owns
-    /// exactly one accumulator — the diagonal starts at `a(j,j) + jitter`
-    /// and subtracts `L(j,k)²` term by term in ascending `k`; an
-    /// off-diagonal subtracts one sequential ascending-`k` dot product
-    /// (itself a fold from −0.0) from `a(i,j)` in a single operation. The
-    /// blocked code keeps those exact accumulation sequences — panel `acc`
-    /// slots receive products in ascending `k` across panel boundaries,
-    /// diagonals subtract term by term — and only regroups *which loop
-    /// iteration* performs each add, never the adds themselves. The slots
-    /// start at +0.0 rather than −0.0, which changes a sum only when every
-    /// term is zero; subtracting it from `a(i,j)` then gives the same bits
-    /// unless `a(i,j)` is −0.0. What it buys: the panel of already-final
-    /// columns is packed transposed so the inner kernel is a contiguous
-    /// vectorizable multi-accumulator AXPY instead of a strided
-    /// latency-bound chain, and each `L` row is streamed once per
-    /// (column-panel, k-panel) pair instead of once per column.
+    /// Register-tiled left-looking factorization, **bitwise identical** to
+    /// [`Cholesky::new_reference`] (DESIGN §13). Each element keeps the
+    /// reference loop's one accumulation sequence: a diagonal subtracts
+    /// `L(j,k)²` term by term from `a(j,j) + jitter`; an off-diagonal folds
+    /// `L(i,k)·L(j,k)` in ascending `k` from +0.0 (the reference dot folds
+    /// from −0.0, the same bits unless `a(i,j)` is −0.0) and then computes
+    /// `(a(i,j) − acc) / L(j,j)`. Columns go in blocks of `CB`; the rows
+    /// below fold the block's packed history in `RT × CB` register tiles,
+    /// then its columns run left to right over the in-block history.
     #[inline(always)]
-    fn factor_blocked(a: &Matrix, jitter: f64) -> Result<Self, LinalgError> {
+    fn factor_tiled(a: &Matrix, jitter: f64) -> Result<Self, LinalgError> {
         Self::check_input(a, jitter)?;
         let n = a.rows();
-        // k-panel depth (how much history is packed per pass). Like NB, a
-        // schedule-only knob: any values produce identical bits; these
-        // keep the pack (NB·KB doubles) and one history row segment inside
-        // L1/L2.
-        const KB: usize = 128;
+        let ad = a.as_slice();
         let mut l = Matrix::zeros(n, n);
-        let nb_cap = NB.min(n.max(1));
-        // acc[(i − jb)·nb + jj] accumulates Σ_k L(i,k)·L(j,k) for column
-        // j = jb + jj, ascending k, starting from +0.0 — the reference
-        // dot's fold up to its start value (see the doc comment).
-        let mut acc = vec![0.0f64; n * nb_cap];
-        // dacc[jj] is the diagonal accumulator: a(j,j) + jitter minus
-        // L(j,k)² term by term, ascending k.
-        let mut dacc = vec![0.0f64; nb_cap];
-        // Transposed pack of the panel rows over one k-panel:
-        // pack[kk·nb + jj] = L(jb + jj, kb + kk).
-        let mut pack = vec![0.0f64; nb_cap * KB];
-        // Fresh in-panel column cache for the right-looking update.
-        let mut colv = vec![0.0f64; nb_cap];
-
-        let mut jb = 0;
-        while jb < n {
-            let je = (jb + NB).min(n);
-            let nb = je - jb;
-            let span = n - jb;
-            acc[..span * nb].fill(0.0);
-            for (jj, d) in dacc[..nb].iter_mut().enumerate() {
-                *d = a[(jb + jj, jb + jj)] + jitter;
+        let mut pack = vec![0.0f64; n * CB];
+        // acc[i][jj] folds Σ_k L(i,k)·L(c0 + jj, k) for the current block.
+        let mut acc = vec![[0.0f64; CB]; n];
+        let mut c0 = 0;
+        while c0 < n {
+            let w = CB.min(n - c0);
+            let ld = l.as_slice();
+            // hist[k·CB + jj] = L(c0 + jj, k) for k < c0. In the last block,
+            // lanes jj ≥ w keep stale values whose sums are never read.
+            let hist = &mut pack[..c0 * CB];
+            for jj in 0..w {
+                for (p, &v) in hist.chunks_exact_mut(CB).zip(&ld[(c0 + jj) * n..][..c0]) {
+                    p[jj] = v;
+                }
+            }
+            let hist = &pack[..c0 * CB];
+            // Diagonals subtract their history squares term by term.
+            let mut dacc = [0.0f64; CB];
+            for (jj, d) in dacc[..w].iter_mut().enumerate() {
+                *d = ad[(c0 + jj) * (n + 1)] + jitter;
+            }
+            for p in hist.chunks_exact(CB) {
+                for (d, v) in dacc.iter_mut().zip(p) {
+                    *d -= v * v;
+                }
+            }
+            let mut i = c0 + 1;
+            while i + RT <= n {
+                let rows = std::array::from_fn(|r| &ld[(i + r) * n..][..c0]);
+                acc[i..i + RT].copy_from_slice(&fold_tile::<RT>(rows, hist));
+                i += RT;
+            }
+            for (i, t) in acc.iter_mut().enumerate().skip(i) {
+                *t = fold_tile::<1>([&ld[i * n..][..c0]], hist)[0];
             }
 
-            // Phase A: fold the already-final history columns k < jb into
-            // the panel accumulators, one k-panel at a time.
-            let mut kb = 0;
-            while kb < jb {
-                let ke = (kb + KB).min(jb);
-                let klen = ke - kb;
-                for jj in 0..nb {
-                    let row = &l.as_slice()[(jb + jj) * n + kb..(jb + jj) * n + ke];
-                    for (kk, &v) in row.iter().enumerate() {
-                        pack[kk * nb + jj] = v;
-                    }
+            let ld = l.as_mut_slice();
+            for jj in 0..w {
+                let j = c0 + jj;
+                let lj: [f64; CB] =
+                    std::array::from_fn(|k| if k < jj { ld[j * n + c0 + k] } else { 0.0 });
+                let mut d = dacc[jj];
+                for v in &lj[..jj] {
+                    d -= v * v;
                 }
-                for (jj, d) in dacc[..nb].iter_mut().enumerate() {
-                    for kk in 0..klen {
-                        let v = pack[kk * nb + jj];
-                        *d -= v * v;
-                    }
-                }
-                for i in (jb + 1)..n {
-                    // Rows inside the panel only feed columns j < i; the
-                    // unused high slots are never read.
-                    let jjmax = nb.min(i - jb);
-                    let li = &l.as_slice()[i * n + kb..i * n + ke];
-                    let arow = &mut acc[(i - jb) * nb..(i - jb) * nb + jjmax];
-                    for (kk, &lik) in li.iter().enumerate() {
-                        let prow = &pack[kk * nb..kk * nb + jjmax];
-                        for (av, pv) in arow.iter_mut().zip(prow) {
-                            *av += lik * *pv;
-                        }
-                    }
-                }
-                kb = ke;
-            }
-
-            // Phase B: factor the panel columns left to right, folding each
-            // fresh column into the remaining panel accumulators (k = j,
-            // still ascending) before moving on.
-            for jj in 0..nb {
-                let j = jb + jj;
-                let d = dacc[jj];
                 if d <= 0.0 || !d.is_finite() {
                     return Err(LinalgError::NotPositiveDefinite { pivot: j, value: d });
                 }
                 let dj = d.sqrt();
-                l[(j, j)] = dj;
+                ld[j * n + j] = dj;
                 for i in (j + 1)..n {
-                    let s = a[(i, j)] - acc[(i - jb) * nb + jj];
-                    l[(i, j)] = s / dj;
-                }
-                for jj2 in (jj + 1)..nb {
-                    colv[jj2] = l[(jb + jj2, j)];
-                }
-                for (jj2, d) in dacc.iter_mut().enumerate().take(nb).skip(jj + 1) {
-                    let v = colv[jj2];
-                    *d -= v * v;
-                }
-                for i in (j + 1)..n {
-                    let jjmax = nb.min(i - jb);
-                    if jjmax <= jj + 1 {
-                        continue;
+                    let row = &mut ld[i * n + c0..][..=jj];
+                    let mut s = acc[i][jj];
+                    for (x, y) in row.iter().zip(&lj[..jj]) {
+                        s += x * y;
                     }
-                    let lij = l[(i, j)];
-                    let arow = &mut acc[(i - jb) * nb + jj + 1..(i - jb) * nb + jjmax];
-                    for (av, cv) in arow.iter_mut().zip(&colv[jj + 1..jjmax]) {
-                        *av += lij * *cv;
-                    }
+                    row[jj] = (ad[i * n + j] - s) / dj;
                 }
             }
-            jb = je;
+            c0 += w;
         }
         Ok(Cholesky { l, jitter })
     }
@@ -519,37 +464,67 @@ impl Cholesky {
     /// active learning grow its kernel matrix one acquired sample at a
     /// time instead of refactoring from scratch (`O(n³)`).
     ///
+    /// The pivot is `c − dot(w, w)`, one folded sum subtracted once, so it
+    /// is *not* bit-equal to a fresh factor of the bordered matrix, which
+    /// subtracts `w_k²` term by term; [`Cholesky::border`] is.
+    ///
     /// Fails with [`LinalgError::NotPositiveDefinite`] when the bordered
     /// matrix is not SPD (callers should fall back to a fresh
     /// [`Cholesky::with_jitter`] factorization).
     pub fn extend(&mut self, b: &[f64], c: f64) -> Result<(), LinalgError> {
+        let w = self.border_row(b, "extend")?;
+        let d2 = c - crate::ops::dot(&w, &w);
+        self.l = self.grown(&w, d2)?;
+        Ok(())
+    }
+
+    /// The factor of the bordered matrix `[[A, b], [bᵀ, c]]` (plus this
+    /// factor's jitter on the new diagonal) in `O(n²)`, **bit for bit**
+    /// what a fresh factorization of it computes (DESIGN §13). The new row
+    /// is `w = L⁻¹b` in [`Cholesky::solve_lower`]'s order, which is the
+    /// reference loop's; the pivot is `c + jitter − w₀² − w₁² − …`,
+    /// subtracted term by term as that loop does. When it fails, a fresh
+    /// factorization fails at the same pivot with the same value.
+    pub fn border(&self, b: &[f64], c: f64) -> Result<Cholesky, LinalgError> {
+        let w = self.border_row(b, "border")?;
+        let mut d = c + self.jitter;
+        for v in &w {
+            d -= v * v;
+        }
+        Ok(Cholesky {
+            l: self.grown(&w, d)?,
+            jitter: self.jitter,
+        })
+    }
+
+    /// `L⁻¹b` for a border column `b` of this factor's length.
+    fn border_row(&self, b: &[f64], op: &'static str) -> Result<Vec<f64>, LinalgError> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {
-                op: "extend",
+                op,
                 lhs: (n, n),
                 rhs: (b.len(), 1),
             });
         }
-        // New bottom row: L w = b, pivot d = sqrt(c − ‖w‖²).
-        let w = self.solve_lower(b)?;
-        let d2 = c - crate::ops::dot(&w, &w);
-        if d2 <= 0.0 || !d2.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite {
-                pivot: n,
-                value: d2,
-            });
+        self.solve_lower(b)
+    }
+
+    /// `L` grown by the bottom row `[w, √d]`, when the pivot `d` is
+    /// positive and finite.
+    fn grown(&self, w: &[f64], d: f64) -> Result<Matrix, LinalgError> {
+        let n = self.dim();
+        if d <= 0.0 || !d.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { pivot: n, value: d });
         }
         let mut l = Matrix::zeros(n + 1, n + 1);
         for i in 0..n {
-            let (src, dst) = (self.l.row(i), l.row_mut(i));
-            dst[..n].copy_from_slice(src);
+            l.row_mut(i)[..n].copy_from_slice(self.l.row(i));
         }
         let last = l.row_mut(n);
-        last[..n].copy_from_slice(&w);
-        last[n] = d2.sqrt();
-        self.l = l;
-        Ok(())
+        last[..n].copy_from_slice(w);
+        last[n] = d.sqrt();
+        Ok(l)
     }
 }
 
@@ -585,11 +560,31 @@ fn fold_rows(
     }
 }
 
-/// Panel width of the blocked factorization (columns factored together),
-/// a schedule-only knob: any value gives identical bits.
-/// [`Cholesky::factor`] hands matrices up to this size to the reference
-/// loop.
-const NB: usize = 64;
+/// Column-block width of [`Cholesky::factor_tiled`] and the row height
+/// of its register tiles: schedule-only, any values give identical bits.
+/// `RT × CB` accumulators fill eight AVX2 registers.
+const CB: usize = 8;
+const RT: usize = 4;
+
+/// [`Cholesky::factor`] hands matrices smaller than this to the reference
+/// loop, a size rule measured on the host in DESIGN §13.
+const TILED_MIN_N: usize = 32;
+
+/// `t[r][jj] = Σ_k rows[r][k] · hist[k·CB + jj]`, every sum folded from
+/// +0.0 in ascending `k`.
+#[inline(always)]
+fn fold_tile<const R: usize>(rows: [&[f64]; R], hist: &[f64]) -> [[f64; CB]; R] {
+    let mut t = [[0.0f64; CB]; R];
+    for (k, p) in hist.chunks_exact(CB).enumerate() {
+        for (tr, row) in t.iter_mut().zip(&rows) {
+            let v = row[k];
+            for (a, pv) in tr.iter_mut().zip(p) {
+                *a += v * pv;
+            }
+        }
+    }
+    t
+}
 
 /// A dense fold that [`dispatch`] compiles twice. `run` is
 /// `#[inline(always)]`, and so is every helper its body calls, so each
@@ -599,7 +594,7 @@ trait DenseFold {
     fn run(self) -> Self::Output;
 }
 
-/// [`Cholesky::factor_blocked`].
+/// [`Cholesky::factor_tiled`].
 #[derive(Clone, Copy)]
 struct Factor<'a> {
     a: &'a Matrix,
@@ -610,7 +605,7 @@ impl DenseFold for Factor<'_> {
     type Output = Result<Cholesky, LinalgError>;
     #[inline(always)]
     fn run(self) -> Self::Output {
-        Cholesky::factor_blocked(self.a, self.jitter)
+        Cholesky::factor_tiled(self.a, self.jitter)
     }
 }
 
@@ -876,76 +871,6 @@ mod tests {
         a
     }
 
-    fn assert_factors_bitwise_equal(blocked: &Cholesky, reference: &Cholesky) {
-        assert_eq!(blocked.dim(), reference.dim());
-        for i in 0..blocked.dim() {
-            for j in 0..blocked.dim() {
-                assert_eq!(
-                    blocked.l()[(i, j)].to_bits(),
-                    reference.l()[(i, j)].to_bits(),
-                    "L({i},{j}) diverges: blocked {} vs reference {}",
-                    blocked.l()[(i, j)],
-                    reference.l()[(i, j)],
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_factor_matches_reference_bitwise() {
-        // Sizes straddle every tiling boundary: sub-panel, exactly one
-        // panel (64), one panel plus a remainder, more than one k-panel
-        // of history (> 128 + 64).
-        for &n in &[1usize, 2, 3, 5, 17, 63, 64, 65, 130, 200] {
-            let a = spd_random(n, n as u64);
-            let blocked = Cholesky::new(&a).unwrap();
-            let reference = Cholesky::new_reference(&a).unwrap();
-            assert_factors_bitwise_equal(&blocked, &reference);
-        }
-    }
-
-    #[test]
-    fn blocked_factor_with_jitter_matches_reference_bitwise() {
-        // Rank-5 Gram matrix: singular, so with_jitter must escalate.
-        let n = 90;
-        let data: Vec<f64> = (0..n * 5)
-            .map(|i| ((i as f64) * 0.43 + 0.2).sin())
-            .collect();
-        let b = Matrix::from_vec(n, 5, data);
-        let a = b.matmul(&b.transpose()).unwrap();
-        let blocked = Cholesky::with_jitter(&a, 1e-10, 1e-2).unwrap();
-        let reference = Cholesky::factor_reference(&a, blocked.jitter()).unwrap();
-        assert!(blocked.jitter() > 0.0);
-        assert_factors_bitwise_equal(&blocked, &reference);
-    }
-
-    #[test]
-    fn blocked_factor_error_matches_reference_bitwise() {
-        // Break definiteness past the first panel so the failure exercises
-        // the phase-A history path before pivoting.
-        let n = 130;
-        let mut a = spd_random(n, 3);
-        a[(97, 97)] = -500.0;
-        let blocked = Cholesky::new(&a);
-        let reference = Cholesky::new_reference(&a);
-        match (blocked, reference) {
-            (
-                Err(LinalgError::NotPositiveDefinite {
-                    pivot: pb,
-                    value: vb,
-                }),
-                Err(LinalgError::NotPositiveDefinite {
-                    pivot: pr,
-                    value: vr,
-                }),
-            ) => {
-                assert_eq!(pb, pr);
-                assert_eq!(vb.to_bits(), vr.to_bits());
-            }
-            other => panic!("expected matching NotPositiveDefinite errors, got {other:?}"),
-        }
-    }
-
     #[test]
     fn solve_upper_matches_reference_bitwise() {
         // The pre-blocking backward substitution, verbatim.
@@ -1107,28 +1032,174 @@ mod tests {
         assert_inverse_matches_reference(&ch, "subnormal");
     }
 
-    #[test]
-    fn blocked_factor_copies_match_reference_bitwise() {
-        // Sizes straddle the NB = 64 panel and the KB = 128 k-panel
-        // boundaries (n > 192 folds more than one k-panel of history).
-        // The blocked loop runs at every size here, n ≤ 64 included,
-        // though `Cholesky::new` sends those to the reference loop.
-        let sizes: &[usize] = if cfg!(miri) {
-            &[1, 5, 24]
-        } else {
-            &[
-                1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 256, 257, 320, 400,
-            ]
-        };
-        for &n in sizes {
-            let a = spd_random(n, 7 + n as u64);
-            let reference = Cholesky::new_reference(&a).unwrap();
-            assert_factors_bitwise_equal(&Cholesky::new(&a).unwrap(), &reference);
-            for (copy, blocked) in both_copies(Factor { a: &a, jitter: 0.0 }) {
-                let blocked = blocked.unwrap_or_else(|e| panic!("{copy}, n={n}: {e}"));
-                assert_factors_bitwise_equal(&blocked, &reference);
+    /// The factor of `a` through `Cholesky::factor` and, at every size,
+    /// through the tiled loop's portable and (when it runs here) AVX2
+    /// copies, each checked `to_bits` against the reference loop: the same
+    /// factor, or the same failing pivot with the same value.
+    fn assert_factor_paths_match_reference(a: &Matrix, jitter: f64, label: &str) {
+        let reference = Cholesky::factor_reference(a, jitter);
+        let mut got = vec![("new", Cholesky::factor(a, jitter))];
+        got.extend(both_copies(Factor { a, jitter }));
+        for (copy, result) in got {
+            match (&result, &reference) {
+                (Ok(c), Ok(r)) => {
+                    assert_eq!(c.jitter().to_bits(), r.jitter().to_bits());
+                    assert_bits_equal(c.l().as_slice(), r.l().as_slice(), r.dim(), label);
+                }
+                (
+                    Err(LinalgError::NotPositiveDefinite { pivot, value }),
+                    Err(LinalgError::NotPositiveDefinite {
+                        pivot: pr,
+                        value: vr,
+                    }),
+                ) => assert_eq!(
+                    (pivot, value.to_bits()),
+                    (pr, vr.to_bits()),
+                    "{label} {copy}"
+                ),
+                other => panic!("{label} {copy}: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn tiled_factor_matches_reference_bitwise_across_sizes() {
+        // Every size up to 200 plus sizes past several column blocks; the
+        // tiled loop runs at each one, below the reference crossover too.
+        // Miri's sizes cross the CB = 8 block and RT = 4 row-tile edges.
+        let sizes: Vec<usize> = if cfg!(miri) {
+            vec![1, 7, 8, 9, 12, 13, 17, 24]
+        } else {
+            (1..=200).chain([250, 257, 400]).collect()
+        };
+        for n in sizes {
+            assert_factor_paths_match_reference(&spd_dominant(n), 0.0, &format!("n={n}"));
+        }
+        // Kernel-like inputs: an RBF gram and a dense sin-sequence Gram.
+        let sizes: &[usize] = if cfg!(miri) {
+            &[13]
+        } else {
+            &[33, 64, 129, 257]
+        };
+        for &n in sizes {
+            let pts: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.618).fract() * 4.0).collect();
+            assert_factor_paths_match_reference(
+                &rbf_gram(&pts, 0.7, 1e-6),
+                0.0,
+                &format!("rbf n={n}"),
+            );
+            assert_factor_paths_match_reference(
+                &spd_random(n, 7 + n as u64),
+                0.0,
+                &format!("gram n={n}"),
+            );
+        }
+    }
+
+    #[test]
+    fn tiled_factor_with_jitter_matches_reference_bitwise() {
+        // Rank-5 Gram matrix: singular, so with_jitter must escalate.
+        let n = if cfg!(miri) { 12 } else { 90 };
+        let data: Vec<f64> = (0..n * 5)
+            .map(|i| ((i as f64) * 0.43 + 0.2).sin())
+            .collect();
+        let b = Matrix::from_vec(n, 5, data);
+        let a = b.matmul(&b.transpose()).unwrap();
+        let jittered = Cholesky::with_jitter(&a, 1e-10, 1e-2).unwrap();
+        assert!(jittered.jitter() > 0.0);
+        assert_factor_paths_match_reference(&a, jittered.jitter(), "jittered");
+        // Without jitter the same input fails: same pivot, same value.
+        assert_factor_paths_match_reference(&a, 0.0, "singular");
+    }
+
+    #[test]
+    fn tiled_factor_error_matches_reference_bitwise() {
+        // Break definiteness at the first pivot, on both sides of a block
+        // edge, and past several blocks of history.
+        let (n, pivots): (usize, &[usize]) = if cfg!(miri) {
+            (17, &[0, 7, 8, 13])
+        } else {
+            (130, &[0, 7, 8, 97])
+        };
+        for &p in pivots {
+            let mut a = spd_random(n, 3);
+            a[(p, p)] = -500.0;
+            assert_factor_paths_match_reference(&a, 0.0, &format!("pivot {p}"));
+        }
+    }
+
+    /// The leading `n × n` block of `a`.
+    fn leading(a: &Matrix, n: usize) -> Matrix {
+        let mut block = Matrix::zeros(n, n);
+        for i in 0..n {
+            block.row_mut(i).copy_from_slice(&a.row(i)[..n]);
+        }
+        block
+    }
+
+    #[test]
+    fn border_matches_fresh_factor_bitwise() {
+        // Held factors on both sides of the reference/tiled crossover,
+        // each bordered once and compared with a fresh factor of the
+        // bordered matrix, whichever loop that takes.
+        let sizes: Vec<usize> = if cfg!(miri) {
+            (1..=12).collect()
+        } else {
+            (1..=200).chain([250, 257]).collect()
+        };
+        for n in sizes {
+            let pts: Vec<f64> = (0..=n)
+                .map(|i| ((i as f64) * 0.618).fract() * 4.0)
+                .collect();
+            let a = rbf_gram(&pts, 0.7, 1e-6);
+            let b: Vec<f64> = (0..n).map(|i| a[(n, i)]).collect();
+            let held = Cholesky::new(&leading(&a, n)).unwrap();
+            let bordered = held.border(&b, a[(n, n)]).unwrap();
+            let fresh = Cholesky::new(&a).unwrap();
+            assert_bits_equal(
+                bordered.l().as_slice(),
+                fresh.l().as_slice(),
+                n + 1,
+                &format!("n={n}"),
+            );
+        }
+    }
+
+    #[test]
+    fn border_keeps_jitter_and_fails_like_a_fresh_factor() {
+        let n = if cfg!(miri) { 9 } else { 70 };
+        let a = spd_random(n + 1, 5);
+        let b: Vec<f64> = (0..n).map(|i| a[(n, i)]).collect();
+        // A jittered factor borders into the jittered fresh factor.
+        let held = Cholesky::factor_reference(&leading(&a, n), 1e-3).unwrap();
+        let bordered = held.border(&b, a[(n, n)]).unwrap();
+        let fresh = Cholesky::factor_reference(&a, 1e-3).unwrap();
+        assert_eq!(bordered.jitter(), 1e-3);
+        assert_bits_equal(
+            bordered.l().as_slice(),
+            fresh.l().as_slice(),
+            n + 1,
+            "jittered",
+        );
+        // A corner too small for definiteness: the fresh factor's pivot
+        // and value.
+        let mut bad = a.clone();
+        bad[(n, n)] = -1.0;
+        let held = Cholesky::new(&leading(&a, n)).unwrap();
+        match (held.border(&b, -1.0), Cholesky::new(&bad)) {
+            (
+                Err(LinalgError::NotPositiveDefinite { pivot, value }),
+                Err(LinalgError::NotPositiveDefinite {
+                    pivot: pr,
+                    value: vr,
+                }),
+            ) => assert_eq!((pivot, value.to_bits()), (pr, vr.to_bits())),
+            other => panic!("expected matching NotPositiveDefinite errors, got {other:?}"),
+        }
+        assert!(matches!(
+            held.border(&[1.0], 5.0),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
