@@ -469,8 +469,9 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
     }
     for &n in sizes {
         // The augment-vs-refit pair: extending an n-point factor by one
-        // bordered row (O(n²), includes the clone the GP augment path
-        // performs) against refactoring the (n+1)-point matrix (O(n³)).
+        // bordered row (O(n²); `extend` grows in place, so each call
+        // includes a clone that resets the factor) against refactoring the
+        // (n+1)-point matrix (O(n³)).
         out.push(Scenario::new(
             "linalg",
             format!("cholesky_extend_n{n}"),
@@ -508,15 +509,18 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
             },
         ));
     }
-    // The explicit inverse the LML gradient builds once per Adam step, at
-    // the largest model the paper's Fig. 3 loop fits (n = 250).
+    // The explicit inverse's upper triangle that every LML evaluation
+    // writes into its K_y buffer, at the largest model the paper's Fig. 3
+    // loop fits (n = 250).
     out.push(Scenario::new(
         "linalg",
         "cholesky_inverse_n250".to_string(),
         || {
             let ch = al_linalg::Cholesky::new(&spd_gram(250, 19)).expect("SPD gram factors");
+            let mut inv = Matrix::zeros(250, 250);
             Box::new(move || {
-                let inv = ch.inverse().expect("inverse of a factor");
+                ch.inverse_upper_into(&mut inv)
+                    .expect("buffer has the factor's shape");
                 std::hint::black_box(inv.as_slice()[0]);
             })
         },
@@ -525,7 +529,7 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
 }
 
 fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
-    use al_gp::{FitOptions, GpModel, KernelKind, LocalGpModel};
+    use al_gp::{FitOptions, GpModel, KernelKind, LocalGpModel, PoolCache};
     let fit_sizes: &[usize] = match tier {
         Tier::Quick => &[100, 200],
         Tier::Full => &[200, 400],
@@ -579,6 +583,51 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             },
         ));
     }
+    // The test-set RMSE's prediction at the Fig. 3 loop's largest model:
+    // means only, for its 200 held-out rows.
+    out.push(Scenario::new(
+        "gp",
+        "gp_predict_mean_n250_q200".to_string(),
+        || {
+            let (x, y) = training_data(250, 5, 31);
+            let (xq, _) = training_data(200, 5, 33);
+            let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+            gp.fit(&x, &y).expect("synthetic data fits");
+            Box::new(move || {
+                let mean = gp.predict_mean(&xq).expect("prediction succeeds");
+                std::hint::black_box(mean.len());
+            })
+        },
+    ));
+    // A round-opening pool predict between optimize boundaries: the model
+    // has grown by one border row since the cache's last round, and the
+    // pool has lost that round's pick (401 → 400 candidates). Each sample
+    // restores the cache from a clone (a copy of its 249 × 401 solves).
+    out.push(Scenario::new(
+        "gp",
+        "gp_predict_cached_n250_q400".to_string(),
+        || {
+            let (x, y) = training_data(250, 5, 31);
+            let (pool, _) = training_data(401, 5, 32);
+            let head: Vec<usize> = (0..249).collect();
+            let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+            gp.fit(&x.select_rows(&head), &y[..249])
+                .expect("synthetic data fits");
+            let mut warm = PoolCache::new();
+            gp.predict_cached(&pool, &mut warm)
+                .expect("prediction succeeds");
+            gp.fit(&x, &y).expect("synthetic data fits");
+            let kept: Vec<usize> = (0..401).filter(|&q| q != 200).collect();
+            let pool = pool.select_rows(&kept);
+            Box::new(move || {
+                let mut cache = warm.clone();
+                let p = gp
+                    .predict_cached(&pool, &mut cache)
+                    .expect("prediction succeeds");
+                std::hint::black_box(p.std.len());
+            })
+        },
+    ));
     out.push(Scenario::new(
         "gp",
         format!("gp_augment_n{augment_n}"),
@@ -648,6 +697,24 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             },
         ));
     }
+    // One evaluation of the optimizer's objective: `max_iters: 0` runs
+    // Adam's start point only, and the optimum it returns is that point,
+    // already fitted, so no closing refit follows.
+    out.push(Scenario::new("gp", "lml_eval_n250".to_string(), || {
+        let (x, y) = training_data(250, 5, 30);
+        let template = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+        let opts = FitOptions {
+            n_restarts: 0,
+            max_iters: 0,
+            ..FitOptions::default()
+        };
+        Box::new(move || {
+            let mut gp = template.clone();
+            gp.fit_optimized(&x, &y, &opts)
+                .expect("synthetic data fits");
+            std::hint::black_box(gp.n_train());
+        })
+    }));
     out.push(Scenario::new(
         "gp",
         "gp_fit_optimized_n250".to_string(),
@@ -1537,6 +1604,7 @@ mod tests {
         assert!(names.contains(&"gp/lml_gradient_n50".to_string()));
         assert!(names.contains(&"gp/lml_gradient_n250".to_string()));
         assert!(names.contains(&"gp/gp_fit_optimized_n250".to_string()));
+        assert!(names.contains(&"gp/lml_eval_n250".to_string()));
         // The Fig. 3 loop's largest factor, and its refit between
         // optimize boundaries.
         assert!(names.contains(&"linalg/cholesky_factor_n250".to_string()));
@@ -1545,6 +1613,10 @@ mod tests {
         // serving shapes.
         assert!(names.contains(&"gp/gp_predict_n250_q400".to_string()));
         assert!(names.contains(&"gp/gp_predict_n50_q380".to_string()));
+        // The rounds between optimize boundaries: the test set's
+        // mean-only RMSE predict, and the pool predict from its cache.
+        assert!(names.contains(&"gp/gp_predict_mean_n250_q200".to_string()));
+        assert!(names.contains(&"gp/gp_predict_cached_n250_q400".to_string()));
         // Unknown group is a typed error.
         assert!(matches!(
             registry(Tier::Quick, &["nope".to_string()]),

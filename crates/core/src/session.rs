@@ -50,7 +50,7 @@ use crate::strategy::StrategyKind;
 use crate::trajectory::{IterationRecord, Trajectory};
 use crate::AlOptions;
 use al_dataset::{Dataset, Partition};
-use al_gp::{GpError, GpModel};
+use al_gp::{GpError, GpModel, PoolCache};
 use al_linalg::Matrix;
 use al_units::{Megabytes, NodeHours};
 use rand::rngs::StdRng;
@@ -274,6 +274,10 @@ pub struct SessionState {
     train: TrainingSet,
     gp_cost: GpModel,
     gp_mem: GpModel,
+    /// Each model's pool solves, carried between rounds (see
+    /// [`GpModel::predict_cached`]); dropped at every optimize boundary.
+    cost_cache: PoolCache,
+    mem_cache: PoolCache,
     active_ids: Vec<usize>,
     active_rows: Matrix,
     eval: Option<EvalSet>,
@@ -343,6 +347,9 @@ impl SessionState {
             candidate_ids.is_empty() || candidate_features.cols() == init_features.cols(),
             "candidate and initial feature dimensions must match"
         );
+        // Every optimize boundary runs `opts.refit`: refuse options it
+        // would fail on now, before any fit, not mid-trajectory.
+        opts.refit.validate()?;
 
         let rng = StdRng::seed_from_u64(opts.seed);
         let train = TrainingSet::new(&init_features, init_log_cost, init_log_mem);
@@ -381,6 +388,8 @@ impl SessionState {
             train,
             gp_cost,
             gp_mem,
+            cost_cache: PoolCache::new(),
+            mem_cache: PoolCache::new(),
             active_ids: candidate_ids,
             active_rows: candidate_features,
             eval,
@@ -472,8 +481,12 @@ impl SessionState {
         if self.iteration >= self.max_iterations {
             return Ok(self.stop(StopReason::MaxIterations));
         }
-        let pred_cost = self.gp_cost.predict(&self.active_rows)?;
-        let pred_mem = self.gp_mem.predict(&self.active_rows)?;
+        let pred_cost = self
+            .gp_cost
+            .predict_cached(&self.active_rows, &mut self.cost_cache)?;
+        let pred_mem = self
+            .gp_mem
+            .predict_cached(&self.active_rows, &mut self.mem_cache)?;
         let mut round = Round {
             mu_c: pred_cost.mean,
             sg_c: pred_cost.std,
@@ -531,6 +544,10 @@ impl SessionState {
             > self.iteration / self.opts.optimize_every;
 
         if crossed_optimize_boundary {
+            // New hyperparameters mean a new factor: no cached solve
+            // survives, so free them before the optimizer's n × n buffers.
+            self.cost_cache.clear();
+            self.mem_cache.clear();
             let x = self.train.x();
             self.gp_cost
                 .fit_optimized(&x, &self.train.cost, &self.opts.refit)?;
@@ -592,11 +609,11 @@ impl SessionState {
     fn test_rmse(&self) -> Result<(f64, f64), GpError> {
         match &self.eval {
             Some(eval) => {
-                let pc = self.gp_cost.predict(&eval.features)?;
-                let pm = self.gp_mem.predict(&eval.features)?;
+                let pc = self.gp_cost.predict_mean(&eval.features)?;
+                let pm = self.gp_mem.predict_mean(&eval.features)?;
                 Ok((
-                    metrics::rmse_nonlog(&pc.mean, &eval.cost_raw),
-                    metrics::rmse_nonlog(&pm.mean, &eval.mem_raw),
+                    metrics::rmse_nonlog(&pc, &eval.cost_raw),
+                    metrics::rmse_nonlog(&pm, &eval.mem_raw),
                 ))
             }
             None => Ok((f64::NAN, f64::NAN)),
@@ -846,5 +863,82 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(t.records.iter().all(|r| r.rmse_cost.is_nan()));
         assert!(t.initial_rmse_cost.is_nan());
+    }
+
+    #[test]
+    fn round_predictions_match_a_fresh_predict_bitwise() {
+        // Every open round's prediction vectors come from the models'
+        // pool caches; a fresh `predict` of what is left of the pool must
+        // give the same bits, across border refits, augments, optimize
+        // boundaries and multi-pick rounds.
+        let d = synth_dataset(48);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (incremental, batch_size) in [(false, 1), (false, 3), (true, 1), (true, 3)] {
+            let opts = AlOptions {
+                incremental,
+                batch_size,
+                optimize_every: 4,
+                ..fast_opts()
+            };
+            let mut rng = StdRng::seed_from_u64(21);
+            let p = Partition::random(d.len(), 4, 12, &mut rng);
+            let config = SessionConfig::from_partition(&d, &p, StrategyKind::MaxSigma, &opts);
+            let (mut state, mut decision) = SessionState::start(config).unwrap();
+            let mut checked = 0;
+            while let Decision::Query(q) = decision {
+                let round = state.round.as_ref().unwrap();
+                let pc = state.gp_cost.predict(&state.active_rows).unwrap();
+                let pm = state.gp_mem.predict(&state.active_rows).unwrap();
+                let label = format!("incremental={incremental} batch={batch_size} at {checked}");
+                assert_eq!(bits(&round.mu_c), bits(&pc.mean), "{label}");
+                assert_eq!(bits(&round.sg_c), bits(&pc.std), "{label}");
+                assert_eq!(bits(&round.mu_m), bits(&pm.mean), "{label}");
+                assert_eq!(bits(&round.sg_m), bits(&pm.std), "{label}");
+                checked += 1;
+                let obs = Observation::from_dataset(&d, q.dataset_index);
+                (state, decision) = state.step(&obs).unwrap();
+            }
+            assert_eq!(checked, p.active.len());
+        }
+    }
+
+    #[test]
+    fn invalid_refit_options_are_rejected_before_any_fit() {
+        let d = synth_dataset(24);
+        let mut rng = StdRng::seed_from_u64(22);
+        let p = Partition::random(d.len(), 3, 8, &mut rng);
+        let bad = [
+            ((8.0, -8.0), 0.08),
+            ((f64::NAN, 8.0), 0.08),
+            ((-8.0, 8.0), 0.0),
+            ((-8.0, 8.0), f64::NAN),
+        ];
+        for (bounds, learning_rate) in bad {
+            let opts = AlOptions {
+                refit: FitOptions {
+                    bounds,
+                    learning_rate,
+                    ..FitOptions::default()
+                },
+                ..fast_opts()
+            };
+            let want = opts.refit.validate().unwrap_err();
+            assert!(matches!(want, GpError::InvalidFitOptions { .. }));
+            let config = SessionConfig::from_partition(&d, &p, StrategyKind::RandUniform, &opts);
+            let warm = WarmHyperparams {
+                cost: vec![0.0, -1.0, -6.0],
+                mem: vec![0.0, -1.0, -6.0],
+            };
+            // Cold starts use `initial_fit`, which is fine: the refit
+            // options are still refused up front.
+            assert_eq!(
+                SessionState::start(config.clone()).err(),
+                Some(want.clone())
+            );
+            assert_eq!(
+                SessionState::start_warm(config, Some(&warm)).err(),
+                Some(want)
+            );
+        }
     }
 }

@@ -14,6 +14,7 @@
 use crate::error::GpError;
 use crate::kernel::Kernel;
 use crate::optimize::{self, FitOptions};
+use crate::pool_cache::PoolCache;
 use al_linalg::{ops, Cholesky, Matrix};
 
 /// Query points per tile of [`GpModel::predict`]; every tile reuses one
@@ -154,11 +155,13 @@ impl GpModel {
     ///
     /// This is the inner operation of the AL loop's retraining step; use
     /// [`GpModel::fit_optimized`] to also maximize the marginal likelihood.
-    /// When `x` only appends rows to a held fit's, the held factor grows by
-    /// one `O(n²)` border step per new row instead of an `O(n³)`
+    /// When `x` only appends rows to a held fit's, the held factor grows in
+    /// place by one `O(n²)` border step per new row instead of an `O(n³)`
     /// factorization, with the same bits. A NaN or infinite input or
     /// response fails with [`GpError::NonFiniteTrainingData`] and leaves
-    /// the model untouched.
+    /// the model untouched. A border pivot that fails drops the held fit
+    /// and factors from scratch; should that fail too, the model is left
+    /// unfitted.
     pub fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), GpError> {
         if x.rows() != y.len() {
             return Err(GpError::InvalidTrainingData {
@@ -172,17 +175,22 @@ impl GpModel {
             )));
         }
         check_finite(x, y)?;
+        let chol = match self.border_held_fit(x) {
+            Some(chol) => chol,
+            None => factor_from_scratch(&self.noisy_kernel_matrix(x))?,
+        };
+        self.hold_fit(x, y, chol)
+    }
+
+    /// Hold the fit of `(x, y)` whose `K_y` factor is `chol`: center `y`,
+    /// solve for `α` and evaluate the LML.
+    fn hold_fit(&mut self, x: &Matrix, y: &[f64], chol: Cholesky) -> Result<(), GpError> {
         let y_mean = if self.normalize_y {
             al_linalg::stats::mean(y)
         } else {
             0.0
         };
         let y_centered: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
-
-        let chol = match self.border_held_fit(x) {
-            Some(chol) => chol,
-            None => Cholesky::with_jitter(&self.noisy_kernel_matrix(x), 1e-10, 1e-2)?,
-        };
         let alpha = chol.solve(&y_centered)?;
 
         let n = x.rows() as f64;
@@ -201,13 +209,15 @@ impl GpModel {
         Ok(())
     }
 
-    /// The held factor grown by one exact [`Cholesky::border`] step per
-    /// row `x` appends to the held fit's rows, bit for bit the factor
-    /// [`GpModel::fit`] would compute from scratch (DESIGN §13). `None`
-    /// unless a fit is held (so the hyperparameters are the ones it was
-    /// fitted at), its factor is exact, `x` adds at least one row and
-    /// keeps every held row bitwise, and every border pivot succeeds.
-    fn border_held_fit(&self, x: &Matrix) -> Option<Cholesky> {
+    /// The held factor, taken from the held fit and grown in place by one
+    /// exact [`Cholesky::border`] step per row `x` appends to the held
+    /// fit's rows: bit for bit the factor [`GpModel::fit`] would compute
+    /// from scratch (DESIGN §13). `None`, with the held fit kept, unless a
+    /// fit is held (so the hyperparameters are the ones it was fitted at),
+    /// its factor is exact, and `x` adds at least one row and keeps every
+    /// held row bitwise; `None`, with the held fit dropped, when a border
+    /// pivot fails.
+    fn border_held_fit(&mut self, x: &Matrix) -> Option<Cholesky> {
         let held = self.fitted.as_ref().filter(|f| f.exact)?;
         let n = held.x.rows();
         let same_rows = x
@@ -228,9 +238,9 @@ impl GpModel {
                 .map(|i| self.kernel.value(x.row(i), x.row(r)))
                 .collect()
         };
-        let mut chol = held.chol.border(&column(n), diag).ok()?;
-        for r in n + 1..x.rows() {
-            chol = chol.border(&column(r), diag).ok()?;
+        let mut chol = self.fitted.take()?.chol;
+        for r in n..x.rows() {
+            chol.border(&column(r), diag).ok()?;
         }
         Some(chol)
     }
@@ -272,8 +282,9 @@ impl GpModel {
         let mut y_centered = fitted.y_centered.clone();
         y_centered.push(y_new - fitted.y_mean);
 
-        let mut chol = fitted.chol.clone();
-        if chol.extend(&k_vec, diag).is_err() {
+        // `extend` grows the held factor in place and leaves it untouched
+        // when its pivot fails, so the fallback sees the held fit as it was.
+        if fitted.chol.extend(&k_vec, diag).is_err() {
             // Numerically degenerate border (e.g. duplicate point): fall
             // back to a full jittered refit of the whole set. `fit` also
             // refreshes the centering mean, which is fine — both centerings
@@ -281,20 +292,17 @@ impl GpModel {
             let y_raw: Vec<f64> = y_centered.iter().map(|v| v + fitted.y_mean).collect();
             return self.fit(&x_next, &y_raw);
         }
-        let alpha = chol.solve(&y_centered)?;
+        // The factor and `y_centered` both have n + 1 rows: cannot fail.
+        let alpha = fitted.chol.solve(&y_centered)?;
         let n_new = (n + 1) as f64;
-        let lml = -0.5 * (ops::dot(&y_centered, &alpha) + chol.log_det())
+        let lml = -0.5 * (ops::dot(&y_centered, &alpha) + fitted.chol.log_det())
             - 0.5 * n_new * (2.0 * std::f64::consts::PI).ln();
 
-        *fitted = Fitted {
-            x: x_next,
-            y_centered,
-            y_mean: fitted.y_mean,
-            chol,
-            alpha,
-            lml,
-            exact: false,
-        };
+        fitted.x = x_next;
+        fitted.y_centered = y_centered;
+        fitted.alpha = alpha;
+        fitted.lml = lml;
+        fitted.exact = false;
         Ok(())
     }
 
@@ -303,12 +311,15 @@ impl GpModel {
     /// hyperparameters, then refit at the optimum. The refit is skipped
     /// when the optimizer's last evaluation already fit `(x, y)` at the
     /// optimum's exact bits, since it would rebuild that fit bit for bit.
+    /// Options that fail [`FitOptions::validate`] are rejected with
+    /// [`GpError::InvalidFitOptions`] before the model is touched.
     pub fn fit_optimized(
         &mut self,
         x: &Matrix,
         y: &[f64],
         opts: &FitOptions,
     ) -> Result<(), GpError> {
+        opts.validate()?;
         if x.rows() != y.len() {
             return Err(GpError::InvalidTrainingData {
                 n_x: x.rows(),
@@ -320,6 +331,9 @@ impl GpModel {
         if x.rows() < 2 {
             return self.fit(x, y);
         }
+        // The optimizer's first evaluation drops the held fit anyway; drop
+        // it before the optimizer allocates its n × n buffer.
+        self.fitted = None;
         let best = optimize::maximize_lml(self, x, y, opts);
         if let Some(params) = best {
             // Any fit held now is the last `lml_at`'s fit of (x, y): each
@@ -350,9 +364,46 @@ impl GpModel {
     /// `∂LML/∂θ = ½ tr((ααᵀ − K_y⁻¹) ∂K_y/∂θ)`.
     pub fn lml_gradient(&self) -> Result<Vec<f64>, GpError> {
         let fitted = self.fitted.as_ref().ok_or(GpError::NotFitted)?;
+        let mut k = Matrix::zeros(fitted.x.rows(), fitted.x.rows());
+        self.fill_noisy_kernel_matrix(&fitted.x, &mut k);
+        self.gradient_in(fitted, &mut k)
+    }
+
+    /// [`GpModel::lml_gradient`] of `fitted`, from `k` holding `K_y` over
+    /// `fitted.x` above its diagonal: `K_y⁻¹`'s upper triangle overwrites
+    /// `k`'s lower one, and the gradient reads its kernel values above the
+    /// diagonal and `K_y⁻¹` on and below it. The diagonal now holds
+    /// `K_y⁻¹`'s, and `K_y`'s carried σ_n² anyway, so the diagonal terms
+    /// evaluate `value(x_i, x_i)`.
+    fn gradient_in(&self, fitted: &Fitted, k: &mut Matrix) -> Result<Vec<f64>, GpError> {
+        fitted.chol.inverse_upper_into(k)?;
+        let x = &fitted.x;
+        Ok(self.gradient_of(
+            fitted,
+            |i, j| k[(j, i)],
+            |i, j| {
+                if i == j {
+                    self.kernel.value(x.row(i), x.row(i))
+                } else {
+                    k[(i, j)]
+                }
+            },
+        ))
+    }
+
+    /// The gradient of `fitted`'s LML, reading only `i ≤ j`: `k_inv(i, j)`
+    /// is `K_y⁻¹(i, j)` as [`Cholesky::inverse_upper_into`] computes it,
+    /// and `k(i, j)` is `value(x_i, x_j)` bit for bit (the
+    /// [`Kernel::gradient`] contract), so a caller holding both in one
+    /// buffer need not evaluate either again.
+    fn gradient_of(
+        &self,
+        fitted: &Fitted,
+        k_inv: impl Fn(usize, usize) -> f64,
+        k: impl Fn(usize, usize) -> f64,
+    ) -> Vec<f64> {
         let n = fitted.x.rows();
         let nk = self.kernel.n_params();
-        let k_inv = fitted.chol.inverse()?;
         let alpha = &fitted.alpha;
 
         let mut grad = vec![0.0; nk + 1];
@@ -360,15 +411,16 @@ impl GpModel {
         for i in 0..n {
             let xi = fitted.x.row(i);
             // Diagonal term (weight 1).
-            let cii = alpha[i] * alpha[i] - k_inv[(i, i)];
-            self.kernel.gradient(xi, xi, &mut kgrad);
+            let cii = alpha[i] * alpha[i] - k_inv(i, i);
+            self.kernel.gradient(xi, xi, k(i, i), &mut kgrad);
             for (g, kg) in grad[..nk].iter_mut().zip(&kgrad) {
                 *g += 0.5 * cii * kg;
             }
             // Off-diagonal terms (weight 2, symmetry).
             for j in (i + 1)..n {
-                let cij = alpha[i] * alpha[j] - k_inv[(i, j)];
-                self.kernel.gradient(xi, fitted.x.row(j), &mut kgrad);
+                let cij = alpha[i] * alpha[j] - k_inv(i, j);
+                self.kernel
+                    .gradient(xi, fitted.x.row(j), k(i, j), &mut kgrad);
                 for (g, kg) in grad[..nk].iter_mut().zip(&kgrad) {
                     *g += cij * kg;
                 }
@@ -376,9 +428,9 @@ impl GpModel {
         }
         // Noise: ∂K_y/∂log σ_n² = σ_n² I.
         let sn2 = self.noise_variance();
-        let trace_term: f64 = (0..n).map(|i| alpha[i] * alpha[i] - k_inv[(i, i)]).sum();
+        let trace_term: f64 = (0..n).map(|i| alpha[i] * alpha[i] - k_inv(i, i)).sum();
         grad[nk] = 0.5 * sn2 * trace_term;
-        Ok(grad)
+        grad
     }
 
     /// Posterior mean and standard deviation at each row of `xs` (Eq. 2–3).
@@ -386,6 +438,84 @@ impl GpModel {
     /// A NaN or infinite query coordinate fails with
     /// [`GpError::NonFiniteQuery`] before any work is done.
     pub fn predict(&self, xs: &Matrix) -> Result<Prediction, GpError> {
+        let fitted = self.query_fit(xs)?;
+        let prior = self.kernel.diag_value();
+        let mut std = Vec::with_capacity(xs.rows());
+        let mean = self.predict_tiles(fitted, xs, |_, w, kt| {
+            // ‖L⁻¹k*‖² = Σ_i v_i² folds from −0.0 in ascending i, as
+            // `ops::dot` does; `solve_lower_multi` matches `solve_lower`
+            // column by column.
+            fitted.chol.solve_lower_multi(kt, w, 0)?;
+            let mut ss = [-0.0f64; QB];
+            let ss = &mut ss[..w];
+            for row in kt.chunks_exact(w) {
+                for (acc, v) in ss.iter_mut().zip(row) {
+                    *acc += v * v;
+                }
+            }
+            std.extend(ss.iter().map(|&ss| posterior_std(prior, ss)));
+            Ok(())
+        })?;
+        Ok(Prediction { mean, std })
+    }
+
+    /// Posterior means at each row of `xs`, bit for bit
+    /// [`GpModel::predict`]'s, without the σ half: no triangular solve.
+    /// This is all an RMSE needs. Fails as [`GpModel::predict`] does.
+    pub fn predict_mean(&self, xs: &Matrix) -> Result<Vec<f64>, GpError> {
+        let fitted = self.query_fit(xs)?;
+        self.predict_tiles(fitted, xs, |_, _, _| Ok(()))
+    }
+
+    /// [`GpModel::predict`] for a candidate pool predicted round after
+    /// round, bit for bit the same, reusing the solves `cache` holds from
+    /// the previous round.
+    ///
+    /// While the model's factor keeps its leading rows (border refits and
+    /// augments between optimizations) and the pool only loses
+    /// candidates, each candidate's `v = L⁻¹k*` grows by one element per
+    /// new factor row, computed in [`Cholesky::solve_lower`]'s order, and
+    /// its `Σv²` by the new terms in order. That is `O(m·n)` per new row
+    /// instead of `O(m·n²)`. μ is refolded from fresh `k*` since `α`
+    /// changes with every fit. Whenever `cache` does not match this model
+    /// or `xs` (see [`PoolCache`]) it is rebuilt, at the cost of a
+    /// [`GpModel::predict`].
+    pub fn predict_cached(
+        &self,
+        xs: &Matrix,
+        cache: &mut PoolCache,
+    ) -> Result<Prediction, GpError> {
+        let fitted = self.query_fit(xs)?;
+        let m = xs.rows();
+        let solved = cache.prepare(&fitted.chol, xs);
+        // The tiles' kernel rows past `solved` are the right-hand sides of
+        // the rows still to solve.
+        let v = &mut cache.v;
+        let mean = self.predict_tiles(fitted, xs, |q0, w, kt| {
+            for (i, row) in kt.chunks_exact(w).enumerate().skip(solved) {
+                v[i * m + q0..][..w].copy_from_slice(row);
+            }
+            Ok(())
+        })?;
+        fitted.chol.solve_lower_multi(v, m, solved)?;
+        for row in v.chunks_exact(m.max(1)).skip(solved) {
+            for (acc, v) in cache.ss.iter_mut().zip(row) {
+                *acc += v * v;
+            }
+        }
+        cache.seal(&fitted.chol);
+        let prior = self.kernel.diag_value();
+        let std = cache
+            .ss
+            .iter()
+            .map(|&ss| posterior_std(prior, ss))
+            .collect();
+        Ok(Prediction { mean, std })
+    }
+
+    /// The held fit, once `xs` is known to be queryable against it: a
+    /// shape mismatch fails first, then the first non-finite query row.
+    fn query_fit(&self, xs: &Matrix) -> Result<&Fitted, GpError> {
         let fitted = self.fitted.as_ref().ok_or(GpError::NotFitted)?;
         if xs.cols() != fitted.x.cols() {
             return Err(GpError::Linalg(al_linalg::LinalgError::ShapeMismatch {
@@ -397,20 +527,29 @@ impl GpModel {
         if let Some(row) = (0..xs.rows()).find(|&q| xs.row(q).iter().any(|v| !v.is_finite())) {
             return Err(GpError::NonFiniteQuery { row });
         }
+        Ok(fitted)
+    }
+
+    /// The one loop behind every prediction; returns the posterior means.
+    /// Queries run in tiles of up to QB through one `n × w` buffer whose
+    /// row `i` holds `k(x_q, x_i)` for every query `q` of the tile. Each μ
+    /// keeps the bits of the per-query loop this replaced (DESIGN §13):
+    /// `μ − ȳ = Σ_i k_i·α_i` folds from −0.0 in ascending `i`, as
+    /// `ops::dot` does. Then `tile_done(q0, w, block)` sees the tile's
+    /// block (queries `q0..q0 + w`) and may overwrite it: the σ half, if
+    /// any, lives there.
+    fn predict_tiles(
+        &self,
+        fitted: &Fitted,
+        xs: &Matrix,
+        mut tile_done: impl FnMut(usize, usize, &mut [f64]) -> Result<(), GpError>,
+    ) -> Result<Vec<f64>, GpError> {
         let n = fitted.x.rows();
         let m = xs.rows();
-        let prior = self.kernel.diag_value();
-        // Queries run in tiles of QB through one n × QB buffer whose row i
-        // holds k(x_q, x_i) for every query q of the tile. Each (μ, σ)
-        // keeps the bits of the per-query loop this replaced (DESIGN §13):
-        // μ − ȳ = Σ_i k_i·α_i and ‖L⁻¹k*‖² = Σ_i v_i² fold from −0.0 in
-        // ascending i, as `ops::dot` does, and `solve_lower_multi` matches
-        // `solve_lower` column by column.
-        let mut slots: Vec<(f64, f64)> = vec![(0.0, 0.0); m];
+        let mut mean = Vec::with_capacity(m);
         let mut buf = vec![0.0; n * QB.min(m)];
-        for (tile_idx, tile) in slots.chunks_mut(QB).enumerate() {
-            let q0 = tile_idx * QB;
-            let w = tile.len();
+        for q0 in (0..m).step_by(QB) {
+            let w = QB.min(m - q0);
             let kt = &mut buf[..n * w];
             for (i, row) in kt.chunks_exact_mut(w).enumerate() {
                 let xi = fitted.x.row(i);
@@ -418,26 +557,17 @@ impl GpModel {
                     *k = self.kernel.value(xs.row(q0 + t), xi);
                 }
             }
-            let (mut mu, mut ss) = ([-0.0f64; QB], [-0.0f64; QB]);
-            let (mu, ss) = (&mut mu[..w], &mut ss[..w]);
+            let mut mu = [-0.0f64; QB];
+            let mu = &mut mu[..w];
             for (row, a) in kt.chunks_exact(w).zip(&fitted.alpha) {
                 for (acc, k) in mu.iter_mut().zip(row) {
                     *acc += k * a;
                 }
             }
-            fitted.chol.solve_lower_multi(kt, w)?;
-            for row in kt.chunks_exact(w) {
-                for (acc, v) in ss.iter_mut().zip(row) {
-                    *acc += v * v;
-                }
-            }
-            for (slot, (acc_mu, acc_ss)) in tile.iter_mut().zip(mu.iter().zip(ss.iter())) {
-                // σ² = k** − ‖L⁻¹ k*‖², clamped at 0 against rounding.
-                *slot = (fitted.y_mean + acc_mu, (prior - acc_ss).max(0.0).sqrt());
-            }
+            mean.extend(mu.iter().map(|acc| fitted.y_mean + acc));
+            tile_done(q0, w, kt)?;
         }
-        let (mean, std) = slots.into_iter().unzip();
-        Ok(Prediction { mean, std })
+        Ok(mean)
     }
 
     /// Posterior mean/std at a single point.
@@ -447,14 +577,19 @@ impl GpModel {
         Ok((p.mean[0], p.std[0]))
     }
 
-    /// Evaluate the LML (and optionally keep the fit) at given
-    /// hyperparameters for the provided data — the optimizer's objective.
-    /// Returns `None` when the kernel matrix cannot be factored.
+    /// Evaluate the LML and its gradient at given hyperparameters for the
+    /// provided data, keeping the fit — the optimizer's objective. `k` is
+    /// the caller's `n × n` buffer: it is refilled with `K_y` in place and
+    /// factored; then `K_y⁻¹`'s upper triangle overwrites its lower one,
+    /// and the gradient reads its kernel values above the diagonal and
+    /// `K_y⁻¹` on and below it. Returns `None` when the kernel matrix
+    /// cannot be factored.
     pub(crate) fn lml_at(
         &mut self,
         params: &[f64],
         x: &Matrix,
         y: &[f64],
+        k: &mut Matrix,
     ) -> Option<(f64, Vec<f64>)> {
         // A failed evaluation must leave no fit behind: `fit_optimized`
         // keeps a held fit as the optimum's.
@@ -462,11 +597,12 @@ impl GpModel {
         if self.set_hyperparams(params).is_err() {
             return None;
         }
-        if self.fit(x, y).is_err() {
-            return None;
-        }
-        let lml = self.lml().ok()?;
-        let grad = self.lml_gradient().ok()?;
+        self.fill_noisy_kernel_matrix(x, k);
+        let chol = factor_from_scratch(k).ok()?;
+        self.hold_fit(x, y, chol).ok()?;
+        let fitted = self.fitted.as_ref()?;
+        let grad = self.gradient_in(fitted, k).ok()?;
+        let lml = fitted.lml;
         if !lml.is_finite() || grad.iter().any(|g| !g.is_finite()) {
             return None;
         }
@@ -474,12 +610,19 @@ impl GpModel {
     }
 
     /// The noisy training covariance `K_y = K + σ_n² I` over the rows of
-    /// `x` (Eq. 3) — the matrix [`GpModel::fit`] factors. Fills the
-    /// diagonal and upper triangle row by row, then mirrors the lower
-    /// triangle.
+    /// `x` (Eq. 3) — the matrix [`GpModel::fit`] factors.
     fn noisy_kernel_matrix(&self, x: &Matrix) -> Matrix {
+        let mut k = Matrix::zeros(x.rows(), x.rows());
+        self.fill_noisy_kernel_matrix(x, &mut k);
+        k
+    }
+
+    /// Overwrite the `n × n` matrix `k` with `K_y` over the rows of `x`:
+    /// the diagonal and upper triangle row by row, with entry `(i, j)`
+    /// `value(x_i, x_j)`, then the lower triangle mirrored.
+    fn fill_noisy_kernel_matrix(&self, x: &Matrix, k: &mut Matrix) {
         let n = x.rows();
-        let mut k = Matrix::zeros(n, n);
+        debug_assert_eq!(k.shape(), (n, n));
         let diag = self.kernel.diag_value() + self.noise_variance();
         for (i, row) in k.as_mut_slice().chunks_exact_mut(n.max(1)).enumerate() {
             let xi = x.row(i);
@@ -493,8 +636,18 @@ impl GpModel {
                 k[(j, i)] = k[(i, j)];
             }
         }
-        k
     }
+}
+
+/// Factor `K_y` from scratch, escalating jitter from 1e-10 up to 1e-2
+/// when it is numerically only semi-definite.
+fn factor_from_scratch(k: &Matrix) -> Result<Cholesky, al_linalg::LinalgError> {
+    Cholesky::with_jitter(k, 1e-10, 1e-2)
+}
+
+/// `σ = √(k** − ‖L⁻¹k*‖²)`, clamped at 0 against rounding.
+fn posterior_std(prior: f64, ss: f64) -> f64 {
+    (prior - ss).max(0.0).sqrt()
 }
 
 /// Reject a training set holding NaN or ±∞, naming the first bad row
@@ -867,8 +1020,10 @@ mod tests {
         Prediction { mean, std }
     }
 
-    #[test]
-    fn tiled_predict_matches_per_query_loop_bitwise() {
+    /// Calls `check(label, model, xs)` for every kernel over fits of
+    /// n ∈ {1, 7, 63, 64, 65, 150, 250} 3-D points and query sets of
+    /// m ∈ {1, 63, 64, 65, 257, 400} rows, around the QB = 64 tile.
+    fn each_predict_shape(mut check: impl FnMut(&str, &GpModel, &Matrix)) {
         use crate::kernel::KernelKind;
         let dim = 3;
         let kinds = [
@@ -879,7 +1034,6 @@ mod tests {
             KernelKind::RationalQuadratic,
         ];
         let coord = |i: usize, salt: f64| ((i as f64) * 0.618 + salt).sin().abs() * 3.0;
-        let mut clamped = 0;
         for &n in &[1usize, 7, 63, 64, 65, 150, 250] {
             let x = Matrix::from_vec(n, dim, (0..n * dim).map(|i| coord(i, 0.1)).collect());
             let y: Vec<f64> = (0..n)
@@ -908,25 +1062,64 @@ mod tests {
                         })
                         .collect();
                     let xs = Matrix::from_vec(m, dim, data);
-                    let got = model.predict(&xs).unwrap();
-                    let want = predict_reference(&model, &xs);
-                    for q in 0..m {
-                        assert_eq!(
-                            (got.mean[q].to_bits(), got.std[q].to_bits()),
-                            (want.mean[q].to_bits(), want.std[q].to_bits()),
-                            "{} n={n} m={m} q={q}: ({}, {}) vs ({}, {})",
-                            kind.label(),
-                            got.mean[q],
-                            got.std[q],
-                            want.mean[q],
-                            want.std[q],
-                        );
-                    }
-                    clamped += got.std.iter().filter(|s| **s == 0.0).count();
+                    check(&format!("{} n={n} m={m}", kind.label()), &model, &xs);
                 }
             }
         }
+    }
+
+    #[test]
+    fn tiled_predict_matches_per_query_loop_bitwise() {
+        let mut clamped = 0;
+        each_predict_shape(|label, model, xs| {
+            let got = model.predict(xs).unwrap();
+            let want = predict_reference(model, xs);
+            for q in 0..xs.rows() {
+                assert_eq!(
+                    (got.mean[q].to_bits(), got.std[q].to_bits()),
+                    (want.mean[q].to_bits(), want.std[q].to_bits()),
+                    "{label} q={q}: ({}, {}) vs ({}, {})",
+                    got.mean[q],
+                    got.std[q],
+                    want.mean[q],
+                    want.std[q],
+                );
+            }
+            clamped += got.std.iter().filter(|s| **s == 0.0).count();
+        });
         assert!(clamped > 0, "no query exercised the σ clamp");
+    }
+
+    #[test]
+    fn mean_only_and_cold_cached_predict_match_predict_bitwise() {
+        each_predict_shape(|label, model, xs| {
+            let want = model.predict(xs).unwrap();
+            let mean = model.predict_mean(xs).unwrap();
+            assert_eq!(bits(&mean), bits(&want.mean), "{label}: mean only");
+            let mut cache = PoolCache::new();
+            let got = model.predict_cached(xs, &mut cache).unwrap();
+            assert_predictions_bitwise_equal(&got, &want, &format!("{label}: cold cache"));
+            // A second prediction reuses every solve and computes none.
+            assert_eq!(reused_rows(model, xs, &cache), model.n_train(), "{label}");
+            let again = model.predict_cached(xs, &mut cache).unwrap();
+            assert_predictions_bitwise_equal(&again, &want, &format!("{label}: warm cache"));
+        });
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_predictions_bitwise_equal(got: &Prediction, want: &Prediction, label: &str) {
+        assert_eq!(bits(&got.mean), bits(&want.mean), "{label}: mean");
+        assert_eq!(bits(&got.std), bits(&want.std), "{label}: std");
+    }
+
+    /// How many factor rows of solves `cache` would keep for `xs` against
+    /// `model`'s factor (0: it rebuilds).
+    fn reused_rows(model: &GpModel, xs: &Matrix, cache: &PoolCache) -> usize {
+        let chol = &model.fitted.as_ref().unwrap().chol;
+        cache.clone().prepare(chol, xs)
     }
 
     #[test]
@@ -1052,7 +1245,7 @@ mod tests {
             for k in [1usize, 3] {
                 let rows = x.select_rows(&(0..n + k).collect::<Vec<_>>());
                 let mut m = held.clone();
-                assert!(m.border_held_fit(&rows).is_some(), "n={n} k={k}");
+                assert!(m.clone().border_held_fit(&rows).is_some(), "n={n} k={k}");
                 m.fit(&rows, &y[..n + k]).unwrap();
                 assert_fits_bitwise_equal(
                     &m,
@@ -1063,7 +1256,7 @@ mod tests {
             }
             let (mut m, _) = grown.swap_remove(0);
             let rows = &grown[0].1;
-            assert!(m.border_held_fit(rows).is_some(), "n={n} chained");
+            assert!(m.clone().border_held_fit(rows).is_some(), "n={n} chained");
             m.fit(rows, &y[..n + 3]).unwrap();
             assert_fits_bitwise_equal(&m, &grown[0].0, &format!("n={n} chained"));
         }
@@ -1076,7 +1269,7 @@ mod tests {
         let rows = |n: usize| x.select_rows(&(0..n).collect::<Vec<_>>());
         // `held` takes the full path and lands on a fresh fit's bits.
         let check = |mut held: GpModel, xs: &Matrix, ys: &[f64], label: &str| {
-            assert!(held.border_held_fit(xs).is_none(), "{label}");
+            assert!(held.clone().border_held_fit(xs).is_none(), "{label}");
             let mut fresh = held.clone();
             fresh.fitted = None;
             fresh.fit(xs, ys).unwrap();
@@ -1143,6 +1336,210 @@ mod tests {
         fresh.fit(&far_dup, &ys).unwrap();
         assert!(fresh.fitted.as_ref().unwrap().chol.jitter() > 0.0);
         check(held, &far_dup, &ys, "failed border pivot");
+    }
+
+    /// `model.predict_cached(xs, cache)` keeps `want_reused` factor rows
+    /// of solves and returns a fresh `predict`'s bits.
+    fn check_cached(
+        model: &GpModel,
+        xs: &Matrix,
+        cache: &mut PoolCache,
+        want_reused: usize,
+        label: &str,
+    ) {
+        assert_eq!(reused_rows(model, xs, cache), want_reused, "{label}: reuse");
+        let got = model.predict_cached(xs, cache).unwrap();
+        assert_predictions_bitwise_equal(&got, &model.predict(xs).unwrap(), label);
+        assert_eq!(cache.factor_rows(), model.n_train(), "{label}: sealed");
+    }
+
+    #[test]
+    fn cached_pool_predict_matches_predict_across_rounds_bitwise() {
+        // AL-style rounds: predict the pool, move `batch` picks from the
+        // pool into the training set, grow the model by border refits or
+        // augments, and cross an optimize boundary every fourth round.
+        let (x, y) = cube_data(140);
+        let base = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-3);
+        for incremental in [false, true] {
+            for batch in [1usize, 3] {
+                let label = format!("incremental={incremental} batch={batch}");
+                let mut train: Vec<usize> = (0..20).collect();
+                let mut pool: Vec<usize> = (60..140).collect();
+                let ys = |rows: &[usize]| rows.iter().map(|&i| y[i]).collect::<Vec<_>>();
+                let mut model = base.clone();
+                model.fit(&x.select_rows(&train), &ys(&train)).unwrap();
+                let mut cache = PoolCache::new();
+                let mut want_reused = 0;
+                for round in 0..12 {
+                    let xs = x.select_rows(&pool);
+                    let label = format!("{label} round={round}");
+                    check_cached(&model, &xs, &mut cache, want_reused, &label);
+                    want_reused = model.n_train();
+                    // Picks from the front, middle and back of the pool.
+                    let picks: Vec<usize> = (0..batch)
+                        .map(|b| pool.remove((round * 7 + b * 13) % pool.len()))
+                        .collect();
+                    train.extend(&picks);
+                    let rows = x.select_rows(&train);
+                    if round % 4 == 3 {
+                        let opts = FitOptions::warm_start_only();
+                        model.fit_optimized(&rows, &ys(&train), &opts).unwrap();
+                        want_reused = 0;
+                    } else if incremental {
+                        for &p in &picks {
+                            model.augment(x.row(p), y[p]).unwrap();
+                        }
+                    } else {
+                        model.fit(&rows, &ys(&train)).unwrap();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_pool_predict_rebuilds_after_an_augment_falls_back_to_a_refit() {
+        // Well-separated points factor exactly at a noise below the
+        // resolution of k(x, x) = 1; a duplicate cannot, so its augment
+        // falls back to a jittered refit, a new factor.
+        let far = Matrix::from_vec(3, 1, vec![0.0, 5.0, 10.0]);
+        let mut model = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-17);
+        model.fit(&far, &[1.0, 2.0, 3.0]).unwrap();
+        let pool = Matrix::from_vec(4, 1, vec![0.3, 2.5, 7.0, 9.9]);
+        let mut cache = PoolCache::new();
+        check_cached(&model, &pool, &mut cache, 0, "fit");
+        model.augment(&[5.0], 2.1).unwrap();
+        assert!(
+            model.fitted.as_ref().unwrap().chol.jitter() > 0.0,
+            "no fallback"
+        );
+        check_cached(&model, &pool, &mut cache, 0, "after the fallback");
+        model.augment(&[3.3], 1.5).unwrap();
+        check_cached(&model, &pool, &mut cache, 4, "augment after the fallback");
+    }
+
+    #[test]
+    fn cached_pool_predict_rebuilds_for_another_factor_or_other_rows() {
+        let (x, y) = cube_data(60);
+        let base = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-3);
+        let rows = |r: std::ops::Range<usize>| x.select_rows(&r.collect::<Vec<_>>());
+        let held = fresh_fit(&base, &x, &y, 20);
+        let pool = rows(30..60);
+        let warm = |model: &GpModel, xs: &Matrix| {
+            let mut cache = PoolCache::new();
+            model.predict_cached(xs, &mut cache).unwrap();
+            cache
+        };
+
+        // A different model: other hyperparameters, or other rows.
+        let mut other = base.clone();
+        other.set_hyperparams(&[0.1, -0.9, -6.0]).unwrap();
+        other.fit(&rows(0..20), &y[..20]).unwrap();
+        check_cached(
+            &other,
+            &pool,
+            &mut warm(&held, &pool),
+            0,
+            "other hyperparameters",
+        );
+        let shifted = fresh_fit(&base, &x, &y, 21);
+        check_cached(&shifted, &pool, &mut warm(&held, &pool), 0, "other model");
+
+        // The same rows refactored: equal bits, but a new factor.
+        let mut refit = held.clone();
+        refit.fit(&rows(0..20), &y[..20]).unwrap();
+        check_cached(&refit, &pool, &mut warm(&held, &pool), 0, "refactored");
+
+        // Clones grown by different rows share only their common rows.
+        let (mut a, mut b) = (held.clone(), held.clone());
+        let grow = |m: &mut GpModel, extra: usize| {
+            let mut r: Vec<usize> = (0..20).collect();
+            r.push(extra);
+            let ys: Vec<f64> = r.iter().map(|&i| y[i]).collect();
+            m.fit(&x.select_rows(&r), &ys).unwrap();
+        };
+        grow(&mut a, 20);
+        grow(&mut b, 21);
+        check_cached(&b, &pool, &mut warm(&a, &pool), 0, "diverged clone");
+        check_cached(&b, &pool, &mut warm(&held, &pool), 20, "common ancestor");
+
+        // Other candidate rows: one bit moved, an order swapped, a row
+        // added; a removal keeps the cache.
+        let mut nudged = pool.clone();
+        nudged[(7, 2)] = f64::from_bits(nudged[(7, 2)].to_bits() + 1);
+        check_cached(&held, &nudged, &mut warm(&held, &pool), 0, "nudged row");
+        let swapped = x.select_rows(&[31, 30, 32]);
+        check_cached(
+            &held,
+            &swapped,
+            &mut warm(&held, &rows(30..33)),
+            0,
+            "swapped",
+        );
+        check_cached(
+            &held,
+            &rows(30..34),
+            &mut warm(&held, &rows(30..33)),
+            0,
+            "added",
+        );
+        let thinned = x.select_rows(&[30, 33, 34, 45, 59]);
+        check_cached(&held, &thinned, &mut warm(&held, &pool), 20, "removed");
+        let empty = Matrix::zeros(0, 3);
+        check_cached(&held, &empty, &mut warm(&held, &pool), 20, "all removed");
+        check_cached(&held, &pool, &mut warm(&held, &empty), 0, "all new");
+
+        // A rejected query leaves the cache as it was.
+        let mut cache = warm(&held, &pool);
+        let mut bad = pool.clone();
+        bad[(3, 0)] = f64::NAN;
+        assert_eq!(
+            held.predict_cached(&bad, &mut cache),
+            Err(GpError::NonFiniteQuery { row: 3 })
+        );
+        assert!(held
+            .predict_cached(&rows(0..2).transpose(), &mut cache)
+            .is_err());
+        check_cached(&held, &pool, &mut cache, 20, "after rejections");
+        cache.clear();
+        check_cached(&held, &pool, &mut cache, 0, "cleared");
+    }
+
+    #[test]
+    fn objective_gradient_matches_lml_gradient_bitwise() {
+        // The objective reads each kernel value from the K_y it factored;
+        // `lml_gradient` evaluates it afresh. Same bits, every kernel, at
+        // several points, through one buffer refilled in place.
+        use crate::kernel::KernelKind;
+        let (x, y) = cube_data(70);
+        let kinds = [
+            KernelKind::Rbf,
+            KernelKind::ArdRbf { dim: 3 },
+            KernelKind::Matern32,
+            KernelKind::Matern52,
+            KernelKind::RationalQuadratic,
+        ];
+        let mut k = Matrix::zeros(70, 70);
+        for kind in kinds {
+            let mut model = GpModel::new(kind.build(0.5), 1e-3);
+            let p0 = model.hyperparams();
+            for shift in [0.0, -1.3, 0.7] {
+                let p: Vec<f64> = p0
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| v + shift * (1.0 + 0.3 * i as f64))
+                    .collect();
+                let label = format!("{} shift={shift}", kind.label());
+                let (lml, grad) = model.lml_at(&p, &x, &y, &mut k).unwrap();
+                assert_eq!(bits(&model.hyperparams()), bits(&p), "{label}");
+                assert_eq!(lml.to_bits(), model.lml().unwrap().to_bits(), "{label}");
+                assert_eq!(bits(&grad), bits(&model.lml_gradient().unwrap()), "{label}");
+                let mut fresh = model.clone();
+                fresh.fitted = None;
+                fresh.fit(&x, &y).unwrap();
+                assert_fits_bitwise_equal(&model, &fresh, &label);
+            }
+        }
     }
 
     #[test]

@@ -94,12 +94,12 @@ impl Kernel for Matern32Kernel {
         self.sigma_f2 * (1.0 + s) * (-s).exp()
     }
 
-    fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
+    fn gradient(&self, a: &[f64], b: &[f64], k: f64, out: &mut [f64]) {
         let r = sq_dist(a, b).sqrt();
         let s = 3f64.sqrt() * r / self.length;
         let e = (-s).exp();
         let sf2 = self.sigma_f2;
-        out[0] = sf2 * (1.0 + s) * e;
+        out[0] = k;
         // dk/ds = −σ_f² s e^{−s}; ds/d(log l) = −s ⇒ dk/d(log l) = σ_f² s² e^{−s}.
         out[1] = sf2 * s * s * e;
     }
@@ -144,12 +144,12 @@ impl Kernel for Matern52Kernel {
         self.sigma_f2 * (1.0 + s + s * s / 3.0) * (-s).exp()
     }
 
-    fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
+    fn gradient(&self, a: &[f64], b: &[f64], k: f64, out: &mut [f64]) {
         let r = sq_dist(a, b).sqrt();
         let s = 5f64.sqrt() * r / self.length;
         let e = (-s).exp();
         let sf2 = self.sigma_f2;
-        out[0] = sf2 * (1.0 + s + s * s / 3.0) * e;
+        out[0] = k;
         // dk/ds = −σ_f² (s/3)(1+s) e^{−s}; ds/d(log l) = −s
         // ⇒ dk/d(log l) = σ_f² (s²/3)(1+s) e^{−s}.
         out[1] = sf2 * (s * s / 3.0) * (1.0 + s) * e;
@@ -205,7 +205,7 @@ mod tests {
     fn gradient_vanishes_at_zero_distance_for_length_scale() {
         let k = Matern52Kernel::new(1.0, 1.0);
         let mut g = [0.0; 2];
-        k.gradient(&[0.5], &[0.5], &mut g);
+        k.gradient(&[0.5], &[0.5], k.value(&[0.5], &[0.5]), &mut g);
         assert!((g[0] - 1.0).abs() < 1e-12); // ∂k/∂log σ_f² = k = σ_f²
         assert_eq!(g[1], 0.0);
     }

@@ -41,7 +41,17 @@ pub trait Kernel: Send + Sync {
 
     /// Gradient `∂k(a,b)/∂p_i` for every log-space parameter, written into
     /// `out` (length [`Kernel::n_params`]).
-    fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]);
+    ///
+    /// `k` must be `self.value(a, b)`, bit for bit. A caller that has the
+    /// pair's value already passes it in: the LML gradient reads it from
+    /// the `K_y` it just factored, so one evaluation computes each kernel
+    /// value once. Every kernel writes `out[0] = k`
+    /// (`∂k/∂log σ_f² = k`); the RBF, ARD-RBF and rational-quadratic
+    /// length-scale terms scale `k` and need no `exp` or `powf` of their
+    /// own, while Matérn keeps its own `e^{−s}` for them. The output bits
+    /// are those of the same formulas with `k` recomputed inside, so any
+    /// other `k` yields the gradient of a different kernel value.
+    fn gradient(&self, a: &[f64], b: &[f64], k: f64, out: &mut [f64]);
 
     /// `k(x, x)` — for stationary kernels this is the amplitude `σ_f²`.
     fn diag_value(&self) -> f64;
@@ -108,7 +118,7 @@ impl KernelKind {
 pub(crate) fn check_gradient(kernel: &mut dyn Kernel, a: &[f64], b: &[f64]) {
     let p0 = kernel.params();
     let mut analytic = vec![0.0; kernel.n_params()];
-    kernel.gradient(a, b, &mut analytic);
+    kernel.gradient(a, b, kernel.value(a, b), &mut analytic);
     let h = 1e-6;
     for i in 0..p0.len() {
         let mut pp = p0.clone();
@@ -172,7 +182,7 @@ pub(crate) fn check_legacy_parity(kernel: &mut dyn Kernel, dim: usize, legacy: &
             for b in &points {
                 let (v, lv) = (kernel.value(a, b), (legacy.value)(&p, a, b));
                 assert_eq!(v.to_bits(), lv.to_bits(), "value at {p:?}: {v} vs {lv}");
-                kernel.gradient(a, b, &mut got);
+                kernel.gradient(a, b, v, &mut got);
                 (legacy.gradient)(&p, a, b, &mut want);
                 for (g, w) in got.iter().zip(&want) {
                     assert_eq!(g.to_bits(), w.to_bits(), "gradient at {p:?}: {g} vs {w}");

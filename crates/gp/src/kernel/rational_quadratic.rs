@@ -72,12 +72,11 @@ impl Kernel for RationalQuadraticKernel {
         self.sigma_f2 * base.powf(-alpha)
     }
 
-    fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
+    fn gradient(&self, a: &[f64], b: &[f64], k: f64, out: &mut [f64]) {
         let d2 = sq_dist(a, b);
         let (l2, alpha) = (self.l2, self.alpha);
         let u = d2 / (2.0 * alpha * l2);
         let base = 1.0 + u;
-        let k = self.sigma_f2 * base.powf(-alpha);
         // ∂k/∂log σ_f² = k.
         out[0] = k;
         // ∂k/∂log l = k · d²/(l² base)   (chain rule through u ∝ l⁻²).

@@ -75,12 +75,10 @@ impl Kernel for RbfKernel {
         self.sigma_f2 * (-0.5 * sq_dist(a, b) / self.l2).exp()
     }
 
-    fn gradient(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        let d2 = sq_dist(a, b);
-        let k = self.sigma_f2 * (-0.5 * d2 / self.l2).exp();
+    fn gradient(&self, a: &[f64], b: &[f64], k: f64, out: &mut [f64]) {
         // ∂k/∂log σ_f² = k; ∂k/∂log l = k · d²/l².
         out[0] = k;
-        out[1] = k * d2 / self.l2;
+        out[1] = k * sq_dist(a, b) / self.l2;
     }
 
     fn diag_value(&self) -> f64 {

@@ -21,9 +21,11 @@ pub mod gp;
 pub mod kernel;
 pub mod local;
 pub mod optimize;
+mod pool_cache;
 
 pub use error::GpError;
 pub use gp::{GpModel, Prediction};
 pub use kernel::{ArdRbfKernel, Kernel, KernelKind, Matern32Kernel, Matern52Kernel, RbfKernel};
 pub use local::LocalGpModel;
 pub use optimize::FitOptions;
+pub use pool_cache::PoolCache;

@@ -6,6 +6,7 @@
 //! hyperparameters (the paper's "use old model's parameters as a starting
 //! point" warm start), the rest are drawn uniformly from the bounds.
 
+use crate::error::GpError;
 use crate::gp::GpModel;
 use al_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -42,6 +43,25 @@ impl Default for FitOptions {
 }
 
 impl FitOptions {
+    /// Check that the optimizer can run with these options: both bounds
+    /// finite with `bounds.0 < bounds.1` (the restarts draw from that
+    /// range and every step is clamped to it), and a finite, positive
+    /// `learning_rate`. [`GpModel::fit_optimized`] checks this before it
+    /// touches the model.
+    pub fn validate(&self) -> Result<(), GpError> {
+        let (lo, hi) = self.bounds;
+        let reason = if !lo.is_finite() || !hi.is_finite() {
+            "bounds must be finite"
+        } else if lo >= hi {
+            "bounds must satisfy lower < upper"
+        } else if !self.learning_rate.is_finite() || self.learning_rate <= 0.0 {
+            "learning_rate must be finite and positive"
+        } else {
+            return Ok(());
+        };
+        Err(GpError::InvalidFitOptions { reason })
+    }
+
     /// A cheap profile for the inner AL loop: warm start only, few steps.
     /// This is what Algorithm 1's per-iteration retraining uses.
     pub fn warm_start_only() -> Self {
@@ -62,6 +82,8 @@ pub(crate) fn maximize_lml(
     opts: &FitOptions,
 ) -> Option<Vec<f64>> {
     let dim = model.n_hyperparams();
+    // One K_y buffer for every evaluation of this call, refilled in place.
+    let mut k = Matrix::zeros(x.rows(), x.rows());
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut starts: Vec<Vec<f64>> = Vec::with_capacity(opts.n_restarts + 1);
     starts.push(model.hyperparams());
@@ -75,7 +97,7 @@ pub(crate) fn maximize_lml(
 
     let mut best: Option<(f64, Vec<f64>)> = None;
     for start in starts {
-        let mut objective = |p: &[f64]| model.lml_at(p, x, y);
+        let mut objective = |p: &[f64]| model.lml_at(p, x, y, &mut k);
         if let Some((val, params)) = adam_maximize(
             &mut objective,
             &start,
@@ -262,5 +284,56 @@ mod tests {
         m.fit_optimized(&x, &y, &FitOptions::default()).unwrap();
         let (mu, _) = m.predict_one(&[0.5]).unwrap();
         assert!((mu - 2.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn bad_options_are_rejected_before_the_model_is_touched() {
+        let n = 8;
+        let xs: Vec<f64> = (0..n).map(|i| i as f64 / (n - 1) as f64).collect();
+        let y: Vec<f64> = xs.iter().map(|x| (3.0 * x).sin()).collect();
+        let x = Matrix::from_vec(n, 1, xs);
+        let mut held = GpModel::new(Box::new(RbfKernel::new(1.0, 1.0)), 1e-4);
+        held.fit(&x, &y).unwrap();
+        let (params, lml) = (held.hyperparams(), held.lml().unwrap());
+        let with = |bounds: (f64, f64), learning_rate: f64| FitOptions {
+            bounds,
+            learning_rate,
+            ..FitOptions::default()
+        };
+        let cases = [
+            (with((8.0, -8.0), 0.08), "lower < upper"),
+            (with((1.0, 1.0), 0.08), "lower < upper"),
+            (with((f64::NAN, 8.0), 0.08), "finite"),
+            (with((-8.0, f64::NAN), 0.08), "finite"),
+            (with((-8.0, f64::INFINITY), 0.08), "finite"),
+            (with((f64::NEG_INFINITY, 8.0), 0.08), "finite"),
+            (with((-8.0, 8.0), 0.0), "learning_rate"),
+            (with((-8.0, 8.0), -0.1), "learning_rate"),
+            (with((-8.0, 8.0), f64::NAN), "learning_rate"),
+            (with((-8.0, 8.0), f64::INFINITY), "learning_rate"),
+        ];
+        for (opts, why) in cases {
+            let label = format!("{:?} lr {}", opts.bounds, opts.learning_rate);
+            let err = opts.validate().unwrap_err();
+            assert!(err.to_string().contains(why), "{label}: {err}");
+            // Warm start only and with restarts, and the single-row path
+            // that skips the optimizer: all fail before any work.
+            for restarts in [0, 2] {
+                let opts = FitOptions {
+                    n_restarts: restarts,
+                    ..opts.clone()
+                };
+                let mut m = held.clone();
+                assert_eq!(m.fit_optimized(&x, &y, &opts), Err(err.clone()), "{label}");
+                let one = x.select_rows(&[0]);
+                assert_eq!(m.fit_optimized(&one, &y[..1], &opts), Err(err.clone()));
+                assert_eq!(m.hyperparams(), params, "{label}");
+                assert_eq!(m.n_train(), n, "{label}");
+                assert_eq!(m.lml().unwrap().to_bits(), lml.to_bits(), "{label}");
+            }
+        }
+        for ok in [FitOptions::default(), FitOptions::warm_start_only()] {
+            assert_eq!(ok.validate(), Ok(()));
+        }
     }
 }

@@ -64,7 +64,7 @@ proptest! {
         k.set_params(&params).unwrap();
 
         let mut analytic = vec![0.0; k.n_params()];
-        k.gradient(&a, &b, &mut analytic);
+        k.gradient(&a, &b, k.value(&a, &b), &mut analytic);
         let h = 1e-6;
         for i in 0..params.len() {
             let mut pp = params.clone();

@@ -10,6 +10,15 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`Cholesky`] row ids: one process-wide counter, so no id is
+/// ever handed out twice.
+static NEXT_ROW_ID: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_row_id() -> u64 {
+    NEXT_ROW_ID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 ///
@@ -32,6 +41,11 @@ pub struct Cholesky {
     /// Jitter that had to be added to the diagonal for the factorization to
     /// succeed (0.0 when the matrix was well conditioned as given).
     jitter: f64,
+    /// `row_ids[i]` names the operation that wrote row `i` of `L`: a
+    /// factorization gives all its rows one fresh id, each
+    /// [`Cholesky::border`] or [`Cholesky::extend`] step its new row
+    /// another. Clones share ids, and share the rows they name.
+    row_ids: Vec<u64>,
 }
 
 impl Cholesky {
@@ -108,7 +122,11 @@ impl Cholesky {
                 l[(i, j)] = s / dj;
             }
         }
-        Ok(Cholesky { l, jitter })
+        Ok(Cholesky {
+            row_ids: vec![fresh_row_id(); l.rows()],
+            l,
+            jitter,
+        })
     }
 
     fn check_input(a: &Matrix, jitter: f64) -> Result<(), LinalgError> {
@@ -215,7 +233,11 @@ impl Cholesky {
             }
             c0 += w;
         }
-        Ok(Cholesky { l, jitter })
+        Ok(Cholesky {
+            row_ids: vec![fresh_row_id(); l.rows()],
+            l,
+            jitter,
+        })
     }
 
     /// The lower-triangular factor `L`.
@@ -231,6 +253,16 @@ impl Cholesky {
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.l.rows()
+    }
+
+    /// An identity of this factor's first `rows` rows, for caches of
+    /// solves against them: two factors that return the same id for
+    /// `rows` hold those rows bit for bit equal, whatever either did since.
+    /// It is the id of row `rows − 1` (see `row_ids`); a row's id is
+    /// fresh when the row is written, and rows are only ever appended
+    /// after it. `None` when `rows` is 0 or exceeds [`Cholesky::dim`].
+    pub fn prefix_id(&self, rows: usize) -> Option<u64> {
+        self.row_ids.get(rows.checked_sub(1)?).copied()
     }
 
     /// Solve `L z = b` (forward substitution).
@@ -253,7 +285,10 @@ impl Cholesky {
     }
 
     /// Solve `L Z = B` in place for `w` right-hand sides stored row-major:
-    /// `b[i·w + t]` holds element `i` of right-hand side `t`.
+    /// `b[i·w + t]` holds element `i` of right-hand side `t`. Rows
+    /// `..solved` of `b` must already hold `Z`'s rows, as an earlier call
+    /// against a factor with the same leading rows left them; only rows
+    /// `solved..` are computed, in `O(n·w)` per row. Pass 0 to solve all.
     ///
     /// **Bitwise identical** to [`Cholesky::solve_lower`] on each column
     /// (DESIGN §13): element `(i, t)` computes
@@ -262,24 +297,34 @@ impl Cholesky {
     /// behind `ops::dot`. Each row of `B` is contiguous across `t`, so the
     /// fold vectorizes across the right-hand sides; they run in
     /// schedule-only tiles of `TB` so the accumulators live on the stack.
-    /// Like [`Cholesky::inverse`], it runs in an AVX2-compiled copy when
-    /// the CPU has AVX2, with the same bits.
-    pub fn solve_lower_multi(&self, b: &mut [f64], w: usize) -> Result<(), LinalgError> {
+    /// Like [`Cholesky::inverse_upper_into`], it runs in an AVX2-compiled
+    /// copy when the CPU has AVX2, with the same bits.
+    pub fn solve_lower_multi(
+        &self,
+        b: &mut [f64],
+        w: usize,
+        solved: usize,
+    ) -> Result<(), LinalgError> {
         let n = self.dim();
-        if b.len() != n * w {
+        if b.len() != n * w || solved > n {
             return Err(LinalgError::ShapeMismatch {
                 op: "solve_lower_multi",
                 lhs: (n, n),
                 rhs: (b.len() / w.max(1), w),
             });
         }
-        dispatch(SolveLowerMulti { ch: self, b, w });
+        dispatch(SolveLowerMulti {
+            ch: self,
+            b,
+            w,
+            solved,
+        });
         Ok(())
     }
 
     /// The body of [`Cholesky::solve_lower_multi`], shape already checked.
     #[inline(always)]
-    fn solve_lower_multi_body(&self, b: &mut [f64], w: usize) {
+    fn solve_lower_multi_body(&self, b: &mut [f64], w: usize, solved: usize) {
         const TB: usize = 64;
         let n = self.dim();
         let ld = self.l.as_slice();
@@ -288,7 +333,7 @@ impl Cholesky {
         while t0 < w {
             let t1 = (t0 + TB).min(w);
             let acc = &mut acc[..t1 - t0];
-            for i in 0..n {
+            for i in solved..n {
                 acc.fill(-0.0);
                 let (done, rest) = b.split_at_mut(i * w);
                 fold_rows(acc, done, w, t0, 0..i, |k| ld[i * n + k]);
@@ -310,7 +355,7 @@ impl Cholesky {
     /// over contiguous memory. Each subtraction `s -= L(k,i)·x[k]` still
     /// happens in ascending `k` per row `i`, so the result is bitwise
     /// identical to the reference loop (pinned by a parity test).
-    pub fn solve_upper(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    fn solve_upper(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -366,8 +411,13 @@ impl Cholesky {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
-    /// Explicit inverse `A⁻¹` (used by the LML gradient, which needs the
-    /// full matrix `K⁻¹` once per gradient evaluation).
+    /// The upper triangle of the explicit inverse `A⁻¹` (what the LML
+    /// gradient reads of `K_y⁻¹` once per evaluation), written transposed
+    /// into the lower triangle of the `n × n` matrix `out`:
+    /// `out(j, i) = A⁻¹(i, j)` for every `j ≥ i`. Entries above the
+    /// diagonal of `out` are left as they are, so one buffer can hold a
+    /// symmetric `A` above its diagonal and what an LML gradient reads of
+    /// `A⁻¹` on and below it, with no second `n × n` allocation.
     ///
     /// A multi-RHS solve `L Lᵀ X = I`, **bitwise identical** to solving
     /// `A x = e_j` column by column with [`Cholesky::solve`] (DESIGN §13):
@@ -383,22 +433,34 @@ impl Cholesky {
     /// `n × 16` buffer whose row `i` holds element `i` of the tile's
     /// columns. A row's 16 accumulators stay in registers across its whole
     /// `k` fold; the backward pass reads its coefficients `−L(k,i)` from
-    /// `L` in place, with stride `n`. The finished tile is copied into the
-    /// output. When the CPU has AVX2 the folds run in a copy compiled
-    /// for it; only `avx2` is enabled, never `fma`, so each lane performs
-    /// the same IEEE operations and the bits do not move.
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        Ok(dispatch(Inverse(self)))
+    /// `L` in place, with stride `n`. The finished tile's entries on and
+    /// above the diagonal are copied into the output. When the CPU has
+    /// AVX2 the folds run in a copy compiled for it; only `avx2` is
+    /// enabled, never `fma`, so each lane performs the same IEEE
+    /// operations and the bits do not move.
+    pub fn inverse_upper_into(&self, out: &mut Matrix) -> Result<(), LinalgError> {
+        let n = self.dim();
+        if out.shape() != (n, n) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "inverse_upper_into",
+                lhs: (n, n),
+                rhs: out.shape(),
+            });
+        }
+        dispatch(InverseUpperInto {
+            ch: self,
+            out: out.as_mut_slice(),
+        });
+        Ok(())
     }
 
-    /// The body of [`Cholesky::inverse`].
+    /// The body of [`Cholesky::inverse_upper_into`]: entry `(i, j ≥ i)` of
+    /// `A⁻¹` to `out[j·n + i]`.
     #[inline(always)]
-    fn inverse_body(&self) -> Matrix {
+    fn inverse_body(&self, out: &mut [f64]) {
         const IB: usize = 16;
         let n = self.dim();
         let ld = self.l.as_slice();
-        let mut inv = Matrix::zeros(n, n);
-        let out = inv.as_mut_slice();
         let mut tile = vec![[0.0f64; IB]; n];
         let mut j0 = 0;
         while j0 < n {
@@ -445,12 +507,14 @@ impl Cholesky {
                     head[i][t] = s[t] / d;
                 }
             }
-            for (dst, src) in out.chunks_exact_mut(n).zip(&tile) {
-                dst[j0..j0 + w].copy_from_slice(&src[..w]);
+            // Rows past the tile's last column hold no entry j ≥ i.
+            for (i, src) in tile.iter().enumerate().take(j0 + w) {
+                for (t, &x) in src[..w].iter().enumerate().skip(i.saturating_sub(j0)) {
+                    out[(j0 + t) * n + i] = x;
+                }
             }
             j0 += w;
         }
-        inv
     }
 
     /// Reconstruct `L Lᵀ` (test helper; includes the jitter on the diagonal).
@@ -474,27 +538,24 @@ impl Cholesky {
     pub fn extend(&mut self, b: &[f64], c: f64) -> Result<(), LinalgError> {
         let w = self.border_row(b, "extend")?;
         let d2 = c - crate::ops::dot(&w, &w);
-        self.l = self.grown(&w, d2)?;
-        Ok(())
+        self.push_row(&w, d2)
     }
 
-    /// The factor of the bordered matrix `[[A, b], [bᵀ, c]]` (plus this
-    /// factor's jitter on the new diagonal) in `O(n²)`, **bit for bit**
-    /// what a fresh factorization of it computes (DESIGN §13). The new row
-    /// is `w = L⁻¹b` in [`Cholesky::solve_lower`]'s order, which is the
-    /// reference loop's; the pivot is `c + jitter − w₀² − w₁² − …`,
-    /// subtracted term by term as that loop does. When it fails, a fresh
-    /// factorization fails at the same pivot with the same value.
-    pub fn border(&self, b: &[f64], c: f64) -> Result<Cholesky, LinalgError> {
+    /// Grow this factor in place into that of the bordered matrix
+    /// `[[A, b], [bᵀ, c]]` (plus this factor's jitter on the new
+    /// diagonal) in `O(n²)`, **bit for bit** what a fresh factorization of
+    /// it computes (DESIGN §13). The new row is `w = L⁻¹b` in
+    /// [`Cholesky::solve_lower`]'s order, which is the reference loop's;
+    /// the pivot is `c + jitter − w₀² − w₁² − …`, subtracted term by term
+    /// as that loop does. When it fails, the factor is untouched, and a
+    /// fresh factorization fails at the same pivot with the same value.
+    pub fn border(&mut self, b: &[f64], c: f64) -> Result<(), LinalgError> {
         let w = self.border_row(b, "border")?;
         let mut d = c + self.jitter;
         for v in &w {
             d -= v * v;
         }
-        Ok(Cholesky {
-            l: self.grown(&w, d)?,
-            jitter: self.jitter,
-        })
+        self.push_row(&w, d)
     }
 
     /// `L⁻¹b` for a border column `b` of this factor's length.
@@ -510,21 +571,19 @@ impl Cholesky {
         self.solve_lower(b)
     }
 
-    /// `L` grown by the bottom row `[w, √d]`, when the pivot `d` is
-    /// positive and finite.
-    fn grown(&self, w: &[f64], d: f64) -> Result<Matrix, LinalgError> {
+    /// Grow `L` in place by the bottom row `[w, √d]`, when the pivot `d`
+    /// is positive and finite; otherwise leave it as it is.
+    fn push_row(&mut self, w: &[f64], d: f64) -> Result<(), LinalgError> {
         let n = self.dim();
         if d <= 0.0 || !d.is_finite() {
             return Err(LinalgError::NotPositiveDefinite { pivot: n, value: d });
         }
-        let mut l = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            l.row_mut(i)[..n].copy_from_slice(self.l.row(i));
-        }
-        let last = l.row_mut(n);
+        self.l.grow_square();
+        let last = self.l.row_mut(n);
         last[..n].copy_from_slice(w);
         last[n] = d.sqrt();
-        Ok(l)
+        self.row_ids.push(fresh_row_id());
+        Ok(())
     }
 }
 
@@ -609,15 +668,17 @@ impl DenseFold for Factor<'_> {
     }
 }
 
-/// [`Cholesky::inverse_body`].
-#[derive(Clone, Copy)]
-struct Inverse<'a>(&'a Cholesky);
+/// [`Cholesky::inverse_upper_into`].
+struct InverseUpperInto<'a> {
+    ch: &'a Cholesky,
+    out: &'a mut [f64],
+}
 
-impl DenseFold for Inverse<'_> {
-    type Output = Matrix;
+impl DenseFold for InverseUpperInto<'_> {
+    type Output = ();
     #[inline(always)]
-    fn run(self) -> Matrix {
-        self.0.inverse_body()
+    fn run(self) {
+        self.ch.inverse_body(self.out);
     }
 }
 
@@ -626,13 +687,14 @@ struct SolveLowerMulti<'a> {
     ch: &'a Cholesky,
     b: &'a mut [f64],
     w: usize,
+    solved: usize,
 }
 
 impl DenseFold for SolveLowerMulti<'_> {
     type Output = ();
     #[inline(always)]
     fn run(self) {
-        self.ch.solve_lower_multi_body(self.b, self.w);
+        self.ch.solve_lower_multi_body(self.b, self.w, self.solved);
     }
 }
 
@@ -701,7 +763,14 @@ mod tests {
     fn inverse_times_input_is_identity() {
         let a = spd3();
         let ch = Cholesky::new(&a).unwrap();
-        let inv = ch.inverse().unwrap();
+        // The lower triangle holds A⁻¹'s upper one; mirror it up.
+        let mut inv = Matrix::zeros(3, 3);
+        ch.inverse_upper_into(&mut inv).unwrap();
+        for i in 0..3 {
+            for j in i + 1..3 {
+                inv[(i, j)] = inv[(j, i)];
+            }
+        }
         let prod = a.matmul(&inv).unwrap();
         let eye = Matrix::identity(3);
         for i in 0..3 {
@@ -709,14 +778,11 @@ mod tests {
                 assert!((prod[(i, j)] - eye[(i, j)]).abs() < 1e-10);
             }
         }
-        assert_eq!(
-            Cholesky::new(&Matrix::zeros(0, 0))
-                .unwrap()
-                .inverse()
-                .unwrap()
-                .shape(),
-            (0, 0)
-        );
+        let mut empty = Matrix::zeros(0, 0);
+        Cholesky::new(&empty.clone())
+            .unwrap()
+            .inverse_upper_into(&mut empty)
+            .unwrap();
     }
 
     #[test]
@@ -945,19 +1011,40 @@ mod tests {
         }
     }
 
+    /// `inverse_upper_into` through the public entry (the AVX2 copy where
+    /// it runs) and the portable copy, into a buffer whose strict upper
+    /// triangle (a marker here) must survive, bit for bit the oracle's
+    /// upper triangle transposed.
     fn assert_inverse_matches_reference(ch: &Cholesky, label: &str) {
         let slow = inverse_reference(ch);
         let n = ch.dim();
-        let public = ch.inverse().unwrap();
-        assert_bits_equal(public.as_slice(), slow.as_slice(), n, label);
-        for (copy, fast) in both_copies(Inverse(ch)) {
-            assert_bits_equal(
-                fast.as_slice(),
-                slow.as_slice(),
-                n,
-                &format!("{label} {copy}"),
-            );
+        let marker = |i: usize, j: usize| -((i * n + j) as f64) - 0.5;
+        let mut want = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                want[(i, j)] = if j > i { marker(i, j) } else { slow[(j, i)] };
+            }
         }
+        let fresh = || {
+            let mut m = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    m[(i, j)] = marker(i, j);
+                }
+            }
+            m
+        };
+        let mut public = fresh();
+        ch.inverse_upper_into(&mut public).unwrap();
+        assert_bits_equal(public.as_slice(), want.as_slice(), n, label);
+        let mut portable = fresh();
+        InverseUpperInto {
+            ch,
+            out: portable.as_mut_slice(),
+        }
+        .run();
+        let label = format!("{label} portable");
+        assert_bits_equal(portable.as_slice(), want.as_slice(), n, &label);
     }
 
     /// Symmetric, strictly diagonally dominant (hence SPD) matrix with
@@ -1153,8 +1240,8 @@ mod tests {
                 .collect();
             let a = rbf_gram(&pts, 0.7, 1e-6);
             let b: Vec<f64> = (0..n).map(|i| a[(n, i)]).collect();
-            let held = Cholesky::new(&leading(&a, n)).unwrap();
-            let bordered = held.border(&b, a[(n, n)]).unwrap();
+            let mut bordered = Cholesky::new(&leading(&a, n)).unwrap();
+            bordered.border(&b, a[(n, n)]).unwrap();
             let fresh = Cholesky::new(&a).unwrap();
             assert_bits_equal(
                 bordered.l().as_slice(),
@@ -1171,8 +1258,8 @@ mod tests {
         let a = spd_random(n + 1, 5);
         let b: Vec<f64> = (0..n).map(|i| a[(n, i)]).collect();
         // A jittered factor borders into the jittered fresh factor.
-        let held = Cholesky::factor_reference(&leading(&a, n), 1e-3).unwrap();
-        let bordered = held.border(&b, a[(n, n)]).unwrap();
+        let mut bordered = Cholesky::factor_reference(&leading(&a, n), 1e-3).unwrap();
+        bordered.border(&b, a[(n, n)]).unwrap();
         let fresh = Cholesky::factor_reference(&a, 1e-3).unwrap();
         assert_eq!(bordered.jitter(), 1e-3);
         assert_bits_equal(
@@ -1182,10 +1269,11 @@ mod tests {
             "jittered",
         );
         // A corner too small for definiteness: the fresh factor's pivot
-        // and value.
+        // and value, and the held factor untouched.
         let mut bad = a.clone();
         bad[(n, n)] = -1.0;
-        let held = Cholesky::new(&leading(&a, n)).unwrap();
+        let mut held = Cholesky::new(&leading(&a, n)).unwrap();
+        let before = held.l().as_slice().to_vec();
         match (held.border(&b, -1.0), Cholesky::new(&bad)) {
             (
                 Err(LinalgError::NotPositiveDefinite { pivot, value }),
@@ -1200,6 +1288,8 @@ mod tests {
             held.border(&[1.0], 5.0),
             Err(LinalgError::ShapeMismatch { .. })
         ));
+        assert_bits_equal(held.l().as_slice(), &before, n, "failed border");
+        assert_eq!(held.dim(), n);
     }
 
     #[test]
@@ -1221,7 +1311,8 @@ mod tests {
         let n = if cfg!(miri) { 16 } else { 120 };
         let pts: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
         let ch = Cholesky::with_jitter(&rbf_gram(&pts, 0.5, 1e-9), 1e-10, 1e-2).unwrap();
-        let inv = ch.inverse().unwrap();
+        let mut inv = Matrix::zeros(n, n);
+        ch.inverse_upper_into(&mut inv).unwrap();
         let max = inv.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(max > 1e6, "inverse entries reach {max}");
         assert_inverse_matches_reference(&ch, "ill-conditioned");
@@ -1249,7 +1340,7 @@ mod tests {
 
     /// `solve_lower_multi` through its public entry, its portable copy and
     /// (when it runs here) its AVX2 copy, each against `solve_lower` column
-    /// by column.
+    /// by column: from scratch, and resumed after rows already solved.
     fn assert_multi_matches_columns(ch: &Cholesky, b: &[f64], w: usize, label: &str) {
         let n = ch.dim();
         let mut want = vec![0.0; n * w];
@@ -1259,25 +1350,38 @@ mod tests {
                 want[i * w + t] = v;
             }
         }
-        let mut public = b.to_vec();
-        ch.solve_lower_multi(&mut public, w).unwrap();
-        assert_bits_equal(&public, &want, w, &format!("{label}, w={w}"));
-        let mut portable = b.to_vec();
-        SolveLowerMulti {
-            ch,
-            b: &mut portable,
-            w,
+        // `b` with its first `solved` rows replaced by the solution's.
+        let resumed = |solved: usize| {
+            let mut r = b.to_vec();
+            r[..solved * w].copy_from_slice(&want[..solved * w]);
+            r
+        };
+        for solved in [0, n / 3, n - 1, n] {
+            let mut public = resumed(solved);
+            ch.solve_lower_multi(&mut public, w, solved).unwrap();
+            assert_bits_equal(&public, &want, w, &format!("{label}, w={w} from {solved}"));
         }
-        .run();
-        assert_bits_equal(&portable, &want, w, &format!("{label}, w={w} portable"));
-        if avx2_copy_runs() {
-            let mut wide = b.to_vec();
-            dispatch(SolveLowerMulti {
+        for solved in [0, n / 2] {
+            let at = format!("{label}, w={w} from {solved}");
+            let mut portable = resumed(solved);
+            SolveLowerMulti {
                 ch,
-                b: &mut wide,
+                b: &mut portable,
                 w,
-            });
-            assert_bits_equal(&wide, &want, w, &format!("{label}, w={w} avx2"));
+                solved,
+            }
+            .run();
+            assert_bits_equal(&portable, &want, w, &format!("{at} portable"));
+            if avx2_copy_runs() {
+                let mut wide = resumed(solved);
+                dispatch(SolveLowerMulti {
+                    ch,
+                    b: &mut wide,
+                    w,
+                    solved,
+                });
+                assert_bits_equal(&wide, &want, w, &format!("{at} avx2"));
+            }
         }
     }
 
@@ -1331,9 +1435,55 @@ mod tests {
     fn solve_lower_multi_rejects_wrong_length_and_accepts_no_columns() {
         let ch = Cholesky::new(&spd3()).unwrap();
         assert!(matches!(
-            ch.solve_lower_multi(&mut [1.0; 5], 2),
+            ch.solve_lower_multi(&mut [1.0; 5], 2, 0),
             Err(LinalgError::ShapeMismatch { .. })
         ));
-        ch.solve_lower_multi(&mut [], 0).unwrap();
+        ch.solve_lower_multi(&mut [], 0, 0).unwrap();
+        assert!(matches!(
+            ch.solve_lower_multi(&mut [1.0; 6], 2, 4),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn inverse_upper_into_rejects_a_wrong_shape() {
+        let ch = Cholesky::new(&spd3()).unwrap();
+        for (r, c) in [(2, 2), (3, 2), (4, 4)] {
+            assert!(matches!(
+                ch.inverse_upper_into(&mut Matrix::zeros(r, c)),
+                Err(LinalgError::ShapeMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn prefix_ids_name_bitwise_equal_leading_rows() {
+        let a = spd_dominant(6);
+        let held = Cholesky::new(&leading(&a, 4)).unwrap();
+        let col = |r: usize| (0..r).map(|i| a[(i, r)]).collect::<Vec<f64>>();
+        assert_eq!(held.prefix_id(0), None);
+        assert_eq!(held.prefix_id(5), None);
+        // One factorization names all its rows alike.
+        let id = held.prefix_id(4).unwrap();
+        assert!((1..=4).all(|r| held.prefix_id(r) == Some(id)));
+        // A refactorization of the same matrix is a different factor.
+        let again = Cholesky::new(&leading(&a, 4)).unwrap();
+        assert_ne!(again.prefix_id(4), Some(id));
+        // Growth keeps the leading rows' ids and names the new row afresh.
+        let mut grown = held.clone();
+        grown.border(&col(4), a[(4, 4)]).unwrap();
+        assert_eq!(grown.prefix_id(4), Some(id));
+        let row4 = grown.prefix_id(5).unwrap();
+        assert_ne!(row4, id);
+        let mut extended = held.clone();
+        extended.extend(&col(4), a[(4, 4)]).unwrap();
+        assert_eq!(extended.prefix_id(4), Some(id));
+        // Two clones grown by the same row still differ in that row's id:
+        // the id names the operation, not the values.
+        assert_ne!(extended.prefix_id(5), Some(row4));
+        let mut twice = grown.clone();
+        twice.border(&col(5), a[(5, 5)]).unwrap();
+        assert_eq!(twice.prefix_id(5), Some(row4));
+        assert_eq!(twice.prefix_id(4), Some(id));
     }
 }

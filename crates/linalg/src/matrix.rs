@@ -58,34 +58,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Build a matrix from a slice of equally sized rows.
-    ///
-    /// Returns an error when rows have inconsistent lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self, LinalgError> {
-        if rows.is_empty() {
-            return Err(LinalgError::Empty("row list"));
-        }
-        let cols = rows[0].len();
-        for (i, r) in rows.iter().enumerate() {
-            if r.len() != cols {
-                return Err(LinalgError::ShapeMismatch {
-                    op: "from_rows",
-                    lhs: (i, cols),
-                    rhs: (i, r.len()),
-                });
-            }
-        }
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            data.extend_from_slice(r);
-        }
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -253,19 +225,24 @@ impl Matrix {
         self.rows -= 1;
     }
 
-    /// `true` when the matrix is symmetric to within `tol` (absolute).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
+    /// Grow a square `n × n` matrix in place to `(n + 1) × (n + 1)`: the
+    /// old entries keep their `(i, j)`, the new row and column are zero.
+    /// The buffer grows by exactly the new entries.
+    pub(crate) fn grow_square(&mut self) {
+        let n = self.rows;
+        debug_assert_eq!(n, self.cols, "grow_square requires a square matrix");
+        self.data.reserve_exact(2 * n + 1);
+        self.data.resize((n + 1) * (n + 1), 0.0);
+        // Last row first: each row moves to a higher offset, past the
+        // rows still to move.
+        for i in (1..n).rev() {
+            self.data.copy_within(i * n..(i + 1) * n, i * (n + 1));
         }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
+        for i in 0..n {
+            self.data[i * (n + 1) + n] = 0.0;
         }
-        true
+        self.rows = n + 1;
+        self.cols = n + 1;
     }
 
     /// Frobenius norm.
@@ -317,14 +294,6 @@ mod tests {
         assert_eq!(i[(0, 0)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);
         assert_eq!(i[(2, 2)], 1.0);
-    }
-
-    #[test]
-    fn from_rows_validates_lengths() {
-        let ok = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(ok[(1, 0)], 3.0);
-        assert!(Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]).is_err());
-        assert!(Matrix::from_rows(&[]).is_err());
     }
 
     #[test]
@@ -396,12 +365,20 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_check() {
-        let s = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 3.0]);
-        assert!(s.is_symmetric(1e-12));
-        let ns = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.5, 3.0]);
-        assert!(!ns.is_symmetric(1e-12));
-        assert!(!Matrix::zeros(2, 3).is_symmetric(1e-12));
+    fn grow_square_keeps_entries_and_zeroes_the_border() {
+        for n in 0..6 {
+            let entry = |i: usize, j: usize| (i * 10 + j + 1) as f64;
+            let data = (0..n * n).map(|e| entry(e / n, e % n)).collect();
+            let mut m = Matrix::from_vec(n, n, data);
+            m.grow_square();
+            assert_eq!(m.shape(), (n + 1, n + 1));
+            for i in 0..=n {
+                for j in 0..=n {
+                    let want = if i < n && j < n { entry(i, j) } else { 0.0 };
+                    assert_eq!(m[(i, j)], want, "n={n} ({i}, {j})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use rand::{Rng, RngExt};
 
 /// Draw one standard normal variate via the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 in (0, 1] so the log is finite.
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();
@@ -20,18 +20,11 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     mean + std * standard_normal(rng)
 }
 
-/// Draw a log-normal variate: `exp(N(mu, sigma²))`.
-///
-/// `mu`/`sigma` are the parameters of the underlying normal, i.e. the
-/// distribution of the logarithm.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    normal(rng, mu, sigma).exp()
-}
-
 /// Multiplicative noise factor with a given coefficient of variation-ish
-/// spread: `exp(N(0, sigma²))`. With small `sigma` this is `≈ 1 ± sigma`.
+/// spread: `exp(N(0, sigma²))`, a log-normal variate. With small `sigma`
+/// this is `≈ 1 ± sigma`.
 pub fn noise_factor<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
-    log_normal(rng, 0.0, sigma)
+    normal(rng, 0.0, sigma).exp()
 }
 
 /// Draw an index from the discrete distribution defined by non-negative
@@ -97,11 +90,9 @@ mod tests {
     }
 
     #[test]
-    fn log_normal_is_positive_and_centered() {
+    fn noise_factor_is_positive_and_centered() {
         let mut rng = StdRng::seed_from_u64(9);
-        let samples: Vec<f64> = (0..10_000)
-            .map(|_| log_normal(&mut rng, 0.0, 0.1))
-            .collect();
+        let samples: Vec<f64> = (0..10_000).map(|_| noise_factor(&mut rng, 0.1)).collect();
         assert!(samples.iter().all(|&x| x > 0.0));
         let logs: Vec<f64> = samples.iter().map(|x| x.ln()).collect();
         assert!(crate::stats::mean(&logs).abs() < 0.01);
