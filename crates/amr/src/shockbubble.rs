@@ -51,7 +51,7 @@ impl SimulationConfig {
     }
 
     /// Physical bubble radius in domain units.
-    pub fn bubble_radius(&self) -> f64 {
+    fn bubble_radius(&self) -> f64 {
         self.r0 * RADIUS_SCALE
     }
 
@@ -76,7 +76,7 @@ impl SimulationConfig {
 }
 
 /// Pre-shock (quiescent) ambient state: `ρ = 1, u = v = 0, p = 1`.
-pub fn ambient_state() -> State {
+fn ambient_state() -> State {
     conservative(1.0, 0.0, 0.0, 1.0)
 }
 

@@ -170,7 +170,7 @@ impl Forest {
 
     /// Snapshot of the leaf keys at one refinement level, in deterministic
     /// order (the per-level iteration unit of Berger–Oliger subcycling).
-    pub fn leaf_keys_at(&self, level: u8) -> Vec<PatchKey> {
+    fn leaf_keys_at(&self, level: u8) -> Vec<PatchKey> {
         self.leaves
             .keys()
             .filter(|(l, _, _)| *l == level)

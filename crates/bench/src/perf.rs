@@ -583,6 +583,27 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             },
         ));
     }
+    // The kernel values alone at the Fig. 3 pool shape: each of 250
+    // training rows against the 400 candidates, one `Kernel::values_into`
+    // block per row (the path behind predict, the K_y fill and the LML
+    // gradient).
+    out.push(Scenario::new(
+        "gp",
+        "kernel_values_rbf_n250_q400".to_string(),
+        || {
+            let (x, _) = training_data(250, 5, 31);
+            let (xq, _) = training_data(400, 5, 32);
+            let xqt = xq.transpose();
+            let kernel = KernelKind::Rbf.build(0.3);
+            let mut row = vec![0.0; xq.rows()];
+            Box::new(move || {
+                for i in 0..x.rows() {
+                    kernel.values_into(x.row(i), &xqt, 0, &mut row);
+                }
+                std::hint::black_box(row[0]);
+            })
+        },
+    ));
     // The test-set RMSE's prediction at the Fig. 3 loop's largest model:
     // means only, for its 200 held-out rows.
     out.push(Scenario::new(
@@ -1617,6 +1638,8 @@ mod tests {
         // mean-only RMSE predict, and the pool predict from its cache.
         assert!(names.contains(&"gp/gp_predict_mean_n250_q200".to_string()));
         assert!(names.contains(&"gp/gp_predict_cached_n250_q400".to_string()));
+        // The block kernel-value path alone at the Fig. 3 pool shape.
+        assert!(names.contains(&"gp/kernel_values_rbf_n250_q400".to_string()));
         // Unknown group is a typed error.
         assert!(matches!(
             registry(Tier::Quick, &["nope".to_string()]),

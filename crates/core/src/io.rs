@@ -1,12 +1,11 @@
-//! CSV persistence for AL trajectories, so experiment outputs can be
+//! CSV output for AL trajectories, so experiment outputs can be
 //! archived and re-analysed without re-running AL (the role of the
 //! paper's published analysis notebooks).
 
 use crate::stopping::StopReason;
-use crate::trajectory::{IterationRecord, Trajectory};
-use al_units::{Megabytes, NodeHours};
+use crate::trajectory::Trajectory;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// Header of the per-iteration section.
@@ -21,17 +20,6 @@ fn stop_reason_str(r: StopReason) -> &'static str {
         StopReason::PredictionsStabilized => "predictions_stabilized",
         StopReason::HyperparamsStabilized => "hyperparams_stabilized",
     }
-}
-
-fn parse_stop_reason(s: &str) -> Option<StopReason> {
-    Some(match s {
-        "active_exhausted" => StopReason::ActiveExhausted,
-        "all_candidates_refused" => StopReason::AllCandidatesRefused,
-        "max_iterations" => StopReason::MaxIterations,
-        "predictions_stabilized" => StopReason::PredictionsStabilized,
-        "hyperparams_stabilized" => StopReason::HyperparamsStabilized,
-        _ => return None,
-    })
 }
 
 /// Write one trajectory: a `#`-prefixed metadata preamble followed by the
@@ -66,98 +54,112 @@ pub fn write_trajectory_csv(trajectory: &Trajectory, path: &Path) -> io::Result<
     w.flush()
 }
 
-/// Read a trajectory written by [`write_trajectory_csv`].
-pub fn read_trajectory_csv(path: &Path) -> io::Result<Trajectory> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let reader = BufReader::new(File::open(path)?);
-    let mut strategy = String::new();
-    let mut n_init = 0usize;
-    let mut initial_rmse_cost = f64::NAN;
-    let mut initial_rmse_mem = f64::NAN;
-    let mut stop_reason = StopReason::ActiveExhausted;
-    let mut records = Vec::new();
-    let mut saw_header = false;
-
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(meta) = line.strip_prefix('#') {
-            let (key, value) = meta
-                .split_once(':')
-                .ok_or_else(|| bad(format!("line {}: bad metadata", lineno + 1)))?;
-            let value = value.trim();
-            match key.trim() {
-                "strategy" => strategy = value.to_string(),
-                "n_init" => {
-                    n_init = value.parse().map_err(|e| bad(format!("n_init: {e}")))?;
-                }
-                "initial_rmse_cost" => {
-                    initial_rmse_cost = value.parse().map_err(|e| bad(format!("rmse: {e}")))?;
-                }
-                "initial_rmse_mem" => {
-                    initial_rmse_mem = value.parse().map_err(|e| bad(format!("rmse: {e}")))?;
-                }
-                "stop_reason" => {
-                    stop_reason = parse_stop_reason(value)
-                        .ok_or_else(|| bad(format!("unknown stop reason {value:?}")))?;
-                }
-                other => return Err(bad(format!("unknown metadata key {other:?}"))),
-            }
-            continue;
-        }
-        if !saw_header {
-            if line != RECORD_HEADER {
-                return Err(bad(format!("line {}: bad header", lineno + 1)));
-            }
-            saw_header = true;
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 9 {
-            return Err(bad(format!(
-                "line {}: expected 9 fields, got {}",
-                lineno + 1,
-                fields.len()
-            )));
-        }
-        let pf = |i: usize| -> io::Result<f64> {
-            fields[i]
-                .parse()
-                .map_err(|e| bad(format!("line {}: field {i}: {e}", lineno + 1)))
-        };
-        let pu = |i: usize| -> io::Result<usize> {
-            fields[i]
-                .parse()
-                .map_err(|e| bad(format!("line {}: field {i}: {e}", lineno + 1)))
-        };
-        records.push(IterationRecord {
-            iteration: pu(0)?,
-            dataset_index: pu(1)?,
-            cost: NodeHours::new(pf(2)?),
-            memory: Megabytes::new(pf(3)?),
-            regret: NodeHours::new(pf(4)?),
-            cumulative_cost: NodeHours::new(pf(5)?),
-            cumulative_regret: NodeHours::new(pf(6)?),
-            rmse_cost: pf(7)?,
-            rmse_mem: pf(8)?,
-        });
-    }
-    Ok(Trajectory {
-        strategy,
-        n_init,
-        initial_rmse_cost,
-        initial_rmse_mem,
-        records,
-        stop_reason,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::IterationRecord;
+    use al_units::{Megabytes, NodeHours};
+    use std::io::{BufRead, BufReader};
+
+    fn parse_stop_reason(s: &str) -> Option<StopReason> {
+        Some(match s {
+            "active_exhausted" => StopReason::ActiveExhausted,
+            "all_candidates_refused" => StopReason::AllCandidatesRefused,
+            "max_iterations" => StopReason::MaxIterations,
+            "predictions_stabilized" => StopReason::PredictionsStabilized,
+            "hyperparams_stabilized" => StopReason::HyperparamsStabilized,
+            _ => return None,
+        })
+    }
+
+    /// Read a trajectory written by [`write_trajectory_csv`].
+    fn read_trajectory_csv(path: &Path) -> io::Result<Trajectory> {
+        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let reader = BufReader::new(File::open(path)?);
+        let mut strategy = String::new();
+        let mut n_init = 0usize;
+        let mut initial_rmse_cost = f64::NAN;
+        let mut initial_rmse_mem = f64::NAN;
+        let mut stop_reason = StopReason::ActiveExhausted;
+        let mut records = Vec::new();
+        let mut saw_header = false;
+
+        for (lineno, line) in reader.lines().enumerate() {
+            let line = line?;
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(meta) = line.strip_prefix('#') {
+                let (key, value) = meta
+                    .split_once(':')
+                    .ok_or_else(|| bad(format!("line {}: bad metadata", lineno + 1)))?;
+                let value = value.trim();
+                match key.trim() {
+                    "strategy" => strategy = value.to_string(),
+                    "n_init" => {
+                        n_init = value.parse().map_err(|e| bad(format!("n_init: {e}")))?;
+                    }
+                    "initial_rmse_cost" => {
+                        initial_rmse_cost = value.parse().map_err(|e| bad(format!("rmse: {e}")))?;
+                    }
+                    "initial_rmse_mem" => {
+                        initial_rmse_mem = value.parse().map_err(|e| bad(format!("rmse: {e}")))?;
+                    }
+                    "stop_reason" => {
+                        stop_reason = parse_stop_reason(value)
+                            .ok_or_else(|| bad(format!("unknown stop reason {value:?}")))?;
+                    }
+                    other => return Err(bad(format!("unknown metadata key {other:?}"))),
+                }
+                continue;
+            }
+            if !saw_header {
+                if line != RECORD_HEADER {
+                    return Err(bad(format!("line {}: bad header", lineno + 1)));
+                }
+                saw_header = true;
+                continue;
+            }
+            let fields: Vec<&str> = line.split(',').collect();
+            if fields.len() != 9 {
+                return Err(bad(format!(
+                    "line {}: expected 9 fields, got {}",
+                    lineno + 1,
+                    fields.len()
+                )));
+            }
+            let pf = |i: usize| -> io::Result<f64> {
+                fields[i]
+                    .parse()
+                    .map_err(|e| bad(format!("line {}: field {i}: {e}", lineno + 1)))
+            };
+            let pu = |i: usize| -> io::Result<usize> {
+                fields[i]
+                    .parse()
+                    .map_err(|e| bad(format!("line {}: field {i}: {e}", lineno + 1)))
+            };
+            records.push(IterationRecord {
+                iteration: pu(0)?,
+                dataset_index: pu(1)?,
+                cost: NodeHours::new(pf(2)?),
+                memory: Megabytes::new(pf(3)?),
+                regret: NodeHours::new(pf(4)?),
+                cumulative_cost: NodeHours::new(pf(5)?),
+                cumulative_regret: NodeHours::new(pf(6)?),
+                rmse_cost: pf(7)?,
+                rmse_mem: pf(8)?,
+            });
+        }
+        Ok(Trajectory {
+            strategy,
+            n_init,
+            initial_rmse_cost,
+            initial_rmse_mem,
+            records,
+            stop_reason,
+        })
+    }
 
     fn sample_trajectory() -> Trajectory {
         Trajectory {

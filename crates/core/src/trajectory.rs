@@ -107,27 +107,6 @@ pub fn mean_curve(trajectories: &[Trajectory], f: impl Fn(&IterationRecord) -> f
     out
 }
 
-/// Per-iteration quantile of a quantity across trajectories (e.g. the
-/// median and quartile band of Fig. 3's regret curves). Entry `i` is the
-/// `q`-quantile of `f(records[i])` over trajectories that reached `i`.
-pub fn quantile_curve(
-    trajectories: &[Trajectory],
-    q: f64,
-    f: impl Fn(&IterationRecord) -> f64,
-) -> Vec<f64> {
-    let max_len = trajectories.iter().map(|t| t.len()).max().unwrap_or(0);
-    let mut out = Vec::with_capacity(max_len);
-    for i in 0..max_len {
-        let values: Vec<f64> = trajectories
-            .iter()
-            .filter_map(|t| t.records.get(i))
-            .map(&f)
-            .collect();
-        out.push(al_linalg::stats::quantile(&values, q));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,21 +176,5 @@ mod tests {
     #[test]
     fn mean_curve_of_nothing_is_empty() {
         assert!(mean_curve(&[], |r| r.cost.value()).is_empty());
-    }
-
-    #[test]
-    fn quantile_curve_brackets_mean_curve() {
-        let ts: Vec<Trajectory> = (1..=4).map(|n| trajectory(n * 2)).collect();
-        let lo = quantile_curve(&ts, 0.0, |r| r.cost.value());
-        let mid = mean_curve(&ts, |r| r.cost.value());
-        let hi = quantile_curve(&ts, 1.0, |r| r.cost.value());
-        assert_eq!(lo.len(), mid.len());
-        for i in 0..mid.len() {
-            assert!(lo[i] <= mid[i] + 1e-12 && mid[i] <= hi[i] + 1e-12);
-        }
-        // The median of identical trajectories equals their value.
-        let same = vec![trajectory(3), trajectory(3)];
-        let med = quantile_curve(&same, 0.5, |r| r.cost.value());
-        assert_eq!(med, vec![1.0, 2.0, 3.0]);
     }
 }

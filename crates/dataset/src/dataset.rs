@@ -70,11 +70,6 @@ impl Dataset {
         }
     }
 
-    /// The feature pre-transform in effect.
-    pub fn feature_map(&self) -> FeatureMap {
-        self.map
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -277,8 +272,8 @@ mod tests {
     fn log2_p_map_respaces_the_node_axis() {
         let base = synthetic(16);
         let mapped = Dataset::with_map(base.samples().to_vec(), FeatureMap { log2_p: true });
-        assert!(mapped.feature_map().log2_p);
-        assert!(!base.feature_map().log2_p);
+        assert!(mapped.map.log2_p);
+        assert!(!base.map.log2_p);
         // The synthetic p values are 4, 8, 12, 16: min–max scaling after
         // the log2 map places each p at (log2 p − 2) / (log2 16 − 2).
         for i in 0..mapped.len() {

@@ -102,7 +102,8 @@ impl GpModel {
     }
 
     /// Disable target centering (fit the raw responses).
-    pub fn without_normalization(mut self) -> Self {
+    #[cfg(test)]
+    fn without_normalization(mut self) -> Self {
         self.normalize_y = false;
         self
     }
@@ -177,7 +178,11 @@ impl GpModel {
         check_finite(x, y)?;
         let chol = match self.border_held_fit(x) {
             Some(chol) => chol,
-            None => factor_from_scratch(&self.noisy_kernel_matrix(x))?,
+            None => {
+                let mut k = Matrix::zeros(x.rows(), x.rows());
+                self.fill_noisy_kernel_matrix(x, &x.transpose(), &mut k);
+                factor_from_scratch(&k)?
+            }
         };
         self.hold_fit(x, y, chol)
     }
@@ -232,15 +237,13 @@ impl GpModel {
             return None;
         }
         let diag = self.kernel.diag_value() + self.noise_variance();
-        // New entries in `noisy_kernel_matrix`'s argument order.
-        let column = |r: usize| -> Vec<f64> {
-            (0..r)
-                .map(|i| self.kernel.value(x.row(i), x.row(r)))
-                .collect()
-        };
+        // The new entries `k(x_i, x_r)`, `i < r`, of `K_y`'s column `r`.
+        let xt = x.transpose();
+        let mut column = vec![0.0; x.rows()];
         let mut chol = self.fitted.take()?.chol;
         for r in n..x.rows() {
-            chol.border(&column(r), diag).ok()?;
+            self.kernel.values_into(x.row(r), &xt, 0, &mut column[..r]);
+            chol.border(&column[..r], diag).ok()?;
         }
         Some(chol)
     }
@@ -271,9 +274,8 @@ impl GpModel {
             return Err(GpError::NonFiniteTrainingData { row: n });
         }
         let mut k_vec = vec![0.0; n];
-        for (i, k) in k_vec.iter_mut().enumerate() {
-            *k = self.kernel.value(x_new, fitted.x.row(i));
-        }
+        self.kernel
+            .values_into(x_new, &fitted.x.transpose(), 0, &mut k_vec);
         let diag = self.kernel.diag_value() + self.log_noise.exp();
 
         // Rebuild the training set regardless of which path we take.
@@ -364,73 +366,60 @@ impl GpModel {
     /// `∂LML/∂θ = ½ tr((ααᵀ − K_y⁻¹) ∂K_y/∂θ)`.
     pub fn lml_gradient(&self) -> Result<Vec<f64>, GpError> {
         let fitted = self.fitted.as_ref().ok_or(GpError::NotFitted)?;
+        let xt = fitted.x.transpose();
         let mut k = Matrix::zeros(fitted.x.rows(), fitted.x.rows());
-        self.fill_noisy_kernel_matrix(&fitted.x, &mut k);
-        self.gradient_in(fitted, &mut k)
+        self.fill_noisy_kernel_matrix(&fitted.x, &xt, &mut k);
+        self.gradient_in(fitted, &xt, &mut k)
     }
 
     /// [`GpModel::lml_gradient`] of `fitted`, from `k` holding `K_y` over
-    /// `fitted.x` above its diagonal: `K_y⁻¹`'s upper triangle overwrites
-    /// `k`'s lower one, and the gradient reads its kernel values above the
-    /// diagonal and `K_y⁻¹` on and below it. The diagonal now holds
-    /// `K_y⁻¹`'s, and `K_y`'s carried σ_n² anyway, so the diagonal terms
-    /// evaluate `value(x_i, x_i)`.
-    fn gradient_in(&self, fitted: &Fitted, k: &mut Matrix) -> Result<Vec<f64>, GpError> {
-        fitted.chol.inverse_upper_into(k)?;
-        let x = &fitted.x;
-        Ok(self.gradient_of(
-            fitted,
-            |i, j| k[(j, i)],
-            |i, j| {
-                if i == j {
-                    self.kernel.value(x.row(i), x.row(i))
-                } else {
-                    k[(i, j)]
-                }
-            },
-        ))
-    }
-
-    /// The gradient of `fitted`'s LML, reading only `i ≤ j`: `k_inv(i, j)`
-    /// is `K_y⁻¹(i, j)` as [`Cholesky::inverse_upper_into`] computes it,
-    /// and `k(i, j)` is `value(x_i, x_j)` bit for bit (the
-    /// [`Kernel::gradient`] contract), so a caller holding both in one
-    /// buffer need not evaluate either again.
-    fn gradient_of(
+    /// `fitted.x` (transposed: `xt`) above its diagonal: `K_y⁻¹`'s upper
+    /// triangle overwrites `k`'s lower one, and the gradient reads its
+    /// kernel values above the diagonal and `K_y⁻¹(i, j)`, `i ≤ j`, at
+    /// `k(j, i)`. The diagonal now holds `K_y⁻¹`'s, and `K_y`'s carried
+    /// σ_n² anyway, so the diagonal terms take `diag_value()`, which is
+    /// `value(x_i, x_i)` bit for bit (see [`Kernel::diag_value`]).
+    ///
+    /// Row `i` takes one [`Kernel::gradients_into`] over columns `i..n`,
+    /// and each `∂LML/∂θ_g` adds its terms pair by pair in ascending
+    /// `(i, j)`, the diagonal's first in each row.
+    fn gradient_in(
         &self,
         fitted: &Fitted,
-        k_inv: impl Fn(usize, usize) -> f64,
-        k: impl Fn(usize, usize) -> f64,
-    ) -> Vec<f64> {
+        xt: &Matrix,
+        k: &mut Matrix,
+    ) -> Result<Vec<f64>, GpError> {
+        fitted.chol.inverse_upper_into(k)?;
         let n = fitted.x.rows();
         let nk = self.kernel.n_params();
         let alpha = &fitted.alpha;
 
         let mut grad = vec![0.0; nk + 1];
-        let mut kgrad = vec![0.0; nk];
+        let (mut kv, mut c) = (vec![0.0; n], vec![0.0; n]);
+        let mut terms = vec![0.0; nk * n];
         for i in 0..n {
-            let xi = fitted.x.row(i);
-            // Diagonal term (weight 1).
-            let cii = alpha[i] * alpha[i] - k_inv(i, i);
-            self.kernel.gradient(xi, xi, k(i, i), &mut kgrad);
-            for (g, kg) in grad[..nk].iter_mut().zip(&kgrad) {
-                *g += 0.5 * cii * kg;
+            let w = n - i;
+            kv[0] = self.kernel.diag_value();
+            kv[1..w].copy_from_slice(&k.row(i)[i + 1..]);
+            for (j, cij) in (i..n).zip(&mut c) {
+                *cij = alpha[i] * alpha[j] - k[(j, i)];
             }
-            // Off-diagonal terms (weight 2, symmetry).
-            for j in (i + 1)..n {
-                let cij = alpha[i] * alpha[j] - k_inv(i, j);
-                self.kernel
-                    .gradient(xi, fitted.x.row(j), k(i, j), &mut kgrad);
-                for (g, kg) in grad[..nk].iter_mut().zip(&kgrad) {
-                    *g += cij * kg;
+            let terms = &mut terms[..nk * w];
+            self.kernel
+                .gradients_into(fitted.x.row(i), xt, i, &kv[..w], terms);
+            for (g, t) in grad[..nk].iter_mut().zip(terms.chunks_exact(w)) {
+                // Diagonal term (weight 1), then off-diagonal (weight 2).
+                *g += 0.5 * c[0] * t[0];
+                for (cij, tj) in c[1..w].iter().zip(&t[1..]) {
+                    *g += cij * tj;
                 }
             }
         }
         // Noise: ∂K_y/∂log σ_n² = σ_n² I.
         let sn2 = self.noise_variance();
-        let trace_term: f64 = (0..n).map(|i| alpha[i] * alpha[i] - k_inv(i, i)).sum();
+        let trace_term: f64 = (0..n).map(|i| alpha[i] * alpha[i] - k[(i, i)]).sum();
         grad[nk] = 0.5 * sn2 * trace_term;
-        grad
+        Ok(grad)
     }
 
     /// Posterior mean and standard deviation at each row of `xs` (Eq. 2–3).
@@ -532,7 +521,9 @@ impl GpModel {
 
     /// The one loop behind every prediction; returns the posterior means.
     /// Queries run in tiles of up to QB through one `n × w` buffer whose
-    /// row `i` holds `k(x_q, x_i)` for every query `q` of the tile. Each μ
+    /// row `i` holds `k(x_q, x_i)` for every query `q` of the tile, one
+    /// [`Kernel::values_into`] of `x_i` against the tile's columns of the
+    /// transposed queries. Each μ
     /// keeps the bits of the per-query loop this replaced (DESIGN §13):
     /// `μ − ȳ = Σ_i k_i·α_i` folds from −0.0 in ascending `i`, as
     /// `ops::dot` does. Then `tile_done(q0, w, block)` sees the tile's
@@ -548,14 +539,12 @@ impl GpModel {
         let m = xs.rows();
         let mut mean = Vec::with_capacity(m);
         let mut buf = vec![0.0; n * QB.min(m)];
+        let xst = xs.transpose();
         for q0 in (0..m).step_by(QB) {
             let w = QB.min(m - q0);
             let kt = &mut buf[..n * w];
             for (i, row) in kt.chunks_exact_mut(w).enumerate() {
-                let xi = fitted.x.row(i);
-                for (t, k) in row.iter_mut().enumerate() {
-                    *k = self.kernel.value(xs.row(q0 + t), xi);
-                }
+                self.kernel.values_into(fitted.x.row(i), &xst, q0, row);
             }
             let mut mu = [-0.0f64; QB];
             let mu = &mut mu[..w];
@@ -578,7 +567,8 @@ impl GpModel {
     }
 
     /// Evaluate the LML and its gradient at given hyperparameters for the
-    /// provided data, keeping the fit — the optimizer's objective. `k` is
+    /// provided data, keeping the fit — the optimizer's objective. `xt` is
+    /// `x` transposed, and `k` is
     /// the caller's `n × n` buffer: it is refilled with `K_y` in place and
     /// factored; then `K_y⁻¹`'s upper triangle overwrites its lower one,
     /// and the gradient reads its kernel values above the diagonal and
@@ -588,6 +578,7 @@ impl GpModel {
         &mut self,
         params: &[f64],
         x: &Matrix,
+        xt: &Matrix,
         y: &[f64],
         k: &mut Matrix,
     ) -> Option<(f64, Vec<f64>)> {
@@ -597,11 +588,11 @@ impl GpModel {
         if self.set_hyperparams(params).is_err() {
             return None;
         }
-        self.fill_noisy_kernel_matrix(x, k);
+        self.fill_noisy_kernel_matrix(x, xt, k);
         let chol = factor_from_scratch(k).ok()?;
         self.hold_fit(x, y, chol).ok()?;
         let fitted = self.fitted.as_ref()?;
-        let grad = self.gradient_in(fitted, k).ok()?;
+        let grad = self.gradient_in(fitted, xt, k).ok()?;
         let lml = fitted.lml;
         if !lml.is_finite() || grad.iter().any(|g| !g.is_finite()) {
             return None;
@@ -609,27 +600,19 @@ impl GpModel {
         Some((lml, grad))
     }
 
-    /// The noisy training covariance `K_y = K + σ_n² I` over the rows of
-    /// `x` (Eq. 3) — the matrix [`GpModel::fit`] factors.
-    fn noisy_kernel_matrix(&self, x: &Matrix) -> Matrix {
-        let mut k = Matrix::zeros(x.rows(), x.rows());
-        self.fill_noisy_kernel_matrix(x, &mut k);
-        k
-    }
-
-    /// Overwrite the `n × n` matrix `k` with `K_y` over the rows of `x`:
-    /// the diagonal and upper triangle row by row, with entry `(i, j)`
-    /// `value(x_i, x_j)`, then the lower triangle mirrored.
-    fn fill_noisy_kernel_matrix(&self, x: &Matrix, k: &mut Matrix) {
+    /// Overwrite the `n × n` matrix `k` with the noisy training covariance
+    /// `K_y = K + σ_n² I` over the rows of `x` (Eq. 3), given `xt`, `x`
+    /// transposed: the diagonal and upper triangle row by row, entries
+    /// `(i, i + 1..n)` one [`Kernel::values_into`] of `x_i`, then the
+    /// lower triangle mirrored.
+    fn fill_noisy_kernel_matrix(&self, x: &Matrix, xt: &Matrix, k: &mut Matrix) {
         let n = x.rows();
         debug_assert_eq!(k.shape(), (n, n));
         let diag = self.kernel.diag_value() + self.noise_variance();
         for (i, row) in k.as_mut_slice().chunks_exact_mut(n.max(1)).enumerate() {
-            let xi = x.row(i);
             row[i] = diag;
-            for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
-                *slot = self.kernel.value(xi, x.row(j));
-            }
+            self.kernel
+                .values_into(x.row(i), xt, i + 1, &mut row[i + 1..]);
         }
         for i in 0..n {
             for j in (i + 1)..n {
@@ -1530,7 +1513,7 @@ mod tests {
                     .map(|(i, v)| v + shift * (1.0 + 0.3 * i as f64))
                     .collect();
                 let label = format!("{} shift={shift}", kind.label());
-                let (lml, grad) = model.lml_at(&p, &x, &y, &mut k).unwrap();
+                let (lml, grad) = model.lml_at(&p, &x, &x.transpose(), &y, &mut k).unwrap();
                 assert_eq!(bits(&model.hyperparams()), bits(&p), "{label}");
                 assert_eq!(lml.to_bits(), model.lml().unwrap().to_bits(), "{label}");
                 assert_eq!(bits(&grad), bits(&model.lml_gradient().unwrap()), "{label}");

@@ -3,6 +3,7 @@
 
 use super::Kernel;
 use crate::error::GpError;
+use al_linalg::Matrix;
 
 /// `k(a, b) = σ_f² · exp(−½ Σ_k ((a_k−b_k)/l_k)²)` with log-space parameters
 /// `[log σ_f², log l_1, ..., log l_d]`.
@@ -47,6 +48,24 @@ impl ArdRbfKernel {
                 d * d
             })
             .sum()
+    }
+
+    /// [`ArdRbfKernel::scaled_sq_dist`] of `a` against each point of a
+    /// block (see [`Kernel::values_into`]): each lane folds `d_k²` from
+    /// −0.0 in ascending `k`, as the scalar `sum` does.
+    fn scaled_sq_dists_into(&self, a: &[f64], pts: &Matrix, j0: usize, out: &mut [f64]) {
+        debug_assert_eq!((a.len(), pts.rows()), (self.lengths.len(), a.len()));
+        let stride = pts.cols();
+        for o in out.iter_mut() {
+            *o = -0.0;
+        }
+        for (k, (x, l)) in a.iter().zip(&self.lengths).enumerate() {
+            let coords = &pts.as_slice()[k * stride + j0..][..out.len()];
+            for (o, y) in out.iter_mut().zip(coords) {
+                let d = (x - y) / l;
+                *o += d * d;
+            }
+        }
     }
 }
 
@@ -93,6 +112,33 @@ impl Kernel for ArdRbfKernel {
         for (j, l) in self.lengths.iter().enumerate() {
             let d = (a[j] - b[j]) / l;
             out[1 + j] = k * d * d;
+        }
+    }
+
+    fn values_into(&self, a: &[f64], pts: &Matrix, j0: usize, out: &mut [f64]) {
+        self.scaled_sq_dists_into(a, pts, j0, out);
+        for v in out {
+            *v = self.sigma_f2 * (-0.5 * *v).exp();
+        }
+    }
+
+    fn gradients_into(&self, a: &[f64], pts: &Matrix, j0: usize, k: &[f64], out: &mut [f64]) {
+        let w = k.len();
+        debug_assert_eq!(out.len(), self.n_params() * w);
+        let stride = pts.cols();
+        let (amplitude, lengths) = out.split_at_mut(w);
+        amplitude.copy_from_slice(k);
+        // ∂k/∂log l_m = k · ((a_m−b_m)/l_m)², one block row per m.
+        for (m, (g, (x, l))) in lengths
+            .chunks_exact_mut(w.max(1))
+            .zip(a.iter().zip(&self.lengths))
+            .enumerate()
+        {
+            let coords = &pts.as_slice()[m * stride + j0..][..w];
+            for ((g, kj), y) in g.iter_mut().zip(k).zip(coords) {
+                let d = (x - y) / l;
+                *g = kj * d * d;
+            }
         }
     }
 

@@ -3,7 +3,8 @@
 
 use super::Kernel;
 use crate::error::GpError;
-use al_linalg::ops::sq_dist;
+use al_linalg::ops::{sq_dist, sq_dists_into};
+use al_linalg::Matrix;
 
 /// Matérn ν = 3/2: `k = σ_f² (1 + s) e^{−s}` with `s = √3 ‖a−b‖ / l`.
 /// Log-space parameters `[log σ_f², log l]`.
@@ -104,6 +105,28 @@ impl Kernel for Matern32Kernel {
         out[1] = sf2 * s * s * e;
     }
 
+    fn values_into(&self, a: &[f64], pts: &Matrix, j0: usize, out: &mut [f64]) {
+        sq_dists_into(a, pts, j0, out);
+        for v in out {
+            let r = v.sqrt();
+            let s = 3f64.sqrt() * r / self.length;
+            *v = self.sigma_f2 * (1.0 + s) * (-s).exp();
+        }
+    }
+
+    fn gradients_into(&self, a: &[f64], pts: &Matrix, j0: usize, k: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), 2 * k.len());
+        let (amplitude, length) = out.split_at_mut(k.len());
+        amplitude.copy_from_slice(k);
+        sq_dists_into(a, pts, j0, length);
+        for g in length {
+            let r = g.sqrt();
+            let s = 3f64.sqrt() * r / self.length;
+            let e = (-s).exp();
+            *g = self.sigma_f2 * s * s * e;
+        }
+    }
+
     fn diag_value(&self) -> f64 {
         self.sigma_f2
     }
@@ -153,6 +176,28 @@ impl Kernel for Matern52Kernel {
         // dk/ds = −σ_f² (s/3)(1+s) e^{−s}; ds/d(log l) = −s
         // ⇒ dk/d(log l) = σ_f² (s²/3)(1+s) e^{−s}.
         out[1] = sf2 * (s * s / 3.0) * (1.0 + s) * e;
+    }
+
+    fn values_into(&self, a: &[f64], pts: &Matrix, j0: usize, out: &mut [f64]) {
+        sq_dists_into(a, pts, j0, out);
+        for v in out {
+            let r = v.sqrt();
+            let s = 5f64.sqrt() * r / self.length;
+            *v = self.sigma_f2 * (1.0 + s + s * s / 3.0) * (-s).exp();
+        }
+    }
+
+    fn gradients_into(&self, a: &[f64], pts: &Matrix, j0: usize, k: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), 2 * k.len());
+        let (amplitude, length) = out.split_at_mut(k.len());
+        amplitude.copy_from_slice(k);
+        sq_dists_into(a, pts, j0, length);
+        for g in length {
+            let r = g.sqrt();
+            let s = 5f64.sqrt() * r / self.length;
+            let e = (-s).exp();
+            *g = self.sigma_f2 * (s * s / 3.0) * (1.0 + s) * e;
+        }
     }
 
     fn diag_value(&self) -> f64 {

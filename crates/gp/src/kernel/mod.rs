@@ -20,6 +20,7 @@ pub use rational_quadratic::RationalQuadraticKernel;
 pub use rbf::RbfKernel;
 
 use crate::error::GpError;
+use al_linalg::Matrix;
 
 /// A stationary covariance function with analytic log-space gradients.
 pub trait Kernel: Send + Sync {
@@ -44,8 +45,9 @@ pub trait Kernel: Send + Sync {
     ///
     /// `k` must be `self.value(a, b)`, bit for bit. A caller that has the
     /// pair's value already passes it in: the LML gradient reads it from
-    /// the `K_y` it just factored, so one evaluation computes each kernel
-    /// value once. Every kernel writes `out[0] = k`
+    /// the `K_y` it just factored (through [`Kernel::gradients_into`],
+    /// whose per-pair oracle this is), so one evaluation computes each
+    /// kernel value once. Every kernel writes `out[0] = k`
     /// (`∂k/∂log σ_f² = k`); the RBF, ARD-RBF and rational-quadratic
     /// length-scale terms scale `k` and need no `exp` or `powf` of their
     /// own, while Matérn keeps its own `e^{−s}` for them. The output bits
@@ -53,7 +55,27 @@ pub trait Kernel: Send + Sync {
     /// other `k` yields the gradient of a different kernel value.
     fn gradient(&self, a: &[f64], b: &[f64], k: f64, out: &mut [f64]);
 
+    /// [`Kernel::value`] of `a` against a block of points, written into
+    /// `out`: `pts` is `d × N`, dimension-major with one column per point,
+    /// and `out[j]` is `value(a, p)` for `p` = column `j0 + j`, bit for bit.
+    /// Every kernel computes the block's distances in one pass
+    /// (`ops::sq_dists_into`, or ARD-RBF's scaled fold in the same order)
+    /// and then applies its own transform lane by lane, with the
+    /// expression and operation order of `value`. The values are also
+    /// `value(p, a)`'s bits: each distance term squares a difference whose
+    /// sign alone depends on the argument order.
+    fn values_into(&self, a: &[f64], pts: &Matrix, j0: usize, out: &mut [f64]);
+
+    /// [`Kernel::gradient`] of `a` against the block of
+    /// [`Kernel::values_into`], given the block's values `k` (bit for bit
+    /// theirs): with `w = k.len()` points, `out[g * w + j]` is the
+    /// gradient's term `g` for column `j0 + j`, and `out` holds
+    /// `n_params() · w` terms.
+    fn gradients_into(&self, a: &[f64], pts: &Matrix, j0: usize, k: &[f64], out: &mut [f64]);
+
     /// `k(x, x)` — for stationary kernels this is the amplitude `σ_f²`.
+    /// For every kernel here it is also `value(x, x)`'s bits at any finite
+    /// `x`: a zero distance makes each transform's factor exactly 1.
     fn diag_value(&self) -> f64;
 
     /// Clone into a boxed trait object (kernels are small value types).
@@ -210,6 +232,96 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(KernelKind::Rbf.label(), "RBF");
         assert_eq!(KernelKind::Matern52.label(), "Matern-5/2");
+    }
+
+    /// A `dim × 70` block of points around `a`, dimension-major: columns
+    /// at distances from 0 to ~50 (so `exp` underflows to subnormals and
+    /// to +0 at the small length scales below), coincident with `a`, and
+    /// with −0.0 coordinates.
+    fn block_around(a: &[f64]) -> Matrix {
+        let dim = a.len();
+        let n = 70;
+        let mut pts = Matrix::zeros(dim, n);
+        for j in 0..n {
+            let r = match j % 5 {
+                0 => 0.0,
+                1 => 0.05 * j as f64,
+                _ => 0.7 * j as f64,
+            };
+            for (k, &ak) in a.iter().enumerate() {
+                let dir = ((j * 7 + k * 3) as f64 * 0.9).cos();
+                pts[(k, j)] = if j % 9 == 4 { -0.0 } else { ak + r * dir };
+            }
+        }
+        pts
+    }
+
+    #[test]
+    fn block_values_and_gradients_match_the_per_pair_oracle_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut subnormal, mut zero) = (0usize, 0usize);
+        for dim in 1..=5 {
+            let kinds = [
+                KernelKind::Rbf,
+                KernelKind::ArdRbf { dim },
+                KernelKind::Matern32,
+                KernelKind::Matern52,
+                KernelKind::RationalQuadratic,
+            ];
+            for kind in kinds {
+                for length in [0.8, 0.05] {
+                    let mut kernel = kind.build(length);
+                    let p: Vec<f64> = kernel
+                        .params()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| v + 0.1 * i as f64)
+                        .collect();
+                    kernel.set_params(&p).unwrap();
+                    let nk = kernel.n_params();
+                    let fixed = [
+                        (0..dim).map(|k| 0.3 * k as f64 - 0.1).collect(),
+                        vec![-0.0; dim],
+                    ];
+                    for a in &fixed {
+                        let pts = block_around(a);
+                        for w in [1usize, 3, 4, 5, 63, 64, 65] {
+                            for j0 in [0, pts.cols() - w] {
+                                let label =
+                                    format!("{} dim={dim} l={length} w={w} j0={j0}", kind.label());
+                                let cols: Vec<Vec<f64>> =
+                                    (j0..j0 + w).map(|j| pts.col(j)).collect();
+                                let mut values = vec![f64::NAN; w];
+                                kernel.values_into(a, &pts, j0, &mut values);
+                                let want: Vec<f64> =
+                                    cols.iter().map(|b| kernel.value(a, b)).collect();
+                                let swapped: Vec<f64> =
+                                    cols.iter().map(|b| kernel.value(b, a)).collect();
+                                assert_eq!(bits(&values), bits(&want), "values, {label}");
+                                assert_eq!(bits(&values), bits(&swapped), "swapped, {label}");
+                                subnormal += values.iter().filter(|v| v.is_subnormal()).count();
+                                zero += values.iter().filter(|&&v| v == 0.0).count();
+
+                                let mut terms = vec![f64::NAN; nk * w];
+                                kernel.gradients_into(a, &pts, j0, &values, &mut terms);
+                                let mut pair = vec![0.0; nk];
+                                for (j, b) in cols.iter().enumerate() {
+                                    kernel.gradient(a, b, values[j], &mut pair);
+                                    let got: Vec<f64> = (0..nk).map(|g| terms[g * w + j]).collect();
+                                    assert_eq!(bits(&got), bits(&pair), "gradient {j}, {label}");
+                                }
+                            }
+                        }
+                        // `diag_value` stands in for `value(x, x)`.
+                        assert_eq!(kernel.value(a, a).to_bits(), kernel.diag_value().to_bits());
+                    }
+                }
+            }
+        }
+        assert!(
+            subnormal > 0 && zero > 0,
+            "{subnormal} subnormal, {zero} zero values"
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 use super::Kernel;
 use crate::error::GpError;
-use al_linalg::ops::sq_dist;
+use al_linalg::ops::{sq_dist, sq_dists_into};
+use al_linalg::Matrix;
 
 /// `k(a,b) = σ_f² (1 + ‖a−b‖²/(2αl²))^(−α)` with log-space parameters
 /// `[log σ_f², log l, log α]`. As `α → ∞` this converges to the RBF.
@@ -83,6 +84,31 @@ impl Kernel for RationalQuadraticKernel {
         out[1] = k * d2 / (l2 * base);
         // ∂k/∂log α = k·α·(u/base − ln base)   (both α-dependencies).
         out[2] = k * alpha * (u / base - base.ln());
+    }
+
+    fn values_into(&self, a: &[f64], pts: &Matrix, j0: usize, out: &mut [f64]) {
+        let (l2, alpha) = (self.l2, self.alpha);
+        sq_dists_into(a, pts, j0, out);
+        for v in out {
+            let base = 1.0 + *v / (2.0 * alpha * l2);
+            *v = self.sigma_f2 * base.powf(-alpha);
+        }
+    }
+
+    fn gradients_into(&self, a: &[f64], pts: &Matrix, j0: usize, k: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), 3 * k.len());
+        let (l2, alpha) = (self.l2, self.alpha);
+        let (amplitude, rest) = out.split_at_mut(k.len());
+        let (length, mixture) = rest.split_at_mut(k.len());
+        amplitude.copy_from_slice(k);
+        sq_dists_into(a, pts, j0, length);
+        for ((gl, ga), kj) in length.iter_mut().zip(mixture).zip(k) {
+            let d2 = *gl;
+            let u = d2 / (2.0 * alpha * l2);
+            let base = 1.0 + u;
+            *gl = kj * d2 / (l2 * base);
+            *ga = kj * alpha * (u / base - base.ln());
+        }
     }
 
     fn diag_value(&self) -> f64 {

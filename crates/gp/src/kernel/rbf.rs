@@ -2,7 +2,8 @@
 
 use super::Kernel;
 use crate::error::GpError;
-use al_linalg::ops::sq_dist;
+use al_linalg::ops::{sq_dist, sq_dists_into};
+use al_linalg::Matrix;
 
 /// `k(a, b) = σ_f² · exp(−‖a−b‖² / (2 l²))` with log-space parameters
 /// `[log σ_f², log l]`.
@@ -79,6 +80,23 @@ impl Kernel for RbfKernel {
         // ∂k/∂log σ_f² = k; ∂k/∂log l = k · d²/l².
         out[0] = k;
         out[1] = k * sq_dist(a, b) / self.l2;
+    }
+
+    fn values_into(&self, a: &[f64], pts: &Matrix, j0: usize, out: &mut [f64]) {
+        sq_dists_into(a, pts, j0, out);
+        for v in out {
+            *v = self.sigma_f2 * (-0.5 * *v / self.l2).exp();
+        }
+    }
+
+    fn gradients_into(&self, a: &[f64], pts: &Matrix, j0: usize, k: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), 2 * k.len());
+        let (amplitude, length) = out.split_at_mut(k.len());
+        amplitude.copy_from_slice(k);
+        sq_dists_into(a, pts, j0, length);
+        for (g, kj) in length.iter_mut().zip(k) {
+            *g = kj * *g / self.l2;
+        }
     }
 
     fn diag_value(&self) -> f64 {

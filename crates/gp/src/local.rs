@@ -54,7 +54,7 @@ impl LocalGpModel {
     }
 
     /// Index of the region a point belongs to.
-    pub fn region_of(&self, x: &[f64]) -> usize {
+    fn region_of(&self, x: &[f64]) -> usize {
         let v = x[self.axis];
         self.boundaries.iter().take_while(|&&b| v >= b).count()
     }

@@ -82,8 +82,10 @@ pub(crate) fn maximize_lml(
     opts: &FitOptions,
 ) -> Option<Vec<f64>> {
     let dim = model.n_hyperparams();
-    // One K_y buffer for every evaluation of this call, refilled in place.
+    // One K_y buffer and one transposed copy of `x` for every evaluation
+    // of this call; the buffer is refilled in place.
     let mut k = Matrix::zeros(x.rows(), x.rows());
+    let xt = x.transpose();
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut starts: Vec<Vec<f64>> = Vec::with_capacity(opts.n_restarts + 1);
     starts.push(model.hyperparams());
@@ -97,7 +99,7 @@ pub(crate) fn maximize_lml(
 
     let mut best: Option<(f64, Vec<f64>)> = None;
     for start in starts {
-        let mut objective = |p: &[f64]| model.lml_at(p, x, y, &mut k);
+        let mut objective = |p: &[f64]| model.lml_at(p, x, &xt, y, &mut k);
         if let Some((val, params)) = adam_maximize(
             &mut objective,
             &start,

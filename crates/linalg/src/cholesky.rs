@@ -648,7 +648,7 @@ fn fold_tile<const R: usize>(rows: [&[f64]; R], hist: &[f64]) -> [[f64; CB]; R] 
 /// A dense fold that [`dispatch`] compiles twice. `run` is
 /// `#[inline(always)]`, and so is every helper its body calls, so each
 /// copy holds the whole fold.
-trait DenseFold {
+pub(crate) trait DenseFold {
     type Output;
     fn run(self) -> Self::Output;
 }
@@ -709,7 +709,7 @@ impl DenseFold for SolveLowerMulti<'_> {
 /// the portable copy's narrower SSE2 op or scalar op does.
 #[allow(unsafe_code)]
 #[inline]
-fn dispatch<F: DenseFold>(fold: F) -> F::Output {
+pub(crate) fn dispatch<F: DenseFold>(fold: F) -> F::Output {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         #[target_feature(enable = "avx2")]
@@ -723,6 +723,17 @@ fn dispatch<F: DenseFold>(fold: F) -> F::Output {
         }
     }
     fold.run()
+}
+
+/// Whether [`dispatch`] runs the AVX2 copy here. Where it does not (no
+/// AVX2 on this CPU, another target, or Miri, which always runs the
+/// portable copy), the both-copies tests skip the dispatched side.
+#[cfg(test)]
+pub(crate) fn avx2_copy_runs() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    return std::is_x86_feature_detected!("avx2");
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    false
 }
 
 #[cfg(test)]
@@ -976,16 +987,6 @@ mod tests {
             }
         }
         out
-    }
-
-    /// Whether [`dispatch`] runs the AVX2 copy here. Where it does not (no
-    /// AVX2 on this CPU, another target, or Miri, which always runs the
-    /// portable copy), the both-copies tests skip the dispatched side.
-    fn avx2_copy_runs() -> bool {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        return std::is_x86_feature_detected!("avx2");
-        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        false
     }
 
     /// The portable copy of `fold` and, when it runs here, the AVX2 copy

@@ -148,11 +148,6 @@ quantity!(
 );
 
 impl Seconds {
-    /// Exact conversion to microseconds (× 10⁶).
-    pub fn to_micros(self) -> Micros {
-        Micros::new(self.0 * 1e6)
-    }
-
     /// Price this wall-clock duration on `nodes` nodes:
     /// `wall · nodes / 3600` node-hours — exactly the paper's cost formula.
     pub fn node_hours(self, nodes: f64) -> NodeHours {
@@ -182,11 +177,6 @@ impl Bytes {
 }
 
 impl Megabytes {
-    /// Exact conversion to bytes (× 10⁶).
-    pub fn to_bytes(self) -> Bytes {
-        Bytes::new(self.0 * 1e6)
-    }
-
     /// The log₁₀ view the memory GP and the paper's limit `L_mem` live in.
     /// Debug-asserts positivity (the log transform requires it).
     pub fn log10(self) -> LogMegabytes {
@@ -332,7 +322,6 @@ mod tests {
     fn time_conversions_are_exact_inverses() {
         let us = Micros::new(2_500_000.0);
         assert_eq!(us.to_seconds().value(), 2.5);
-        assert_eq!(Seconds::new(2.5).to_micros().value(), 2_500_000.0);
         assert_eq!(Nanos::new(3e9).to_seconds().value(), 3.0);
     }
 
@@ -347,7 +336,6 @@ mod tests {
     fn memory_conversions_roundtrip() {
         let b = Bytes::new(32e6);
         assert_eq!(b.to_megabytes().value(), 32.0);
-        assert_eq!(Megabytes::new(32.0).to_bytes().value(), 32e6);
         let log = Megabytes::new(100.0).log10();
         assert!((log.value() - 2.0).abs() < 1e-12);
         assert!((log.to_megabytes().value() - 100.0).abs() < 1e-9);
