@@ -20,7 +20,7 @@
 //!   shadowed local `fn`s) or, failing that, the same crate. They never
 //!   jump crates: a bare `.get(..)` matching some expensive `get` in an
 //!   unrelated crate would drown the lint in false positives.
-//! - Qualified calls (`session::step(..)`, `al_gp::fit(..)`) resolve
+//! - Qualified calls (`procedure::run_trajectory(..)`, `al_gp::fit(..)`) resolve
 //!   workspace-wide, scored by how many qualifier segments match the
 //!   candidate's file stem or crate name (longest match wins).
 //! - A call whose identifier is itself in the expensive set is expensive

@@ -38,19 +38,6 @@ pub struct Config {
     /// L5: identifiers that convert between units; their presence next to a
     /// mixed-unit operator marks the expression as an intentional conversion.
     pub unit_conversions: Vec<String>,
-    /// L6 (determinism safety): crate roots whose `src/` trees are bound by
-    /// the bitwise-reproducibility contract. An empty list disables L6.
-    pub determinism_crates: Vec<String>,
-    /// L6: files (or path prefixes) whose thread fan-out is blessed — the
-    /// audited pool modules with ordered reductions.
-    pub spawn_approved: Vec<String>,
-    /// L6: files or path prefixes allowed to read host wall-clock
-    /// (bench/runner diagnostics that never feed priced results).
-    pub wall_clock_approved: Vec<String>,
-    /// L6: identifiers (ordered container types, sort methods) whose
-    /// presence near a hash-container iteration marks the path as
-    /// order-stable and suppresses the finding.
-    pub ordered_containers: Vec<String>,
     /// L7 (lock discipline): lock receiver identifier → lock class,
     /// written `"warm:warm"`. Every `.lock()` receiver in scanned code
     /// must map to a class here.
@@ -214,10 +201,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
     take_list("typed_error_crates", &mut config.typed_error_crates)?;
     take_list("scan_roots", &mut config.scan_roots)?;
     take_list("unit_conversions", &mut config.unit_conversions)?;
-    take_list("determinism_crates", &mut config.determinism_crates)?;
-    take_list("spawn_approved", &mut config.spawn_approved)?;
-    take_list("wall_clock_approved", &mut config.wall_clock_approved)?;
-    take_list("ordered_containers", &mut config.ordered_containers)?;
     take_list("lock_order", &mut config.lock_order)?;
     take_list("expensive_idents", &mut config.expensive_idents)?;
     let mut take_pair_list =
@@ -378,7 +361,7 @@ reason = "grandfathered"
 
 [[allow]]
 path = "crates/b/src/y.rs"
-lint = "L6"
+lint = "L5"
 count = 1
 "#,
         )
@@ -388,7 +371,7 @@ count = 1
         assert_eq!(cfg.allowances.len(), 2);
         assert_eq!(cfg.allowances[0].count, 3);
         assert_eq!(cfg.allowances[0].reason, "grandfathered");
-        assert_eq!(cfg.allowances[1].lint, "L6");
+        assert_eq!(cfg.allowances[1].lint, "L5");
     }
 
     #[test]
@@ -401,7 +384,15 @@ count = 1
     fn unknown_keys_are_errors() {
         assert!(parse("wibble = 3\n").is_err());
         // The keys of the passes retired to clippy are unknown now.
-        for key in ["lib_crates", "hot_paths", "float_cmp_approved"] {
+        for key in [
+            "lib_crates",
+            "hot_paths",
+            "float_cmp_approved",
+            "determinism_crates",
+            "spawn_approved",
+            "wall_clock_approved",
+            "ordered_containers",
+        ] {
             assert!(parse(&format!("{key} = []\n")).is_err(), "{key}");
         }
         assert!(parse("[[allow]]\nwibble = \"x\"\n").is_err());
@@ -414,6 +405,45 @@ count = 1
         // library sources.
         assert!(cfg.typed_error_crates.contains(&"crates/alint".to_string()));
         assert!(cfg.typed_error_crates.contains(&"crates/gp".to_string()));
+    }
+
+    /// The determinism contract (DESIGN §9) lives in clippy's lists, not in
+    /// an alint pass; this keeps a dropped entry from passing CI silently.
+    #[test]
+    fn committed_clippy_lists_hold_the_determinism_contract() {
+        let clippy = include_str!("../../../clippy.toml");
+        let (types, methods) = clippy
+            .split_once("disallowed-methods")
+            .expect("clippy.toml has a disallowed-methods list");
+        let listed = |list: &str, path: &str| list.contains(&format!("path = \"{path}\""));
+        for path in [
+            "std::collections::HashMap",
+            "std::collections::HashSet",
+            "std::hash::RandomState",
+        ] {
+            assert!(
+                types.contains("disallowed-types") && listed(types, path),
+                "{path}"
+            );
+        }
+        for path in [
+            "std::thread::spawn",
+            "std::thread::scope",
+            "std::thread::Builder::spawn",
+            "std::thread::Builder::spawn_scoped",
+            "std::time::Instant::now",
+            "std::time::SystemTime::now",
+        ] {
+            assert!(listed(methods, path), "{path}");
+        }
+        // Exemptions are per-site `#[expect]`s: no crate allows the lists
+        // wholesale, so an ad-hoc spawn in the bench crate still fails.
+        for manifest in [
+            include_str!("../../../Cargo.toml"),
+            include_str!("../../bench/Cargo.toml"),
+        ] {
+            assert!(!manifest.contains("disallowed_"));
+        }
     }
 
     #[test]
@@ -479,31 +509,6 @@ count = 1
             .any(|(s, u)| s == "_us" && u == "microseconds"));
         assert!(d.unit_types.iter().any(|(t, _)| t == "LogMegabytes"));
         assert!(!d.unit_conversions.contains(&"value".to_string()));
-    }
-
-    #[test]
-    fn determinism_tables_parse_and_are_committed() {
-        let cfg = parse(
-            "[determinism]\ndeterminism_crates = [\"crates/x\"]\n\
-             spawn_approved = [\"crates/x/src/pool.rs\"]\n\
-             wall_clock_approved = [\"crates/y\"]\n\
-             ordered_containers = [\"IndexMap\"]\n",
-        )
-        .expect("parse");
-        assert_eq!(cfg.determinism_crates, vec!["crates/x"]);
-        assert_eq!(cfg.spawn_approved, vec!["crates/x/src/pool.rs"]);
-        assert_eq!(cfg.wall_clock_approved, vec!["crates/y"]);
-        assert_eq!(cfg.ordered_containers, vec!["IndexMap"]);
-        // Committed: the one blessed pool module is the audited fan-out,
-        // and bench may read wall-clock for BENCH notes.
-        let d = committed();
-        assert_eq!(d.spawn_approved, vec!["crates/parallel/src/pool.rs"]);
-        assert!(d.wall_clock_approved.contains(&"crates/bench".to_string()));
-        assert!(d.determinism_crates.contains(&"crates/amr".to_string()));
-        assert!(d
-            .determinism_crates
-            .contains(&"crates/parallel".to_string()));
-        assert!(d.ordered_containers.contains(&"BTreeMap".to_string()));
     }
 
     #[test]

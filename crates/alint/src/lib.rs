@@ -1,11 +1,11 @@
 //! alint — workspace static analysis for numerical-robustness invariants.
 //!
-//! The five lints (L2 float_cmp, L3 typed_error, L5 unit_safety, L6
-//! determinism_safety, L7 lock_discipline) encode rules that rustc and
-//! clippy cannot express: float comparisons clippy's `float_cmp` exempts,
-//! which crates owe typed errors, and the repo's own unit vocabulary,
-//! reproducibility contract, and locking contract. The retired IDs L1 and
-//! L4 are checked by clippy (see the workspace `[lints]` tables). L7 is
+//! The four lints (L2 float_cmp, L3 typed_error, L5 unit_safety, L7
+//! lock_discipline) encode rules that rustc and clippy cannot express:
+//! float comparisons clippy's `float_cmp` exempts, which crates owe typed
+//! errors, and the repo's own unit vocabulary and locking contract. The
+//! retired IDs L1, L4 and L6 are checked by clippy (the workspace
+//! `[lints]` tables and `clippy.toml`'s disallowed lists). L7 is
 //! the one *cross-file* pass: it runs on a workspace call graph
 //! (`callgraph`) built from every scanned file before any file is linted.
 //! See `lints` for the rules, `config` for `alint.toml`, and `DESIGN.md`
@@ -86,7 +86,6 @@ pub fn check_workspace_lint(
 pub fn raw_diagnostics(root: &Path, config: &Config) -> std::io::Result<(Vec<Diagnostic>, usize)> {
     let files = workspace::scan(root, config)?;
     let units = lints::UnitTables::from_config(config);
-    let det = lints::DeterminismTables::from_config(config);
     let locks = lints::LockTables::from_config(config);
     let n = files.len();
     let mut lexed_files = Vec::with_capacity(n);
@@ -107,7 +106,6 @@ pub fn raw_diagnostics(root: &Path, config: &Config) -> std::io::Result<(Vec<Dia
             lexed,
             file.scope,
             &units,
-            &det,
             &locks,
             &graph,
         ));
@@ -117,10 +115,10 @@ pub fn raw_diagnostics(root: &Path, config: &Config) -> std::io::Result<(Vec<Dia
 }
 
 /// Every lint ID, in order.
-pub const LINT_IDS: [&str; 5] = ["L2", "L3", "L5", "L6", "L7"];
+pub const LINT_IDS: [&str; 4] = ["L2", "L3", "L5", "L7"];
 
-/// Normalize a user-supplied lint selector (`L6`, `l6`, or
-/// `determinism_safety`) to its canonical ID, or `None` when unknown.
+/// Normalize a user-supplied lint selector (`L5`, `l5`, or
+/// `unit_safety`) to its canonical ID, or `None` when unknown.
 pub fn normalize_lint_id(arg: &str) -> Option<&'static str> {
     LINT_IDS
         .into_iter()
@@ -200,7 +198,7 @@ fn json_escape(s: &str) -> String {
 ///                  "name": "typed_error", "message": "..."}],
 ///  "grandfathered": 0,
 ///  "slack": [{"path": "...", "lint": "L3", "budget": 5, "actual": 1}],
-///  "stale_allowances": [{"path": "...", "lint": "L6"}]}
+///  "stale_allowances": [{"path": "...", "lint": "L5"}]}
 /// ```
 pub fn render_json(report: &Report) -> String {
     let violations: Vec<String> = report
@@ -338,13 +336,13 @@ mod tests {
 
         let with_stale = config_with(vec![Allowance {
             path: "gone.rs".into(),
-            lint: "L6".into(),
+            lint: "L5".into(),
             count: 1,
             reason: String::new(),
         }]);
         let report = apply_allowlist(Vec::new(), &with_stale, 1);
         assert!(report.violations.is_empty());
-        assert_eq!(report.unused, vec![("gone.rs".into(), "L6".into())]);
+        assert_eq!(report.unused, vec![("gone.rs".into(), "L5".into())]);
         assert!(!report.is_clean(), "a stale allowance is an error");
     }
 
@@ -352,7 +350,7 @@ mod tests {
     fn json_rendering_has_a_stable_shape() {
         let cfg = config_with(vec![Allowance {
             path: "gone.rs".into(),
-            lint: "L6".into(),
+            lint: "L5".into(),
             count: 2,
             reason: String::new(),
         }]);
@@ -365,7 +363,7 @@ mod tests {
              [{\"path\": \"crates/a/src/x.rs\", \"line\": 3, \"lint\": \"L3\", \
              \"name\": \"typed_error\", \"message\": \"say \\\"no\\\"\"}], \
              \"grandfathered\": 0, \"slack\": [], \"stale_allowances\": \
-             [{\"path\": \"gone.rs\", \"lint\": \"L6\"}]}"
+             [{\"path\": \"gone.rs\", \"lint\": \"L5\"}]}"
         );
     }
 
@@ -383,7 +381,7 @@ mod tests {
     fn github_rendering_annotates_violations_and_stale_entries() {
         let cfg = config_with(vec![Allowance {
             path: "gone.rs".into(),
-            lint: "L6".into(),
+            lint: "L5".into(),
             count: 2,
             reason: String::new(),
         }]);
@@ -406,9 +404,8 @@ mod tests {
 
     #[test]
     fn lint_selectors_normalize_ids_and_names() {
-        assert_eq!(normalize_lint_id("L6"), Some("L6"));
+        assert_eq!(normalize_lint_id("L5"), Some("L5"));
         assert_eq!(normalize_lint_id("l2"), Some("L2"));
-        assert_eq!(normalize_lint_id("determinism_safety"), Some("L6"));
         assert_eq!(normalize_lint_id("unit_safety"), Some("L5"));
         assert_eq!(normalize_lint_id("L7"), Some("L7"));
         assert_eq!(normalize_lint_id("lock_discipline"), Some("L7"));

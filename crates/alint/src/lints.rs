@@ -1,18 +1,19 @@
-//! The five lint passes.
+//! The four lint passes.
 //!
 //! | ID | name         | invariant                                                            |
 //! |----|--------------|----------------------------------------------------------------------|
 //! | L2 | `float_cmp`  | no bare `==`/`!=` against floating-point expressions                 |
 //! | L3 | `typed_error`| public `Result` fns in typed-error crates use a typed error          |
 //! | L5 | `unit_safety`| no `+`/`-`/comparison between operands of different inferred units   |
-//! | L6 | `determinism_safety` | no hash-order iteration into reductions/output, ad-hoc      |
-//! |    |              | thread fan-out, or wall-clock/entropy in determinism-scoped crates   |
 //! | L7 | `lock_discipline` | no expensive calls, order inversions, double-acquires, or       |
 //! |    |              | `.await` inside lock-guard windows (call-graph backed)               |
 //!
-//! The IDs L1 (`panic_site`) and L4 (`lossy_cast`) are retired, not reused:
-//! clippy's `unwrap_used`/`expect_used`/`panic`/`todo`/`unimplemented` and
-//! a module-scoped `cast_possible_truncation` check them with real types.
+//! The IDs L1 (`panic_site`), L4 (`lossy_cast`) and L6
+//! (`determinism_safety`) are retired, not reused: clippy checks them with
+//! real name resolution. `unwrap_used`/`expect_used`/`panic`/`todo`/
+//! `unimplemented` replace L1, a module-scoped `cast_possible_truncation`
+//! replaces L4, and `clippy.toml`'s `disallowed-types` (hash containers)
+//! and `disallowed-methods` (thread spawns, wall-clock reads) replace L6.
 //! L2 stays because clippy's `float_cmp` exempts comparisons against zero
 //! and the infinities, and every function whose name contains `eq`.
 //!
@@ -21,7 +22,7 @@
 //! on the same or the immediately preceding line.
 //!
 //! The passes run on the token stream from [`crate::lexer`]; where real type
-//! information would be needed (L2, L6) the heuristics are deliberately
+//! information would be needed (L2) the heuristics are deliberately
 //! conservative and documented on each pass. L7 is the first pass with
 //! *cross-file* context: it consumes the workspace [`CallGraph`] built in
 //! [`crate::callgraph`].
@@ -36,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Diagnostic {
     pub path: String,
     pub line: u32,
-    /// Lint ID: `L2`, `L3` or `L5`..`L7`.
+    /// Lint ID: `L2`, `L3`, `L5` or `L7`.
     pub lint: &'static str,
     pub message: String,
 }
@@ -61,7 +62,6 @@ pub fn lint_name(id: &str) -> &'static str {
         "L2" => "float_cmp",
         "L3" => "typed_error",
         "L5" => "unit_safety",
-        "L6" => "determinism_safety",
         "L7" => "lock_discipline",
         _ => "unknown",
     }
@@ -73,7 +73,6 @@ pub fn lint_description(id: &str) -> &'static str {
         "L2" => "no bare ==/!= against floating-point expressions",
         "L3" => "public Result functions in typed-error crates return typed errors",
         "L5" => "no arithmetic/comparison between operands of different inferred units",
-        "L6" => "no hash-order iteration, ad-hoc spawns, or wall-clock in deterministic code",
         "L7" => "no expensive calls, order inversions, re-locks, or .await under lock guards",
         _ => "unknown lint",
     }
@@ -87,15 +86,6 @@ pub struct FileScope {
     pub typed_error: bool,
     /// L5: unit-safety dataflow over suffix- and ascription-inferred units.
     pub unit_safety: bool,
-    /// L6: the file sits in a determinism-scoped crate (bitwise
-    /// reproducibility contract applies).
-    pub determinism: bool,
-    /// L6(b) exemption: the file is a blessed spawn/pool module whose
-    /// fan-out has an audited ordered reduction.
-    pub spawn_blessed: bool,
-    /// L6(c) exemption: the file may read host wall-clock (bench/runner
-    /// diagnostics that never feed priced results).
-    pub wall_clock_approved: bool,
     /// L7: lock-guard windows are checked for expensive calls, order
     /// inversions, double-acquires, and `.await` (applies to every
     /// scanned file; the pass only fires near `.lock()`).
@@ -140,23 +130,6 @@ impl UnitTables {
 
     fn is_empty(&self) -> bool {
         self.suffixes.is_empty() && self.types.is_empty()
-    }
-}
-
-/// Lookup tables for L6, derived from the `[determinism]` section of
-/// `alint.toml`: the identifiers (container types and sort methods) whose
-/// presence marks an iteration as order-stable.
-#[derive(Debug, Clone, Default)]
-pub struct DeterminismTables {
-    ordered: BTreeSet<String>,
-}
-
-impl DeterminismTables {
-    /// Build the ordered-identifier set from a parsed configuration.
-    pub fn from_config(config: &Config) -> Self {
-        DeterminismTables {
-            ordered: config.ordered_containers.iter().cloned().collect(),
-        }
     }
 }
 
@@ -223,7 +196,6 @@ pub fn lint_file(
     lexed: &Lexed,
     scope: FileScope,
     units: &UnitTables,
-    det: &DeterminismTables,
     locks: &LockTables,
     graph: &CallGraph,
 ) -> Vec<Diagnostic> {
@@ -255,9 +227,6 @@ pub fn lint_file(
     }
     if scope.unit_safety {
         l5_unit_safety(tokens, &in_test, units, &mut push);
-    }
-    if scope.determinism {
-        l6_determinism(tokens, &in_test, det, scope, &mut push);
     }
     if scope.lock_discipline {
         l7_lock_discipline(path, tokens, &in_test, locks, graph, &mut push);
@@ -869,278 +838,6 @@ fn l5_unit_safety(
     }
 }
 
-/// Methods that iterate a hash container in `RandomState` (arrival) order.
-const HASH_ITER_METHODS: [&str; 9] = [
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "into_keys",
-    "values",
-    "values_mut",
-    "into_values",
-    "drain",
-];
-
-/// Identifiers that make iteration order *observable*: float reductions,
-/// output/aggregation order, and the solver's work accounting. Compound
-/// `+=` accumulation is detected separately (it lexes as `+` `=`).
-const ORDER_SINKS: [&str; 16] = [
-    "sum",
-    "fold",
-    "product",
-    "collect",
-    "extend",
-    "push",
-    "push_str",
-    "write",
-    "writeln",
-    "print",
-    "println",
-    "eprint",
-    "eprintln",
-    "format",
-    "join",
-    "WorkStats",
-];
-
-/// Rayon-style parallel-iterator entry points (the crate is not a
-/// dependency today; the lint keeps it that way in deterministic code).
-const PAR_ITER_METHODS: [&str; 6] = [
-    "par_iter",
-    "into_par_iter",
-    "par_iter_mut",
-    "par_bridge",
-    "par_chunks",
-    "par_extend",
-];
-
-/// Variables bound or ascribed to `HashMap`/`HashSet` — fn parameters
-/// (`m: &HashMap<..>`), `let` ascriptions, struct fields, and
-/// `let m = HashMap::new()` initializers — outside test regions. As with
-/// the L2/L5 trackers the token stream has no scopes, so this
-/// over-approximates: a name is hash-typed for the whole file.
-fn hash_bound_vars(tokens: &[Token], in_test: &[bool]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for (i, token) in tokens.iter().enumerate() {
-        if in_test[i] || token.kind != TokenKind::Ident {
-            continue;
-        }
-        if token.text != "HashMap" && token.text != "HashSet" {
-            continue;
-        }
-        // Skip a leading path (`std :: collections ::`).
-        let mut p = i;
-        while p >= 2 && tokens[p - 1].text == "::" && tokens[p - 2].kind == TokenKind::Ident {
-            p -= 2;
-        }
-        // Strip reference layers of a type position.
-        let mut q = p;
-        while q >= 1
-            && (tokens[q - 1].text == "&"
-                || tokens[q - 1].text == "mut"
-                || tokens[q - 1].kind == TokenKind::Lifetime)
-        {
-            q -= 1;
-        }
-        if q >= 2
-            && (tokens[q - 1].text == ":" || tokens[q - 1].text == "=")
-            && tokens[q - 2].kind == TokenKind::Ident
-        {
-            names.insert(tokens[q - 2].text.clone());
-        }
-    }
-    names
-}
-
-/// L6: nondeterminism sources inside determinism-scoped crates.
-///
-/// Three sub-rules, all heuristic and deliberately conservative:
-///
-/// (a) **hash-order iteration** — an iteration over a `HashMap`/`HashSet`
-/// (tracked via [`hash_bound_vars`], or the type name itself) whose
-/// following stop-bounded window contains an order-observable sink: a
-/// float reduction (`sum`/`fold`/`product`, compound `+=`), output or
-/// aggregation ordering (`push`/`collect`/`extend`/`write…`), or
-/// `WorkStats`. Iteration with no sink in the window is silent (a pure
-/// membership sweep is order-free), and any ordered-path identifier from
-/// the `[determinism]` `ordered_containers` table (`BTreeMap`, `sort`, …)
-/// near the site suppresses the finding.
-///
-/// (b) **ad-hoc thread fan-out** — `.spawn(`/`::spawn(` calls and
-/// rayon-style parallel iterators outside the blessed pool modules
-/// (`scope.spawn_blessed`). The blessed modules own the workspace's
-/// ordered-reduction machinery; everything else must route through them.
-///
-/// (c) **wall-clock and entropy** — `Instant::now`/`SystemTime::now`,
-/// `from_entropy`, `thread_rng`, `OsRng`, and `rand::random` outside the
-/// wall-clock-approved modules (`scope.wall_clock_approved`). Priced and
-/// model code must stay counted-work-only (see the contract note in
-/// `crates/amr/src/machine.rs`) and derive randomness from explicit seeds.
-fn l6_determinism(
-    tokens: &[Token],
-    in_test: &[bool],
-    det: &DeterminismTables,
-    scope: FileScope,
-    push: &mut impl FnMut(&'static str, u32, String),
-) {
-    let hash_names = hash_bound_vars(tokens, in_test);
-    let is_hash_at = |k: usize| -> bool {
-        tokens.get(k).is_some_and(|t| {
-            t.kind == TokenKind::Ident
-                && (t.text == "HashMap" || t.text == "HashSet" || hash_names.contains(&t.text))
-        })
-    };
-    let ordered_at = |k: usize| -> bool {
-        tokens
-            .get(k)
-            .is_some_and(|t| t.kind == TokenKind::Ident && det.ordered.contains(&t.text))
-    };
-    // The sink window: `cap` tokens starting at `from`, never crossing into
-    // the next item (`fn`) and optionally stopping at statement ends.
-    let sink_in = |from: usize, cap: usize, stop_at_stmt: bool| -> Option<String> {
-        let mut k = from;
-        let end = tokens.len().min(from + cap);
-        while k < end {
-            let text = tokens[k].text.as_str();
-            if text == "fn" || (stop_at_stmt && matches!(text, ";" | "{")) {
-                return None;
-            }
-            if tokens[k].kind == TokenKind::Ident && ORDER_SINKS.contains(&text) {
-                return Some(text.to_string());
-            }
-            if text == "+" && tokens.get(k + 1).is_some_and(|t| t.text == "=") {
-                return Some("+=".to_string());
-            }
-            k += 1;
-        }
-        None
-    };
-    let ordered_near = |site: usize, from: usize, cap: usize| -> bool {
-        // Ordered evidence counts both shortly before the iteration (an
-        // ascription like `let v: BTreeMap<_, _> = m.iter().collect()`)
-        // and anywhere in the sink window (`v.sort()` after a `collect`).
-        (site.saturating_sub(8)..site).any(&ordered_at)
-            || (from..tokens.len().min(from + cap)).any(&ordered_at)
-    };
-
-    // (a) hash-order iteration into an order-observable sink.
-    let mut flagged_iteration: BTreeSet<u32> = BTreeSet::new();
-    let mut flag_iteration =
-        |line: u32, method: &str, sink: &str, push: &mut dyn FnMut(&'static str, u32, String)| {
-            if flagged_iteration.insert(line) {
-                push(
-                    "L6",
-                    line,
-                    format!(
-                        "`{method}` over a hash container feeds `{sink}` in arrival order; \
-                     use BTreeMap/sorted iteration or mark `// alint: allow(L6)`"
-                    ),
-                );
-            }
-        };
-    for i in 0..tokens.len() {
-        if in_test[i] {
-            continue;
-        }
-        // Method-chain form: `m.values().sum()`, `m.iter().collect()`.
-        if is_hash_at(i)
-            && tokens.get(i + 1).is_some_and(|t| t.text == ".")
-            && tokens
-                .get(i + 2)
-                .is_some_and(|t| HASH_ITER_METHODS.contains(&t.text.as_str()))
-        {
-            let window_from = i + 3;
-            if !ordered_near(i, window_from, 40) {
-                if let Some(sink) = sink_in(window_from, 40, true) {
-                    flag_iteration(tokens[i].line, &tokens[i + 2].text, &sink, &mut *push);
-                }
-            }
-        }
-        // For-loop form: `for (k, v) in &m { … }` — the sink window is the
-        // loop body (the chain form above already covers `m.iter()` heads
-        // whose sink sits in the same expression).
-        if tokens[i].kind == TokenKind::Ident && tokens[i].text == "for" {
-            let Some(in_idx) = (i + 1..tokens.len().min(i + 14))
-                .find(|&k| tokens[k].kind == TokenKind::Ident && tokens[k].text == "in")
-            else {
-                continue;
-            };
-            let Some(body) =
-                (in_idx + 1..tokens.len().min(in_idx + 16)).find(|&k| tokens[k].text == "{")
-            else {
-                continue;
-            };
-            if !(in_idx + 1..body).any(&is_hash_at) {
-                continue;
-            }
-            if ordered_near(in_idx, body + 1, 40) {
-                continue;
-            }
-            if let Some(sink) = sink_in(body + 1, 40, false) {
-                flag_iteration(tokens[i].line, "for … in", &sink, &mut *push);
-            }
-        }
-    }
-
-    // (b) thread fan-out outside the blessed pool modules.
-    if !scope.spawn_blessed {
-        for (i, token) in tokens.iter().enumerate() {
-            if in_test[i] || token.kind != TokenKind::Ident {
-                continue;
-            }
-            let next = tokens.get(i + 1).map(|t| t.text.as_str());
-            let prev = i.checked_sub(1).map(|k| tokens[k].text.as_str());
-            let what = match token.text.as_str() {
-                "spawn" if next == Some("(") && matches!(prev, Some(".") | Some("::")) => "spawn",
-                "rayon" if next == Some("::") => "rayon",
-                t if PAR_ITER_METHODS.contains(&t) => t,
-                _ => continue,
-            };
-            push(
-                "L6",
-                token.line,
-                format!(
-                    "`{what}` fans out threads outside the blessed pool modules; route \
-                     parallelism through an approved deterministic pool \
-                     (spawn_approved in alint.toml)"
-                ),
-            );
-        }
-    }
-
-    // (c) wall-clock and entropy in priced/model code.
-    if !scope.wall_clock_approved {
-        for (i, token) in tokens.iter().enumerate() {
-            if in_test[i] || token.kind != TokenKind::Ident {
-                continue;
-            }
-            let next = tokens.get(i + 1).map(|t| t.text.as_str());
-            let next2 = tokens.get(i + 2).map(|t| t.text.as_str());
-            let prev = i.checked_sub(1).map(|k| tokens[k].text.as_str());
-            let prev2 = i.checked_sub(2).map(|k| tokens[k].text.as_str());
-            let what = match token.text.as_str() {
-                "Instant" if next == Some("::") && next2 == Some("now") => "Instant::now",
-                "SystemTime" if next == Some("::") && next2 == Some("now") => "SystemTime::now",
-                "from_entropy" if matches!(prev, Some(".") | Some("::")) => "from_entropy",
-                "thread_rng" if next == Some("(") => "thread_rng",
-                "OsRng" => "OsRng",
-                "random" if prev == Some("::") && prev2 == Some("rand") => "rand::random",
-                _ => continue,
-            };
-            push(
-                "L6",
-                token.line,
-                format!(
-                    "`{what}` reads wall-clock/entropy in a deterministic path; priced \
-                     code is counted-work-only (machine.rs contract) and RNGs must be \
-                     seeded explicitly"
-                ),
-            );
-        }
-    }
-}
-
 /// One live lock-guard window for L7.
 struct LockWindow {
     /// Token index of the `lock` identifier that opened the window.
@@ -1426,7 +1123,6 @@ mod tests {
             &lexed,
             scope,
             &UnitTables::from_config(&config),
-            &DeterminismTables::from_config(&config),
             &locks,
             &graph,
         )
@@ -1436,9 +1132,6 @@ mod tests {
         FileScope {
             typed_error: true,
             unit_safety: true,
-            determinism: true,
-            spawn_blessed: false,
-            wall_clock_approved: false,
             lock_discipline: true,
         }
     }
@@ -1721,172 +1414,10 @@ mod tests {
             &lexed,
             l5_only(),
             &UnitTables::from_config(&cfg),
-            &DeterminismTables::from_config(&cfg),
             &locks,
             &graph,
         );
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    fn l6_only() -> FileScope {
-        FileScope {
-            determinism: true,
-            ..FileScope::default()
-        }
-    }
-
-    #[test]
-    fn l6_flags_hash_iteration_into_reductions_and_output() {
-        let src = r#"
-            use std::collections::HashMap;
-            pub fn total(costs: &HashMap<String, f64>) -> f64 {
-                costs.values().sum()
-            }
-            pub fn rows(map: &HashMap<u32, String>, out: &mut Vec<String>) {
-                for (_, row) in map.iter() {
-                    out.push(row.clone());
-                }
-            }
-        "#;
-        let diags = run(src, l6_only());
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(diags.iter().all(|d| d.lint == "L6"), "{diags:?}");
-        assert!(diags[0].message.contains("`sum`"), "{diags:?}");
-        assert!(diags[1].message.contains("`push`"), "{diags:?}");
-    }
-
-    #[test]
-    fn l6_hash_iteration_without_a_sink_is_silent() {
-        // A membership sweep observes no order; only sinks make hash order
-        // leak into results.
-        let src = r#"
-            use std::collections::HashSet;
-            pub fn all_valid(seen: &HashSet<u64>) -> bool {
-                seen.iter().all(|v| *v < 10)
-            }
-        "#;
-        assert!(run(src, l6_only()).is_empty());
-    }
-
-    #[test]
-    fn l6_ordered_paths_suppress_hash_iteration() {
-        let src = r#"
-            use std::collections::{BTreeMap, HashMap};
-            pub fn stable(m: &HashMap<String, f64>) -> f64 {
-                let ordered: BTreeMap<_, _> = m.iter().collect();
-                ordered.values().copied().sum()
-            }
-            pub fn sorted_keys(m: &HashMap<u32, f64>) -> Vec<u32> {
-                let mut keys: Vec<u32> = m.keys().copied().collect();
-                keys.sort_unstable();
-                keys
-            }
-        "#;
-        let diags = run(src, l6_only());
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn l6_compound_accumulation_is_a_sink() {
-        let src = r#"
-            use std::collections::HashMap;
-            pub fn acc(m: &HashMap<u32, f64>) -> f64 {
-                let mut total = 0.0;
-                for v in m.values() {
-                    total += v;
-                }
-                total
-            }
-        "#;
-        let diags = run(src, l6_only());
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("`+=`"), "{diags:?}");
-    }
-
-    #[test]
-    fn l6_flags_spawn_and_rayon_outside_blessed_modules() {
-        let src = r#"
-            pub fn fan_out() {
-                std::thread::spawn(|| {});
-            }
-            pub fn scoped(s: &Scope) {
-                s.spawn(|| {});
-            }
-        "#;
-        let diags = run(src, l6_only());
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(
-            diags.iter().all(|d| d.message.contains("spawn")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn l6_blessed_spawn_modules_are_exempt() {
-        let src = "pub fn pool() { std::thread::spawn(|| {}); }";
-        let scope = FileScope {
-            determinism: true,
-            spawn_blessed: true,
-            ..FileScope::default()
-        };
-        assert!(run(src, scope).is_empty());
-    }
-
-    #[test]
-    fn l6_flags_wall_clock_and_entropy() {
-        let src = r#"
-            pub fn stamp() -> Instant {
-                std::time::Instant::now()
-            }
-            pub fn rng() -> StdRng {
-                StdRng::from_entropy()
-            }
-        "#;
-        let diags = run(src, l6_only());
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(diags[0].message.contains("Instant::now"), "{diags:?}");
-        assert!(diags[1].message.contains("from_entropy"), "{diags:?}");
-    }
-
-    #[test]
-    fn l6_wall_clock_approved_modules_are_exempt() {
-        let src = "pub fn stamp() { let t = std::time::Instant::now(); report(t); }";
-        let scope = FileScope {
-            determinism: true,
-            wall_clock_approved: true,
-            ..FileScope::default()
-        };
-        assert!(run(src, scope).is_empty());
-    }
-
-    #[test]
-    fn l6_seeded_rngs_and_counted_work_are_silent() {
-        let src = r#"
-            pub fn rng(seed: u64) -> StdRng {
-                StdRng::seed_from_u64(seed)
-            }
-        "#;
-        assert!(run(src, l6_only()).is_empty());
-    }
-
-    #[test]
-    fn l6_markers_suppress() {
-        let src = "pub fn t() -> Instant { std::time::Instant::now() } // alint: allow(L6)";
-        assert!(run(src, l6_only()).is_empty());
-        let above =
-            "// alint: allow(determinism_safety)\npub fn f() { std::thread::spawn(|| {}); }";
-        assert!(run(above, l6_only()).is_empty());
-    }
-
-    #[test]
-    fn l6_is_silent_inside_test_regions() {
-        let src = r#"
-            #[cfg(test)]
-            mod tests {
-                fn t() { let _ = std::time::Instant::now(); }
-            }
-        "#;
-        assert!(run(src, l6_only()).is_empty());
     }
 
     fn l7_only() -> FileScope {
@@ -2060,7 +1591,6 @@ mod tests {
             &lexed,
             l7_only(),
             &UnitTables::from_config(&committed()),
-            &DeterminismTables::from_config(&committed()),
             &empty,
             &graph,
         );
@@ -2081,7 +1611,6 @@ mod tests {
             &lexed,
             l7_only(),
             &UnitTables::from_config(&committed()),
-            &DeterminismTables::from_config(&committed()),
             &locks,
             &graph,
         );

@@ -42,7 +42,7 @@ fn main() -> ExitCode {
                 Some(Some(id)) => lint = Some(id),
                 Some(None) => {
                     eprintln!(
-                        "alint: --lint requires a lint ID (L2, L3, L5..L7) or name \
+                        "alint: --lint requires a lint ID (L2, L3, L5, L7) or name \
                          (float_cmp, …, lock_discipline)"
                     );
                     return ExitCode::from(2);
@@ -110,7 +110,7 @@ usage: cargo run -p alint -- [check|dump|ratchet|lints] [--root <dir>]
 
   --format  check output style: text (default), json (one machine-readable
             object), or github (::error workflow-command annotations)
-  --lint    restrict check/dump to one lint, by ID (L2, L3, L5..L7) or
+  --lint    restrict check/dump to one lint, by ID (L2, L3, L5, L7) or
             name (float_cmp, …, lock_discipline) — fast single-pass
             iteration while developing a lint
 ";
@@ -234,7 +234,6 @@ fn lints(config: &alint::config::Config) -> ExitCode {
                     && config.unit_types.is_empty()
                     && config.unit_conversions.is_empty())
             }
-            "L6" => !config.determinism_crates.is_empty(),
             _ => !(config.lock_classes.is_empty() && config.lock_order.is_empty()),
         };
         println!(

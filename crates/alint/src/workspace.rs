@@ -75,12 +75,6 @@ fn rel_string(path: &Path, root: &Path) -> String {
 ///   (`main.rs`, `bin/`) are not public API.
 /// - L5 runs on everything scanned (disabling it means emptying the unit
 ///   tables in `alint.toml`, not a per-file carve-out).
-/// - L6 runs on every `src/` file of the determinism crates — *including*
-///   binaries and `main.rs`, because a bin that prints results in hash
-///   order corrupts regenerated datasets just as surely as a lib would.
-///   `spawn_approved` exempts the audited pool modules from the fan-out
-///   rule and `wall_clock_approved` (file or path prefix) exempts
-///   diagnostics-only timing from the wall-clock rule.
 /// - L7 runs on everything scanned, like L5: the pass only fires near
 ///   `.lock()` sites, and a lock in a bin deadlocks just as hard as one
 ///   in a lib (disabling it means emptying the `[locks]` tables).
@@ -90,17 +84,9 @@ pub fn scope_for(rel_path: &str, config: &Config) -> FileScope {
             && !rel_path.contains("/bin/")
             && !rel_path.ends_with("/main.rs")
     };
-    let prefix_match =
-        |entry: &str| rel_path == entry || rel_path.starts_with(&format!("{entry}/"));
     FileScope {
         typed_error: config.typed_error_crates.iter().any(|c| in_crate_src(c)),
         unit_safety: true,
-        determinism: config
-            .determinism_crates
-            .iter()
-            .any(|c| rel_path.starts_with(&format!("{c}/src/"))),
-        spawn_blessed: config.spawn_approved.iter().any(|p| prefix_match(p)),
-        wall_clock_approved: config.wall_clock_approved.iter().any(|p| prefix_match(p)),
         lock_discipline: true,
     }
 }
@@ -115,47 +101,22 @@ mod tests {
         let config = committed();
         let s = scope_for("crates/linalg/src/cholesky.rs", &config);
         assert!(s.typed_error && s.unit_safety);
-        assert!(s.determinism && !s.spawn_blessed && !s.wall_clock_approved);
 
         let s = scope_for("crates/core/src/procedure.rs", &config);
-        assert!(s.typed_error && s.unit_safety && s.determinism);
+        assert!(s.typed_error && s.unit_safety);
 
         // The linter lints itself: L3 covers its own src/ files.
         let s = scope_for("crates/alint/src/lints.rs", &config);
         assert!(s.typed_error);
-        assert!(!s.determinism, "the lint runner is not determinism-scoped");
         assert!(s.lock_discipline, "L7 covers everything scanned");
 
-        // Binaries are exempt from the library-only passes but NOT from L6:
-        // hash-order output from a bin corrupts regenerated datasets too.
+        // Binaries are exempt from the library-only passes.
         let s = scope_for("crates/core/src/main.rs", &config);
-        assert!(!s.typed_error && s.determinism);
+        assert!(!s.typed_error && s.unit_safety);
+        let s = scope_for("crates/bench/src/bin/sweep.rs", &config);
+        assert!(!s.typed_error && s.lock_discipline);
         let s = scope_for("src/main.rs", &config);
         assert!(!s.typed_error && s.unit_safety);
-    }
-
-    #[test]
-    fn determinism_exemptions_follow_config() {
-        let config = committed();
-        let s = scope_for("crates/parallel/src/pool.rs", &config);
-        assert!(s.determinism && s.spawn_blessed && !s.wall_clock_approved);
-        // The AMR solver sweeps serially — not blessed.
-        let s = scope_for("crates/amr/src/solver.rs", &config);
-        assert!(s.determinism && !s.spawn_blessed);
-        // The batch and dataset fan-outs run on the pool's `map_jobs`.
-        let s = scope_for("crates/core/src/batch.rs", &config);
-        assert!(s.determinism && !s.spawn_blessed);
-        let s = scope_for("crates/dataset/src/generate.rs", &config);
-        assert!(s.determinism && !s.spawn_blessed);
-        // Wall-clock approval is a path prefix: the whole bench crate may
-        // time the host run, including its bin/ targets.
-        let s = scope_for("crates/bench/src/data.rs", &config);
-        assert!(s.determinism && s.wall_clock_approved && !s.spawn_blessed);
-        let s = scope_for("crates/bench/src/bin/sweep.rs", &config);
-        assert!(s.determinism && s.wall_clock_approved);
-        // The solver core is neither blessed nor approved.
-        let s = scope_for("crates/amr/src/solver.rs", &config);
-        assert!(s.determinism && !s.spawn_blessed && !s.wall_clock_approved);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use alint::callgraph::CallGraph;
 use alint::config::{Allowance, Config};
 use alint::lexer::lex;
-use alint::lints::{lint_file, DeterminismTables, Diagnostic, FileScope, LockTables, UnitTables};
+use alint::lints::{lint_file, Diagnostic, FileScope, LockTables, UnitTables};
 use std::path::{Path, PathBuf};
 
 /// The committed `alint.toml`, parsed: the repo's tables.
@@ -35,7 +35,6 @@ fn lint_fixture(name: &str, scope: FileScope) -> Vec<Diagnostic> {
         &lexed,
         scope,
         &UnitTables::from_config(&config),
-        &DeterminismTables::from_config(&config),
         &locks,
         &graph,
     )
@@ -45,9 +44,6 @@ fn all_scopes() -> FileScope {
     FileScope {
         typed_error: true,
         unit_safety: true,
-        determinism: true,
-        spawn_blessed: false,
-        wall_clock_approved: false,
         lock_discipline: true,
     }
 }
@@ -145,45 +141,6 @@ fn l5_clean_fixture_is_silent_under_every_lint() {
 }
 
 #[test]
-fn l6_flags_each_kind_of_determinism_hazard() {
-    let diags = lint_fixture("l6_violations.rs", only(|s| s.determinism = true));
-    assert_eq!(diags.len(), 6, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.lint == "L6"), "{diags:#?}");
-    // Hash iteration into `sum`, a for-loop body feeding `push_str`, a
-    // `collect` in arrival order, an ad-hoc `thread::spawn`, `Instant::now`,
-    // and an unseeded `from_entropy` — all three sub-rules represented.
-    assert_eq!(
-        diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-        vec![8, 13, 20, 24, 28, 33],
-        "{diags:#?}"
-    );
-}
-
-#[test]
-fn l6_blessed_scopes_drop_the_spawn_and_wall_clock_rules() {
-    let diags = lint_fixture(
-        "l6_violations.rs",
-        only(|s| {
-            s.determinism = true;
-            s.spawn_blessed = true;
-            s.wall_clock_approved = true;
-        }),
-    );
-    // Only the three hash-order iteration findings remain.
-    assert_eq!(
-        diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-        vec![8, 13, 20],
-        "{diags:#?}"
-    );
-}
-
-#[test]
-fn l6_clean_fixture_is_silent_under_every_lint() {
-    let diags = lint_fixture("l6_clean.rs", all_scopes());
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
 fn l7_flags_each_locking_rule() {
     let diags = lint_fixture("l7_violations.rs", only(|s| s.lock_discipline = true));
     assert!(diags.iter().all(|d| d.lint == "L7"), "{diags:#?}");
@@ -252,7 +209,6 @@ fn l7_flags_a_real_gp_predict_under_a_shard_guard() {
             &fixture,
             only(|s| s.lock_discipline = true),
             &UnitTables::from_config(config),
-            &DeterminismTables::from_config(config),
             &locks,
             &graph,
         )
@@ -319,25 +275,25 @@ fn l7_emptied_order_probes_the_real_workspace() {
 
 #[test]
 fn allowlist_budget_absorbs_fixture_violations_exactly() {
-    let diags = lint_fixture("l6_violations.rs", only(|s| s.determinism = true));
+    let diags = lint_fixture("l5_violations.rs", only(|s| s.unit_safety = true));
     let allow = |count| Config {
         allowances: vec![Allowance {
-            path: "l6_violations.rs".into(),
-            lint: "L6".into(),
+            path: "l5_violations.rs".into(),
+            lint: "L5".into(),
             count,
             reason: "fixture".into(),
         }],
         ..Config::default()
     };
 
-    let report = alint::apply_allowlist(diags.clone(), &allow(6), 1);
+    let report = alint::apply_allowlist(diags.clone(), &allow(5), 1);
     assert!(report.is_clean(), "{:#?}", report.violations);
-    assert_eq!(report.grandfathered.len(), 6);
+    assert_eq!(report.grandfathered.len(), 5);
 
     // One site fewer in the budget: exactly one (the last) escapes.
-    let report = alint::apply_allowlist(diags, &allow(5), 1);
+    let report = alint::apply_allowlist(diags, &allow(4), 1);
     assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
-    assert_eq!(report.grandfathered.len(), 5);
+    assert_eq!(report.grandfathered.len(), 4);
 }
 
 /// End-to-end CLI checks against a scratch workspace: a violation makes
@@ -460,17 +416,17 @@ fn cli_lint_flag_filters_check_to_one_pass() {
     let root = scratch_workspace("lint_flag");
     let src_dir = root.join("crates/demo/src");
     std::fs::create_dir_all(&src_dir).expect("mkdir");
-    // One L3 finding (a `String` error) and one L6 finding (thread::spawn)
+    // One L3 finding (a `String` error) and one L2 finding (`x == 0.0`)
     // in a file scoped to both passes.
     std::fs::write(
         src_dir.join("lib.rs"),
-        "pub fn go() -> Result<u8, String> {\n    std::thread::spawn(|| 1);\n    Ok(1)\n}\n",
+        "pub fn go(x: f64) -> Result<u8, String> {\n    if x == 0.0 {\n        \
+         return Ok(0);\n    }\n    Ok(1)\n}\n",
     )
     .expect("write fixture source");
     std::fs::write(
         root.join("alint.toml"),
         "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
-         [determinism]\ndeterminism_crates = [\"crates/demo\"]\n\
          [[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\n\
          count = 1\nreason = \"fixture\"\n",
     )
@@ -484,13 +440,13 @@ fn cli_lint_flag_filters_check_to_one_pass() {
             .expect("run alint")
     };
 
-    // L6 alone: the spawn finding fires; the L3 allowance for the same file
-    // must NOT be reported stale just because L3 was filtered out.
-    let out = run("L6");
+    // L2 alone: the float-compare finding fires; the L3 allowance for the
+    // same file must NOT be reported stale just because L3 was filtered out.
+    let out = run("L2");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/demo/src/lib.rs:2: L6(determinism_safety)"),
+        stdout.contains("crates/demo/src/lib.rs:2: L2(float_cmp)"),
         "{stdout}"
     );
     assert!(!stdout.contains("L3"), "{stdout}");
@@ -502,7 +458,7 @@ fn cli_lint_flag_filters_check_to_one_pass() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
     // Unknown selector, or an ID retired to clippy: usage error, exit 2.
-    for unknown in ["L9", "L1", "lossy_cast"] {
+    for unknown in ["L9", "L1", "lossy_cast", "L6", "determinism_safety"] {
         let out = run(unknown);
         assert_eq!(out.status.code(), Some(2), "{unknown}: {out:?}");
     }
@@ -527,7 +483,7 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
     .expect("write fixture source");
     std::fs::write(
         src_dir.join("extra.rs"),
-        "pub fn c() {\n    std::thread::spawn(|| 1);\n}\n",
+        "pub fn c(x: f64) -> bool {\n    x == 0.0\n}\n",
     )
     .expect("write fixture source");
     // Two L7 findings: an undeclared receiver class and an expensive call
@@ -538,7 +494,6 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
     )
     .expect("write fixture source");
     let scope = "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
-                 [determinism]\ndeterminism_crates = [\"crates/demo\"]\n\
                  [locks]\nlock_classes = [\"shard:shard\"]\nlock_order = [\"shard\"]\n\
                  expensive_idents = [\"fit\"]\n";
     std::fs::write(root.join("alint.toml"), scope).expect("write config");
@@ -563,7 +518,7 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
     };
     assert_eq!(entry("crates/demo/src/lib.rs", "L3").count, 2, "{printed}");
     assert_eq!(
-        entry("crates/demo/src/extra.rs", "L6").count,
+        entry("crates/demo/src/extra.rs", "L2").count,
         1,
         "{printed}"
     );
@@ -613,8 +568,8 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 5, "{stdout}");
-    for (i, id) in ["L2", "L3", "L5", "L6", "L7"].iter().enumerate() {
+    assert_eq!(lines.len(), 4, "{stdout}");
+    for (i, id) in ["L2", "L3", "L5", "L7"].iter().enumerate() {
         assert!(lines[i].starts_with(id), "{stdout}");
     }
     let row = |id: &str| {

@@ -27,10 +27,10 @@
 //! to be produced — it never appears in them, so a host run predicts the
 //! same Edison wall-clock, cost and MaxRSS however many runs share the
 //! host.
-//! alint L6 (`determinism_safety`, DESIGN §9) enforces the same
-//! contract statically: `Instant::now`/`SystemTime::now` and unseeded
-//! RNG construction are lint violations everywhere outside the
-//! wall-clock-approved bench crate.
+//! clippy enforces the same contract statically (DESIGN §9): the
+//! workspace `clippy.toml` disallows `Instant::now`/`SystemTime::now`,
+//! and only the bench crate's timing sites carry an exemption. The
+//! vendored `rand` has no entropy constructor, so every RNG is seeded.
 
 use crate::solver::WorkStats;
 use al_linalg::rng::noise_factor;

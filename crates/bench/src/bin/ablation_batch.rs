@@ -32,7 +32,7 @@ fn main() {
             seed: args.seed,
             ..AlOptions::default()
         };
-        let started = std::time::Instant::now();
+        let started = al_bench::clock::now();
         let t = run_trajectory(
             &dataset,
             &partition,

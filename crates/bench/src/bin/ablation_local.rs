@@ -35,7 +35,7 @@ fn main() {
         "model", "regions", "cost RMSE", "fit s"
     );
 
-    let t0 = std::time::Instant::now();
+    let t0 = al_bench::clock::now();
     let mut global = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
     global.fit_optimized(&x_train, &y_train, &fit).expect("fit");
     let rmse = rmse_nonlog(&global.predict(&x_test).expect("predict").mean, &actual);
@@ -50,7 +50,7 @@ fn main() {
     // Split axes: maxlevel (index 2) and mx (index 1), 2-4 regions.
     for (axis, name) in [(2usize, "maxlevel"), (1usize, "mx")] {
         for regions in [2usize, 4] {
-            let t0 = std::time::Instant::now();
+            let t0 = al_bench::clock::now();
             let template = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
             let mut local = LocalGpModel::new(template, axis, regions);
             local.fit_optimized(&x_train, &y_train, &fit).expect("fit");

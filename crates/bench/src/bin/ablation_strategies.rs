@@ -39,7 +39,7 @@ fn main() {
         base_seed: args.seed,
         n_threads: args.threads,
     };
-    let started = std::time::Instant::now();
+    let started = al_bench::clock::now();
     let results = run_batch(&dataset, &spec, &opts).expect("batch");
     println!(
         "EXTENDED STRATEGY COMPARISON ({} trajectories per strategy, {:.0}s)",

@@ -29,7 +29,7 @@ fn main() {
         base_seed: args.seed,
         n_threads: args.threads,
     };
-    let started = std::time::Instant::now();
+    let started = al_bench::clock::now();
     let results = run_batch(&dataset, &spec, &opts).expect("batch");
     println!(
         "STRATEGY COMPARISON: {} paired trajectories each, 150 iterations, {:.0}s\n",

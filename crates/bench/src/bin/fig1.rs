@@ -36,7 +36,7 @@ fn main() {
             r0: 0.35,
             rhoin: 0.1,
         };
-        let started = std::time::Instant::now();
+        let started = al_bench::clock::now();
         let mut solver = AmrSolver::new(&config, profile);
         let work = solver.run().expect("simulation");
         println!(

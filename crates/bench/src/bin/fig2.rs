@@ -34,7 +34,7 @@ fn main() {
     println!("(violin summaries over actual, not predicted, costs in node-hours;");
     println!(" histogram bins are log10 node-hours)\n");
     for kind in StrategyKind::cost_only_four() {
-        let started = std::time::Instant::now();
+        let started = al_bench::clock::now();
         let t = run_trajectory(&dataset, &partition, kind, &opts).expect("trajectory");
         let costs = t.selected_costs(150);
         let log_costs: Vec<f64> = costs.iter().map(|c| c.log10()).collect();

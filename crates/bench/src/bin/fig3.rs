@@ -50,7 +50,7 @@ fn main() {
             base_seed: args.seed,
             n_threads: args.threads,
         };
-        let started = std::time::Instant::now();
+        let started = al_bench::clock::now();
         let results = run_batch(&dataset, &spec, &opts).expect("batch");
         println!(
             "--- n_init = {n_init} ({} trajectories per strategy, {:.0}s) ---",

@@ -59,7 +59,7 @@ fn main() {
         grid.n_combinations()
     );
     let jobs = grid.draw_jobs(unique, repeats, args.seed);
-    let started = std::time::Instant::now();
+    let started = al_bench::clock::now();
     let samples = generate_parallel(
         &jobs,
         &GenerateOptions {

@@ -56,7 +56,7 @@ pub fn paper_dataset(fast: bool, threads: usize) -> Dataset {
             machine: MachineModel::default(),
             n_threads: threads,
         };
-        let started = std::time::Instant::now();
+        let started = crate::clock::now();
         let samples = generate_parallel(&jobs, &opts).expect("AMR simulation failed");
         eprintln!("generated in {:.1}s", started.elapsed().as_secs_f64());
         samples

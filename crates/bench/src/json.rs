@@ -4,7 +4,7 @@
 //! The build environment is fully offline (no serde), so the harness
 //! carries its own ~200-line JSON layer: enough of RFC 8259 to round-trip
 //! the BENCH report schema exactly. Objects use `BTreeMap` so emitted key
-//! order is deterministic (the alint L6 contract covers this crate's bins).
+//! order is deterministic (clippy.toml disallows the hash containers).
 
 use crate::error::BenchError;
 use std::collections::BTreeMap;

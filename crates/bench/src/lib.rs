@@ -12,6 +12,7 @@
 //! `EXPERIMENTS.md` for recorded paper-vs-measured results.
 
 pub mod cli;
+pub mod clock;
 pub mod data;
 pub mod error;
 pub mod json;

@@ -15,9 +15,11 @@
 //! overlap — a single noisy sample cannot fail CI, and a real slowdown
 //! cannot hide inside the IQR.
 //!
-//! Wall-clock reads live entirely inside `crates/bench`, the alint L6
-//! `wall_clock_approved` carve-out: timings annotate the BENCH trajectory
-//! only and never feed priced results (DESIGN §9, machine.rs contract).
+//! Wall-clock reads live entirely inside `crates/bench`: clippy.toml
+//! disallows `Instant::now` everywhere, and the samples here read the
+//! clock through [`crate::clock::now`], the crate's one exempt site.
+//! Timings annotate the BENCH trajectory only and never feed priced
+//! results (DESIGN §9, machine.rs contract).
 
 // Hot path: every truncating `as` cast carries a checked reason.
 #![warn(clippy::cast_possible_truncation)]
@@ -27,7 +29,6 @@ use crate::json::{parse, Json};
 use al_linalg::{stats::Summary, Matrix};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Version stamp written into (and required from) every BENCH file.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -869,7 +870,7 @@ fn synthetic_dataset(n: usize) -> al_dataset::Dataset {
 
 fn al_scenarios() -> Vec<Scenario> {
     use al_core::{
-        step, AlOptions, Decision, Observation, SelectionContext, SessionConfig, SessionState,
+        AlOptions, Decision, Observation, SelectionContext, SessionConfig, SessionState,
         StrategyKind,
     };
     use al_dataset::Partition;
@@ -940,14 +941,14 @@ fn al_scenarios() -> Vec<Scenario> {
         for _ in 0..3 {
             let q = decision.query().expect("session still mid-flight");
             let obs = Observation::from_dataset(&dataset, q.dataset_index);
-            let (s, d) = step(state, &obs).expect("synthetic step succeeds");
+            let (s, d) = state.step(&obs).expect("synthetic step succeeds");
             state = s;
             decision = d;
         }
         let q = decision.query().expect("session still mid-flight");
         let obs = Observation::from_dataset(&dataset, q.dataset_index);
         Box::new(move || {
-            let (s, d) = step(state.clone(), &obs).expect("synthetic step succeeds");
+            let (s, d) = state.clone().step(&obs).expect("synthetic step succeeds");
             match d {
                 Decision::Query(next) => std::hint::black_box(next.dataset_index),
                 Decision::Stop(_) => std::hint::black_box(s.iteration()),
@@ -1098,7 +1099,7 @@ fn measure(scenario: Scenario, tier: Tier) -> ScenarioResult {
     for _ in 0..warmup {
         body();
     }
-    let started = Instant::now();
+    let started = crate::clock::now();
     body();
     let once = started.elapsed().as_secs_f64().max(1e-9);
     #[expect(
@@ -1108,7 +1109,7 @@ fn measure(scenario: Scenario, tier: Tier) -> ScenarioResult {
     let inner = ((tier.min_sample_s() / once).ceil().clamp(1.0, 1024.0)) as usize;
     let mut samples = Vec::with_capacity(repeats);
     for _ in 0..repeats {
-        let started = Instant::now();
+        let started = crate::clock::now();
         for _ in 0..inner {
             body();
         }

@@ -18,9 +18,9 @@
 //! are independent of any particular partition.
 //!
 //! [`session`] re-expresses the loop body as an explicit [`SessionState`]
-//! value plus a pure [`step`] transition function — the serving-layer
-//! shape — and [`store`] shards many live sessions behind per-shard locks
-//! with a warm-start hyperparameter cache. [`run_trajectory`] is a thin
+//! value plus a pure [`SessionState::step`] transition function — the
+//! serving-layer shape — and [`store`] shards many live sessions behind
+//! per-shard locks with a warm-start hyperparameter cache. [`run_trajectory`] is a thin
 //! driver over the session core; the two are byte-identical by test.
 
 pub mod analysis;
@@ -39,7 +39,7 @@ pub use batch::{run_batch, BatchSpec};
 pub use context::SelectionContext;
 pub use procedure::{run_trajectory, AlOptions};
 pub use session::{
-    step, Decision, EvalSet, Observation, Query, SessionConfig, SessionState, WarmHyperparams,
+    Decision, EvalSet, Observation, Query, SessionConfig, SessionState, WarmHyperparams,
 };
 pub use stopping::StopReason;
 pub use store::{HyperparamLru, SessionError, SessionStore, WarmKey};

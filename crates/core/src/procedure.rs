@@ -7,7 +7,7 @@
 //! suite in `tests/session_parity.rs` proves the driver byte-identical to
 //! the pre-split loop.
 
-use crate::session::{step, Decision, Observation, SessionConfig, SessionState};
+use crate::session::{Decision, Observation, SessionConfig, SessionState};
 use crate::strategy::StrategyKind;
 use crate::trajectory::Trajectory;
 use al_dataset::{Dataset, Partition};
@@ -88,7 +88,7 @@ impl Default for AlOptions {
 /// candidates, asks the strategy for one, acquires its responses, retrains,
 /// and records cost/regret/RMSE metrics.
 ///
-/// The loop itself is [`crate::session::step`]; this driver answers each
+/// The loop itself is [`SessionState::step`]; this driver answers each
 /// [`Decision::Query`] with a dataset lookup until the session stops.
 pub fn run_trajectory(
     dataset: &Dataset,
@@ -100,7 +100,7 @@ pub fn run_trajectory(
     let (mut state, mut decision) = SessionState::start(config)?;
     while let Decision::Query(query) = decision {
         let obs = Observation::from_dataset(dataset, query.dataset_index);
-        (state, decision) = step(state, &obs)?;
+        (state, decision) = state.step(&obs)?;
     }
     Ok(state.into_trajectory())
 }

@@ -16,9 +16,10 @@
 //!   snapshotted, shipped, or replayed.
 //! - [`SessionState::start`] performs the initial fit and returns the
 //!   first [`Decision`].
-//! - [`step`] ingests one [`Observation`] (the simulation result for the
-//!   outstanding query) and returns the successor state plus the next
-//!   [`Decision`] — either another query or a typed stop reason.
+//! - [`SessionState::step`] ingests one [`Observation`] (the simulation
+//!   result for the outstanding query) and returns the successor state
+//!   plus the next [`Decision`] — either another query or a typed stop
+//!   reason.
 //!
 //! # Purity contract
 //!
@@ -151,7 +152,7 @@ pub struct Query {
 /// What the session wants next.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Decision {
-    /// Run this candidate and report back via [`step`].
+    /// Run this candidate and report back via [`SessionState::step`].
     Query(Query),
     /// The trajectory is over; [`SessionState::into_trajectory`] has the
     /// full record.
@@ -265,8 +266,8 @@ struct Round {
 /// The complete state of one active-learning session between steps.
 ///
 /// `Clone` snapshots the whole session (models, pool, RNG); replaying a
-/// snapshot through [`step`] with the same observations reproduces the
-/// original run bit-for-bit.
+/// snapshot through [`SessionState::step`] with the same observations
+/// reproduces the original run bit-for-bit.
 #[derive(Clone)]
 pub struct SessionState {
     kind: StrategyKind,
@@ -294,14 +295,6 @@ pub struct SessionState {
     initial_rmse_mem: f64,
     round: Option<Round>,
     stopped: Option<StopReason>,
-}
-
-/// Advance a session by one observation — the pure transition function.
-///
-/// Free-function form of [`SessionState::step`]; the successor state and
-/// next decision depend only on the inputs.
-pub fn step(state: SessionState, obs: &Observation) -> Result<(SessionState, Decision), GpError> {
-    state.step(obs)
 }
 
 impl SessionState {
@@ -658,8 +651,9 @@ impl SessionState {
     /// Order-stable bit-level fingerprint of the session: training data,
     /// pool, model hyperparameters and posterior probe, tracker, RNG
     /// stream, and emitted records. Two states with equal digests behave
-    /// identically under [`step`] — the replay/parity suite leans on this
-    /// because the RNG (deliberately) does not implement `PartialEq`.
+    /// identically under [`SessionState::step`] — the replay/parity suite
+    /// leans on this because the RNG (deliberately) does not implement
+    /// `PartialEq`.
     pub fn digest(&self) -> Vec<u64> {
         let mut d: Vec<u64> = Vec::new();
         d.push(self.iteration as u64);

@@ -10,7 +10,7 @@
 //! out of its shard, runs the refit/select step unlocked, and checks the
 //! successor state back in, so a slow fit on one session never blocks its
 //! shard-mates. Per-session call ordering is what makes
-//! [`crate::session::step`] deterministic, and the concurrency suite
+//! [`SessionState::step`] deterministic, and the concurrency suite
 //! (`tests/session_concurrency.rs`) checks that hammering distinct
 //! sessions from many threads reproduces the single-threaded trajectories
 //! exactly.
@@ -22,7 +22,7 @@
 //! from those values with the cheap `refit` schedule instead of the
 //! multi-start `initial_fit`. The cache is a bounded, deterministic LRU —
 //! a plain recency-ordered vector, no hash containers, so iteration
-//! order is a pure function of the operation history (alint L6).
+//! order is a pure function of the operation history (DESIGN §9).
 
 use crate::session::{Decision, Observation, SessionConfig, SessionState, WarmHyperparams};
 use crate::trajectory::Trajectory;
@@ -58,7 +58,8 @@ impl WarmKey {
 /// `get` refreshes recency, inserting over capacity evicts the least
 /// recent entry. Iteration walks the vector, so the order observed by
 /// callers is a pure function of the insert/get history — never of hash
-/// state — which keeps the store inside alint L6's determinism contract.
+/// state — which keeps the store inside the determinism contract
+/// (DESIGN §9).
 ///
 /// Linear scans are deliberate: capacities here are tens of grid/kernel
 /// pairs, far below where a map + intrusive list would win.
@@ -193,6 +194,9 @@ impl From<GpError> for SessionError {
     }
 }
 
+/// Warm-cache capacity of every store, in grid/kernel pairs.
+const WARM_CAPACITY: usize = 32;
+
 /// One live session plus its serving metadata.
 struct Entry {
     state: SessionState,
@@ -214,18 +218,13 @@ pub struct SessionStore {
 }
 
 impl SessionStore {
-    /// Create a store with `n_shards` shards (≥ 1) and the default
-    /// warm-cache capacity of 32 grid/kernel pairs.
+    /// Create a store with `n_shards` shards (≥ 1) and a warm cache of
+    /// `WARM_CAPACITY` (32) grid/kernel pairs.
     pub fn new(n_shards: usize) -> Self {
-        Self::with_warm_capacity(n_shards, 32)
-    }
-
-    /// Create a store with an explicit warm-cache capacity.
-    pub fn with_warm_capacity(n_shards: usize, warm_capacity: usize) -> Self {
         assert!(n_shards >= 1, "store needs at least one shard");
         SessionStore {
             shards: (0..n_shards).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            warm: Mutex::new(HyperparamLru::new(warm_capacity)),
+            warm: Mutex::new(HyperparamLru::new(WARM_CAPACITY)),
         }
     }
 
@@ -588,7 +587,7 @@ mod tests {
 
     #[test]
     fn finished_sessions_publish_warm_hyperparams() {
-        let store = SessionStore::with_warm_capacity(2, 4);
+        let store = SessionStore::new(2);
         let key = WarmKey::new("synth-36", "RBF");
         let (cfg, d) = config(6);
         let mut decision = store.create(10, cfg.clone(), Some(key.clone())).unwrap();

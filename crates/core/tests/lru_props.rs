@@ -7,7 +7,7 @@
 //! - a hit returns the most recently inserted value for that key;
 //! - evictions always take the least recently used entry;
 //! - iteration order is a pure function of the operation history
-//!   (deterministic — the L6 requirement), equal to recency order.
+//!   (deterministic — the DESIGN §9 contract), equal to recency order.
 
 // Integration tests run outside #[cfg(test)]; tests may panic and
 // compare exact floats.

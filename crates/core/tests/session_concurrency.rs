@@ -125,6 +125,10 @@ fn run_store(dataset: &Dataset, n_threads: usize) -> Vec<Trajectory> {
     // claim slot is 0 = free, 1 = claimed, 2 = stopped.
     let claims: Vec<AtomicUsize> = (0..N_SESSIONS).map(|_| AtomicUsize::new(0)).collect();
     let cursor = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test drives the store from racing threads on purpose"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..n_threads {
             let store = &store;

@@ -3,7 +3,7 @@
 //! Two claims are enforced here:
 //!
 //! 1. **Parity.** `run_trajectory` is now a thin driver over
-//!    `session::step`. `legacy_run_trajectory` below is a hand-rolled
+//!    `SessionState::step`. `legacy_run_trajectory` below is a hand-rolled
 //!    replica of the pre-split loop body (the same pattern as the
 //!    hand-rolled serial stepper in `crates/amr/tests/serial_stepper_parity.rs`)
 //!    driving `GpModel` directly; for RGMA and baseline strategies, both

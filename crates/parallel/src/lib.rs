@@ -10,9 +10,10 @@
 //! trajectory runner (`al_core::run_batch`) and dataset generation
 //! (`al_dataset::generate_parallel`) are its callers.
 //!
-//! `crates/parallel/src/pool.rs` is an alint L6 `spawn_approved` module
-//! (DESIGN §9/§13): everywhere else, `spawn`/parallel iterators are a lint
-//! violation and must route through this pool.
+//! `crates/parallel/src/pool.rs` holds the one exemption outside tests from
+//! clippy.toml's ban on `std::thread::spawn`/`scope` (DESIGN §9/§13):
+//! everywhere else a spawn is a clippy error and must route through this
+//! pool.
 
 pub mod pool;
 

@@ -1,7 +1,9 @@
 //! The scoped worker pool.
 //!
-//! **Audit notes (alint L6 `spawn_approved`).** This module is the
-//! workspace's one thread fan-out point. Its determinism contract:
+//! **Audit notes.** This module is the workspace's one thread fan-out
+//! point: clippy.toml disallows `std::thread::scope`/`spawn`, and the
+//! `scope` call below is the only exempted spawn outside tests. Its
+//! determinism contract:
 //!
 //! * [`WorkerPool::map_jobs`] hands out job indices from one atomic
 //!   cursor. The cursor decides only *which worker* runs a job; each
@@ -85,6 +87,10 @@ impl WorkerPool {
         };
         let mut slots: Vec<Option<R>> = Vec::with_capacity(n_jobs);
         slots.resize_with(n_jobs, || None);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the workspace's one fan-out point: results land in index slots"
+        )]
         std::thread::scope(|scope| {
             let handles: Vec<_> = (1..n_workers).map(|_| scope.spawn(worker)).collect();
             let mut batches = vec![worker()];

@@ -152,7 +152,7 @@ fn main() {
 
     // The store owns the session; the key ties its fitted hyperparameters
     // to this (grid, kernel) pair in the warm-start LRU.
-    let store = SessionStore::with_warm_capacity(1, 8);
+    let store = SessionStore::new(1);
     let key = WarmKey::new("sweep-small", "RBF");
     let config = lab.session_config(opts.clone());
     let decision = store
