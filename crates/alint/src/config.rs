@@ -7,9 +7,9 @@
 //! both directions without storing brittle line numbers.
 //!
 //! The parser below handles exactly the TOML subset the config uses —
-//! `[table]` headers, `[[array-of-table]]` headers, `key = "string"`,
-//! `key = integer`, and `key = ["a", "b"]` single-line string arrays —
-//! because no TOML crate is available offline.
+//! the `[scope]` and `[units]` headers, `[[allow]]` entries,
+//! `key = "string"`, `key = integer`, and `key = ["a", "b"]` single-line
+//! string arrays — because no TOML crate is available offline.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -38,22 +38,6 @@ pub struct Config {
     /// L5: identifiers that convert between units; their presence next to a
     /// mixed-unit operator marks the expression as an intentional conversion.
     pub unit_conversions: Vec<String>,
-    /// L7 (lock discipline): lock receiver identifier → lock class,
-    /// written `"warm:warm"`. Every `.lock()` receiver in scanned code
-    /// must map to a class here.
-    pub lock_classes: Vec<(String, String)>,
-    /// L7: total acquisition order over lock classes, lowest first —
-    /// acquiring a lower class while a higher one is held is an
-    /// inversion. An empty list leaves every class unordered, which is
-    /// itself a violation at each acquisition site (the probe: deleting
-    /// the order table must surface raw findings, not silence).
-    pub lock_order: Vec<String>,
-    /// L7: identifiers whose calls are expensive by fiat (`fit`, `solve`,
-    /// file I/O, `sleep`, …). The call-graph layer propagates these:
-    /// any function whose call closure reaches one is expensive, and
-    /// calling it under a live lock guard is a violation. Emptying both
-    /// this and `lock_classes`/`lock_order` disables L7.
-    pub expensive_idents: Vec<String>,
     pub allowances: Vec<Allowance>,
 }
 
@@ -74,6 +58,11 @@ impl std::error::Error for ConfigError {}
 
 /// `key = value` pairs of one table, each with its source line.
 type KeyedValues = BTreeMap<String, (Value, usize)>;
+
+/// The section headers the file may use. They are organizational: every
+/// key lands in one namespace. Any other header — such as the `[locks]` or
+/// `[determinism]` tables of retired passes — is an error.
+const TABLES: [&str; 2] = ["[scope]", "[units]"];
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Value {
@@ -157,6 +146,12 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             });
         }
         if line.starts_with('[') {
+            if !TABLES.contains(&line) {
+                return Err(ConfigError {
+                    line: line_no,
+                    message: format!("unknown table `{line}`"),
+                });
+            }
             // Section header: close any open [[allow]] entry.
             if let Some(done) = current_allow.take() {
                 finished_allows.push((done, allow_start));
@@ -201,8 +196,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
     take_list("typed_error_crates", &mut config.typed_error_crates)?;
     take_list("scan_roots", &mut config.scan_roots)?;
     take_list("unit_conversions", &mut config.unit_conversions)?;
-    take_list("lock_order", &mut config.lock_order)?;
-    take_list("expensive_idents", &mut config.expensive_idents)?;
     let mut take_pair_list =
         |name: &str, target: &mut Vec<(String, String)>| -> Result<(), ConfigError> {
             if let Some((value, line)) = scalar_keys.remove(name) {
@@ -230,7 +223,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         };
     take_pair_list("unit_suffixes", &mut config.unit_suffixes)?;
     take_pair_list("unit_types", &mut config.unit_types)?;
-    take_pair_list("lock_classes", &mut config.lock_classes)?;
     if let Some((key, (_, line))) = scalar_keys.into_iter().next() {
         return Err(ConfigError {
             line,
@@ -383,7 +375,8 @@ count = 1
     #[test]
     fn unknown_keys_are_errors() {
         assert!(parse("wibble = 3\n").is_err());
-        // The keys of the passes retired to clippy are unknown now.
+        // The keys and tables of the passes retired to rustc and clippy
+        // are unknown now.
         for key in [
             "lib_crates",
             "hot_paths",
@@ -392,8 +385,15 @@ count = 1
             "spawn_approved",
             "wall_clock_approved",
             "ordered_containers",
+            "lock_classes",
+            "lock_order",
+            "expensive_idents",
         ] {
             assert!(parse(&format!("{key} = []\n")).is_err(), "{key}");
+        }
+        for table in ["[locks]", "[determinism]"] {
+            let err = parse(&format!("{table}\n")).unwrap_err();
+            assert!(err.message.contains("unknown table"), "{err}");
         }
         assert!(parse("[[allow]]\nwibble = \"x\"\n").is_err());
     }
@@ -446,42 +446,20 @@ count = 1
         }
     }
 
+    /// The locking contract (DESIGN §14) is the store's shard module plus
+    /// clippy's ban on `Mutex::lock` everywhere else; this keeps either
+    /// entry from leaving the list, or a crate from allowing it wholesale.
     #[test]
-    fn lock_tables_parse_and_are_committed() {
-        let cfg = parse(
-            "[locks]\nlock_classes = [\"cache:cache\", \"slab:slab\"]\n\
-             lock_order = [\"cache\", \"slab\"]\nexpensive_idents = [\"churn\"]\n",
-        )
-        .expect("parse");
-        assert_eq!(
-            cfg.lock_classes,
-            vec![
-                ("cache".to_string(), "cache".to_string()),
-                ("slab".to_string(), "slab".to_string())
-            ]
-        );
-        assert_eq!(cfg.lock_order, vec!["cache", "slab"]);
-        assert_eq!(cfg.expensive_idents, vec!["churn"]);
-        // The committed tables encode the store's documented contract:
-        // warm below shard, and the paper's hot verbs in the expensive set.
-        let d = committed();
-        assert_eq!(d.lock_order, vec!["warm", "shard"]);
-        assert!(d
-            .lock_classes
-            .iter()
-            .any(|(r, c)| r == "shard" && c == "shard"));
-        for ident in ["fit", "step", "solve", "sleep", "read_to_string"] {
-            assert!(d.expensive_idents.contains(&ident.to_string()), "{ident}");
+    fn committed_clippy_lists_hold_the_locking_contract() {
+        let clippy = include_str!("../../../clippy.toml");
+        let (_, methods) = clippy
+            .split_once("disallowed-methods")
+            .expect("clippy.toml has a disallowed-methods list");
+        for path in ["parking_lot::Mutex::lock", "std::sync::Mutex::lock"] {
+            assert!(methods.contains(&format!("path = \"{path}\"")), "{path}");
         }
-    }
-
-    #[test]
-    fn emptied_lock_order_parses_to_empty() {
-        // The ratchet probe empties the order table and keeps the classes.
-        let cfg =
-            parse("[locks]\nlock_classes = [\"shard:shard\"]\nlock_order = []\n").expect("parse");
-        assert!(cfg.lock_order.is_empty());
-        assert!(!cfg.lock_classes.is_empty());
+        let core = include_str!("../../core/Cargo.toml");
+        assert!(!core.contains("disallowed_"));
     }
 
     #[test]

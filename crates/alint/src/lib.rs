@@ -1,13 +1,12 @@
 //! alint — workspace static analysis for numerical-robustness invariants.
 //!
-//! The four lints (L2 float_cmp, L3 typed_error, L5 unit_safety, L7
-//! lock_discipline) encode rules that rustc and clippy cannot express:
-//! float comparisons clippy's `float_cmp` exempts, which crates owe typed
-//! errors, and the repo's own unit vocabulary and locking contract. The
-//! retired IDs L1, L4 and L6 are checked by clippy (the workspace
-//! `[lints]` tables and `clippy.toml`'s disallowed lists). L7 is
-//! the one *cross-file* pass: it runs on a workspace call graph
-//! (`callgraph`) built from every scanned file before any file is linted.
+//! The three lints (L2 float_cmp, L3 typed_error, L5 unit_safety) encode
+//! rules that rustc and clippy cannot express: float comparisons clippy's
+//! `float_cmp` exempts, which crates owe typed errors, and the repo's own
+//! unit vocabulary. The retired IDs L1, L4, L6 and L7 are checked by rustc
+//! and clippy (the workspace `[lints]` tables, `clippy.toml`'s disallowed
+//! lists, and the store's shard module, whose types keep GP work out of
+//! every lock). Each file is linted on its own.
 //! See `lints` for the rules, `config` for `alint.toml`, and `DESIGN.md`
 //! ("Static analysis & invariants") for the policy.
 //!
@@ -17,7 +16,6 @@
 // while the regular compile still lints library code.
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
-pub mod callgraph;
 pub mod config;
 pub mod lexer;
 pub mod lints;
@@ -79,43 +77,25 @@ pub fn check_workspace_lint(
 }
 
 /// All diagnostics before allowlist filtering, plus the file count.
-///
-/// This is a two-phase run: every file is lexed first so the workspace
-/// [`callgraph::CallGraph`] (L7's cross-file context) can be built over
-/// all of them, then each file is linted with the shared graph.
 pub fn raw_diagnostics(root: &Path, config: &Config) -> std::io::Result<(Vec<Diagnostic>, usize)> {
     let files = workspace::scan(root, config)?;
     let units = lints::UnitTables::from_config(config);
-    let locks = lints::LockTables::from_config(config);
-    let n = files.len();
-    let mut lexed_files = Vec::with_capacity(n);
+    let mut all = Vec::new();
     for file in &files {
         let src = std::fs::read_to_string(&file.abs_path)?;
-        lexed_files.push(lexer::lex(&src));
-    }
-    let graph_input: Vec<(String, &lexer::Lexed)> = files
-        .iter()
-        .zip(&lexed_files)
-        .map(|(file, lexed)| (file.rel_path.clone(), lexed))
-        .collect();
-    let graph = callgraph::CallGraph::build(&graph_input, &locks.expensive);
-    let mut all = Vec::new();
-    for (file, lexed) in files.iter().zip(&lexed_files) {
         all.extend(lints::lint_file(
             &file.rel_path,
-            lexed,
+            &lexer::lex(&src),
             file.scope,
             &units,
-            &locks,
-            &graph,
         ));
     }
     all.sort();
-    Ok((all, n))
+    Ok((all, files.len()))
 }
 
 /// Every lint ID, in order.
-pub const LINT_IDS: [&str; 4] = ["L2", "L3", "L5", "L7"];
+pub const LINT_IDS: [&str; 3] = ["L2", "L3", "L5"];
 
 /// Normalize a user-supplied lint selector (`L5`, `l5`, or
 /// `unit_safety`) to its canonical ID, or `None` when unknown.
@@ -407,9 +387,10 @@ mod tests {
         assert_eq!(normalize_lint_id("L5"), Some("L5"));
         assert_eq!(normalize_lint_id("l2"), Some("L2"));
         assert_eq!(normalize_lint_id("unit_safety"), Some("L5"));
-        assert_eq!(normalize_lint_id("L7"), Some("L7"));
-        assert_eq!(normalize_lint_id("lock_discipline"), Some("L7"));
-        assert_eq!(normalize_lint_id("wibble"), None);
+        // Retired IDs and names are unknown, not aliases.
+        for retired in ["wibble", "L6", "L7", "lock_discipline"] {
+            assert_eq!(normalize_lint_id(retired), None, "{retired}");
+        }
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! The four lint passes.
+//! The three lint passes.
 //!
 //! | ID | name         | invariant                                                            |
 //! |----|--------------|----------------------------------------------------------------------|
 //! | L2 | `float_cmp`  | no bare `==`/`!=` against floating-point expressions                 |
 //! | L3 | `typed_error`| public `Result` fns in typed-error crates use a typed error          |
 //! | L5 | `unit_safety`| no `+`/`-`/comparison between operands of different inferred units   |
-//! | L7 | `lock_discipline` | no expensive calls, order inversions, double-acquires, or       |
-//! |    |              | `.await` inside lock-guard windows (call-graph backed)               |
 //!
-//! The IDs L1 (`panic_site`), L4 (`lossy_cast`) and L6
-//! (`determinism_safety`) are retired, not reused: clippy checks them with
-//! real name resolution. `unwrap_used`/`expect_used`/`panic`/`todo`/
-//! `unimplemented` replace L1, a module-scoped `cast_possible_truncation`
-//! replaces L4, and `clippy.toml`'s `disallowed-types` (hash containers)
-//! and `disallowed-methods` (thread spawns, wall-clock reads) replace L6.
-//! L2 stays because clippy's `float_cmp` exempts comparisons against zero
-//! and the infinities, and every function whose name contains `eq`.
+//! The IDs L1 (`panic_site`), L4 (`lossy_cast`), L6 (`determinism_safety`)
+//! and L7 (`lock_discipline`) are retired, not reused: rustc and clippy
+//! check them with real name resolution. `unwrap_used`/`expect_used`/
+//! `panic`/`todo`/`unimplemented` replace L1, a module-scoped
+//! `cast_possible_truncation` replaces L4, and `clippy.toml`'s
+//! `disallowed-types` (hash containers) and `disallowed-methods` (thread
+//! spawns, wall-clock reads) replace L6. L7's locking contract is a type
+//! fact of the store's shard module plus a `disallowed-methods` ban on
+//! `Mutex::lock` outside it (DESIGN §14). L2 stays because clippy's
+//! `float_cmp` exempts comparisons against zero and the infinities, and
+//! every function whose name contains `eq`.
 //!
 //! All passes skip `#[cfg(test)]` items and honour inline suppression
 //! markers of the form `// alint: allow(L2)` or `// alint: allow(float_cmp)`
@@ -23,11 +24,8 @@
 //!
 //! The passes run on the token stream from [`crate::lexer`]; where real type
 //! information would be needed (L2) the heuristics are deliberately
-//! conservative and documented on each pass. L7 is the first pass with
-//! *cross-file* context: it consumes the workspace [`CallGraph`] built in
-//! [`crate::callgraph`].
+//! conservative and documented on each pass.
 
-use crate::callgraph::{self, CallGraph};
 use crate::config::Config;
 use crate::lexer::{Lexed, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Diagnostic {
     pub path: String,
     pub line: u32,
-    /// Lint ID: `L2`, `L3`, `L5` or `L7`.
+    /// Lint ID: `L2`, `L3` or `L5`.
     pub lint: &'static str,
     pub message: String,
 }
@@ -62,7 +60,6 @@ pub fn lint_name(id: &str) -> &'static str {
         "L2" => "float_cmp",
         "L3" => "typed_error",
         "L5" => "unit_safety",
-        "L7" => "lock_discipline",
         _ => "unknown",
     }
 }
@@ -73,7 +70,6 @@ pub fn lint_description(id: &str) -> &'static str {
         "L2" => "no bare ==/!= against floating-point expressions",
         "L3" => "public Result functions in typed-error crates return typed errors",
         "L5" => "no arithmetic/comparison between operands of different inferred units",
-        "L7" => "no expensive calls, order inversions, re-locks, or .await under lock guards",
         _ => "unknown lint",
     }
 }
@@ -86,10 +82,6 @@ pub struct FileScope {
     pub typed_error: bool,
     /// L5: unit-safety dataflow over suffix- and ascription-inferred units.
     pub unit_safety: bool,
-    /// L7: lock-guard windows are checked for expensive calls, order
-    /// inversions, double-acquires, and `.await` (applies to every
-    /// scanned file; the pass only fires near `.lock()`).
-    pub lock_discipline: bool,
 }
 
 /// Unit-inference tables for L5, derived from the `[units]` section of
@@ -133,71 +125,12 @@ impl UnitTables {
     }
 }
 
-/// Lookup tables for L7, derived from the `[locks]` section of
-/// `alint.toml`: receiver identifier → lock class, the total acquisition
-/// order over classes (lowest first), and the expensive-identifier set
-/// fed to the call graph.
-#[derive(Debug, Clone, Default)]
-pub struct LockTables {
-    classes: BTreeMap<String, String>,
-    order: Vec<String>,
-    /// Identifiers that make a call expensive by fiat; public so the
-    /// call-graph build can consume the same set.
-    pub expensive: BTreeSet<String>,
-}
-
-impl LockTables {
-    /// Build the lock tables from a parsed configuration.
-    pub fn from_config(config: &Config) -> Self {
-        LockTables {
-            classes: config.lock_classes.iter().cloned().collect(),
-            order: config.lock_order.clone(),
-            expensive: config.expensive_idents.iter().cloned().collect(),
-        }
-    }
-
-    /// L7 is disabled when every table is emptied (mirrors L5's
-    /// empty-unit-tables switch). An empty *order* alone does not
-    /// disable the pass — it makes every acquisition unordered, which
-    /// is a violation at each site (the probe discipline).
-    fn is_empty(&self) -> bool {
-        self.classes.is_empty() && self.order.is_empty()
-    }
-
-    /// Rank of a class in the acquisition order (0 = lowest).
-    fn rank(&self, class: &str) -> Option<usize> {
-        self.order.iter().position(|c| c == class)
-    }
-
-    /// Lock class of a receiver chain: the innermost receiver identifier
-    /// with a declared class wins (`self.warm` → `warm`). Returns the
-    /// class and whether it was declared; undeclared receivers fall back
-    /// to their own identifier so nesting checks still have a name.
-    fn class_of(&self, receiver: &[String]) -> (String, bool) {
-        for ident in receiver.iter().rev() {
-            if let Some(class) = self.classes.get(ident) {
-                return (class.clone(), true);
-            }
-        }
-        let fallback = receiver
-            .iter()
-            .rev()
-            .find(|i| *i != "self" && *i != "Self")
-            .or_else(|| receiver.last())
-            .map(String::as_str)
-            .unwrap_or("<expr>");
-        (fallback.to_string(), false)
-    }
-}
-
 /// Run every applicable pass over one lexed file.
 pub fn lint_file(
     path: &str,
     lexed: &Lexed,
     scope: FileScope,
     units: &UnitTables,
-    locks: &LockTables,
-    graph: &CallGraph,
 ) -> Vec<Diagnostic> {
     let tokens = &lexed.tokens;
     let in_test = test_region_mask(tokens);
@@ -227,9 +160,6 @@ pub fn lint_file(
     }
     if scope.unit_safety {
         l5_unit_safety(tokens, &in_test, units, &mut push);
-    }
-    if scope.lock_discipline {
-        l7_lock_discipline(path, tokens, &in_test, locks, graph, &mut push);
     }
 
     diagnostics.sort();
@@ -838,275 +768,6 @@ fn l5_unit_safety(
     }
 }
 
-/// One live lock-guard window for L7.
-struct LockWindow {
-    /// Token index of the `lock` identifier that opened the window.
-    site: usize,
-    /// Lock class of the acquisition (declared or fallback).
-    class: String,
-    /// Rank of the class in `[locks] lock_order`, if declared there.
-    rank: Option<usize>,
-    /// Token range the guard is live over, end exclusive.
-    span: (usize, usize),
-}
-
-/// L7 `lock_discipline`: statically enforce the SessionStore locking
-/// contract inside lock-guard windows (the first call-graph-backed pass).
-///
-/// A window opens at each `.lock()` call and is tracked like L5's
-/// dataflow windows:
-///
-/// - `let g = recv.lock();` — a *named* guard: the window runs to the
-///   end of the enclosing brace block, or to the first `drop(g)`.
-/// - any other `.lock()` use — a *temporary* guard: the window runs to
-///   the end of the statement (`;`), the enclosing match-arm `,`, or the
-///   enclosing close delimiter, whichever comes first. (Rust extends
-///   some temporaries to the whole statement; stopping at the arm comma
-///   under-approximates, trading missed exotica for no false positives.)
-///
-/// Inside a window of class `C` the rules are:
-///
-/// (a) **expensive-call-under-lock** — a call whose identifier is in
-///     `[locks] expensive_idents` (expensive by fiat, `state.step(obs)`
-///     needs no resolution), or whose call-graph closure reaches one;
-/// (b) **lock-order inversion** — acquiring a class ranked below `C` in
-///     `[locks] lock_order`, directly or one call level deep (a resolved
-///     callee that itself locks);
-/// (c) **double-acquire / guard-across-await** — acquiring `C` again
-///     (directly or one call deep; parking_lot mutexes are not
-///     reentrant), or any `.await` while the guard is live (guards must
-///     not be held across suspension points — the async serving layer
-///     lands on this contract).
-///
-/// Independent of windows, every `.lock()` receiver must map to a class
-/// in `[locks] lock_classes` and every class must appear in
-/// `lock_order`: deleting the order table surfaces every acquisition
-/// site as a finding rather than silencing the pass.
-fn l7_lock_discipline(
-    path: &str,
-    tokens: &[Token],
-    in_test: &[bool],
-    locks: &LockTables,
-    graph: &CallGraph,
-    push: &mut impl FnMut(&'static str, u32, String),
-) {
-    if locks.is_empty() {
-        return;
-    }
-    let order_str = || locks.order.join(" < ");
-    let mut windows: Vec<LockWindow> = Vec::new();
-
-    for i in 0..tokens.len() {
-        if !callgraph::is_lock_site(tokens, i) || in_test[i] {
-            continue;
-        }
-        let (recv_start, receiver) = callgraph::receiver_chain(tokens, i - 1);
-        let (class, declared) = locks.class_of(&receiver);
-        let rank = locks.rank(&class);
-        if !declared {
-            push(
-                "L7",
-                tokens[i].line,
-                format!(
-                    "`{class}.lock()` has no declared lock class; map the receiver in \
-                     [locks] lock_classes (alint.toml)"
-                ),
-            );
-        } else if rank.is_none() {
-            push(
-                "L7",
-                tokens[i].line,
-                format!(
-                    "lock class `{class}` is missing from [locks] lock_order; \
-                     the acquisition order is undeclared"
-                ),
-            );
-        }
-        let Some(close) = matching_delim(tokens, i + 1, "(", ")") else {
-            continue;
-        };
-        // Named guard: `let [mut] NAME = recv.lock();` — nothing chained
-        // after the call, so the binding *is* the guard.
-        let named = if close + 1 < tokens.len()
-            && tokens[close + 1].text == ";"
-            && recv_start >= 3
-            && tokens[recv_start - 1].text == "="
-            && matches!(tokens[recv_start - 2].kind, TokenKind::Ident)
-            && (tokens[recv_start - 3].text == "let"
-                || (tokens[recv_start - 3].text == "mut"
-                    && recv_start >= 4
-                    && tokens[recv_start - 4].text == "let"))
-        {
-            Some(tokens[recv_start - 2].text.clone())
-        } else {
-            None
-        };
-        let mut depth = 0i64;
-        let mut end = tokens.len();
-        let scan_from = match &named {
-            Some(_) => close + 2,
-            None => close + 1,
-        };
-        for (k, token) in tokens.iter().enumerate().skip(scan_from) {
-            match token.text.as_str() {
-                "{" | "(" | "[" => depth += 1,
-                "}" | ")" | "]" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        end = k;
-                        break;
-                    }
-                }
-                ";" | "," if named.is_none() && depth == 0 => {
-                    end = k;
-                    break;
-                }
-                "drop"
-                    if named.as_deref().is_some_and(|name| {
-                        k + 3 < tokens.len()
-                            && tokens[k + 1].text == "("
-                            && tokens[k + 2].text == name
-                            && tokens[k + 3].text == ")"
-                    }) =>
-                {
-                    end = k;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        windows.push(LockWindow {
-            site: i,
-            class,
-            rank,
-            span: (close + 1, end),
-        });
-    }
-
-    // Overlapping windows can surface the same defect twice; report each
-    // distinct (line, message) once.
-    let mut seen: BTreeSet<(u32, String)> = BTreeSet::new();
-    for w in &windows {
-        let mut emit = |line: u32, message: String| {
-            if seen.insert((line, message.clone())) {
-                push("L7", line, message);
-            }
-        };
-        let class = &w.class;
-        for j in w.span.0..w.span.1.min(tokens.len()) {
-            if in_test[j] {
-                continue;
-            }
-            let line = tokens[j].line;
-            if tokens[j].text == "await"
-                && matches!(tokens[j].kind, TokenKind::Ident)
-                && j > 0
-                && tokens[j - 1].text == "."
-            {
-                emit(
-                    line,
-                    format!(
-                        "`{class}` guard is held across `.await`; a future can park or \
-                         migrate threads with the lock held — drop the guard first"
-                    ),
-                );
-                continue;
-            }
-            if callgraph::is_lock_site(tokens, j) {
-                if j == w.site {
-                    continue;
-                }
-                let inner = callgraph::receiver_idents(tokens, j - 1);
-                let (inner_class, inner_declared) = locks.class_of(&inner);
-                if inner_class == *class {
-                    emit(
-                        line,
-                        format!(
-                            "`{class}` lock acquired again while a `{class}` guard is \
-                             live (double-acquire; parking_lot mutexes are not reentrant)"
-                        ),
-                    );
-                } else if inner_declared {
-                    if let (Some(outer), Some(nested)) = (w.rank, locks.rank(&inner_class)) {
-                        if nested < outer {
-                            emit(
-                                line,
-                                format!(
-                                    "lock-order inversion: acquiring `{inner_class}` while \
-                                     `{class}` is held (declared order: {})",
-                                    order_str()
-                                ),
-                            );
-                        }
-                    }
-                }
-                continue;
-            }
-            if !callgraph::is_call_site(tokens, j) || tokens[j].text == "drop" {
-                continue;
-            }
-            let segments = callgraph::call_segments(tokens, j);
-            let callee = segments.join("::");
-            if let Some(seg) = segments
-                .iter()
-                .find(|s| locks.expensive.contains(s.as_str()))
-            {
-                emit(
-                    line,
-                    format!(
-                        "expensive call `{callee}` under the `{class}` lock: `{seg}` is in \
-                         [locks] expensive_idents — run it before locking or after \
-                         dropping the guard"
-                    ),
-                );
-                continue;
-            }
-            let dotted = j > 0 && tokens[j - 1].text == ".";
-            let Some(target) = graph.resolve(path, j, &segments, dotted) else {
-                continue;
-            };
-            if graph.is_expensive(target) {
-                let witness = graph.witness(target).unwrap_or("an expensive ident");
-                emit(
-                    line,
-                    format!(
-                        "call to `{callee}` under the `{class}` lock reaches expensive \
-                         `{witness}` through the call graph — hoist the work out of \
-                         the guard window"
-                    ),
-                );
-            }
-            for (chain, _) in &graph.fns()[target].direct_locks {
-                let (nested_class, nested_declared) = locks.class_of(chain);
-                if !nested_declared {
-                    continue;
-                }
-                if nested_class == *class {
-                    emit(
-                        line,
-                        format!(
-                            "call to `{callee}` re-acquires `{class}` one call deep while \
-                             a `{class}` guard is live (double-acquire)"
-                        ),
-                    );
-                } else if let (Some(outer), Some(nested)) = (w.rank, locks.rank(&nested_class)) {
-                    if nested < outer {
-                        emit(
-                            line,
-                            format!(
-                                "lock-order inversion via `{callee}`: it acquires \
-                                 `{nested_class}` while `{class}` is held (declared \
-                                 order: {})",
-                                order_str()
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1115,16 +776,11 @@ mod tests {
 
     fn run(src: &str, scope: FileScope) -> Vec<Diagnostic> {
         let lexed = lex(src);
-        let config = committed();
-        let locks = LockTables::from_config(&config);
-        let graph = CallGraph::build(&[("test.rs".to_string(), &lexed)], &locks.expensive);
         lint_file(
             "test.rs",
             &lexed,
             scope,
-            &UnitTables::from_config(&config),
-            &locks,
-            &graph,
+            &UnitTables::from_config(&committed()),
         )
     }
 
@@ -1132,7 +788,6 @@ mod tests {
         FileScope {
             typed_error: true,
             unit_safety: true,
-            lock_discipline: true,
         }
     }
 
@@ -1407,218 +1062,7 @@ mod tests {
         };
         let src = "fn f(a_us: f64, b_seconds: f64) -> f64 { a_us + b_seconds }";
         let lexed = lex(src);
-        let locks = LockTables::from_config(&cfg);
-        let graph = CallGraph::build(&[("t.rs".to_string(), &lexed)], &locks.expensive);
-        let diags = lint_file(
-            "t.rs",
-            &lexed,
-            l5_only(),
-            &UnitTables::from_config(&cfg),
-            &locks,
-            &graph,
-        );
+        let diags = lint_file("t.rs", &lexed, l5_only(), &UnitTables::from_config(&cfg));
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    fn l7_only() -> FileScope {
-        FileScope {
-            lock_discipline: true,
-            ..FileScope::default()
-        }
-    }
-
-    fn l7(diags: &[Diagnostic]) -> Vec<&Diagnostic> {
-        diags.iter().filter(|d| d.lint == "L7").collect()
-    }
-
-    #[test]
-    fn l7_flags_direct_expensive_call_under_named_guard() {
-        let src = r#"
-            impl Store {
-                pub fn observe(&self, id: u64) -> u32 {
-                    let mut shard = self.shard(id).lock();
-                    shard.step(3)
-                }
-            }
-        "#;
-        let diags = run(src, l7_only());
-        let v = l7(&diags);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 5);
-        assert!(v[0].message.contains("expensive call"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn l7_temporary_guard_window_ends_at_the_statement() {
-        let src = r#"
-            impl Store {
-                pub fn create(&self) -> u32 {
-                    let warm = self.warm.lock().peek();
-                    fit(warm)
-                }
-            }
-        "#;
-        assert!(
-            l7(&run(src, l7_only())).is_empty(),
-            "fit runs after the statement"
-        );
-    }
-
-    #[test]
-    fn l7_drop_ends_a_named_window() {
-        let src = r#"
-            pub fn f(m: &Mutex<u32>) -> u32 {
-                let shard = m.shard.lock();
-                let x = *shard;
-                drop(shard);
-                fit(x)
-            }
-        "#;
-        assert!(
-            l7(&run(src, l7_only())).is_empty(),
-            "guard dropped before fit"
-        );
-    }
-
-    #[test]
-    fn l7_flags_inversion_double_acquire_and_await() {
-        let src = r#"
-            impl Store {
-                pub fn inverted(&self) -> u32 {
-                    let shard = self.shard.lock();
-                    let warm = self.warm.lock();
-                    *shard + *warm
-                }
-                pub fn doubled(&self) -> u32 {
-                    let a = self.shard.lock();
-                    let b = self.shard.lock();
-                    *a + *b
-                }
-                pub async fn parked(&self) -> u32 {
-                    let g = self.warm.lock();
-                    tick().await;
-                    *g
-                }
-            }
-        "#;
-        let diags = run(src, l7_only());
-        let v = l7(&diags);
-        let lines: Vec<u32> = v.iter().map(|d| d.line).collect();
-        assert_eq!(lines, vec![5, 10, 15], "{v:?}");
-        assert!(v[0].message.contains("inversion"), "{}", v[0].message);
-        assert!(v[1].message.contains("double-acquire"), "{}", v[1].message);
-        assert!(v[2].message.contains(".await"), "{}", v[2].message);
-    }
-
-    #[test]
-    fn l7_ascending_order_is_clean() {
-        let src = r#"
-            impl Store {
-                pub fn ordered(&self) -> u32 {
-                    let warm = self.warm.lock();
-                    let shard = self.shard.lock();
-                    *warm + *shard
-                }
-            }
-        "#;
-        assert!(l7(&run(src, l7_only())).is_empty());
-    }
-
-    #[test]
-    fn l7_undeclared_receiver_and_missing_order_are_findings() {
-        let src = "pub fn f(m: &M) -> u32 { *m.mystery.lock() }";
-        let diags = run(src, l7_only());
-        let v = l7(&diags);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(
-            v[0].message.contains("no declared lock class"),
-            "{}",
-            v[0].message
-        );
-    }
-
-    #[test]
-    fn l7_call_graph_reachability_and_one_call_deep_locks() {
-        let src = r#"
-            impl Store {
-                pub fn reaches(&self) -> u32 {
-                    let shard = self.shard.lock();
-                    helper(*shard)
-                }
-                pub fn nested_inversion(&self) -> u32 {
-                    let shard = self.shard.lock();
-                    lock_warm(self) + *shard
-                }
-            }
-            fn helper(x: u32) -> u32 { slow(x) }
-            fn slow(x: u32) -> u32 { fit(x) }
-            fn fit(x: u32) -> u32 { x + 1 }
-            fn lock_warm(s: &Store) -> u32 { *s.warm.lock() }
-        "#;
-        let diags = run(src, l7_only());
-        let v = l7(&diags);
-        let lines: Vec<u32> = v.iter().map(|d| d.line).collect();
-        assert_eq!(lines, vec![5, 9], "{v:?}");
-        assert!(
-            v[0].message.contains("reaches expensive"),
-            "{}",
-            v[0].message
-        );
-        assert!(v[1].message.contains("inversion via"), "{}", v[1].message);
-    }
-
-    #[test]
-    fn l7_markers_suppress_and_test_regions_are_silent() {
-        let src =
-            "pub fn f(&self) -> u32 { let g = self.shard.lock(); g.step(1) } // alint: allow(L7)";
-        assert!(l7(&run(src, l7_only())).is_empty());
-        let test_mod = r#"
-            #[cfg(test)]
-            mod tests {
-                fn t(s: &Store) { let g = s.shard.lock(); g.step(1); }
-            }
-        "#;
-        assert!(l7(&run(test_mod, l7_only())).is_empty());
-    }
-
-    #[test]
-    fn l7_disabled_when_all_lock_tables_are_empty() {
-        let lexed = lex("pub fn f(&self) { let g = self.mystery.lock(); g.step(1); }");
-        let empty = LockTables::default();
-        let graph = CallGraph::build(&[("test.rs".to_string(), &lexed)], &empty.expensive);
-        let diags = lint_file(
-            "test.rs",
-            &lexed,
-            l7_only(),
-            &UnitTables::from_config(&committed()),
-            &empty,
-            &graph,
-        );
-        assert!(diags.is_empty());
-    }
-
-    #[test]
-    fn l7_emptied_order_surfaces_every_declared_acquisition() {
-        // The probe: classes stay declared, the order table is emptied —
-        // every acquisition site must surface, not silence.
-        let lexed = lex("pub fn f(&self) -> usize { self.shard.lock().len() }");
-        let mut cfg = committed();
-        cfg.lock_order.clear();
-        let locks = LockTables::from_config(&cfg);
-        let graph = CallGraph::build(&[("test.rs".to_string(), &lexed)], &locks.expensive);
-        let diags = lint_file(
-            "test.rs",
-            &lexed,
-            l7_only(),
-            &UnitTables::from_config(&committed()),
-            &locks,
-            &graph,
-        );
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(
-            diags[0].message.contains("missing from [locks] lock_order"),
-            "{}",
-            diags[0].message
-        );
     }
 }

@@ -42,8 +42,8 @@ fn main() -> ExitCode {
                 Some(Some(id)) => lint = Some(id),
                 Some(None) => {
                     eprintln!(
-                        "alint: --lint requires a lint ID (L2, L3, L5, L7) or name \
-                         (float_cmp, …, lock_discipline)"
+                        "alint: --lint requires a lint ID (L2, L3, L5) or name \
+                         (float_cmp, typed_error, unit_safety)"
                     );
                     return ExitCode::from(2);
                 }
@@ -110,8 +110,8 @@ usage: cargo run -p alint -- [check|dump|ratchet|lints] [--root <dir>]
 
   --format  check output style: text (default), json (one machine-readable
             object), or github (::error workflow-command annotations)
-  --lint    restrict check/dump to one lint, by ID (L2, L3, L5, L7) or
-            name (float_cmp, …, lock_discipline) — fast single-pass
+  --lint    restrict check/dump to one lint, by ID (L2, L3, L5) or
+            name (float_cmp, typed_error, unit_safety) — fast single-pass
             iteration while developing a lint
 ";
 
@@ -229,12 +229,11 @@ fn lints(config: &alint::config::Config) -> ExitCode {
         let enabled = match id {
             "L2" => true,
             "L3" => !config.typed_error_crates.is_empty(),
-            "L5" => {
+            _ => {
                 !(config.unit_suffixes.is_empty()
                     && config.unit_types.is_empty()
                     && config.unit_conversions.is_empty())
             }
-            _ => !(config.lock_classes.is_empty() && config.lock_order.is_empty()),
         };
         println!(
             "{id}  {:<19} {:<8} {}",

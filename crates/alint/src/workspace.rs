@@ -75,9 +75,6 @@ fn rel_string(path: &Path, root: &Path) -> String {
 ///   (`main.rs`, `bin/`) are not public API.
 /// - L5 runs on everything scanned (disabling it means emptying the unit
 ///   tables in `alint.toml`, not a per-file carve-out).
-/// - L7 runs on everything scanned, like L5: the pass only fires near
-///   `.lock()` sites, and a lock in a bin deadlocks just as hard as one
-///   in a lib (disabling it means emptying the `[locks]` tables).
 pub fn scope_for(rel_path: &str, config: &Config) -> FileScope {
     let in_crate_src = |crate_root: &str| {
         rel_path.starts_with(&format!("{crate_root}/src/"))
@@ -87,7 +84,6 @@ pub fn scope_for(rel_path: &str, config: &Config) -> FileScope {
     FileScope {
         typed_error: config.typed_error_crates.iter().any(|c| in_crate_src(c)),
         unit_safety: true,
-        lock_discipline: true,
     }
 }
 
@@ -108,13 +104,12 @@ mod tests {
         // The linter lints itself: L3 covers its own src/ files.
         let s = scope_for("crates/alint/src/lints.rs", &config);
         assert!(s.typed_error);
-        assert!(s.lock_discipline, "L7 covers everything scanned");
 
         // Binaries are exempt from the library-only passes.
         let s = scope_for("crates/core/src/main.rs", &config);
         assert!(!s.typed_error && s.unit_safety);
         let s = scope_for("crates/bench/src/bin/sweep.rs", &config);
-        assert!(!s.typed_error && s.lock_discipline);
+        assert!(!s.typed_error && s.unit_safety);
         let s = scope_for("src/main.rs", &config);
         assert!(!s.typed_error && s.unit_safety);
     }

@@ -6,10 +6,9 @@
 // carve-outs from clippy.toml don't reach them.
 #![allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
-use alint::callgraph::CallGraph;
 use alint::config::{Allowance, Config};
 use alint::lexer::lex;
-use alint::lints::{lint_file, Diagnostic, FileScope, LockTables, UnitTables};
+use alint::lints::{lint_file, Diagnostic, FileScope, UnitTables};
 use std::path::{Path, PathBuf};
 
 /// The committed `alint.toml`, parsed: the repo's tables.
@@ -23,20 +22,11 @@ fn lint_fixture(name: &str, scope: FileScope) -> Vec<Diagnostic> {
         .join(name);
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-    let lexed = lex(&src);
-    let config = repo_config();
-    let locks = LockTables::from_config(&config);
-    // Fixtures are single files, so the call graph sees exactly one file —
-    // cross-file resolution is covered by the callgraph unit tests and the
-    // workspace probe below.
-    let graph = CallGraph::build(&[(name.to_string(), &lexed)], &locks.expensive);
     lint_file(
         name,
-        &lexed,
+        &lex(&src),
         scope,
-        &UnitTables::from_config(&config),
-        &locks,
-        &graph,
+        &UnitTables::from_config(&repo_config()),
     )
 }
 
@@ -44,7 +34,6 @@ fn all_scopes() -> FileScope {
     FileScope {
         typed_error: true,
         unit_safety: true,
-        lock_discipline: true,
     }
 }
 
@@ -138,139 +127,6 @@ fn l5_flags_each_kind_of_unit_mixing() {
 fn l5_clean_fixture_is_silent_under_every_lint() {
     let diags = lint_fixture("l5_clean.rs", all_scopes());
     assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn l7_flags_each_locking_rule() {
-    let diags = lint_fixture("l7_violations.rs", only(|s| s.lock_discipline = true));
-    assert!(diags.iter().all(|d| d.lint == "L7"), "{diags:#?}");
-    // Direct expensive call under a guard, a lock-order inversion, a
-    // double-acquire, a guard held across `.await`, a call reaching an
-    // expensive ident through the call graph, an inversion one call deep,
-    // and an undeclared receiver class.
-    assert_eq!(
-        diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-        vec![11, 16, 22, 28, 34, 39, 47],
-        "{diags:#?}"
-    );
-    let expect = |line: u32, needle: &str| {
-        let d = diags
-            .iter()
-            .find(|d| d.line == line)
-            .unwrap_or_else(|| panic!("no diagnostic at line {line}"));
-        assert!(d.message.contains(needle), "{line}: {}", d.message);
-    };
-    expect(11, "expensive call `fit`");
-    expect(16, "lock-order inversion");
-    expect(22, "double-acquire");
-    expect(28, "held across `.await`");
-    expect(34, "reaches expensive `solve` through the call graph");
-    expect(39, "lock-order inversion via `warm_taker`");
-    expect(47, "no declared lock class");
-}
-
-#[test]
-fn l7_clean_fixture_is_silent_under_every_lint() {
-    let diags = lint_fixture("l7_clean.rs", all_scopes());
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-/// `GpModel::predict` reaches the expensive set only through its tiled
-/// forward solve, so `solve_lower_multi` must stay listed for a predict
-/// under a shard guard to be flagged. Lints the fixture as a file of the
-/// gp crate beside the real `gp.rs`, with and without that entry.
-#[test]
-fn l7_flags_a_real_gp_predict_under_a_shard_guard() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .map(PathBuf::from)
-        .unwrap_or_default();
-    let gp_path = root.join("crates/gp/src/gp.rs");
-    if !gp_path.is_file() {
-        return;
-    }
-    let gp_src = std::fs::read_to_string(&gp_path).unwrap();
-    let fixture_src = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/l7_predict_under_guard.rs"),
-    )
-    .unwrap();
-    let (gp, fixture) = (lex(&gp_src), lex(&fixture_src));
-    let fixture_path = "crates/gp/src/l7_predict_under_guard.rs";
-    let lint_with = |config: &Config| {
-        let locks = LockTables::from_config(config);
-        let files = [
-            ("crates/gp/src/gp.rs".to_string(), &gp),
-            (fixture_path.to_string(), &fixture),
-        ];
-        let graph = CallGraph::build(&files, &locks.expensive);
-        lint_file(
-            fixture_path,
-            &fixture,
-            only(|s| s.lock_discipline = true),
-            &UnitTables::from_config(config),
-            &locks,
-            &graph,
-        )
-    };
-    let diags = lint_with(&repo_config());
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].line, 12, "{diags:#?}");
-    assert!(
-        diags[0].message.contains("`predict`")
-            && diags[0]
-                .message
-                .contains("reaches expensive `solve_lower_multi`"),
-        "{}",
-        diags[0].message
-    );
-    let mut without = repo_config();
-    without
-        .expensive_idents
-        .retain(|e| e != "solve_lower_multi");
-    let diags = lint_with(&without);
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-/// The ratchet probe: the committed tables keep the real workspace clean, and
-/// explicitly emptying `lock_order` must *surface* raw L7 findings at every
-/// declared acquisition in `crates/core/src/store.rs` — deleting the order
-/// table can never silence the lint.
-#[test]
-fn l7_emptied_order_probes_the_real_workspace() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .map(PathBuf::from)
-        .unwrap_or_default();
-    if !root.join("Cargo.toml").is_file() {
-        return;
-    }
-    let mut config = repo_config();
-    config.lock_order.clear();
-    let (diags, _) = alint::raw_diagnostics(&root, &config).expect("scan workspace");
-    let store_findings: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| d.lint == "L7" && d.path == "crates/core/src/store.rs")
-        .collect();
-    assert!(
-        store_findings.len() >= 5,
-        "emptying lock_order should surface every store acquisition: {store_findings:#?}"
-    );
-    for class in ["warm", "shard"] {
-        assert!(
-            store_findings
-                .iter()
-                .any(|d| d.message.contains(&format!("`{class}`"))),
-            "no {class} finding: {store_findings:#?}"
-        );
-    }
-    assert!(
-        store_findings
-            .iter()
-            .all(|d| d.message.contains("missing from [locks] lock_order")),
-        "{store_findings:#?}"
-    );
 }
 
 #[test]
@@ -457,8 +313,17 @@ fn cli_lint_flag_filters_check_to_one_pass() {
     let out = run("Typed_Error");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
-    // Unknown selector, or an ID retired to clippy: usage error, exit 2.
-    for unknown in ["L9", "L1", "lossy_cast", "L6", "determinism_safety"] {
+    // Unknown selector, or an ID retired to rustc and clippy: usage error,
+    // exit 2.
+    for unknown in [
+        "L9",
+        "L1",
+        "lossy_cast",
+        "L6",
+        "determinism_safety",
+        "L7",
+        "lock_discipline",
+    ] {
         let out = run(unknown);
         assert_eq!(out.status.code(), Some(2), "{unknown}: {out:?}");
     }
@@ -486,16 +351,7 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
         "pub fn c(x: f64) -> bool {\n    x == 0.0\n}\n",
     )
     .expect("write fixture source");
-    // Two L7 findings: an undeclared receiver class and an expensive call
-    // under the guard.
-    std::fs::write(
-        src_dir.join("locked.rs"),
-        "pub fn hold(m: &Mutex<u32>) -> u32 {\n    let g = m.lock();\n    fit(*g)\n}\n",
-    )
-    .expect("write fixture source");
-    let scope = "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
-                 [locks]\nlock_classes = [\"shard:shard\"]\nlock_order = [\"shard\"]\n\
-                 expensive_idents = [\"fit\"]\n";
+    let scope = "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n";
     std::fs::write(root.join("alint.toml"), scope).expect("write config");
 
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
@@ -522,12 +378,7 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
         1,
         "{printed}"
     );
-    assert_eq!(
-        entry("crates/demo/src/locked.rs", "L7").count,
-        2,
-        "{printed}"
-    );
-    assert_eq!(parsed.allowances.len(), 3, "{printed}");
+    assert_eq!(parsed.allowances.len(), 2, "{printed}");
 
     // Adopting the printed allowlist makes the check clean — and since the
     // counts are exact, no slack notes and no stale-entry errors appear.
@@ -541,7 +392,7 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!stdout.contains("stale"), "{stdout}");
     assert!(!stdout.contains("tighten"), "{stdout}");
-    assert!(stdout.contains("5 grandfathered sites"), "{stdout}");
+    assert!(stdout.contains("3 grandfathered sites"), "{stdout}");
 
     std::fs::remove_dir_all(&root).ok();
 }
@@ -552,11 +403,11 @@ fn cli_ratchet_output_round_trips_through_the_allowlist() {
 fn cli_lints_subcommand_lists_passes_with_enabled_status() {
     let root = scratch_workspace("lints_list");
     std::fs::create_dir_all(root.join("crates")).expect("mkdir");
-    // typed_error_crates emptied → L3 off; a declared lock class → L7 on.
+    // typed_error_crates emptied → L3 off; a unit suffix → L5 on.
     std::fs::write(
         root.join("alint.toml"),
         "scan_roots = [\"crates\"]\ntyped_error_crates = []\n\
-         [locks]\nlock_classes = [\"shard:shard\"]\n",
+         [units]\nunit_suffixes = [\"_us:microseconds\"]\n",
     )
     .expect("write config");
 
@@ -568,8 +419,8 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 4, "{stdout}");
-    for (i, id) in ["L2", "L3", "L5", "L7"].iter().enumerate() {
+    assert_eq!(lines.len(), 3, "{stdout}");
+    for (i, id) in ["L2", "L3", "L5"].iter().enumerate() {
         assert!(lines[i].starts_with(id), "{stdout}");
     }
     let row = |id: &str| {
@@ -588,10 +439,9 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
         "{stdout}"
     );
     assert!(
-        row("L7").contains("lock_discipline") && row("L7").contains("on"),
+        row("L5").contains("unit_safety") && row("L5").contains("on"),
         "{stdout}"
     );
-    assert!(row("L7").contains("under lock guards"), "{stdout}");
 
     std::fs::remove_dir_all(&root).ok();
 }

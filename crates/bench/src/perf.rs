@@ -959,8 +959,8 @@ fn al_scenarios() -> Vec<Scenario> {
     // create → observe-to-stop → finish mix over distinct ids sharing one
     // warm key. Sessions land on all shards and every call crosses the
     // shard and warm locks, so this prices the locking discipline itself —
-    // the L7 contract that GP steps run outside the guards is what keeps
-    // this scenario scaling instead of serializing on a shard.
+    // the contract that GP steps run outside the guards (DESIGN §14) is
+    // what keeps this scenario scaling instead of serializing on a shard.
     out.push(Scenario::new(
         "al",
         "store_contention".to_string(),
@@ -1618,7 +1618,7 @@ mod tests {
         assert!(names.contains(&"linalg/cholesky_factor_naive_n1600".to_string()));
         assert!(!names.iter().any(|n| n.contains("cholesky_factor_blocked")));
         // PR 10: workers hammering the sharded SessionStore — the priced
-        // counterpart of the alint L7 locking contract.
+        // counterpart of the store's locking contract.
         assert!(names.contains(&"al/store_contention".to_string()));
         // The LML-gradient layer: the multi-RHS inverse it is built on,
         // the gradient itself, and a whole warm-start retraining step.

@@ -5,12 +5,16 @@
 //! caller-chosen `u64` id, a session's shard is `id % n_shards`, and each
 //! shard is an independent [`parking_lot::Mutex`] over an ordered map —
 //! no cross-shard locks are ever held, so operations on sessions in
-//! different shards never contend. GP work never runs under a shard lock
-//! (the alint L7 contract): [`SessionStore::observe`] checks the session
-//! out of its shard, runs the refit/select step unlocked, and checks the
-//! successor state back in, so a slow fit on one session never blocks its
-//! shard-mates. Per-session call ordering is what makes
-//! [`SessionState::step`] deterministic, and the concurrency suite
+//! different shards never contend. GP work never runs under a lock, and
+//! the types say so (DESIGN §14): both mutexes live in the private
+//! `shards` module, whose container is generic over the session with no
+//! trait bounds, so no session method can be called while a guard is
+//! live, and clippy bans `Mutex::lock` everywhere else.
+//! [`SessionStore::observe`] checks the session out of its shard, runs
+//! the refit/select step unlocked, and checks the successor state back
+//! in, so a slow fit on one session never blocks its shard-mates.
+//! Per-session call ordering is what makes [`SessionState::step`]
+//! deterministic, and the concurrency suite
 //! (`tests/session_concurrency.rs`) checks that hammering distinct
 //! sessions from many threads reproduces the single-threaded trajectories
 //! exactly.
@@ -27,8 +31,8 @@
 use crate::session::{Decision, Observation, SessionConfig, SessionState, WarmHyperparams};
 use crate::trajectory::Trajectory;
 use al_gp::GpError;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use shards::{Entry, Shards};
+use std::num::NonZeroUsize;
 
 /// Warm-start cache key: which candidate grid and kernel family the
 /// hyperparameters were fitted on. Sessions over the same grid/kernel
@@ -65,14 +69,13 @@ impl WarmKey {
 /// pairs, far below where a map + intrusive list would win.
 #[derive(Debug, Clone)]
 pub struct HyperparamLru {
-    capacity: usize,
+    capacity: NonZeroUsize,
     entries: Vec<(WarmKey, WarmHyperparams)>,
 }
 
 impl HyperparamLru {
-    /// Create a cache holding at most `capacity` entries (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "LRU capacity must be at least 1");
+    /// Create a cache holding at most `capacity` entries.
+    pub fn new(capacity: NonZeroUsize) -> Self {
         HyperparamLru {
             capacity,
             entries: Vec::new(),
@@ -81,7 +84,7 @@ impl HyperparamLru {
 
     /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity.get()
     }
 
     /// Current number of entries.
@@ -114,7 +117,7 @@ impl HyperparamLru {
             self.entries.remove(pos);
         }
         self.entries.push((key, value));
-        if self.entries.len() > self.capacity {
+        if self.entries.len() > self.capacity.get() {
             Some(self.entries.remove(0))
         } else {
             None
@@ -195,26 +198,265 @@ impl From<GpError> for SessionError {
 }
 
 /// Warm-cache capacity of every store, in grid/kernel pairs.
-const WARM_CAPACITY: usize = 32;
+const WARM_CAPACITY: NonZeroUsize = match NonZeroUsize::new(32) {
+    Some(capacity) => capacity,
+    None => unreachable!(),
+};
 
-/// One live session plus its serving metadata.
-struct Entry {
-    state: SessionState,
-    decision: Decision,
-    warm_key: Option<WarmKey>,
+/// The store's two mutexes and every access to them.
+///
+/// [`Shards`] is generic over the session type with no trait bounds, so
+/// inside this module rustc rejects any method call on a session: no fit,
+/// solve or step can run under one of its locks. What a lock window needs
+/// to decide — the outstanding query, the row a non-finite observation
+/// would take, the warm key — is plain metadata stored beside the session
+/// in [`Entry`].
+///
+/// Each accessor takes exactly one lock, returns no guard and takes no
+/// closure, so no guard ever nests and the warm-before-shard order cannot
+/// invert. Outside the vendored `parking_lot` stand-in these accessors
+/// are the workspace's only `Mutex::lock` calls: `clippy.toml` bans the
+/// method everywhere else, and each accessor carries the one `#[expect]`
+/// that admits it.
+mod shards {
+    use super::{HyperparamLru, SessionError, WarmKey};
+    use crate::session::{Decision, WarmHyperparams};
+    use al_gp::GpError;
+    use parking_lot::Mutex;
+    use std::collections::BTreeMap;
+    use std::num::NonZeroUsize;
+
+    /// One session plus the serving metadata its lock windows read.
+    pub(super) struct Entry<V> {
+        pub(super) session: V,
+        /// The session's current decision; its query is the outstanding one.
+        pub(super) decision: Decision,
+        /// Training rows the session holds: the row its next observation
+        /// takes.
+        pub(super) rows: usize,
+        /// Where a finished session publishes its hyperparameters.
+        pub(super) warm_key: Option<WarmKey>,
+    }
+
+    /// Sharded session map (`id % n_shards`) plus the warm-start LRU.
+    pub(super) struct Shards<V> {
+        shards: Vec<Mutex<BTreeMap<u64, Entry<V>>>>,
+        warm: Mutex<HyperparamLru>,
+    }
+
+    impl<V> Shards<V> {
+        /// `n_shards` empty shards (≥ 1) and an empty warm cache.
+        pub(super) fn new(n_shards: usize, warm_capacity: NonZeroUsize) -> Self {
+            Shards {
+                shards: (0..n_shards).map(|_| Mutex::new(BTreeMap::new())).collect(),
+                warm: Mutex::new(HyperparamLru::new(warm_capacity)),
+            }
+        }
+
+        /// Number of shards.
+        pub(super) fn count(&self) -> usize {
+            self.shards.len()
+        }
+
+        fn shard(&self, id: u64) -> &Mutex<BTreeMap<u64, Entry<V>>> {
+            let n = self.shards.len() as u64;
+            &self.shards[(id % n) as usize]
+        }
+
+        /// Live sessions in shard `index`.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one shard lock; reads the map's length"
+        )]
+        pub(super) fn shard_len(&self, index: usize) -> usize {
+            self.shards[index].lock().len()
+        }
+
+        /// True when `id` is in its shard (a checked-out session is not).
+        #[expect(clippy::disallowed_methods, reason = "one shard lock; a map lookup")]
+        pub(super) fn contains(&self, id: u64) -> bool {
+            self.shard(id).lock().contains_key(&id)
+        }
+
+        /// The stored decision of `id`.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one shard lock; copies the stored decision"
+        )]
+        pub(super) fn decision(&self, id: u64) -> Result<Decision, SessionError> {
+            self.shard(id)
+                .lock()
+                .get(&id)
+                .map(|e| e.decision)
+                .ok_or(SessionError::UnknownSession(id))
+        }
+
+        /// Insert `entry` under a fresh `id`: a new session, or one checked
+        /// back in. An id taken in the meantime is a
+        /// [`SessionError::DuplicateSession`], and the entry already there
+        /// stays.
+        #[expect(clippy::disallowed_methods, reason = "one shard lock; a map insert")]
+        pub(super) fn insert(&self, id: u64, entry: Entry<V>) -> Result<(), SessionError> {
+            let mut shard = self.shard(id).lock();
+            if shard.contains_key(&id) {
+                return Err(SessionError::DuplicateSession(id));
+            }
+            shard.insert(id, entry);
+            Ok(())
+        }
+
+        /// Take `id` out of its shard to answer candidate `got`. Unknown,
+        /// then mismatched, then non-finite (`finite` false) observations
+        /// are rejected with the entry left in place.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one shard lock; validates against the stored metadata"
+        )]
+        pub(super) fn check_out(
+            &self,
+            id: u64,
+            got: usize,
+            finite: bool,
+        ) -> Result<Entry<V>, SessionError> {
+            let mut shard = self.shard(id).lock();
+            let entry = shard.get(&id).ok_or(SessionError::UnknownSession(id))?;
+            let expected = entry.decision.query().map(|q| q.dataset_index);
+            if expected != Some(got) {
+                return Err(SessionError::ObservationMismatch { id, expected, got });
+            }
+            if !finite {
+                return Err(SessionError::Gp(GpError::NonFiniteTrainingData {
+                    row: entry.rows,
+                }));
+            }
+            shard.remove(&id).ok_or(SessionError::UnknownSession(id))
+        }
+
+        /// Remove `id` for good.
+        #[expect(clippy::disallowed_methods, reason = "one shard lock; a map remove")]
+        pub(super) fn remove(&self, id: u64) -> Result<Entry<V>, SessionError> {
+            self.shard(id)
+                .lock()
+                .remove(&id)
+                .ok_or(SessionError::UnknownSession(id))
+        }
+
+        /// Cached hyperparameters for `key`, refreshing its recency.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the warm lock alone; an LRU lookup"
+        )]
+        pub(super) fn warm_get(&self, key: &WarmKey) -> Option<WarmHyperparams> {
+            self.warm.lock().get(key).cloned()
+        }
+
+        /// Cache `value` under `key` as the most recent entry.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the warm lock alone; an LRU insert"
+        )]
+        pub(super) fn warm_insert(&self, key: WarmKey, value: WarmHyperparams) {
+            self.warm.lock().insert(key, value);
+        }
+
+        /// Cached keys in recency order.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the warm lock alone; copies the LRU's keys"
+        )]
+        pub(super) fn warm_keys(&self) -> Vec<WarmKey> {
+            self.warm.lock().iter().map(|(k, _)| k.clone()).collect()
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::session::Query;
+
+        fn awaiting(dataset_index: usize) -> Entry<u32> {
+            Entry {
+                session: 0,
+                decision: Decision::Query(Query {
+                    dataset_index,
+                    pred_cost_log: 0.0,
+                    pred_cost_sigma: 1.0,
+                    pred_mem_log: 0.0,
+                    pred_mem_sigma: 1.0,
+                }),
+                rows: 3,
+                warm_key: None,
+            }
+        }
+
+        fn shards() -> Shards<u32> {
+            Shards::new(2, NonZeroUsize::MIN)
+        }
+
+        #[test]
+        fn check_in_collision_keeps_the_racer() {
+            let shards = shards();
+            let mut entry = awaiting(7);
+            entry.warm_key = Some(WarmKey::new("g", "RBF"));
+            assert!(shards.insert(5, entry).is_ok());
+            // A mismatched checkout leaves the entry and its metadata.
+            assert!(matches!(
+                shards.check_out(5, 8, true),
+                Err(SessionError::ObservationMismatch { .. })
+            ));
+            assert!(matches!(shards.decision(5), Ok(Decision::Query(q)) if q.dataset_index == 7));
+            let mut checked_out = shards.check_out(5, 7, true).unwrap();
+            assert!(!shards.contains(5));
+            assert_eq!(checked_out.rows, 3);
+            assert_eq!(checked_out.warm_key, Some(WarmKey::new("g", "RBF")));
+            // A create races into the checkout gap under the same id.
+            let mut racer = awaiting(9);
+            racer.session = 1;
+            assert!(shards.insert(5, racer).is_ok());
+            checked_out.session = 2;
+            assert!(matches!(
+                shards.insert(5, checked_out),
+                Err(SessionError::DuplicateSession(5))
+            ));
+            let kept = shards.remove(5).unwrap();
+            assert_eq!(kept.session, 1);
+            assert_eq!(kept.decision.query().map(|q| q.dataset_index), Some(9));
+            assert_eq!(shards.shard_len(1), 0);
+        }
+
+        #[test]
+        fn check_out_rejects_unknown_then_mismatch_then_non_finite() {
+            let shards = shards();
+            assert!(shards.insert(4, awaiting(7)).is_ok());
+            assert!(matches!(
+                shards.check_out(6, 8, false),
+                Err(SessionError::UnknownSession(6))
+            ));
+            assert!(matches!(
+                shards.check_out(4, 8, false),
+                Err(SessionError::ObservationMismatch {
+                    id: 4,
+                    expected: Some(7),
+                    got: 8,
+                })
+            ));
+            assert!(matches!(
+                shards.check_out(4, 7, false),
+                Err(SessionError::Gp(GpError::NonFiniteTrainingData { row: 3 }))
+            ));
+            assert!(shards.contains(4));
+        }
+    }
 }
 
 /// Sharded map of live AL sessions with a shared warm-start cache.
 ///
 /// See the module docs for the locking and warm-start design. The store
 /// is `Sync`: shards are independent mutexes, and the warm cache is its
-/// own lock taken only at session create/finish (never while a shard
-/// lock is held for stepping — create takes warm-then-shard, finish takes
-/// shard-then-warm, but finish drops the shard lock before touching the
-/// cache, so lock order can never invert).
+/// own lock, taken only at session create and finish and never while a
+/// shard lock is held.
 pub struct SessionStore {
-    shards: Vec<Mutex<BTreeMap<u64, Entry>>>,
-    warm: Mutex<HyperparamLru>,
+    shards: Shards<SessionState>,
 }
 
 impl SessionStore {
@@ -223,19 +465,15 @@ impl SessionStore {
     pub fn new(n_shards: usize) -> Self {
         assert!(n_shards >= 1, "store needs at least one shard");
         SessionStore {
-            shards: (0..n_shards).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            warm: Mutex::new(HyperparamLru::new(WARM_CAPACITY)),
+            shards: Shards::new(n_shards, WARM_CAPACITY),
         }
-    }
-
-    fn shard(&self, id: u64) -> &Mutex<BTreeMap<u64, Entry>> {
-        let n = self.shards.len() as u64;
-        &self.shards[(id % n) as usize]
     }
 
     /// Number of live sessions across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.lock().len()).sum()
+        (0..self.shards.count())
+            .map(|i| self.shards.shard_len(i))
+            .sum()
     }
 
     /// True when no session is live.
@@ -245,7 +483,7 @@ impl SessionStore {
 
     /// True when `id` names a live session.
     pub fn contains(&self, id: u64) -> bool {
-        self.shard(id).lock().contains_key(&id)
+        self.shards.contains(id)
     }
 
     /// Create a session and return its first decision.
@@ -265,33 +503,24 @@ impl SessionStore {
         // The expensive fit runs before the shard lock is taken; only the
         // duplicate check and insert happen under it. A duplicate id thus
         // costs a wasted fit, never a poisoned map.
-        let warm = match &warm_key {
-            Some(key) => self.warm.lock().get(key).cloned(),
-            None => None,
-        };
-        let (state, decision) = SessionState::start_warm(config, warm.as_ref())?;
-        let mut shard = self.shard(id).lock();
-        if shard.contains_key(&id) {
-            return Err(SessionError::DuplicateSession(id));
-        }
-        shard.insert(
+        let warm = warm_key.as_ref().and_then(|key| self.shards.warm_get(key));
+        let (session, decision) = SessionState::start_warm(config, warm.as_ref())?;
+        let rows = session.training_rows();
+        self.shards.insert(
             id,
             Entry {
-                state,
+                session,
                 decision,
+                rows,
                 warm_key,
             },
-        );
+        )?;
         Ok(decision)
     }
 
     /// The session's current decision (its outstanding query or stop).
     pub fn decision(&self, id: u64) -> Result<Decision, SessionError> {
-        let shard = self.shard(id).lock();
-        shard
-            .get(&id)
-            .map(|e| e.decision)
-            .ok_or(SessionError::UnknownSession(id))
+        self.shards.decision(id)
     }
 
     /// Feed the result of a session's outstanding query; returns the next
@@ -303,81 +532,54 @@ impl SessionStore {
     /// GP failure mid-step is fatal for that session: it is
     /// removed from the store and the error returned.
     ///
-    /// The GP step runs with the shard guard dropped (alint L7: no fit
-    /// work under a lock): the session is checked out of the shard, the
-    /// refit/select step runs unlocked, and the successor state is checked
-    /// back in. While a session is checked out its id reads as absent —
-    /// harmless under the one-caller-per-session contract the concurrency
-    /// suite exercises, and a `create` racing into the gap loses its map
-    /// slot here, surfacing as [`SessionError::DuplicateSession`] rather
-    /// than a silently dropped session.
+    /// The GP step runs with no lock held (the shard module's types admit
+    /// no session call under a lock): the session is checked out of its
+    /// shard, the refit/select step runs unlocked, and the successor state
+    /// is checked back in. While a session is checked out its id reads as
+    /// absent — harmless under the one-caller-per-session contract the
+    /// concurrency suite exercises, and a `create` racing into the gap
+    /// keeps its map slot, surfacing here as
+    /// [`SessionError::DuplicateSession`] rather than a silently dropped
+    /// session.
     pub fn observe(&self, id: u64, obs: &Observation) -> Result<Decision, SessionError> {
-        use std::collections::btree_map::Entry as MapEntry;
+        let finite = obs.log_cost.is_finite()
+            && obs.log_mem.is_finite()
+            && obs.features_scaled.iter().all(|v| v.is_finite());
         let Entry {
-            state,
-            warm_key,
-            decision: _,
-        } = {
-            let mut shard = self.shard(id).lock();
-            let entry = shard.get_mut(&id).ok_or(SessionError::UnknownSession(id))?;
-            let expected = entry.state.awaiting();
-            if expected != Some(obs.dataset_index) {
-                return Err(SessionError::ObservationMismatch {
-                    id,
-                    expected,
-                    got: obs.dataset_index,
-                });
-            }
-            if !obs.log_cost.is_finite()
-                || !obs.log_mem.is_finite()
-                || obs.features_scaled.iter().any(|v| !v.is_finite())
-            {
-                return Err(SessionError::Gp(GpError::NonFiniteTrainingData {
-                    row: entry.state.training_rows(),
-                }));
-            }
-            match shard.remove(&id) {
-                Some(entry) => entry,
-                None => return Err(SessionError::UnknownSession(id)),
-            }
-        };
-        match state.step(obs) {
-            Ok((state, decision)) => {
-                match self.shard(id).lock().entry(id) {
-                    MapEntry::Occupied(_) => return Err(SessionError::DuplicateSession(id)),
-                    MapEntry::Vacant(slot) => slot.insert(Entry {
-                        state,
-                        decision,
-                        warm_key,
-                    }),
-                };
-                Ok(decision)
-            }
-            Err(e) => Err(SessionError::Gp(e)),
-        }
+            session, warm_key, ..
+        } = self.shards.check_out(id, obs.dataset_index, finite)?;
+        let (session, decision) = session.step(obs)?;
+        let rows = session.training_rows();
+        self.shards.insert(
+            id,
+            Entry {
+                session,
+                decision,
+                rows,
+                warm_key,
+            },
+        )?;
+        Ok(decision)
     }
 
     /// Remove a session and return its trajectory.
     ///
     /// If the session ran to a stop and carries a warm key, its fitted
     /// hyperparameters are published to the warm cache for future
-    /// sessions (shard lock released first; see the module docs).
+    /// sessions (after the shard lock is released; see the module docs).
     pub fn finish(&self, id: u64) -> Result<Trajectory, SessionError> {
-        let entry = {
-            let mut shard = self.shard(id).lock();
-            shard.remove(&id).ok_or(SessionError::UnknownSession(id))?
-        };
-        if let (Some(key), Some(_)) = (&entry.warm_key, entry.state.stop_reason()) {
-            self.warm
-                .lock()
-                .insert(key.clone(), entry.state.warm_hyperparams());
+        let Entry {
+            session, warm_key, ..
+        } = self.shards.remove(id)?;
+        if let (Some(key), Some(_)) = (warm_key, session.stop_reason()) {
+            self.shards.warm_insert(key, session.warm_hyperparams());
         }
-        Ok(entry.state.into_trajectory())
+        Ok(session.into_trajectory())
     }
 
     /// Snapshot of the warm cache (recency order), for introspection.
     pub fn warm_keys(&self) -> Vec<WarmKey> {
-        self.warm.lock().iter().map(|(k, _)| k.clone()).collect()
+        self.shards.warm_keys()
     }
 }
 
@@ -402,7 +604,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent_and_refreshes_on_get() {
-        let mut lru = HyperparamLru::new(2);
+        let mut lru = HyperparamLru::new(NonZeroUsize::new(2).unwrap());
         assert!(lru.is_empty());
         assert!(lru
             .insert(WarmKey::new("a", "RBF"), lru_value(1.0))
@@ -423,7 +625,7 @@ mod tests {
 
     #[test]
     fn lru_overwrite_keeps_len_and_updates_value() {
-        let mut lru = HyperparamLru::new(2);
+        let mut lru = HyperparamLru::new(NonZeroUsize::new(2).unwrap());
         lru.insert(WarmKey::new("a", "RBF"), lru_value(1.0));
         lru.insert(WarmKey::new("a", "RBF"), lru_value(9.0));
         assert_eq!(lru.len(), 1);

@@ -20,6 +20,7 @@
 
 use al_core::{HyperparamLru, WarmHyperparams, WarmKey};
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 
 const KEY_UNIVERSE: usize = 6;
 
@@ -34,6 +35,11 @@ fn value(k: usize, tag: u32) -> WarmHyperparams {
     }
 }
 
+/// A cache of `capacity` entries; the strategies draw `capacity ≥ 1`.
+fn new_lru(capacity: usize) -> HyperparamLru {
+    HyperparamLru::new(NonZeroUsize::new(capacity).expect("capacity ≥ 1"))
+}
+
 /// One cache operation: 0 = insert, 1 = get, 2 = remove.
 fn ops() -> impl Strategy<Value = Vec<(u8, usize, u32)>> {
     proptest::collection::vec((0u8..3, 0usize..KEY_UNIVERSE, 0u32..1000), 1..200)
@@ -45,7 +51,7 @@ fn ops() -> impl Strategy<Value = Vec<(u8, usize, u32)>> {
 /// iteration order. (The vendored proptest's `prop_assert*` panic, so no
 /// error plumbing is needed.)
 fn run_and_check(capacity: usize, ops: &[(u8, usize, u32)]) -> Vec<WarmKey> {
-    let mut lru = HyperparamLru::new(capacity);
+    let mut lru = new_lru(capacity);
     let mut recency: Vec<usize> = Vec::new();
     let mut latest: Vec<Option<WarmHyperparams>> = vec![None; KEY_UNIVERSE];
 
@@ -133,7 +139,7 @@ proptest! {
     ) {
         // Whatever came before, an insert followed immediately by a get
         // of the same key is a hit with exactly the inserted value.
-        let mut lru = HyperparamLru::new(capacity);
+        let mut lru = new_lru(capacity);
         for &(op, pk, ptag) in &prefix {
             match op {
                 0 => { lru.insert(key(pk), value(pk, ptag)); }
