@@ -25,7 +25,7 @@ pub fn conservative(rho: f64, u: f64, v: f64, p: f64) -> State {
 }
 
 /// Pressure from a conservative state.
-#[inline]
+#[inline(always)]
 pub fn pressure(q: &State) -> f64 {
     let rho = q[0];
     let ke = 0.5 * (q[1] * q[1] + q[2] * q[2]) / rho;
@@ -51,7 +51,7 @@ pub fn max_wave_speed(q: &State) -> f64 {
 }
 
 /// Physical flux in the x-direction.
-#[inline]
+#[inline(always)]
 pub fn flux_x(q: &State) -> State {
     let rho = q[0].max(1e-12);
     let u = q[1] / rho;

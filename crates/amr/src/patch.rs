@@ -2,7 +2,8 @@
 //! storage and computation of the forest (mirroring FORESTCLAW, where every
 //! quadtree leaf carries an `mx × mx` Clawpack grid).
 
-use crate::euler::{self, State, NVAR};
+use crate::euler::{self, State, GAMMA, NVAR};
+use al_linalg::{dispatch, DenseFold};
 
 /// Ghost-cell layers on every side. Two layers support the MUSCL
 /// reconstruction stencil (slope at the first interior cell needs two
@@ -29,12 +30,19 @@ pub struct Patch {
 }
 
 /// Reusable scratch buffers for directional sweeps, sized for one line of
-/// cells. Shared across patches by the solver to avoid per-patch allocation.
+/// cells and stored structure-of-arrays: one row per conserved variable,
+/// so the sweep kernel runs each stage across a whole line at once.
+/// Shared across patches by the solver to avoid per-patch allocation.
 #[derive(Debug, Default, Clone)]
 pub struct SweepScratch {
-    line: Vec<State>,
-    slope: Vec<State>,
-    flux: Vec<State>,
+    /// `q[k][i]`: variable `k` of line cell `i`, ghosts included (a
+    /// y-sweep stores the momenta swapped).
+    q: [Vec<f64>; NVAR],
+    /// Limited slope of `q[k][i]`, for cells `1..n-1`.
+    slope: [Vec<f64>; NVAR],
+    /// `flux[k][f]`: flux of variable `k` through face `f` (between cells
+    /// `NG-1+f` and `NG+f`), for `f` in `0..=mx`.
+    flux: [Vec<f64>; NVAR],
 }
 
 /// The interface fluxes a sweep computed at the patch's two boundary faces
@@ -55,6 +63,14 @@ pub struct BoundaryFluxes {
 }
 
 impl BoundaryFluxes {
+    /// Empty registers with room for `mx` transverse faces.
+    fn with_capacity(mx: usize) -> Self {
+        BoundaryFluxes {
+            lo: Vec::with_capacity(mx),
+            hi: Vec::with_capacity(mx),
+        }
+    }
+
     /// Zeroed registers for `mx` transverse faces — the accumulator the
     /// subcycled stepper folds per-substep fluxes into.
     pub fn zeros(mx: usize) -> Self {
@@ -272,31 +288,8 @@ impl Patch {
     /// Requires valid ghost cells in the x-direction. Returns the boundary
     /// flux registers for refluxing.
     pub fn sweep_x(&mut self, dt: f64, scratch: &mut SweepScratch) -> BoundaryFluxes {
-        let n = self.stride();
-        scratch.resize(n);
-        let lambda = dt / self.h;
-        let mut registers = BoundaryFluxes {
-            lo: Vec::with_capacity(self.mx),
-            hi: Vec::with_capacity(self.mx),
-        };
-        for iy in NG..NG + self.mx {
-            // Copy the row (including ghosts) into the scratch line.
-            for ix in 0..n {
-                scratch.line[ix] = *self.get(ix, iy);
-            }
-            Self::sweep_line(
-                &mut scratch.line,
-                &mut scratch.slope,
-                &mut scratch.flux,
-                lambda,
-                self.mx,
-            );
-            for cx in 0..self.mx {
-                *self.get_mut(NG + cx, iy) = scratch.line[NG + cx];
-            }
-            registers.lo.push(scratch.flux[0]);
-            registers.hi.push(scratch.flux[self.mx]);
-        }
+        let mut registers = BoundaryFluxes::with_capacity(self.mx);
+        dispatch(self.sweep_fold::<false>(dt, scratch, &mut registers));
         registers
     }
 
@@ -304,36 +297,27 @@ impl Patch {
     /// Requires valid ghost cells in the y-direction. Returns the boundary
     /// flux registers (south/north) in original variable ordering.
     pub fn sweep_y(&mut self, dt: f64, scratch: &mut SweepScratch) -> BoundaryFluxes {
-        let n = self.stride();
-        scratch.resize(n);
-        let lambda = dt / self.h;
-        let mut registers = BoundaryFluxes {
-            lo: Vec::with_capacity(self.mx),
-            hi: Vec::with_capacity(self.mx),
-        };
-        for ix in NG..NG + self.mx {
-            // Copy the column, transposing momenta so the x-sweep kernel
-            // applies verbatim.
-            for iy in 0..n {
-                scratch.line[iy] = euler::transpose_state(self.get(ix, iy));
-            }
-            Self::sweep_line(
-                &mut scratch.line,
-                &mut scratch.slope,
-                &mut scratch.flux,
-                lambda,
-                self.mx,
-            );
-            for cy in 0..self.mx {
-                *self.get_mut(ix, NG + cy) = euler::transpose_state(&scratch.line[NG + cy]);
-            }
-            // Un-transpose the recorded fluxes back to (ρ, ρu, ρv, E).
-            registers.lo.push(euler::transpose_state(&scratch.flux[0]));
-            registers
-                .hi
-                .push(euler::transpose_state(&scratch.flux[self.mx]));
-        }
+        let mut registers = BoundaryFluxes::with_capacity(self.mx);
+        dispatch(self.sweep_fold::<true>(dt, scratch, &mut registers));
         registers
+    }
+
+    /// The directional sweep as a [`DenseFold`]: lines are rows when `Y`
+    /// is false, columns when it is true.
+    fn sweep_fold<'a, const Y: bool>(
+        &'a mut self,
+        dt: f64,
+        scratch: &'a mut SweepScratch,
+        registers: &'a mut BoundaryFluxes,
+    ) -> Sweep<'a, Y> {
+        scratch.resize(self.stride(), self.mx);
+        Sweep {
+            q: &mut self.q,
+            rows: scratch,
+            registers,
+            lambda: dt / self.h,
+            mx: self.mx,
+        }
     }
 
     /// Apply a flux-register correction to one boundary cell: replace the
@@ -358,47 +342,6 @@ impl Patch {
         let q = self.interior_mut(cx, cy);
         for k in 0..NVAR {
             q[k] += sign * lambda * (used[k] - correct[k]);
-        }
-    }
-
-    /// Godunov update of one line of cells: MUSCL-minmod reconstruction,
-    /// HLLC interface fluxes, conservative flux differencing.
-    fn sweep_line(
-        line: &mut [State],
-        slope: &mut [State],
-        flux: &mut [State],
-        lambda: f64,
-        mx: usize,
-    ) {
-        let n = line.len();
-        // Limited slopes for cells 1..n-1 (cells 0 and n-1 get zero slope;
-        // they are outer ghosts whose faces are never used).
-        slope[0] = [0.0; NVAR];
-        slope[n - 1] = [0.0; NVAR];
-        for i in 1..n - 1 {
-            for k in 0..NVAR {
-                slope[i][k] =
-                    euler::minmod(line[i][k] - line[i - 1][k], line[i + 1][k] - line[i][k]);
-            }
-        }
-        // Interface fluxes: face f sits between cells NG-1+f and NG+f for
-        // f in 0..=mx.
-        for (f, face) in flux.iter_mut().enumerate().take(mx + 1) {
-            let li = NG - 1 + f;
-            let ri = NG + f;
-            let mut ql = [0.0; NVAR];
-            let mut qr = [0.0; NVAR];
-            for k in 0..NVAR {
-                ql[k] = line[li][k] + 0.5 * slope[li][k];
-                qr[k] = line[ri][k] - 0.5 * slope[ri][k];
-            }
-            *face = euler::hllc_flux(&ql, &qr);
-        }
-        // Conservative update of the interior cells.
-        for c in 0..mx {
-            for k in 0..NVAR {
-                line[NG + c][k] -= lambda * (flux[c + 1][k] - flux[c][k]);
-            }
         }
     }
 
@@ -479,13 +422,232 @@ impl Patch {
 }
 
 impl SweepScratch {
-    fn resize(&mut self, n: usize) {
-        if self.line.len() != n {
-            self.line.resize(n, [0.0; NVAR]);
-            self.slope.resize(n, [0.0; NVAR]);
-            self.flux.resize(n, [0.0; NVAR]);
+    /// Size the rows for lines of `n` cells (ghosts included) and `mx + 1`
+    /// faces.
+    fn resize(&mut self, n: usize, mx: usize) {
+        for k in 0..NVAR {
+            self.q[k].resize(n, 0.0);
+            self.slope[k].resize(n, 0.0);
+            self.flux[k].resize(mx + 1, 0.0);
         }
     }
+}
+
+/// One directional sweep of a patch, run through [`dispatch`]: for every
+/// interior line (a row, or with `Y` a column with the momenta swapped so
+/// the x-direction kernel applies), gather the line into the scratch
+/// rows, take the minmod slopes, the HLLC flux of every face and the
+/// conservative update, and record the two boundary fluxes.
+///
+/// Each value is the scalar per-face code's (`euler::minmod`,
+/// `euler::hllc_flux`) expression for expression, its branches turned
+/// into selects, so the output bits are the scalar sweep's in both
+/// dispatch copies (DESIGN §7).
+struct Sweep<'a, const Y: bool> {
+    /// The patch's `(mx + 2·NG)²` states, row-major.
+    q: &'a mut [State],
+    rows: &'a mut SweepScratch,
+    registers: &'a mut BoundaryFluxes,
+    lambda: f64,
+    mx: usize,
+}
+
+impl<const Y: bool> DenseFold for Sweep<'_, Y> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Sweep {
+            q,
+            rows,
+            registers,
+            lambda,
+            mx,
+        } = self;
+        let n = mx + 2 * NG;
+        // Cell i of line t sits at q[t·n + i] in a row, q[i·n + t] in a
+        // column; a column's momenta trade places in the rows.
+        let (along, across) = if Y { (n, 1) } else { (1, n) };
+        let (mu, mv) = if Y { (2, 1) } else { (1, 2) };
+        for t in NG..NG + mx {
+            let line = t * across;
+            for i in 0..n {
+                let cell = &q[line + i * along];
+                rows.q[0][i] = cell[0];
+                rows.q[1][i] = cell[mu];
+                rows.q[2][i] = cell[mv];
+                rows.q[3][i] = cell[3];
+            }
+            line_fluxes(rows, n, mx);
+            for c in 0..mx {
+                let cell = &mut q[line + (NG + c) * along];
+                for (k, dst) in [0, mu, mv, 3].into_iter().enumerate() {
+                    let (row, flux) = (&rows.q[k], &rows.flux[k]);
+                    cell[dst] = row[NG + c] - lambda * (flux[c + 1] - flux[c]);
+                }
+            }
+            let flux = &rows.flux;
+            registers
+                .lo
+                .push([flux[0][0], flux[mu][0], flux[mv][0], flux[3][0]]);
+            registers
+                .hi
+                .push([flux[0][mx], flux[mu][mx], flux[mv][mx], flux[3][mx]]);
+        }
+    }
+}
+
+/// MUSCL–HLLC fluxes through the `mx + 1` faces of the line held in
+/// `rows.q` (`n` cells, ghosts included), into `rows.flux`.
+#[inline(always)]
+fn line_fluxes(rows: &mut SweepScratch, n: usize, mx: usize) {
+    let SweepScratch { q, slope, flux } = rows;
+    // Limited slopes for cells 1..n-1 (cells 0 and n-1 are outer ghosts
+    // whose faces are never used).
+    for k in 0..NVAR {
+        let cells = &q[k][..n];
+        for (s, w) in slope[k][1..n - 1].iter_mut().zip(cells.windows(3)) {
+            *s = minmod(w[1] - w[0], w[2] - w[1]);
+        }
+    }
+    // Face f sits between cells NG-1+f and NG+f.
+    let m = mx + 1;
+    let (ql, sl) = (rows_from(q, NG - 1, m), rows_from(slope, NG - 1, m));
+    let (qr, sr) = (rows_from(q, NG, m), rows_from(slope, NG, m));
+    let [f0, f1, f2, f3] = flux;
+    let (f0, f1, f2, f3) = (&mut f0[..m], &mut f1[..m], &mut f2[..m], &mut f3[..m]);
+    for f in 0..m {
+        let mut l = [0.0; NVAR];
+        let mut r = [0.0; NVAR];
+        for k in 0..NVAR {
+            l[k] = ql[k][f] + 0.5 * sl[k][f];
+            r[k] = qr[k][f] - 0.5 * sr[k][f];
+        }
+        let out = hllc_face(&l, &r);
+        f0[f] = out[0];
+        f1[f] = out[1];
+        f2[f] = out[2];
+        f3[f] = out[3];
+    }
+}
+
+/// `rows[k][off..off + m]` for every variable `k`.
+#[inline(always)]
+fn rows_from(rows: &[Vec<f64>; NVAR], off: usize, m: usize) -> [&[f64]; NVAR] {
+    [
+        &rows[0][off..off + m],
+        &rows[1][off..off + m],
+        &rows[2][off..off + m],
+        &rows[3][off..off + m],
+    ]
+}
+
+/// [`euler::minmod`] as a select: the same value, with no branch.
+#[inline(always)]
+fn minmod(a: f64, b: f64) -> f64 {
+    let smaller = if a.abs() < b.abs() { a } else { b };
+    if a * b <= 0.0 {
+        0.0
+    } else {
+        smaller
+    }
+}
+
+/// The wave-speed half of [`euler::hllc_flux`], expression for
+/// expression: clamped densities and pressures, left/right velocities
+/// and the Batten et al. bounds `sl`, `sr` and contact speed `sm`.
+struct Waves {
+    ul: f64,
+    ur: f64,
+    pl: f64,
+    pr: f64,
+    sl: f64,
+    sr: f64,
+    sm: f64,
+}
+
+impl Waves {
+    #[inline(always)]
+    fn new(ql: &State, qr: &State) -> Self {
+        let rl = ql[0].max(1e-12);
+        let rr = qr[0].max(1e-12);
+        let ul = ql[1] / rl;
+        let ur = qr[1] / rr;
+        let pl = euler::pressure(ql).max(1e-12);
+        let pr = euler::pressure(qr).max(1e-12);
+        let cl = (GAMMA * pl / rl).sqrt();
+        let cr = (GAMMA * pr / rr).sqrt();
+
+        let srl = rl.sqrt();
+        let srr = rr.sqrt();
+        let u_roe = (srl * ul + srr * ur) / (srl + srr);
+        let hl = (ql[3] + pl) / rl;
+        let hr = (qr[3] + pr) / rr;
+        let h_roe = (srl * hl + srr * hr) / (srl + srr);
+        let vl = ql[2] / rl;
+        let vr = qr[2] / rr;
+        let v_roe = (srl * vl + srr * vr) / (srl + srr);
+        let c_roe2 = (GAMMA - 1.0) * (h_roe - 0.5 * (u_roe * u_roe + v_roe * v_roe));
+        let c_roe = c_roe2.max(1e-12).sqrt();
+
+        let sl = (ul - cl).min(u_roe - c_roe);
+        let sr = (ur + cr).max(u_roe + c_roe);
+        let sm = (pr - pl + rl * ul * (sl - ul) - rr * ur * (sr - ur))
+            / (rl * (sl - ul) - rr * (sr - ur));
+        Waves {
+            ul,
+            ur,
+            pl,
+            pr,
+            sl,
+            sr,
+            sm,
+        }
+    }
+}
+
+/// [`euler::hllc_flux`] as straight-line code with the same bits: both
+/// physical fluxes and both star-region fluxes are computed, and the
+/// result is selected in the scalar code's order — `F(ql)` if `sl ≥ 0`,
+/// else `F(qr)` if `sr ≤ 0`, else the left star flux if `sm ≥ 0`, else
+/// the right one. A NaN comparison falls through exactly as the scalar
+/// `if` chain does.
+#[inline(always)]
+fn hllc_face(ql: &State, qr: &State) -> State {
+    let w = Waves::new(ql, qr);
+    let fl = euler::flux_x(ql);
+    let fr = euler::flux_x(qr);
+    let left_star = star_flux(ql, &fl, w.sl, w.ul, w.pl, w.sm);
+    let right_star = star_flux(qr, &fr, w.sr, w.ur, w.pr, w.sm);
+    let mut out = [0.0; NVAR];
+    for k in 0..NVAR {
+        let star = if w.sm >= 0.0 {
+            left_star[k]
+        } else {
+            right_star[k]
+        };
+        let subsonic = if w.sr <= 0.0 { fr[k] } else { star };
+        out[k] = if w.sl >= 0.0 { fl[k] } else { subsonic };
+    }
+    out
+}
+
+/// The HLLC star-region flux `F(q) + s·(q* − q)` on the side of `q`
+/// (with `f = F(q)` and that side's wave speed `s`, velocity `u` and
+/// clamped pressure `p`), as [`euler::hllc_flux`]'s `star` closure and
+/// its caller compute it: the star state uses the unclamped density.
+#[inline(always)]
+fn star_flux(q: &State, f: &State, s: f64, u: f64, p: f64, sm: f64) -> State {
+    let r = q[0];
+    let factor = r * (s - u) / (s - sm);
+    let e_star = q[3] / r + (sm - u) * (sm + p / (r * (s - u)));
+    let qs = [factor, factor * sm, factor * (q[2] / r), factor * e_star];
+    [
+        f[0] + s * (qs[0] - q[0]),
+        f[1] + s * (qs[1] - q[1]),
+        f[2] + s * (qs[2] - q[2]),
+        f[3] + s * (qs[3] - q[3]),
+    ]
 }
 
 /// Patch face identifier.
@@ -665,5 +827,271 @@ mod tests {
         p1.fill_with(&|_x, _y| conservative(1.0, 0.0, 0.0, 1.0));
         assert!((p0.total_mass() - 1.0).abs() < 1e-12);
         assert!((p1.total_mass() - 0.25).abs() < 1e-12);
+    }
+
+    /// The per-face line sweep the SoA kernel replaced, kept verbatim as
+    /// its oracle: MUSCL-minmod reconstruction, [`euler::hllc_flux`] on
+    /// each face, conservative flux differencing.
+    fn sweep_line(
+        line: &mut [State],
+        slope: &mut [State],
+        flux: &mut [State],
+        lambda: f64,
+        mx: usize,
+    ) {
+        let n = line.len();
+        // Limited slopes for cells 1..n-1 (cells 0 and n-1 get zero slope;
+        // they are outer ghosts whose faces are never used).
+        slope[0] = [0.0; NVAR];
+        slope[n - 1] = [0.0; NVAR];
+        for i in 1..n - 1 {
+            for k in 0..NVAR {
+                slope[i][k] =
+                    euler::minmod(line[i][k] - line[i - 1][k], line[i + 1][k] - line[i][k]);
+            }
+        }
+        // Interface fluxes: face f sits between cells NG-1+f and NG+f for
+        // f in 0..=mx.
+        for (f, face) in flux.iter_mut().enumerate().take(mx + 1) {
+            let li = NG - 1 + f;
+            let ri = NG + f;
+            let mut ql = [0.0; NVAR];
+            let mut qr = [0.0; NVAR];
+            for k in 0..NVAR {
+                ql[k] = line[li][k] + 0.5 * slope[li][k];
+                qr[k] = line[ri][k] - 0.5 * slope[ri][k];
+            }
+            *face = euler::hllc_flux(&ql, &qr);
+        }
+        // Conservative update of the interior cells.
+        for c in 0..mx {
+            for k in 0..NVAR {
+                line[NG + c][k] -= lambda * (flux[c + 1][k] - flux[c][k]);
+            }
+        }
+    }
+
+    /// The per-face sweep of a whole patch (rows, or columns transposed
+    /// when `y`), as `sweep_x`/`sweep_y` ran it before the SoA kernel.
+    /// `hits` counts the faces by the HLLC branch they take.
+    fn reference_sweep(
+        patch: &mut Patch,
+        y: bool,
+        dt: f64,
+        hits: &mut [usize; 4],
+    ) -> BoundaryFluxes {
+        let n = patch.stride();
+        let mx = patch.mx();
+        let lambda = dt / patch.h();
+        let (mut line, mut slope, mut flux) = (
+            vec![[0.0; NVAR]; n],
+            vec![[0.0; NVAR]; n],
+            vec![[0.0; NVAR]; n],
+        );
+        let mut registers = BoundaryFluxes::with_capacity(mx);
+        let orient = |q: State| if y { euler::transpose_state(&q) } else { q };
+        for t in NG..NG + mx {
+            for (i, cell) in line.iter_mut().enumerate() {
+                *cell = orient(if y {
+                    *patch.get(t, i)
+                } else {
+                    *patch.get(i, t)
+                });
+            }
+            count_branches(&line, mx, hits);
+            sweep_line(&mut line, &mut slope, &mut flux, lambda, mx);
+            for c in 0..mx {
+                let cell = if y {
+                    patch.get_mut(t, NG + c)
+                } else {
+                    patch.get_mut(NG + c, t)
+                };
+                *cell = orient(line[NG + c]);
+            }
+            registers.lo.push(orient(flux[0]));
+            registers.hi.push(orient(flux[mx]));
+        }
+        registers
+    }
+
+    /// Tally the HLLC branch each face of `line` takes, in
+    /// [`euler::hllc_flux`]'s order: `F(ql)`, `F(qr)`, left star, right
+    /// star.
+    fn count_branches(line: &[State], mx: usize, hits: &mut [usize; 4]) {
+        let slope = |i: usize, k: usize| {
+            euler::minmod(line[i][k] - line[i - 1][k], line[i + 1][k] - line[i][k])
+        };
+        for f in 0..=mx {
+            let (li, ri) = (NG - 1 + f, NG + f);
+            let ql: State = std::array::from_fn(|k| line[li][k] + 0.5 * slope(li, k));
+            let qr: State = std::array::from_fn(|k| line[ri][k] - 0.5 * slope(ri, k));
+            let w = Waves::new(&ql, &qr);
+            let branch = if w.sl >= 0.0 {
+                0
+            } else if w.sr <= 0.0 {
+                1
+            } else if w.sm >= 0.0 {
+                2
+            } else {
+                3
+            };
+            hits[branch] += 1;
+        }
+    }
+
+    /// A deterministic mix of states for every cell, ghosts included:
+    /// subsonic and supersonic flow both ways, and the inputs the scalar
+    /// code clamps or signs specially — density below 1e-12, negative
+    /// pressure (kinetic energy above total), and −0.0 momenta.
+    fn mixed_patch(mx: usize) -> Patch {
+        let mut p = Patch::new(0, 0, 0, mx);
+        let n = p.stride();
+        let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ mx as u64;
+        let mut next = move || {
+            h ^= h << 13;
+            h ^= h >> 7;
+            h ^= h << 17;
+            (h >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for iy in 0..n {
+            for ix in 0..n {
+                // Speeds up to 9 against sound speeds of 0.15–2.4: runs of
+                // one sign make supersonic faces, mixed signs subsonic ones.
+                let (rho, u, v, pr) = (
+                    0.5 + 2.5 * next(),
+                    18.0 * next() - 9.0,
+                    18.0 * next() - 9.0,
+                    0.05 + 2.0 * next(),
+                );
+                let kind = next();
+                *p.get_mut(ix, iy) = if kind < 0.08 {
+                    // Density under the 1e-12 clamp.
+                    [1e-14, 1e-14 * u, 1e-14 * v, pr / (GAMMA - 1.0)]
+                } else if kind < 0.16 {
+                    // Kinetic energy above the total: negative pressure.
+                    [rho, rho * u, rho * v, 0.25 * rho * (u * u + v * v)]
+                } else if kind < 0.24 {
+                    [rho, -0.0, -0.0, pr / (GAMMA - 1.0)]
+                } else {
+                    conservative(rho, u, v, pr)
+                };
+            }
+        }
+        p
+    }
+
+    fn assert_same_bits(got: &Patch, want: &Patch, label: &str) {
+        for (i, (g, w)) in got.q.iter().zip(&want.q).enumerate() {
+            for k in 0..NVAR {
+                assert_eq!(
+                    g[k].to_bits(),
+                    w[k].to_bits(),
+                    "{label}: cell {i} var {k}: {} vs {}",
+                    g[k],
+                    w[k]
+                );
+            }
+        }
+    }
+
+    fn assert_same_registers(got: &BoundaryFluxes, want: &BoundaryFluxes, label: &str) {
+        for (side, g, w) in [("lo", &got.lo, &want.lo), ("hi", &got.hi, &want.hi)] {
+            assert_eq!(g.len(), w.len(), "{label} {side}");
+            for (t, (g, w)) in g.iter().zip(w).enumerate() {
+                let (g, w) = (g.map(f64::to_bits), w.map(f64::to_bits));
+                assert_eq!(g, w, "{label}: {side} register {t}");
+            }
+        }
+    }
+
+    /// Run the sweep fold in the named copy: `portable` runs its body
+    /// directly, `avx2` through [`dispatch`], `public` through the
+    /// `sweep_x`/`sweep_y` entry points.
+    fn kernel_sweep(patch: &mut Patch, y: bool, dt: f64, copy: &str) -> BoundaryFluxes {
+        let mut scratch = SweepScratch::default();
+        if copy == "public" {
+            return if y {
+                patch.sweep_y(dt, &mut scratch)
+            } else {
+                patch.sweep_x(dt, &mut scratch)
+            };
+        }
+        let mut registers = BoundaryFluxes::with_capacity(patch.mx());
+        match (y, copy == "avx2") {
+            (false, false) => patch
+                .sweep_fold::<false>(dt, &mut scratch, &mut registers)
+                .run(),
+            (false, true) => dispatch(patch.sweep_fold::<false>(dt, &mut scratch, &mut registers)),
+            (true, false) => patch
+                .sweep_fold::<true>(dt, &mut scratch, &mut registers)
+                .run(),
+            (true, true) => dispatch(patch.sweep_fold::<true>(dt, &mut scratch, &mut registers)),
+        }
+        registers
+    }
+
+    /// The SoA kernel against the per-face oracle, `to_bits`, on every
+    /// cell and boundary register: x and y sweeps, every grid width of
+    /// the paper plus the vector remainders (Miri runs the small ones),
+    /// faces in all four HLLC branches, and the clamped and signed-zero
+    /// inputs of [`mixed_patch`]; in the portable copy, the AVX2 copy
+    /// where it runs, and the public entry points.
+    #[test]
+    fn soa_kernel_matches_the_per_face_sweep_bitwise() {
+        let widths: &[usize] = if cfg!(miri) {
+            &[4, 5, 8]
+        } else {
+            &[4, 5, 7, 8, 16, 24, 32]
+        };
+        let mut copies = vec!["portable", "public"];
+        if al_linalg::avx2_copy_runs() {
+            copies.push("avx2");
+        }
+        for &mx in widths {
+            let start = mixed_patch(mx);
+            let dt = 0.1 * start.h();
+            for y in [false, true] {
+                let mut hits = [0usize; 4];
+                let mut want = start.clone();
+                let want_registers = reference_sweep(&mut want, y, dt, &mut hits);
+                assert!(
+                    hits.iter().all(|&h| h > 0),
+                    "mx={mx} y={y}: branch hits {hits:?}"
+                );
+                for &copy in &copies {
+                    let label = format!("{copy} mx={mx} y={y}");
+                    let mut got = start.clone();
+                    let registers = kernel_sweep(&mut got, y, dt, copy);
+                    assert_same_bits(&got, &want, &label);
+                    assert_same_registers(&registers, &want_registers, &label);
+                }
+            }
+        }
+    }
+
+    /// The select form of minmod gives the branchy one's bits, signed
+    /// zeros and NaN included.
+    #[test]
+    fn select_minmod_matches_the_branchy_one() {
+        let vals = [
+            -2.0,
+            -1.0,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in vals {
+            for b in vals {
+                assert_eq!(
+                    minmod(a, b).to_bits(),
+                    euler::minmod(a, b).to_bits(),
+                    "minmod({a}, {b})"
+                );
+            }
+        }
     }
 }

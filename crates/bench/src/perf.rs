@@ -808,13 +808,14 @@ fn amr_scenarios(tier: Tier) -> Vec<Scenario> {
         })
     })];
     // The flop kernel alone: one x-sweep of a single patch at three of the
-    // paper's patch sizes, so per-cell time is median / mx². Each call
-    // advances the same patch; its ghost cells stay fixed, and the state
-    // stays smooth over the few thousand calls a run makes.
-    for mx in [8usize, 16, 32] {
+    // paper's patch sizes, so per-cell time is median / mx², and a y-sweep
+    // at the largest, whose lines are strided columns. Each call advances
+    // the same patch; its ghost cells stay fixed, and the state stays
+    // smooth over the few thousand calls a run makes.
+    for (axis, mx) in [("x", 8usize), ("x", 16), ("x", 32), ("y", 32)] {
         out.push(Scenario::new(
             "amr",
-            format!("patch_sweep_x_mx{mx}"),
+            format!("patch_sweep_{axis}_mx{mx}"),
             move || {
                 use al_amr_sim::euler::conservative;
                 use al_amr_sim::patch::{Patch, Side, SweepScratch};
@@ -832,8 +833,14 @@ fn amr_scenarios(tier: Tier) -> Vec<Scenario> {
                 }
                 let mut scratch = SweepScratch::default();
                 let dt = 0.2 * patch.h() / patch.max_wave_speed();
+                let y = axis == "y";
                 Box::new(move || {
-                    std::hint::black_box(patch.sweep_x(dt, &mut scratch));
+                    let registers = if y {
+                        patch.sweep_y(dt, &mut scratch)
+                    } else {
+                        patch.sweep_x(dt, &mut scratch)
+                    };
+                    std::hint::black_box(registers);
                 })
             },
         ));
@@ -1607,6 +1614,7 @@ mod tests {
                 "mx={mx}"
             );
         }
+        assert!(names.contains(&"amr/patch_sweep_y_mx32".to_string()));
         // PR 8: the session core's serving-latency unit and the warm-start
         // contrast pair backing the SessionStore's hyperparameter LRU.
         assert!(names.contains(&"al/session_step".to_string()));
@@ -1649,7 +1657,7 @@ mod tests {
         // Group filter narrows the registry.
         let only_amr = registry(Tier::Quick, &["amr".to_string()]).unwrap();
         assert!(only_amr.iter().all(|s| s.group == "amr"));
-        assert_eq!(only_amr.len(), 4);
+        assert_eq!(only_amr.len(), 5);
     }
 
     #[test]

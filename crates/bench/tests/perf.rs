@@ -49,7 +49,7 @@ fn run_validate_and_compare_round_trip() {
     let report = load_report(&bench_path).expect("emitted file validates");
     assert_eq!(report.schema_version, SCHEMA_VERSION);
     assert_eq!(report.group, "amr");
-    assert_eq!(report.scenarios.len(), 4);
+    assert_eq!(report.scenarios.len(), 5);
     let out = perf(&["validate", bench_path.to_str().unwrap()], &dir);
     assert!(out.status.success(), "validate failed: {out:?}");
 

@@ -645,11 +645,26 @@ fn fold_tile<const R: usize>(rows: [&[f64]; R], hist: &[f64]) -> [[f64; CB]; R] 
     t
 }
 
-/// A dense fold that [`dispatch`] compiles twice. `run` is
-/// `#[inline(always)]`, and so is every helper its body calls, so each
-/// copy holds the whole fold.
-pub(crate) trait DenseFold {
+/// A loop body that [`dispatch`] compiles twice, once per copy.
+///
+/// The contract that keeps both copies bitwise identical and lets the AVX2
+/// copy hold the whole loop:
+///
+/// - `run` is `#[inline(always)]`, and so is every helper its body calls,
+///   so each copy inlines the full loop instead of calling one shared,
+///   portably compiled function.
+/// - The body never calls `f64::mul_add` (nor anything else that fuses a
+///   multiply and an add): [`dispatch`] enables only `avx2`, never `fma`,
+///   and the bits rely on every multiply and add rounding separately.
+/// - The body takes no closure and reads no thread-local. A closure passed
+///   to a non-inlined function (`LocalKey::with` is one) is compiled once,
+///   portably, outside the AVX2 copy. Buffers a fold needs are fields of
+///   the fold, borrowed from the caller.
+pub trait DenseFold {
+    /// What the fold returns.
     type Output;
+
+    /// The loop itself. Implementations mark it `#[inline(always)]`.
     fn run(self) -> Self::Output;
 }
 
@@ -702,14 +717,20 @@ impl DenseFold for SolveLowerMulti<'_> {
 /// else in the portable copy; other targets and Miri always run the
 /// portable one. Both copies come from the same `#[inline(always)]` body.
 ///
+/// Users: the tiled factor behind [`Cholesky::new`],
+/// [`Cholesky::inverse_upper_into`], [`Cholesky::solve_lower_multi`],
+/// [`crate::ops::sq_dists_into`], and the AMR solver's MUSCL–HLLC line
+/// sweep (`al-amr-sim`'s `Patch::sweep_x` and `sweep_y`).
+///
 /// Why the bits cannot move: only `avx2` is enabled, never `fma`, and the
 /// bodies never call `mul_add`. Rust never contracts `a + b·c` into a fused
 /// multiply-add, so each lane of a wide AVX2 op performs the same IEEE
 /// multiply, add, subtract, divide or square root, in the same order, as
-/// the portable copy's narrower SSE2 op or scalar op does.
+/// the portable copy's narrower SSE2 op or scalar op does. Comparisons,
+/// selects and `f64::max`/`min` are exact in every width.
 #[allow(unsafe_code)]
 #[inline]
-pub(crate) fn dispatch<F: DenseFold>(fold: F) -> F::Output {
+pub fn dispatch<F: DenseFold>(fold: F) -> F::Output {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         #[target_feature(enable = "avx2")]
@@ -727,9 +748,9 @@ pub(crate) fn dispatch<F: DenseFold>(fold: F) -> F::Output {
 
 /// Whether [`dispatch`] runs the AVX2 copy here. Where it does not (no
 /// AVX2 on this CPU, another target, or Miri, which always runs the
-/// portable copy), the both-copies tests skip the dispatched side.
-#[cfg(test)]
-pub(crate) fn avx2_copy_runs() -> bool {
+/// portable copy), tests that compare both copies check the portable
+/// copy only.
+pub fn avx2_copy_runs() -> bool {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     return std::is_x86_feature_detected!("avx2");
     #[cfg(not(all(target_arch = "x86_64", not(miri))))]

@@ -15,7 +15,8 @@
 //! are written as loops over contiguous row-major storage so the compiler
 //! can vectorize them; the dense Cholesky folds also run in an
 //! AVX2-compiled copy when the CPU has AVX2, with bitwise-identical
-//! results (DESIGN §13).
+//! results (DESIGN §13). [`dispatch`] is that mechanism, public so other
+//! crates' hot loops (the AMR line sweep) can use it too.
 
 pub mod cholesky;
 pub mod error;
@@ -24,6 +25,6 @@ pub mod ops;
 pub mod rng;
 pub mod stats;
 
-pub use cholesky::Cholesky;
+pub use cholesky::{avx2_copy_runs, dispatch, Cholesky, DenseFold};
 pub use error::LinalgError;
 pub use matrix::Matrix;
