@@ -1,27 +1,15 @@
-//! `alint.toml`: lint scopes and the grandfathered-violation allowlist.
+//! `alint.toml`: the lint scopes and the L5 unit tables.
 //!
-//! The allowlist is a *ratchet*: each entry budgets a number of existing
-//! violations of one lint in one file. New violations push a file over its
-//! budget and fail the check; paying debt down below the budget produces a
-//! nagging note until the entry is tightened. This keeps the list honest in
-//! both directions without storing brittle line numbers.
+//! There is no allowlist: an intentional site carries an inline
+//! `// alint: allow(Lx)` marker, and any table other than `[scope]` and
+//! `[units]` is an error.
 //!
 //! The parser below handles exactly the TOML subset the config uses —
-//! the `[scope]` and `[units]` headers, `[[allow]]` entries,
-//! `key = "string"`, `key = integer`, and `key = ["a", "b"]` single-line
+//! the `[scope]` and `[units]` headers and `key = ["a", "b"]` single-line
 //! string arrays — because no TOML crate is available offline.
 
 use std::collections::BTreeMap;
 use std::path::Path;
-
-/// One grandfathered budget: up to `count` diagnostics of `lint` in `path`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allowance {
-    pub path: String,
-    pub lint: String,
-    pub count: usize,
-    pub reason: String,
-}
 
 /// Parsed configuration. `alint.toml` is the only source of the tables:
 /// the default is all-empty, and a key the file omits stays empty.
@@ -38,7 +26,6 @@ pub struct Config {
     /// L5: identifiers that convert between units; their presence next to a
     /// mixed-unit operator marks the expression as an intentional conversion.
     pub unit_conversions: Vec<String>,
-    pub allowances: Vec<Allowance>,
 }
 
 /// A config-file problem with its line number.
@@ -56,74 +43,43 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// `key = value` pairs of one table, each with its source line.
-type KeyedValues = BTreeMap<String, (Value, usize)>;
+/// `key = [..]` arrays, each with its source line.
+type KeyedValues = BTreeMap<String, (Vec<String>, usize)>;
 
 /// The section headers the file may use. They are organizational: every
 /// key lands in one namespace. Any other header — such as the `[locks]` or
-/// `[determinism]` tables of retired passes — is an error.
+/// `[determinism]` tables of retired passes, or an array of tables — is an
+/// error.
 const TABLES: [&str; 2] = ["[scope]", "[units]"];
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Value {
-    Str(String),
-    Int(usize),
-    StrArray(Vec<String>),
-}
-
-fn parse_value(raw: &str, line: usize) -> Result<Value, ConfigError> {
+/// Parse a single-line `["a", "b"]` string array.
+fn parse_string_array(raw: &str, line: usize) -> Result<Vec<String>, ConfigError> {
+    let error = |message: String| ConfigError { line, message };
     let raw = raw.trim();
-    if let Some(rest) = raw.strip_prefix('"') {
-        let Some(end) = rest.find('"') else {
-            return Err(ConfigError {
-                line,
-                message: "unterminated string".into(),
-            });
-        };
-        return Ok(Value::Str(rest[..end].to_string()));
-    }
-    if let Some(inner) = raw.strip_prefix('[') {
-        let Some(inner) = inner.strip_suffix(']') else {
-            return Err(ConfigError {
-                line,
-                message: "arrays must be closed on the same line".into(),
-            });
-        };
-        let mut items = Vec::new();
-        for piece in inner.split(',') {
-            let piece = piece.trim();
-            if piece.is_empty() {
-                continue;
-            }
-            match parse_value(piece, line)? {
-                Value::Str(s) => items.push(s),
-                _ => {
-                    return Err(ConfigError {
-                        line,
-                        message: "only string arrays are supported".into(),
-                    })
-                }
-            }
+    let Some(inner) = raw.strip_prefix('[') else {
+        return Err(error(format!("expected a string array, got `{raw}`")));
+    };
+    let Some(inner) = inner.strip_suffix(']') else {
+        return Err(error("arrays must be closed on the same line".into()));
+    };
+    let mut items = Vec::new();
+    for piece in inner.split(',') {
+        let piece = piece.trim();
+        if piece.is_empty() {
+            continue;
         }
-        return Ok(Value::StrArray(items));
+        let Some(item) = piece.strip_prefix('"').and_then(|p| p.strip_suffix('"')) else {
+            return Err(error(format!("expected a string, got `{piece}`")));
+        };
+        items.push(item.to_string());
     }
-    raw.parse::<usize>()
-        .map(Value::Int)
-        .map_err(|_| ConfigError {
-            line,
-            message: format!("expected string, integer, or string array, got `{raw}`"),
-        })
+    Ok(items)
 }
 
 /// Parse the TOML subset described in the module docs.
 pub fn parse(text: &str) -> Result<Config, ConfigError> {
     let mut config = Config::default();
-    // Tables other than [[allow]] collect into one namespace; the file's
-    // section headers are organizational.
-    let mut scalar_keys: KeyedValues = BTreeMap::new();
-    let mut current_allow: Option<KeyedValues> = None;
-    let mut finished_allows: Vec<(KeyedValues, usize)> = Vec::new();
-    let mut allow_start = 0usize;
+    let mut keys: KeyedValues = BTreeMap::new();
 
     for (idx, raw_line) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -131,30 +87,12 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         if line.is_empty() {
             continue;
         }
-        if line == "[[allow]]" {
-            if let Some(done) = current_allow.take() {
-                finished_allows.push((done, allow_start));
-            }
-            current_allow = Some(BTreeMap::new());
-            allow_start = line_no;
-            continue;
-        }
-        if line.starts_with("[[") {
-            return Err(ConfigError {
-                line: line_no,
-                message: format!("unknown array-of-tables `{line}`"),
-            });
-        }
         if line.starts_with('[') {
             if !TABLES.contains(&line) {
                 return Err(ConfigError {
                     line: line_no,
                     message: format!("unknown table `{line}`"),
                 });
-            }
-            // Section header: close any open [[allow]] entry.
-            if let Some(done) = current_allow.take() {
-                finished_allows.push((done, allow_start));
             }
             continue;
         }
@@ -164,47 +102,21 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 message: format!("expected `key = value`, got `{line}`"),
             });
         };
-        let key = key.trim().to_string();
-        let value = parse_value(value, line_no)?;
-        match &mut current_allow {
-            Some(entry) => {
-                entry.insert(key, (value, line_no));
-            }
-            None => {
-                scalar_keys.insert(key, (value, line_no));
-            }
-        }
-    }
-    if let Some(done) = current_allow.take() {
-        finished_allows.push((done, allow_start));
+        let value = parse_string_array(value, line_no)?;
+        keys.insert(key.trim().to_string(), (value, line_no));
     }
 
-    let mut take_list = |name: &str, target: &mut Vec<String>| -> Result<(), ConfigError> {
-        if let Some((value, line)) = scalar_keys.remove(name) {
-            match value {
-                Value::StrArray(items) => *target = items,
-                _ => {
-                    return Err(ConfigError {
-                        line,
-                        message: format!("`{name}` must be a string array"),
-                    })
-                }
-            }
+    let mut take_list = |name: &str, target: &mut Vec<String>| {
+        if let Some((items, _)) = keys.remove(name) {
+            *target = items;
         }
-        Ok(())
     };
-    take_list("typed_error_crates", &mut config.typed_error_crates)?;
-    take_list("scan_roots", &mut config.scan_roots)?;
-    take_list("unit_conversions", &mut config.unit_conversions)?;
+    take_list("typed_error_crates", &mut config.typed_error_crates);
+    take_list("scan_roots", &mut config.scan_roots);
+    take_list("unit_conversions", &mut config.unit_conversions);
     let mut take_pair_list =
         |name: &str, target: &mut Vec<(String, String)>| -> Result<(), ConfigError> {
-            if let Some((value, line)) = scalar_keys.remove(name) {
-                let Value::StrArray(items) = value else {
-                    return Err(ConfigError {
-                        line,
-                        message: format!("`{name}` must be a string array"),
-                    });
-                };
+            if let Some((items, line)) = keys.remove(name) {
                 let mut pairs = Vec::new();
                 for item in items {
                     let Some((key, unit)) = item.split_once(':') else {
@@ -223,41 +135,10 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         };
     take_pair_list("unit_suffixes", &mut config.unit_suffixes)?;
     take_pair_list("unit_types", &mut config.unit_types)?;
-    if let Some((key, (_, line))) = scalar_keys.into_iter().next() {
+    if let Some((key, (_, line))) = keys.into_iter().next() {
         return Err(ConfigError {
             line,
             message: format!("unknown key `{key}`"),
-        });
-    }
-
-    for (entry, start_line) in finished_allows {
-        let mut path = None;
-        let mut lint = None;
-        let mut count = None;
-        let mut reason = String::new();
-        for (key, (value, line)) in entry {
-            match (key.as_str(), value) {
-                ("path", Value::Str(s)) => path = Some(s),
-                ("lint", Value::Str(s)) => lint = Some(s),
-                ("count", Value::Int(n)) => count = Some(n),
-                ("reason", Value::Str(s)) => reason = s,
-                (other, _) => {
-                    return Err(ConfigError {
-                        line,
-                        message: format!("unknown or mistyped [[allow]] key `{other}`"),
-                    })
-                }
-            }
-        }
-        let missing = |what: &str| ConfigError {
-            line: start_line,
-            message: format!("[[allow]] entry is missing `{what}`"),
-        };
-        config.allowances.push(Allowance {
-            path: path.ok_or_else(|| missing("path"))?,
-            lint: lint.ok_or_else(|| missing("lint"))?,
-            count: count.ok_or_else(|| missing("count"))?,
-            reason,
         });
     }
 
@@ -337,39 +218,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_scopes_and_allowances() {
+    fn parses_scopes() {
         let cfg = parse(
             r#"
 # comment
 [scope]
-typed_error_crates = ["crates/a", "crates/b"]
+typed_error_crates = ["crates/a", "crates/b"]   # trailing comment
 scan_roots = ["crates"]
-
-[[allow]]
-path = "crates/a/src/x.rs"   # trailing comment
-lint = "L3"
-count = 3
-reason = "grandfathered"
-
-[[allow]]
-path = "crates/b/src/y.rs"
-lint = "L5"
-count = 1
 "#,
         )
         .expect("parse");
         assert_eq!(cfg.typed_error_crates, vec!["crates/a", "crates/b"]);
         assert_eq!(cfg.scan_roots, vec!["crates"]);
-        assert_eq!(cfg.allowances.len(), 2);
-        assert_eq!(cfg.allowances[0].count, 3);
-        assert_eq!(cfg.allowances[0].reason, "grandfathered");
-        assert_eq!(cfg.allowances[1].lint, "L5");
     }
 
     #[test]
-    fn missing_allow_fields_are_errors() {
-        let err = parse("[[allow]]\npath = \"x\"\nlint = \"L3\"\n").unwrap_err();
-        assert!(err.message.contains("count"), "{err}");
+    fn non_array_values_are_errors() {
+        for value in ["\"crates\"", "3", "[3]", "[\"a\""] {
+            assert!(
+                parse(&format!("scan_roots = {value}\n")).is_err(),
+                "{value}"
+            );
+        }
     }
 
     #[test]
@@ -391,11 +261,12 @@ count = 1
         ] {
             assert!(parse(&format!("{key} = []\n")).is_err(), "{key}");
         }
-        for table in ["[locks]", "[determinism]"] {
+        // So are their tables, and the retired `[[allow]]` list: an
+        // intentional site carries an inline marker instead.
+        for table in ["[locks]", "[determinism]", "[[allow]]"] {
             let err = parse(&format!("{table}\n")).unwrap_err();
             assert!(err.message.contains("unknown table"), "{err}");
         }
-        assert!(parse("[[allow]]\nwibble = \"x\"\n").is_err());
     }
 
     #[test]
@@ -497,7 +368,7 @@ count = 1
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let cfg = parse("[[allow]]\npath = \"a#b.rs\"\nlint = \"L2\"\ncount = 1\n").expect("ok");
-        assert_eq!(cfg.allowances[0].path, "a#b.rs");
+        let cfg = parse("scan_roots = [\"a#b\"] # note\n").expect("ok");
+        assert_eq!(cfg.scan_roots, vec!["a#b"]);
     }
 }

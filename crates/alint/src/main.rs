@@ -1,36 +1,21 @@
-//! CLI entry point: `cargo run -p alint -- <check|dump|ratchet|lints>`.
+//! CLI entry point: `cargo run -p alint -- <check|lints>`.
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/config/IO error.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Output style for `check`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Github,
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = "check";
+    let mut list_lints = false;
     let mut root: Option<PathBuf> = None;
-    let mut format = Format::Text;
+    let mut github = false;
     let mut lint: Option<&'static str> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "check" | "dump" | "ratchet" | "lints" => {
-                command = match arg.as_str() {
-                    "dump" => "dump",
-                    "ratchet" => "ratchet",
-                    "lints" => "lints",
-                    _ => "check",
-                }
-            }
+            "check" => list_lints = false,
+            "lints" => list_lints = true,
             "--root" => match iter.next() {
                 Some(path) => root = Some(PathBuf::from(path)),
                 None => {
@@ -53,12 +38,11 @@ fn main() -> ExitCode {
                 }
             },
             "--format" => match iter.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("github") => format = Format::Github,
+                Some("text") => github = false,
+                Some("github") => github = true,
                 other => {
                     eprintln!(
-                        "alint: --format requires one of text|json|github, got {:?}",
+                        "alint: --format requires one of text|github, got {:?}",
                         other.unwrap_or("nothing")
                     );
                     return ExitCode::from(2);
@@ -90,28 +74,26 @@ fn main() -> ExitCode {
         }
     };
 
-    match command {
-        "dump" => dump(&root, &config, lint),
-        "ratchet" => ratchet(&root, &config),
-        "lints" => lints(&config),
-        _ => check(&root, &config, format, lint),
+    if list_lints {
+        lints(&config)
+    } else {
+        check(&root, &config, github, lint)
     }
 }
 
 const USAGE: &str = "\
-usage: cargo run -p alint -- [check|dump|ratchet|lints] [--root <dir>]
+usage: cargo run -p alint -- [check|lints] [--root <dir>]
                              [--format <fmt>] [--lint <ID>]
 
-  check     lint the workspace, applying the alint.toml allowlist (default)
-  dump      print every raw diagnostic, ignoring the allowlist
-  ratchet   print [[allow]] entries matching the current violation counts
+  check     lint the workspace; every diagnostic not suppressed by an
+            inline `// alint: allow(Lx)` marker fails (default)
   lints     list every lint with its name, description, and whether the
             loaded alint.toml enables it
 
-  --format  check output style: text (default), json (one machine-readable
-            object), or github (::error workflow-command annotations)
-  --lint    restrict check/dump to one lint, by ID (L2, L3, L5) or
-            name (float_cmp, typed_error, unit_safety) — fast single-pass
+  --format  check output style: text (default) or github (::error
+            workflow-command annotations)
+  --lint    restrict check to one lint, by ID (L2, L3, L5) or name
+            (float_cmp, typed_error, unit_safety) — fast single-pass
             iteration while developing a lint
 ";
 
@@ -130,7 +112,7 @@ fn workspace_root() -> PathBuf {
 fn check(
     root: &std::path::Path,
     config: &alint::config::Config,
-    format: Format,
+    github: bool,
     lint: Option<&'static str>,
 ) -> ExitCode {
     let report = match alint::check_workspace_lint(root, config, lint) {
@@ -140,84 +122,27 @@ fn check(
             return ExitCode::from(2);
         }
     };
-    let exit = if report.is_clean() {
+    if github {
+        print!("{}", alint::render_github(&report));
+    } else {
+        for d in &report.violations {
+            println!("{d}");
+        }
+        let n = report.violations.len();
+        if report.is_clean() {
+            println!("alint: clean — {} files scanned", report.files_scanned);
+        } else {
+            println!(
+                "alint: {n} violation{} in {} files scanned",
+                if n == 1 { "" } else { "s" },
+                report.files_scanned,
+            );
+        }
+    }
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
-    };
-    match format {
-        Format::Json => {
-            println!("{}", alint::render_json(&report));
-            return exit;
-        }
-        Format::Github => {
-            print!("{}", alint::render_github(&report));
-        }
-        Format::Text => {
-            for d in &report.violations {
-                println!("{d}");
-            }
-            for (path, lint, budget, actual) in &report.slack {
-                println!(
-                    "note: {path}: {lint} budget is {budget} but only {actual} remain — \
-                     tighten the [[allow]] entry in alint.toml"
-                );
-            }
-            for (path, lint) in &report.unused {
-                println!(
-                    "error: stale [[allow]] entry for {lint} in {path} — the file has no \
-                     {lint} findings; remove it from alint.toml"
-                );
-            }
-        }
-    }
-    let grandfathered = report.grandfathered.len();
-    if report.is_clean() {
-        println!(
-            "alint: clean — {} files scanned, {} grandfathered site{} within budget",
-            report.files_scanned,
-            grandfathered,
-            if grandfathered == 1 { "" } else { "s" },
-        );
-    } else {
-        println!(
-            "alint: {} violation{} and {} stale allowance{} in {} files scanned ({} grandfathered)",
-            report.violations.len(),
-            if report.violations.len() == 1 {
-                ""
-            } else {
-                "s"
-            },
-            report.unused.len(),
-            if report.unused.len() == 1 { "" } else { "s" },
-            report.files_scanned,
-            grandfathered,
-        );
-    }
-    exit
-}
-
-fn dump(
-    root: &std::path::Path,
-    config: &alint::config::Config,
-    lint: Option<&'static str>,
-) -> ExitCode {
-    match alint::raw_diagnostics(root, config) {
-        Ok((diags, files)) => {
-            let diags: Vec<_> = diags
-                .into_iter()
-                .filter(|d| lint.is_none_or(|l| d.lint == l))
-                .collect();
-            for d in &diags {
-                println!("{d}");
-            }
-            println!("alint: {} raw diagnostics in {files} files", diags.len());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("alint: {e}");
-            ExitCode::from(2)
-        }
     }
 }
 
@@ -243,30 +168,4 @@ fn lints(config: &alint::config::Config) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
-}
-
-/// Emit `[[allow]]` entries for the current state, for seeding or
-/// re-tightening the ratchet after paying down debt.
-fn ratchet(root: &std::path::Path, config: &alint::config::Config) -> ExitCode {
-    match alint::raw_diagnostics(root, config) {
-        Ok((diags, _)) => {
-            let mut counts: BTreeMap<(String, &'static str), usize> = BTreeMap::new();
-            for d in diags {
-                *counts.entry((d.path, d.lint)).or_insert(0) += 1;
-            }
-            for ((path, lint), count) in counts {
-                println!("[[allow]]");
-                println!("path = \"{path}\"");
-                println!("lint = \"{lint}\"");
-                println!("count = {count}");
-                println!("reason = \"grandfathered pending conversion\"");
-                println!();
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("alint: {e}");
-            ExitCode::from(2)
-        }
-    }
 }

@@ -1,12 +1,13 @@
 //! Fixture-driven integration tests: each lint runs over a known-bad and a
 //! known-clean source under `tests/fixtures/` and must report the exact
-//! expected diagnostics, and the CLI must exit nonzero on a violation.
+//! expected diagnostics, and the CLI must exit 1 on a violation and 2 on a
+//! usage or config error.
 
 // Integration-test helpers run outside #[cfg(test)], so the in-tests
 // carve-outs from clippy.toml don't reach them.
 #![allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
-use alint::config::{Allowance, Config};
+use alint::config::Config;
 use alint::lexer::lex;
 use alint::lints::{lint_file, Diagnostic, FileScope, UnitTables};
 use std::path::{Path, PathBuf};
@@ -129,49 +130,36 @@ fn l5_clean_fixture_is_silent_under_every_lint() {
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
-#[test]
-fn allowlist_budget_absorbs_fixture_violations_exactly() {
-    let diags = lint_fixture("l5_violations.rs", only(|s| s.unit_safety = true));
-    let allow = |count| Config {
-        allowances: vec![Allowance {
-            path: "l5_violations.rs".into(),
-            lint: "L5".into(),
-            count,
-            reason: "fixture".into(),
-        }],
-        ..Config::default()
-    };
-
-    let report = alint::apply_allowlist(diags.clone(), &allow(5), 1);
-    assert!(report.is_clean(), "{:#?}", report.violations);
-    assert_eq!(report.grandfathered.len(), 5);
-
-    // One site fewer in the budget: exactly one (the last) escapes.
-    let report = alint::apply_allowlist(diags, &allow(4), 1);
-    assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
-    assert_eq!(report.grandfathered.len(), 4);
+/// Runs the built `alint` binary with `args`, then `--root root`.
+fn alint(args: &[&str], root: &Path) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
+        .args(args)
+        .arg("--root")
+        .arg(root)
+        .output()
+        .expect("run alint")
 }
 
-/// End-to-end CLI checks against a scratch workspace: a violation makes
-/// `alint check` exit 1, an allowlist entry brings it back to 0.
-#[test]
-fn cli_exits_nonzero_on_violation_and_zero_when_allowlisted() {
-    let root = scratch_workspace("cli_exit");
+/// A scratch workspace whose one source, `crates/demo/src/lib.rs`, holds
+/// `src` and is in L3's scope.
+fn demo_workspace(tag: &str, src: &str) -> PathBuf {
+    let root = scratch_workspace(tag);
     let src_dir = root.join("crates/demo/src");
     std::fs::create_dir_all(&src_dir).expect("mkdir");
-    std::fs::write(src_dir.join("lib.rs"), UNTYPED_ERROR).expect("write fixture source");
-    let scope = "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n";
-    std::fs::write(root.join("alint.toml"), scope).expect("write config");
+    std::fs::write(src_dir.join("lib.rs"), src).expect("write fixture source");
+    std::fs::write(root.join("alint.toml"), DEMO_CONFIG).expect("write config");
+    root
+}
 
-    let run = |root: &Path| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
-            .args(["check", "--root"])
-            .arg(root)
-            .output()
-            .expect("run alint")
-    };
+const DEMO_CONFIG: &str = "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n";
 
-    let out = run(&root);
+/// End-to-end CLI checks against a scratch workspace: a violation makes
+/// `alint check` exit 1, and an inline marker at the same site brings it
+/// back to 0.
+#[test]
+fn cli_exits_nonzero_on_violation_and_zero_when_marked() {
+    let root = demo_workspace("cli_exit", UNTYPED_ERROR);
+    let out = alint(&["check"], &root);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -179,85 +167,60 @@ fn cli_exits_nonzero_on_violation_and_zero_when_allowlisted() {
         "{stdout}"
     );
 
-    let allow = format!(
-        "{scope}\n[[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\n\
-         count = 1\nreason = \"fixture\"\n"
-    );
-    std::fs::write(root.join("alint.toml"), allow).expect("rewrite config");
-    let out = run(&root);
+    let marked = UNTYPED_ERROR.replacen("pub fn", "// alint: allow(L3)\npub fn", 1);
+    std::fs::write(root.join("crates/demo/src/lib.rs"), marked).expect("rewrite source");
+    let out = alint(&["check"], &root);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A stale `[[allow]]` entry (its file has no findings at all) must fail
-/// the check rather than linger as a silent re-admission channel.
+/// There is no allowlist: a leftover `[[allow]]` table is a config error,
+/// like any other retired table.
 #[test]
-fn cli_fails_on_stale_allowlist_entries() {
-    let root = scratch_workspace("stale_allow");
-    let src_dir = root.join("crates/demo/src");
-    std::fs::create_dir_all(&src_dir).expect("mkdir");
-    std::fs::write(src_dir.join("lib.rs"), "pub fn ok() -> u8 {\n    1\n}\n")
-        .expect("write fixture source");
+fn cli_rejects_an_allow_table() {
+    let root = demo_workspace("allow_table", UNTYPED_ERROR);
     std::fs::write(
         root.join("alint.toml"),
-        "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
-         [[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\n\
-         count = 1\nreason = \"paid down\"\n",
+        format!(
+            "{DEMO_CONFIG}[[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\n\
+             count = 1\n"
+        ),
     )
     .expect("write config");
-
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
-        .args(["check", "--root"])
-        .arg(&root)
-        .output()
-        .expect("run alint");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("stale [[allow]] entry for L3"), "{stdout}");
+    let out = alint(&["check"], &root);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown table `[[allow]]`"), "{stderr}");
 
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// `--format json` emits one machine-readable object carrying the same
-/// verdict as the exit code; `--format github` emits `::error` annotations.
+/// The retired subcommands and the JSON format are unknown arguments.
 #[test]
-fn cli_formats_json_and_github_output() {
-    let root = scratch_workspace("formats");
-    let src_dir = root.join("crates/demo/src");
-    std::fs::create_dir_all(&src_dir).expect("mkdir");
-    std::fs::write(src_dir.join("lib.rs"), UNTYPED_ERROR).expect("write fixture source");
-    std::fs::write(
-        root.join("alint.toml"),
-        "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n",
-    )
-    .expect("write config");
+fn cli_rejects_retired_commands_and_formats() {
+    let root = demo_workspace("retired_args", UNTYPED_ERROR);
+    for args in [&["dump"][..], &["ratchet"], &["check", "--format", "json"]] {
+        let out = alint(args, &root);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    }
 
-    let run = |fmt: &str| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
-            .args(["check", "--format", fmt, "--root"])
-            .arg(&root)
-            .output()
-            .expect("run alint")
-    };
+    std::fs::remove_dir_all(&root).ok();
+}
 
-    let out = run("json");
+/// `--format github` emits one `::error` annotation per violation and
+/// nothing else.
+#[test]
+fn cli_formats_github_output() {
+    let root = demo_workspace("formats", UNTYPED_ERROR);
+    let out = alint(&["check", "--format", "github"], &root);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.starts_with("{\"clean\": false, "), "{stdout}");
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
     assert!(
-        stdout.contains(
-            "\"path\": \"crates/demo/src/lib.rs\", \"line\": 2, \
-             \"lint\": \"L3\", \"name\": \"typed_error\""
+        stdout.starts_with(
+            "::error file=crates/demo/src/lib.rs,line=2,title=alint L3(typed_error)::"
         ),
-        "{stdout}"
-    );
-
-    let out = run("github");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("::error file=crates/demo/src/lib.rs,line=2,title=alint L3(typed_error)::"),
         "{stdout}"
     );
 
@@ -265,39 +228,18 @@ fn cli_formats_json_and_github_output() {
 }
 
 /// `--lint <ID>` restricts check to one pass: the other lints' findings
-/// disappear, their allowlist entries are not reported stale, and an
-/// unknown selector is a usage error.
+/// disappear, and an unknown selector is a usage error.
 #[test]
 fn cli_lint_flag_filters_check_to_one_pass() {
-    let root = scratch_workspace("lint_flag");
-    let src_dir = root.join("crates/demo/src");
-    std::fs::create_dir_all(&src_dir).expect("mkdir");
     // One L3 finding (a `String` error) and one L2 finding (`x == 0.0`)
     // in a file scoped to both passes.
-    std::fs::write(
-        src_dir.join("lib.rs"),
+    let root = demo_workspace(
+        "lint_flag",
         "pub fn go(x: f64) -> Result<u8, String> {\n    if x == 0.0 {\n        \
          return Ok(0);\n    }\n    Ok(1)\n}\n",
-    )
-    .expect("write fixture source");
-    std::fs::write(
-        root.join("alint.toml"),
-        "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n\
-         [[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\n\
-         count = 1\nreason = \"fixture\"\n",
-    )
-    .expect("write config");
+    );
+    let run = |lint: &str| alint(&["check", "--lint", lint], &root);
 
-    let run = |lint: &str| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
-            .args(["check", "--lint", lint, "--root"])
-            .arg(&root)
-            .output()
-            .expect("run alint")
-    };
-
-    // L2 alone: the float-compare finding fires; the L3 allowance for the
-    // same file must NOT be reported stale just because L3 was filtered out.
     let out = run("L2");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -306,12 +248,16 @@ fn cli_lint_flag_filters_check_to_one_pass() {
         "{stdout}"
     );
     assert!(!stdout.contains("L3"), "{stdout}");
-    assert!(!stdout.contains("stale [[allow]]"), "{stdout}");
 
-    // L3 alone (by name, mixed case): the finding is absorbed by its
-    // allowance, so the filtered check is clean.
+    // L3 alone, by name in mixed case.
     let out = run("Typed_Error");
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("crates/demo/src/lib.rs:1: L3(typed_error)"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("L2"), "{stdout}");
 
     // Unknown selector, or an ID retired to rustc and clippy: usage error,
     // exit 2.
@@ -331,72 +277,6 @@ fn cli_lint_flag_filters_check_to_one_pass() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Golden round-trip for `ratchet`: its stdout must parse as `[[allow]]`
-/// entries that exactly absorb the current violations — appending it to the
-/// config turns a failing check into a clean one with zero slack and zero
-/// stale entries.
-#[test]
-fn cli_ratchet_output_round_trips_through_the_allowlist() {
-    let root = scratch_workspace("ratchet_golden");
-    let src_dir = root.join("crates/demo/src");
-    std::fs::create_dir_all(&src_dir).expect("mkdir");
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "pub fn a() -> Result<u8, String> {\n    Ok(1)\n}\n\
-         pub fn b() -> Result<u8, &'static str> {\n    Ok(2)\n}\n",
-    )
-    .expect("write fixture source");
-    std::fs::write(
-        src_dir.join("extra.rs"),
-        "pub fn c(x: f64) -> bool {\n    x == 0.0\n}\n",
-    )
-    .expect("write fixture source");
-    let scope = "typed_error_crates = [\"crates/demo\"]\nscan_roots = [\"crates\"]\n";
-    std::fs::write(root.join("alint.toml"), scope).expect("write config");
-
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
-        .args(["ratchet", "--root"])
-        .arg(&root)
-        .output()
-        .expect("run alint ratchet");
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let printed = String::from_utf8_lossy(&out.stdout).to_string();
-
-    // The printed entries parse with the workspace config parser and carry
-    // exactly the per-(file, lint) violation counts.
-    let parsed = alint::config::parse(&format!("{scope}{printed}")).expect("parse ratchet output");
-    let entry = |path: &str, lint: &str| {
-        parsed
-            .allowances
-            .iter()
-            .find(|a| a.path == path && a.lint == lint)
-            .unwrap_or_else(|| panic!("missing [[allow]] for {path} {lint}\n{printed}"))
-    };
-    assert_eq!(entry("crates/demo/src/lib.rs", "L3").count, 2, "{printed}");
-    assert_eq!(
-        entry("crates/demo/src/extra.rs", "L2").count,
-        1,
-        "{printed}"
-    );
-    assert_eq!(parsed.allowances.len(), 2, "{printed}");
-
-    // Adopting the printed allowlist makes the check clean — and since the
-    // counts are exact, no slack notes and no stale-entry errors appear.
-    std::fs::write(root.join("alint.toml"), format!("{scope}{printed}")).expect("rewrite config");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
-        .args(["check", "--root"])
-        .arg(&root)
-        .output()
-        .expect("run alint check");
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(!stdout.contains("stale"), "{stdout}");
-    assert!(!stdout.contains("tighten"), "{stdout}");
-    assert!(stdout.contains("3 grandfathered sites"), "{stdout}");
-
-    std::fs::remove_dir_all(&root).ok();
-}
-
 /// `lints` lists every pass with its name, description, and enabled-status
 /// derived from the loaded configuration.
 #[test]
@@ -411,11 +291,7 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
     )
     .expect("write config");
 
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
-        .args(["lints", "--root"])
-        .arg(&root)
-        .output()
-        .expect("run alint lints");
+    let out = alint(&["lints"], &root);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
@@ -452,11 +328,7 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
 fn cli_fails_without_an_alint_toml() {
     let root = scratch_workspace("no_config");
     std::fs::create_dir_all(root.join("crates")).expect("mkdir");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_alint"))
-        .args(["check", "--root"])
-        .arg(&root)
-        .output()
-        .expect("run alint");
+    let out = alint(&["check"], &root);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("alint.toml"), "{stderr}");

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let dataset = paper_dataset(args.fast, args.threads);
 
     // Build one training set with the paper's default pipeline (RBF-driven

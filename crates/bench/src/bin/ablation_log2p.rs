@@ -45,7 +45,7 @@ fn rmse_pair(dataset: &Dataset, partition: &Partition, seed: u64) -> (f64, f64) 
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let linear = paper_dataset(args.fast, args.threads);
     let log2p = Dataset::with_map(linear.samples().to_vec(), FeatureMap { log2_p: true });
 

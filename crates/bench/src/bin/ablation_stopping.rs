@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let dataset = paper_dataset(args.fast, args.threads);
     let mut rng = StdRng::seed_from_u64(args.seed);
     let partition = Partition::random(dataset.len(), 50, 200, &mut rng);

@@ -13,7 +13,7 @@ use al_core::{run_batch, AlOptions, BatchSpec, StrategyKind};
 use al_linalg::stats;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let dataset = paper_dataset(args.fast, args.threads);
     let lmem_log = dataset.memory_limit_log_percentile(0.90);
 

@@ -11,7 +11,7 @@ use al_core::analysis::{format_stats_table, paired_wins, sign_test_p, summarize}
 use al_core::{run_batch, AlOptions, BatchSpec, StrategyKind};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let dataset = paper_dataset(args.fast, args.threads);
     let lmem_log = dataset.memory_limit_log_percentile(0.90);
 

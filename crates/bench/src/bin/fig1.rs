@@ -14,7 +14,7 @@ use std::fs::File;
 use std::io::BufWriter;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let profile = if args.fast {
         SolverProfile::fast()
     } else {

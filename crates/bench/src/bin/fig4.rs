@@ -11,7 +11,8 @@
 //! `--weighted` additionally reports the cost-weighted RMSE of Eq. 12.
 //!
 //! Run: `cargo run -p al-bench --release --bin fig4
-//!       [--fast] [--trajectories N] [--seed N] [--threads N] [--weighted]`
+//!       [--fast] [--trajectories N] [--seed N] [--threads N] [--paper-lmem]
+//!       [--weighted]`
 
 use al_bench::cli::Args;
 use al_bench::data::paper_dataset;
@@ -20,7 +21,7 @@ use al_core::trajectory::mean_curve;
 use al_core::{run_batch, AlOptions, BatchSpec, StrategyKind};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["--paper-lmem", "--weighted"]);
     let dataset = paper_dataset(args.fast, args.threads);
     // Same limit convention as fig3 (see the comment there).
     let lmem_log = if args.has_flag("--paper-lmem") {

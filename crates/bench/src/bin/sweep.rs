@@ -10,35 +10,22 @@ use al_dataset::{generate_parallel, io, Dataset, GenerateOptions, SweepGrid, Tab
 use std::path::PathBuf;
 
 fn main() {
-    let args = Args::parse();
-    let mut out: Option<PathBuf> = None;
-    let mut unique = 60usize;
-    let mut repeats = 8usize;
-    let mut small_grid = false;
-    let mut smoke = false;
-    let mut it = args.extra.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out = it.next().map(PathBuf::from),
-            "--unique" => unique = it.next().and_then(|v| v.parse().ok()).unwrap_or(unique),
-            "--repeats" => repeats = it.next().and_then(|v| v.parse().ok()).unwrap_or(repeats),
-            "--small-grid" => small_grid = true,
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: sweep --out FILE [--unique N] [--repeats N] [--small-grid] [--smoke] [--fast] [--seed N] [--threads N]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(out) = out else {
+    let args = Args::parse(&[
+        "--out FILE",
+        "--unique N",
+        "--repeats N",
+        "--small-grid",
+        "--smoke",
+    ]);
+    let Some(out) = args.flag_value("--out").map(PathBuf::from) else {
         eprintln!("--out FILE is required");
         std::process::exit(2);
     };
+    let unique = args.count("--unique").unwrap_or(60);
+    let repeats = args.count("--repeats").unwrap_or(8);
+    let smoke = args.has_flag("--smoke");
 
-    let grid = if small_grid {
+    let grid = if args.has_flag("--small-grid") {
         SweepGrid::small()
     } else {
         SweepGrid::default()

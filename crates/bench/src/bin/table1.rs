@@ -8,7 +8,7 @@ use al_bench::data::paper_dataset;
 use al_dataset::TableSummary;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[]);
     let dataset = paper_dataset(args.fast, args.threads);
 
     println!("TABLE I: Parameters of the AMR shock-bubble simulation dataset");

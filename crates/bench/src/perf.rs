@@ -145,11 +145,6 @@ impl RobustStats {
             mean_s: s.mean,
         }
     }
-
-    /// Interquartile range.
-    pub fn iqr_s(&self) -> f64 {
-        self.q3_s - self.q1_s
-    }
 }
 
 /// One measured scenario inside a report.

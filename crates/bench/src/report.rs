@@ -1,4 +1,4 @@
-//! Text reporting helpers: aligned series tables and ASCII violin
+//! Text reporting helpers: aligned curve tables and ASCII violin
 //! summaries, so every figure's data prints in a form directly comparable
 //! with the paper's plots.
 
@@ -10,24 +10,6 @@ use al_linalg::stats::{histogram, Summary};
 /// (75 rows) instead of flooring to stride 1 (all 150 rows).
 fn stride_for(len: usize, max_rows: usize) -> usize {
     len.div_ceil(max_rows.max(1)).max(1)
-}
-
-/// Print a named numeric series as `index,value` CSV rows, downsampled to
-/// at most `max_rows` evenly spaced points (figures have hundreds of
-/// iterations; the trend is what matters), plus the final point, which
-/// always prints even when it falls off the stride.
-pub fn format_series(name: &str, values: &[f64], max_rows: usize) -> String {
-    let mut out = format!("# series: {name} ({} points)\n", values.len());
-    if values.is_empty() {
-        return out;
-    }
-    let stride = stride_for(values.len(), max_rows);
-    for (i, v) in values.iter().enumerate() {
-        if i % stride == 0 || i == values.len() - 1 {
-            out.push_str(&format!("{i},{v:.6}\n"));
-        }
-    }
-    out
 }
 
 /// ASCII violin: a quantile summary plus a sideways histogram of the
@@ -103,48 +85,6 @@ pub fn format_curves(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_downsamples_and_keeps_last() {
-        let values: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let s = format_series("x", &values, 10);
-        assert!(s.starts_with("# series: x (100 points)"));
-        let rows = s.lines().count() - 1;
-        assert!(rows <= 12, "{rows} rows");
-        assert!(s.contains("99,99"));
-    }
-
-    #[test]
-    fn series_empty_is_header_only() {
-        assert_eq!(format_series("e", &[], 5).lines().count(), 1);
-    }
-
-    #[test]
-    fn series_respects_max_rows_at_boundary_lengths() {
-        // The former floor-division stride emitted ALL 150 rows here
-        // (150 / 100 == 1); ceiling division strides by 2.
-        for (len, max_rows) in [
-            (150usize, 100usize),
-            (101, 100),
-            (100, 100),
-            (99, 100),
-            (7, 3),
-        ] {
-            let values: Vec<f64> = (0..len).map(|i| i as f64).collect();
-            let s = format_series("b", &values, max_rows);
-            let rows = s.lines().count() - 1;
-            assert!(
-                rows <= max_rows,
-                "len={len} max_rows={max_rows}: emitted {rows} rows"
-            );
-            // The final point always survives downsampling.
-            assert!(s
-                .lines()
-                .last()
-                .unwrap()
-                .starts_with(&format!("{}", len - 1)));
-        }
-    }
 
     #[test]
     fn violin_shows_quartiles_and_bars() {

@@ -31,13 +31,6 @@ impl<'a> SelectionContext<'a> {
     pub fn is_empty(&self) -> bool {
         self.mu_cost.is_empty()
     }
-
-    /// Assert the four prediction vectors are aligned (debug aid).
-    pub fn validate(&self) {
-        assert_eq!(self.mu_cost.len(), self.sigma_cost.len());
-        assert_eq!(self.mu_cost.len(), self.mu_mem.len());
-        assert_eq!(self.mu_cost.len(), self.sigma_mem.len());
-    }
 }
 
 #[cfg(test)]
@@ -45,7 +38,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn len_and_validate() {
+    fn len_and_is_empty() {
         let mu = [0.1, 0.2];
         let ctx = SelectionContext {
             mu_cost: &mu,
@@ -54,21 +47,7 @@ mod tests {
             sigma_mem: &mu,
             mem_limit_log: None,
         };
-        ctx.validate();
         assert_eq!(ctx.len(), 2);
         assert!(!ctx.is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn validate_catches_misaligned_vectors() {
-        let ctx = SelectionContext {
-            mu_cost: &[0.1, 0.2],
-            sigma_cost: &[0.1],
-            mu_mem: &[0.1, 0.2],
-            sigma_mem: &[0.1, 0.2],
-            mem_limit_log: None,
-        };
-        ctx.validate();
     }
 }
