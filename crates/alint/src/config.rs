@@ -1,12 +1,12 @@
-//! `alint.toml`: the lint scopes and the L5 unit tables.
+//! `alint.toml`: the lint scopes.
 //!
 //! There is no allowlist: an intentional site carries an inline
-//! `// alint: allow(Lx)` marker, and any table other than `[scope]` and
-//! `[units]` is an error.
+//! `// alint: allow(Lx)` marker, and any table other than `[scope]` is an
+//! error.
 //!
 //! The parser below handles exactly the TOML subset the config uses —
-//! the `[scope]` and `[units]` headers and `key = ["a", "b"]` single-line
-//! string arrays — because no TOML crate is available offline.
+//! the `[scope]` header and `key = ["a", "b"]` single-line string arrays
+//! — because no TOML crate is available offline.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -19,13 +19,6 @@ pub struct Config {
     pub typed_error_crates: Vec<String>,
     /// Directories (workspace-relative) scanned for sources.
     pub scan_roots: Vec<String>,
-    /// L5 (unit safety): identifier suffix → unit, written `"_us:microseconds"`.
-    pub unit_suffixes: Vec<(String, String)>,
-    /// L5: quantity type name → unit, written `"Micros:microseconds"`.
-    pub unit_types: Vec<(String, String)>,
-    /// L5: identifiers that convert between units; their presence next to a
-    /// mixed-unit operator marks the expression as an intentional conversion.
-    pub unit_conversions: Vec<String>,
 }
 
 /// A config-file problem with its line number.
@@ -46,11 +39,11 @@ impl std::error::Error for ConfigError {}
 /// `key = [..]` arrays, each with its source line.
 type KeyedValues = BTreeMap<String, (Vec<String>, usize)>;
 
-/// The section headers the file may use. They are organizational: every
-/// key lands in one namespace. Any other header — such as the `[locks]` or
-/// `[determinism]` tables of retired passes, or an array of tables — is an
-/// error.
-const TABLES: [&str; 2] = ["[scope]", "[units]"];
+/// The one section header the file may use. It is organizational: every
+/// key lands in one namespace. Any other header — such as the `[units]`,
+/// `[locks]` or `[determinism]` tables of retired passes, or an array of
+/// tables — is an error.
+const TABLE: &str = "[scope]";
 
 /// Parse a single-line `["a", "b"]` string array.
 fn parse_string_array(raw: &str, line: usize) -> Result<Vec<String>, ConfigError> {
@@ -88,7 +81,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             continue;
         }
         if line.starts_with('[') {
-            if !TABLES.contains(&line) {
+            if line != TABLE {
                 return Err(ConfigError {
                     line: line_no,
                     message: format!("unknown table `{line}`"),
@@ -113,28 +106,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
     };
     take_list("typed_error_crates", &mut config.typed_error_crates);
     take_list("scan_roots", &mut config.scan_roots);
-    take_list("unit_conversions", &mut config.unit_conversions);
-    let mut take_pair_list =
-        |name: &str, target: &mut Vec<(String, String)>| -> Result<(), ConfigError> {
-            if let Some((items, line)) = keys.remove(name) {
-                let mut pairs = Vec::new();
-                for item in items {
-                    let Some((key, unit)) = item.split_once(':') else {
-                        return Err(ConfigError {
-                            line,
-                            message: format!(
-                                "`{name}` entries must look like \"name:unit\", got `{item}`"
-                            ),
-                        });
-                    };
-                    pairs.push((key.trim().to_string(), unit.trim().to_string()));
-                }
-                *target = pairs;
-            }
-            Ok(())
-        };
-    take_pair_list("unit_suffixes", &mut config.unit_suffixes)?;
-    take_pair_list("unit_types", &mut config.unit_types)?;
     if let Some((key, (_, line))) = keys.into_iter().next() {
         return Err(ConfigError {
             line,
@@ -258,12 +229,15 @@ scan_roots = ["crates"]
             "lock_classes",
             "lock_order",
             "expensive_idents",
+            "unit_suffixes",
+            "unit_types",
+            "unit_conversions",
         ] {
             assert!(parse(&format!("{key} = []\n")).is_err(), "{key}");
         }
         // So are their tables, and the retired `[[allow]]` list: an
         // intentional site carries an inline marker instead.
-        for table in ["[locks]", "[determinism]", "[[allow]]"] {
+        for table in ["[units]", "[locks]", "[determinism]", "[[allow]]"] {
             let err = parse(&format!("{table}\n")).unwrap_err();
             assert!(err.message.contains("unknown table"), "{err}");
         }
@@ -318,52 +292,17 @@ scan_roots = ["crates"]
     }
 
     /// The locking contract (DESIGN §14) is the store's shard module plus
-    /// clippy's ban on `Mutex::lock` everywhere else; this keeps either
-    /// entry from leaving the list, or a crate from allowing it wholesale.
+    /// clippy's ban on `Mutex::lock` everywhere else; this keeps the entry
+    /// from leaving the list, or a crate from allowing it wholesale.
     #[test]
     fn committed_clippy_lists_hold_the_locking_contract() {
         let clippy = include_str!("../../../clippy.toml");
         let (_, methods) = clippy
             .split_once("disallowed-methods")
             .expect("clippy.toml has a disallowed-methods list");
-        for path in ["parking_lot::Mutex::lock", "std::sync::Mutex::lock"] {
-            assert!(methods.contains(&format!("path = \"{path}\"")), "{path}");
-        }
+        assert!(methods.contains("path = \"std::sync::Mutex::lock\""));
         let core = include_str!("../../core/Cargo.toml");
         assert!(!core.contains("disallowed_"));
-    }
-
-    #[test]
-    fn unit_tables_parse_and_are_committed() {
-        let cfg = parse(
-            "[units]\nunit_suffixes = [\"_ticks:ticks\"]\nunit_types = [\"Ticks:ticks\"]\n\
-             unit_conversions = [\"to_ticks\"]\n",
-        )
-        .expect("parse");
-        assert_eq!(
-            cfg.unit_suffixes,
-            vec![("_ticks".to_string(), "ticks".to_string())]
-        );
-        assert_eq!(
-            cfg.unit_types,
-            vec![("Ticks".to_string(), "ticks".to_string())]
-        );
-        assert_eq!(cfg.unit_conversions, vec!["to_ticks"]);
-        // The committed file ships the repo's quantity tables; `value` (the
-        // raw-f64 escape hatch) must never count as a conversion.
-        let d = committed();
-        assert!(d
-            .unit_suffixes
-            .iter()
-            .any(|(s, u)| s == "_us" && u == "microseconds"));
-        assert!(d.unit_types.iter().any(|(t, _)| t == "LogMegabytes"));
-        assert!(!d.unit_conversions.contains(&"value".to_string()));
-    }
-
-    #[test]
-    fn malformed_unit_pairs_are_errors() {
-        let err = parse("unit_suffixes = [\"_us\"]\n").unwrap_err();
-        assert!(err.message.contains("name:unit"), "{err}");
     }
 
     #[test]

@@ -25,9 +25,10 @@ pub enum TokenKind {
     Str,
     /// Char or byte literal.
     Char,
-    /// Punctuation. Multi-character operators that matter to the lints
-    /// (`==`, `!=`, `->`, `::`, `=>`, `<=`, `>=`, `&&`, `||`, `..`, `..=`)
-    /// are single tokens; shift operators are deliberately left split so
+    /// Punctuation. The multi-character operators `==`, `!=`, `->`, `::`,
+    /// `=>`, `<=`, `>=`, `&&`, `||`, `..`, `..=` are single tokens, so L2
+    /// sees whole `==`/`!=`, L3 whole `->`, and no compound operator reads
+    /// as its halves; shift operators are deliberately left split so
     /// `Vec<Vec<T>>` closes two angle brackets.
     Punct,
 }

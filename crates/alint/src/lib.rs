@@ -1,12 +1,12 @@
 //! alint — workspace static analysis for numerical-robustness invariants.
 //!
-//! The three lints (L2 float_cmp, L3 typed_error, L5 unit_safety) encode
-//! rules that rustc and clippy cannot express: float comparisons clippy's
-//! `float_cmp` exempts, which crates owe typed errors, and the repo's own
-//! unit vocabulary. The retired IDs L1, L4, L6 and L7 are checked by rustc
-//! and clippy (the workspace `[lints]` tables, `clippy.toml`'s disallowed
-//! lists, and the store's shard module, whose types keep GP work out of
-//! every lock). Each file is linted on its own, and every diagnostic that
+//! The two lints (L2 float_cmp, L3 typed_error) encode rules that rustc
+//! and clippy cannot express: float comparisons clippy's `float_cmp`
+//! exempts, and which crates owe typed errors. The retired IDs L1, L4, L5,
+//! L6 and L7 are checked by rustc and clippy (the workspace `[lints]`
+//! tables, the `al-units` newtypes, `clippy.toml`'s disallowed lists, and
+//! the store's shard module, whose types keep GP work out of every lock).
+//! Each file is linted on its own, and every diagnostic that
 //! no inline `// alint: allow(Lx)` marker suppresses fails the check.
 //! See `lints` for the rules, `config` for `alint.toml`, and `DESIGN.md`
 //! ("Static analysis & invariants") for the policy.
@@ -51,12 +51,11 @@ pub fn check_workspace_lint(
     lint: Option<&str>,
 ) -> std::io::Result<Report> {
     let files = workspace::scan(root, config)?;
-    let units = lints::UnitTables::from_config(config);
     let mut violations = Vec::new();
     for file in &files {
         let src = std::fs::read_to_string(&file.abs_path)?;
         violations.extend(
-            lints::lint_file(&file.rel_path, &lexer::lex(&src), file.scope, &units)
+            lints::lint_file(&file.rel_path, &lexer::lex(&src), file.scope)
                 .into_iter()
                 .filter(|d| lint.is_none_or(|id| d.lint == id)),
         );
@@ -69,10 +68,10 @@ pub fn check_workspace_lint(
 }
 
 /// Every lint ID, in order.
-pub const LINT_IDS: [&str; 3] = ["L2", "L3", "L5"];
+pub const LINT_IDS: [&str; 2] = ["L2", "L3"];
 
-/// Normalize a user-supplied lint selector (`L5`, `l5`, or
-/// `unit_safety`) to its canonical ID, or `None` when unknown.
+/// Normalize a user-supplied lint selector (`L3`, `l3`, or
+/// `typed_error`) to its canonical ID, or `None` when unknown.
 pub fn normalize_lint_id(arg: &str) -> Option<&'static str> {
     LINT_IDS
         .into_iter()
@@ -106,26 +105,26 @@ mod tests {
             violations: vec![Diagnostic {
                 path: "crates/a/src/x.rs".into(),
                 line: 3,
-                lint: "L5",
-                message: "`+` mixes seconds and megabytes".into(),
+                lint: "L3",
+                message: "public Result uses a stringly error".into(),
             }],
             files_scanned: 7,
         };
         assert_eq!(
             render_github(&report),
-            "::error file=crates/a/src/x.rs,line=3,title=alint L5(unit_safety)::\
-             `+` mixes seconds and megabytes\n"
+            "::error file=crates/a/src/x.rs,line=3,title=alint L3(typed_error)::\
+             public Result uses a stringly error\n"
         );
         assert_eq!(render_github(&Report::default()), "");
     }
 
     #[test]
     fn lint_selectors_normalize_ids_and_names() {
-        assert_eq!(normalize_lint_id("L5"), Some("L5"));
+        assert_eq!(normalize_lint_id("L3"), Some("L3"));
         assert_eq!(normalize_lint_id("l2"), Some("L2"));
-        assert_eq!(normalize_lint_id("unit_safety"), Some("L5"));
+        assert_eq!(normalize_lint_id("typed_error"), Some("L3"));
         // Retired IDs and names are unknown, not aliases.
-        for retired in ["wibble", "L6", "L7", "lock_discipline"] {
+        for retired in ["wibble", "L5", "unit_safety", "L6", "L7", "lock_discipline"] {
             assert_eq!(normalize_lint_id(retired), None, "{retired}");
         }
     }

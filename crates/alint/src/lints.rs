@@ -1,22 +1,24 @@
-//! The three lint passes.
+//! The two lint passes.
 //!
 //! | ID | name         | invariant                                                            |
 //! |----|--------------|----------------------------------------------------------------------|
 //! | L2 | `float_cmp`  | no bare `==`/`!=` against floating-point expressions                 |
 //! | L3 | `typed_error`| public `Result` fns in typed-error crates use a typed error          |
-//! | L5 | `unit_safety`| no `+`/`-`/comparison between operands of different inferred units   |
 //!
-//! The IDs L1 (`panic_site`), L4 (`lossy_cast`), L6 (`determinism_safety`)
-//! and L7 (`lock_discipline`) are retired, not reused: rustc and clippy
-//! check them with real name resolution. `unwrap_used`/`expect_used`/
-//! `panic`/`todo`/`unimplemented` replace L1, a module-scoped
-//! `cast_possible_truncation` replaces L4, and `clippy.toml`'s
-//! `disallowed-types` (hash containers) and `disallowed-methods` (thread
-//! spawns, wall-clock reads) replace L6. L7's locking contract is a type
-//! fact of the store's shard module plus a `disallowed-methods` ban on
-//! `Mutex::lock` outside it (DESIGN §14). L2 stays because clippy's
-//! `float_cmp` exempts comparisons against zero and the infinities, and
-//! every function whose name contains `eq`.
+//! The IDs L1 (`panic_site`), L4 (`lossy_cast`), L5 (units), L6
+//! (`determinism_safety`) and L7 (`lock_discipline`) are retired, not
+//! reused: rustc and clippy check them with real name resolution.
+//! `unwrap_used`/`expect_used`/`panic`/`todo`/`unimplemented` replace L1,
+//! a module-scoped `cast_possible_truncation` replaces L4, and
+//! `clippy.toml`'s `disallowed-types` (hash containers) and
+//! `disallowed-methods` (thread spawns, wall-clock reads) replace L6.
+//! L5's unit rules are type facts of the `al-units` newtypes, which have
+//! no `From`/`Into` between units, so rustc rejects a mixed-unit `+`, `-`
+//! or comparison. L7's locking contract is a type fact of the store's
+//! shard module plus a `disallowed-methods` ban on `Mutex::lock` outside
+//! it (DESIGN §14). L2 stays because clippy's `float_cmp` exempts
+//! comparisons against zero and the infinities, and every function whose
+//! name contains `eq`.
 //!
 //! All passes skip `#[cfg(test)]` items and honour inline suppression
 //! markers of the form `// alint: allow(L2)` or `// alint: allow(float_cmp)`
@@ -26,7 +28,6 @@
 //! information would be needed (L2) the heuristics are deliberately
 //! conservative and documented on each pass.
 
-use crate::config::Config;
 use crate::lexer::{Lexed, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -35,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Diagnostic {
     pub path: String,
     pub line: u32,
-    /// Lint ID: `L2`, `L3` or `L5`.
+    /// Lint ID: `L2` or `L3`.
     pub lint: &'static str,
     pub message: String,
 }
@@ -59,7 +60,6 @@ pub fn lint_name(id: &str) -> &'static str {
     match id {
         "L2" => "float_cmp",
         "L3" => "typed_error",
-        "L5" => "unit_safety",
         _ => "unknown",
     }
 }
@@ -69,7 +69,6 @@ pub fn lint_description(id: &str) -> &'static str {
     match id {
         "L2" => "no bare ==/!= against floating-point expressions",
         "L3" => "public Result functions in typed-error crates return typed errors",
-        "L5" => "no arithmetic/comparison between operands of different inferred units",
         _ => "unknown lint",
     }
 }
@@ -80,58 +79,10 @@ pub fn lint_description(id: &str) -> &'static str {
 pub struct FileScope {
     /// L3: the file belongs to a typed-error crate's `src/` tree.
     pub typed_error: bool,
-    /// L5: unit-safety dataflow over suffix- and ascription-inferred units.
-    pub unit_safety: bool,
-}
-
-/// Unit-inference tables for L5, derived from the `[units]` section of
-/// `alint.toml` (see [`Config`]): identifier-suffix → unit, quantity type
-/// name → unit, and the allowlist of conversion identifiers whose presence
-/// marks a mixed-unit expression as an intentional conversion.
-#[derive(Debug, Clone, Default)]
-pub struct UnitTables {
-    /// `(suffix, unit)` sorted longest-suffix-first so `_node_hours` wins
-    /// over any shorter overlapping suffix.
-    suffixes: Vec<(String, String)>,
-    types: BTreeMap<String, String>,
-    conversions: BTreeSet<String>,
-}
-
-impl UnitTables {
-    /// Build the lookup tables from a parsed configuration.
-    pub fn from_config(config: &Config) -> Self {
-        let mut suffixes = config.unit_suffixes.clone();
-        suffixes.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
-        UnitTables {
-            suffixes,
-            types: config.unit_types.iter().cloned().collect(),
-            conversions: config.unit_conversions.iter().cloned().collect(),
-        }
-    }
-
-    /// Unit inferred from an identifier's suffix, matched case-insensitively
-    /// (`MEM_LIMIT_MB` and `base_mem_mb` both read as megabytes). The
-    /// identifier must be strictly longer than the suffix.
-    fn suffix_unit(&self, ident: &str) -> Option<&str> {
-        let lower = ident.to_ascii_lowercase();
-        self.suffixes
-            .iter()
-            .find(|(suffix, _)| lower.len() > suffix.len() && lower.ends_with(suffix.as_str()))
-            .map(|(_, unit)| unit.as_str())
-    }
-
-    fn is_empty(&self) -> bool {
-        self.suffixes.is_empty() && self.types.is_empty()
-    }
 }
 
 /// Run every applicable pass over one lexed file.
-pub fn lint_file(
-    path: &str,
-    lexed: &Lexed,
-    scope: FileScope,
-    units: &UnitTables,
-) -> Vec<Diagnostic> {
+pub fn lint_file(path: &str, lexed: &Lexed, scope: FileScope) -> Vec<Diagnostic> {
     let tokens = &lexed.tokens;
     let in_test = test_region_mask(tokens);
     let suppressed = suppression_markers(lexed);
@@ -157,9 +108,6 @@ pub fn lint_file(
     l2_float_cmp(tokens, &in_test, &mut push);
     if scope.typed_error {
         l3_typed_errors(tokens, &in_test, &mut push);
-    }
-    if scope.unit_safety {
-        l5_unit_safety(tokens, &in_test, units, &mut push);
     }
 
     diagnostics.sort();
@@ -583,212 +531,17 @@ fn untyped_result_error(ret: &[Token]) -> Option<String> {
     None
 }
 
-/// Variables bound with an explicit quantity-type ascription —
-/// `let [mut] name: [&[mut]] Seconds = …` — outside test regions, mapped to
-/// the unit the type table assigns. As with [`float_ascribed_vars`], names
-/// the file later ascribes a *different* unit type (shadowing, reuse across
-/// functions) are dropped: without real scopes the pass cannot tell which
-/// binding a use refers to. Non-quantity ascriptions (`f64`, `usize`, …)
-/// contribute nothing either way — the identifier's suffix remains the
-/// evidence for those bindings.
-fn unit_ascribed_vars(
-    tokens: &[Token],
-    in_test: &[bool],
-    units: &UnitTables,
-) -> BTreeMap<String, String> {
-    let mut unit_names: BTreeMap<String, String> = BTreeMap::new();
-    let mut conflicted: BTreeSet<String> = BTreeSet::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if in_test[i] || tokens[i].kind != TokenKind::Ident || tokens[i].text != "let" {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        if tokens.get(j).is_some_and(|t| t.text == "mut") {
-            j += 1;
-        }
-        let Some(name) = tokens.get(j).filter(|t| t.kind == TokenKind::Ident) else {
-            i = j;
-            continue;
-        };
-        if tokens.get(j + 1).map(|t| t.text.as_str()) != Some(":") {
-            i = j + 1;
-            continue;
-        }
-        let mut k = j + 2;
-        let mut depth = 0i64;
-        let mut ty: Vec<&Token> = Vec::new();
-        while let Some(token) = tokens.get(k) {
-            match token.text.as_str() {
-                "<" | "(" | "[" => depth += 1,
-                ">" | ")" | "]" => depth -= 1,
-                "=" | ";" if depth <= 0 => break,
-                _ => {}
-            }
-            ty.push(token);
-            k += 1;
-        }
-        let scalar: Vec<&str> = ty
-            .iter()
-            .filter(|t| !(t.text == "&" || t.text == "mut" || t.kind == TokenKind::Lifetime))
-            .map(|t| t.text.as_str())
-            .collect();
-        if let [single] = scalar.as_slice() {
-            if let Some(unit) = units.types.get(*single) {
-                match unit_names.get(name.text.as_str()) {
-                    Some(existing) if existing != unit => {
-                        conflicted.insert(name.text.clone());
-                    }
-                    _ => {
-                        unit_names.insert(name.text.clone(), unit.clone());
-                    }
-                }
-            }
-        }
-        i = k;
-    }
-    for name in &conflicted {
-        unit_names.remove(name);
-    }
-    unit_names
-}
-
-/// L5: `+`/`-` (including `+=`/`-=`) and comparisons between operands whose
-/// inferred units differ.
-///
-/// A unit is inferred for an identifier from, in order: a `let` ascription
-/// to a quantity type (see [`unit_ascribed_vars`]), the quantity type table
-/// itself (`Seconds::new(…)` carries seconds), and the longest matching
-/// identifier suffix (`_us`, `_mb`, …; case-insensitive). Each operand side
-/// is a short token window around the operator, stopping at expression
-/// boundaries; the *nearest* unit-bearing identifier on each side decides
-/// that side's unit. An operator is flagged only when **both** sides carry
-/// units and they disagree — one-sided evidence never flags — and any
-/// conversion-allowlist identifier (`to_seconds`, `log10`, …) in either
-/// window marks the expression as an intentional conversion and suppresses
-/// the finding. `.value()` escapes to raw `f64` are deliberately *not* on
-/// the allowlist: `a_us.value() < b_seconds.value()` is exactly the bug
-/// class this pass exists to catch.
-fn l5_unit_safety(
-    tokens: &[Token],
-    in_test: &[bool],
-    units: &UnitTables,
-    push: &mut impl FnMut(&'static str, u32, String),
-) {
-    if units.is_empty() {
-        return;
-    }
-    let ascribed = unit_ascribed_vars(tokens, in_test, units);
-    let unit_at = |idx: usize| -> Option<&str> {
-        let token = tokens.get(idx)?;
-        if token.kind != TokenKind::Ident {
-            return None;
-        }
-        if let Some(unit) = ascribed.get(&token.text) {
-            return Some(unit);
-        }
-        if let Some(unit) = units.types.get(&token.text) {
-            return Some(unit);
-        }
-        units.suffix_unit(&token.text)
-    };
-    let converts_at = |idx: usize| -> bool {
-        tokens
-            .get(idx)
-            .is_some_and(|t| t.kind == TokenKind::Ident && units.conversions.contains(&t.text))
-    };
-    // Expression boundaries: statement/block punctuation, short-circuit
-    // operators, assignment, ascription/arrow (type positions), and the
-    // statement keywords. Parentheses are transparent on purpose so units
-    // are seen through call layers like `f(a_us) + g(b_us)`.
-    let stops = |k: usize| {
-        matches!(
-            tokens[k].text.as_str(),
-            ";" | "{"
-                | "}"
-                | ","
-                | "&&"
-                | "||"
-                | "="
-                | "=>"
-                | ":"
-                | "->"
-                | "return"
-                | "let"
-                | "if"
-                | "else"
-                | "while"
-                | "for"
-                | "match"
-                | "in"
-        )
-    };
-    for (i, token) in tokens.iter().enumerate() {
-        if in_test[i] || token.kind != TokenKind::Punct {
-            continue;
-        }
-        let op = token.text.as_str();
-        let arithmetic = matches!(op, "+" | "-");
-        if !arithmetic && !matches!(op, "<" | "<=" | ">" | ">=" | "==" | "!=") {
-            continue;
-        }
-        // `+=`/`-=` lex as two tokens; the right operand starts past the `=`
-        // and the display operator is reassembled for the message.
-        let mut right_from = i + 1;
-        let mut shown = op.to_string();
-        if arithmetic && tokens.get(i + 1).is_some_and(|t| t.text == "=") {
-            right_from = i + 2;
-            shown.push('=');
-        }
-        let window = 6usize;
-        let left: Vec<usize> = (0..i)
-            .rev()
-            .take_while(|&k| !stops(k))
-            .take(window)
-            .collect();
-        let right: Vec<usize> = (right_from..tokens.len())
-            .take_while(|&k| !stops(k))
-            .take(window)
-            .collect();
-        if left.iter().chain(right.iter()).any(|&k| converts_at(k)) {
-            continue;
-        }
-        let left_unit = left.iter().find_map(|&k| unit_at(k));
-        let right_unit = right.iter().find_map(|&k| unit_at(k));
-        if let (Some(lhs), Some(rhs)) = (left_unit, right_unit) {
-            if lhs != rhs {
-                push(
-                    "L5",
-                    token.line,
-                    format!("`{shown}` mixes {lhs} and {rhs}; convert explicitly before combining"),
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::committed;
     use crate::lexer::lex;
 
     fn run(src: &str, scope: FileScope) -> Vec<Diagnostic> {
-        let lexed = lex(src);
-        lint_file(
-            "test.rs",
-            &lexed,
-            scope,
-            &UnitTables::from_config(&committed()),
-        )
+        lint_file("test.rs", &lex(src), scope)
     }
 
     fn all_scopes() -> FileScope {
-        FileScope {
-            typed_error: true,
-            unit_safety: true,
-        }
+        FileScope { typed_error: true }
     }
 
     #[test]
@@ -921,11 +674,7 @@ mod tests {
     fn scopes_gate_the_passes() {
         let src = "pub fn f() -> Result<u32, String> { Ok(1) }";
         assert!(run(src, FileScope::default()).is_empty());
-        let only_l3 = FileScope {
-            typed_error: true,
-            ..FileScope::default()
-        };
-        assert_eq!(run(src, only_l3).len(), 1);
+        assert_eq!(run(src, all_scopes()).len(), 1);
     }
 
     #[test]
@@ -936,133 +685,5 @@ mod tests {
         assert_eq!(d.line, 3);
         assert_eq!(d.lint, "L2");
         assert!(d.to_string().contains("test.rs:3: L2(float_cmp)"));
-    }
-
-    fn l5_only() -> FileScope {
-        FileScope {
-            unit_safety: true,
-            ..FileScope::default()
-        }
-    }
-
-    #[test]
-    fn l5_flags_mixed_suffix_arithmetic_and_comparison() {
-        let src = "fn f(a_us: f64, b_seconds: f64) -> f64 { a_us + b_seconds }";
-        let diags = run(src, l5_only());
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].lint, "L5");
-        assert!(diags[0].message.contains("microseconds"), "{diags:?}");
-        assert!(diags[0].message.contains("seconds"), "{diags:?}");
-
-        let src = "fn g(total_mb: f64, used_bytes: f64) -> bool { total_mb < used_bytes }";
-        assert_eq!(run(src, l5_only()).len(), 1);
-    }
-
-    #[test]
-    fn l5_same_unit_and_one_sided_are_silent() {
-        let src = "fn f(a_us: f64, b_us: f64, k: f64) -> f64 { (a_us - b_us) + k }";
-        assert!(run(src, l5_only()).is_empty());
-        let src = "fn g(wall_seconds: f64, scale: f64) -> bool { wall_seconds < scale }";
-        assert!(run(src, l5_only()).is_empty());
-    }
-
-    #[test]
-    fn l5_conversion_idents_suppress() {
-        let src = "fn f(a_us: f64, b_seconds: f64) -> f64 { to_seconds(a_us) + b_seconds }";
-        assert!(run(src, l5_only()).is_empty());
-        let src =
-            "fn g(m: Micros, wall_seconds: Seconds) -> Seconds { wall_seconds + m.to_seconds() }";
-        assert!(run(src, l5_only()).is_empty());
-    }
-
-    #[test]
-    fn l5_detects_compound_assignment() {
-        // `+=` lexes as `+` then `=`; the right window must start past the
-        // `=`, not stop at it.
-        let src =
-            "fn f(extra_seconds: f64) { let mut total_us: f64 = 0.0; total_us += extra_seconds; }";
-        let diags = run(src, l5_only());
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("`+=`"), "{diags:?}");
-    }
-
-    #[test]
-    fn l5_uses_quantity_type_ascriptions() {
-        let src = r#"
-            fn f(budget: Seconds, spent_us: f64) -> bool {
-                let wall: Seconds = budget;
-                wall != spent_us
-            }
-        "#;
-        let diags = run(src, l5_only());
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].line, 4);
-    }
-
-    #[test]
-    fn l5_conflicting_unit_ascriptions_drop_the_name() {
-        let src = r#"
-            fn f(x: Seconds) -> bool {
-                let t: Seconds = x;
-                let q_us = report(t);
-                t < q_us
-            }
-            fn g(y: Micros) {
-                let t: Micros = y;
-                consume(t);
-            }
-        "#;
-        // `t` is seconds in f() but micros in g(): ambiguous, so only the
-        // suffix evidence on `q_us` remains and the comparison is one-sided.
-        let diags = run(src, l5_only());
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn l5_type_names_carry_units_in_expressions() {
-        let src = "fn f(raw_mb: f64) -> bool { Seconds::new(1.0) < raw_mb }";
-        let diags = run(src, l5_only());
-        assert_eq!(diags.len(), 1, "{diags:?}");
-    }
-
-    #[test]
-    fn l5_signatures_and_generics_do_not_flag() {
-        // `Option<Megabytes>` and `-> NodeHours` put two quantity types near
-        // `<`/`>` tokens; the `:`/`->`/`,` stops must keep them one-sided.
-        let src = "pub fn record(cost_node_hours: f64, limit: Option<Megabytes>) -> NodeHours { NodeHours::new(cost_node_hours) }";
-        let diags = run(src, l5_only());
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn l5_markers_suppress() {
-        let src = "fn f(a_us: f64, b_seconds: f64) -> f64 { a_us + b_seconds } // alint: allow(L5)";
-        assert!(run(src, l5_only()).is_empty());
-        let src =
-            "// alint: allow(unit_safety)\nfn f(a_us: f64, b_mb: f64) -> bool { a_us < b_mb }";
-        assert!(run(src, l5_only()).is_empty());
-    }
-
-    #[test]
-    fn l5_is_silent_inside_test_regions() {
-        let src = r#"
-            #[cfg(test)]
-            fn t(a_us: f64, b_seconds: f64) -> f64 { a_us + b_seconds }
-        "#;
-        assert!(run(src, l5_only()).is_empty());
-    }
-
-    #[test]
-    fn l5_empty_tables_disable_the_pass() {
-        let cfg = Config {
-            unit_suffixes: Vec::new(),
-            unit_types: Vec::new(),
-            unit_conversions: Vec::new(),
-            ..committed()
-        };
-        let src = "fn f(a_us: f64, b_seconds: f64) -> f64 { a_us + b_seconds }";
-        let lexed = lex(src);
-        let diags = lint_file("t.rs", &lexed, l5_only(), &UnitTables::from_config(&cfg));
-        assert!(diags.is_empty(), "{diags:?}");
     }
 }

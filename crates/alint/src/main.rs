@@ -27,8 +27,8 @@ fn main() -> ExitCode {
                 Some(Some(id)) => lint = Some(id),
                 Some(None) => {
                     eprintln!(
-                        "alint: --lint requires a lint ID (L2, L3, L5) or name \
-                         (float_cmp, typed_error, unit_safety)"
+                        "alint: --lint requires a lint ID (L2, L3) or name \
+                         (float_cmp, typed_error)"
                     );
                     return ExitCode::from(2);
                 }
@@ -92,9 +92,9 @@ usage: cargo run -p alint -- [check|lints] [--root <dir>]
 
   --format  check output style: text (default) or github (::error
             workflow-command annotations)
-  --lint    restrict check to one lint, by ID (L2, L3, L5) or name
-            (float_cmp, typed_error, unit_safety) — fast single-pass
-            iteration while developing a lint
+  --lint    restrict check to one lint, by ID (L2, L3) or name
+            (float_cmp, typed_error) — fast single-pass iteration while
+            developing a lint
 ";
 
 /// Locate the workspace root: the manifest dir's grandparent when built in
@@ -147,19 +147,11 @@ fn check(
 }
 
 /// List every lint with its name, one-line description, and whether the
-/// loaded configuration enables it (a lint is "off" when the tables that
-/// scope it are empty, mirroring how the passes themselves gate).
+/// loaded configuration enables it (L2 always runs; L3 is "off" when no
+/// crate is in its scope, mirroring how the pass itself gates).
 fn lints(config: &alint::config::Config) -> ExitCode {
     for id in alint::LINT_IDS {
-        let enabled = match id {
-            "L2" => true,
-            "L3" => !config.typed_error_crates.is_empty(),
-            _ => {
-                !(config.unit_suffixes.is_empty()
-                    && config.unit_types.is_empty()
-                    && config.unit_conversions.is_empty())
-            }
-        };
+        let enabled = id == "L2" || !config.typed_error_crates.is_empty();
         println!(
             "{id}  {:<19} {:<8} {}",
             alint::lints::lint_name(id),

@@ -73,8 +73,6 @@ fn rel_string(path: &Path, root: &Path) -> String {
 /// - L2 runs on everything scanned (it has no scope switch).
 /// - L3 runs on `src/` library files of the typed-error crates — binaries
 ///   (`main.rs`, `bin/`) are not public API.
-/// - L5 runs on everything scanned (disabling it means emptying the unit
-///   tables in `alint.toml`, not a per-file carve-out).
 pub fn scope_for(rel_path: &str, config: &Config) -> FileScope {
     let in_crate_src = |crate_root: &str| {
         rel_path.starts_with(&format!("{crate_root}/src/"))
@@ -83,7 +81,6 @@ pub fn scope_for(rel_path: &str, config: &Config) -> FileScope {
     };
     FileScope {
         typed_error: config.typed_error_crates.iter().any(|c| in_crate_src(c)),
-        unit_safety: true,
     }
 }
 
@@ -96,10 +93,10 @@ mod tests {
     fn scope_assignment_follows_config() {
         let config = committed();
         let s = scope_for("crates/linalg/src/cholesky.rs", &config);
-        assert!(s.typed_error && s.unit_safety);
+        assert!(s.typed_error);
 
         let s = scope_for("crates/core/src/procedure.rs", &config);
-        assert!(s.typed_error && s.unit_safety);
+        assert!(s.typed_error);
 
         // The linter lints itself: L3 covers its own src/ files.
         let s = scope_for("crates/alint/src/lints.rs", &config);
@@ -107,11 +104,11 @@ mod tests {
 
         // Binaries are exempt from the library-only passes.
         let s = scope_for("crates/core/src/main.rs", &config);
-        assert!(!s.typed_error && s.unit_safety);
+        assert!(!s.typed_error);
         let s = scope_for("crates/bench/src/bin/sweep.rs", &config);
-        assert!(!s.typed_error && s.unit_safety);
+        assert!(!s.typed_error);
         let s = scope_for("src/main.rs", &config);
-        assert!(!s.typed_error && s.unit_safety);
+        assert!(!s.typed_error);
     }
 
     #[test]

@@ -7,15 +7,9 @@
 // carve-outs from clippy.toml don't reach them.
 #![allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
-use alint::config::Config;
 use alint::lexer::lex;
-use alint::lints::{lint_file, Diagnostic, FileScope, UnitTables};
+use alint::lints::{lint_file, Diagnostic, FileScope};
 use std::path::{Path, PathBuf};
-
-/// The committed `alint.toml`, parsed: the repo's tables.
-fn repo_config() -> Config {
-    alint::config::parse(include_str!("../../../alint.toml")).expect("alint.toml parses")
-}
 
 fn lint_fixture(name: &str, scope: FileScope) -> Vec<Diagnostic> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -23,25 +17,11 @@ fn lint_fixture(name: &str, scope: FileScope) -> Vec<Diagnostic> {
         .join(name);
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-    lint_file(
-        name,
-        &lex(&src),
-        scope,
-        &UnitTables::from_config(&repo_config()),
-    )
+    lint_file(name, &lex(&src), scope)
 }
 
 fn all_scopes() -> FileScope {
-    FileScope {
-        typed_error: true,
-        unit_safety: true,
-    }
-}
-
-fn only(select: impl Fn(&mut FileScope)) -> FileScope {
-    let mut scope = FileScope::default();
-    select(&mut scope);
-    scope
+    FileScope { typed_error: true }
 }
 
 /// A scratch-crate source with one L3 finding, on line 2.
@@ -94,7 +74,7 @@ fn l2_markers_suppress_by_id_and_by_name() {
 
 #[test]
 fn l3_flags_untyped_error_slots() {
-    let diags = lint_fixture("l3_violations.rs", only(|s| s.typed_error = true));
+    let diags = lint_fixture("l3_violations.rs", all_scopes());
     assert_eq!(diags.len(), 3, "{diags:#?}");
     assert!(diags.iter().all(|d| d.lint == "L3"), "{diags:#?}");
     assert_eq!(
@@ -107,26 +87,6 @@ fn l3_flags_untyped_error_slots() {
 #[test]
 fn l3_clean_fixture_is_silent_under_every_lint() {
     let diags = lint_fixture("l3_clean.rs", all_scopes());
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn l5_flags_each_kind_of_unit_mixing() {
-    let diags = lint_fixture("l5_violations.rs", only(|s| s.unit_safety = true));
-    assert_eq!(diags.len(), 5, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.lint == "L5"), "{diags:#?}");
-    // Suffix arithmetic, suffix comparison, compound assignment, quantity
-    // ascription, and a quantity type name used in an expression.
-    assert_eq!(
-        diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-        vec![5, 9, 15, 21, 25],
-        "{diags:#?}"
-    );
-}
-
-#[test]
-fn l5_clean_fixture_is_silent_under_every_lint() {
-    let diags = lint_fixture("l5_clean.rs", all_scopes());
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
@@ -175,23 +135,30 @@ fn cli_exits_nonzero_on_violation_and_zero_when_marked() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// There is no allowlist: a leftover `[[allow]]` table is a config error,
-/// like any other retired table.
+/// There is no allowlist, and units are the `al-units` types' job: a
+/// leftover `[[allow]]` or `[units]` table, or a unit key without its
+/// header, is a config error like any other retired table.
 #[test]
-fn cli_rejects_an_allow_table() {
-    let root = demo_workspace("allow_table", UNTYPED_ERROR);
-    std::fs::write(
-        root.join("alint.toml"),
-        format!(
-            "{DEMO_CONFIG}[[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\n\
-             count = 1\n"
+fn cli_rejects_retired_tables_and_keys() {
+    let root = demo_workspace("retired_tables", UNTYPED_ERROR);
+    for (extra, expected) in [
+        (
+            "[[allow]]\npath = \"crates/demo/src/lib.rs\"\nlint = \"L3\"\ncount = 1\n",
+            "unknown table `[[allow]]`",
         ),
-    )
-    .expect("write config");
-    let out = alint(&["check"], &root);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown table `[[allow]]`"), "{stderr}");
+        ("[units]\n", "unknown table `[units]`"),
+        (
+            "unit_suffixes = [\"_us:microseconds\"]\n",
+            "unknown key `unit_suffixes`",
+        ),
+    ] {
+        std::fs::write(root.join("alint.toml"), format!("{DEMO_CONFIG}{extra}"))
+            .expect("write config");
+        let out = alint(&["check"], &root);
+        assert_eq!(out.status.code(), Some(2), "{extra}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expected), "{stderr}");
+    }
 
     std::fs::remove_dir_all(&root).ok();
 }
@@ -265,6 +232,8 @@ fn cli_lint_flag_filters_check_to_one_pass() {
         "L9",
         "L1",
         "lossy_cast",
+        "L5",
+        "unit_safety",
         "L6",
         "determinism_safety",
         "L7",
@@ -283,11 +252,10 @@ fn cli_lint_flag_filters_check_to_one_pass() {
 fn cli_lints_subcommand_lists_passes_with_enabled_status() {
     let root = scratch_workspace("lints_list");
     std::fs::create_dir_all(root.join("crates")).expect("mkdir");
-    // typed_error_crates emptied → L3 off; a unit suffix → L5 on.
+    // typed_error_crates emptied → L3 off.
     std::fs::write(
         root.join("alint.toml"),
-        "scan_roots = [\"crates\"]\ntyped_error_crates = []\n\
-         [units]\nunit_suffixes = [\"_us:microseconds\"]\n",
+        "scan_roots = [\"crates\"]\ntyped_error_crates = []\n",
     )
     .expect("write config");
 
@@ -295,8 +263,8 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 3, "{stdout}");
-    for (i, id) in ["L2", "L3", "L5"].iter().enumerate() {
+    assert_eq!(lines.len(), 2, "{stdout}");
+    for (i, id) in ["L2", "L3"].iter().enumerate() {
         assert!(lines[i].starts_with(id), "{stdout}");
     }
     let row = |id: &str| {
@@ -312,10 +280,6 @@ fn cli_lints_subcommand_lists_passes_with_enabled_status() {
     );
     assert!(
         row("L2").contains("float_cmp") && row("L2").contains("on"),
-        "{stdout}"
-    );
-    assert!(
-        row("L5").contains("unit_safety") && row("L5").contains("on"),
         "{stdout}"
     );
 

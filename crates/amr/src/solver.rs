@@ -69,9 +69,6 @@ pub struct SolverProfile {
     pub minlevel: u8,
     /// Hard cap on time steps (safety against pathological configs).
     pub max_steps: u64,
-    /// Apply flux-register corrections at coarse–fine interfaces after
-    /// each sweep (restores discrete conservation; small extra cost).
-    pub reflux: bool,
     /// Time-integration mode (level-synchronous or Berger–Oliger
     /// subcycled).
     pub time_stepping: TimeStepping,
@@ -91,7 +88,6 @@ impl SolverProfile {
             regrid_interval: 4,
             minlevel: 2,
             max_steps: 200_000,
-            reflux: true,
             time_stepping: TimeStepping::Subcycled,
         }
     }
@@ -117,7 +113,6 @@ impl SolverProfile {
             cfl: 0.45,
             criteria: RefinementCriteria::default(),
             max_steps: 200_000,
-            reflux: true,
             time_stepping: TimeStepping::LevelSynchronous,
         }
     }
@@ -325,11 +320,9 @@ impl AmrSolver {
             } else {
                 Axis::Y
             };
-            let registers = self.sweep(None, axis, dt);
-            if self.profile.reflux {
-                let registers: BTreeMap<PatchKey, BoundaryFluxes> = registers.into_iter().collect();
-                self.stats.reflux_faces += self.forest.reflux(axis, &registers, dt)?;
-            }
+            let registers: BTreeMap<PatchKey, BoundaryFluxes> =
+                self.sweep(None, axis, dt).into_iter().collect();
+            self.stats.reflux_faces += self.forest.reflux(axis, &registers, dt)?;
         }
         self.stats.level_steps += 1;
         Ok(())
@@ -428,11 +421,9 @@ impl AmrSolver {
                 Axis::Y
             };
             let registers = self.sweep(Some(level), axis, dt);
-            if self.profile.reflux {
-                match axis {
-                    Axis::X => fluxes.x.extend(registers),
-                    Axis::Y => fluxes.y.extend(registers),
-                }
+            match axis {
+                Axis::X => fluxes.x.extend(registers),
+                Axis::Y => fluxes.y.extend(registers),
             }
         }
         self.level_substeps[level as usize] += 1;
@@ -442,18 +433,16 @@ impl AmrSolver {
             let half_dt = 0.5 * dt;
             let sub0 = self.advance_level(level + 1, finest, half_dt, 0.0, snapshots)?;
             let sub1 = self.advance_level(level + 1, finest, half_dt, 0.5, snapshots)?;
-            if self.profile.reflux {
-                let mut regs_x = fluxes.x.clone();
-                let mut regs_y = fluxes.y.clone();
-                merge_time_averaged(&mut regs_x, &sub0.x, &sub1.x);
-                merge_time_averaged(&mut regs_y, &sub0.y, &sub1.y);
-                self.stats.reflux_faces +=
-                    self.forest
-                        .reflux_level(Axis::X, &regs_x, dt, Some(level))?;
-                self.stats.reflux_faces +=
-                    self.forest
-                        .reflux_level(Axis::Y, &regs_y, dt, Some(level))?;
-            }
+            let mut regs_x = fluxes.x.clone();
+            let mut regs_y = fluxes.y.clone();
+            merge_time_averaged(&mut regs_x, &sub0.x, &sub1.x);
+            merge_time_averaged(&mut regs_y, &sub0.y, &sub1.y);
+            self.stats.reflux_faces +=
+                self.forest
+                    .reflux_level(Axis::X, &regs_x, dt, Some(level))?;
+            self.stats.reflux_faces +=
+                self.forest
+                    .reflux_level(Axis::Y, &regs_y, dt, Some(level))?;
         }
         Ok(fluxes)
     }

@@ -68,7 +68,6 @@ fn subcycled_refluxing_conserves_mass_and_energy() {
         // property of sweeps + subcycled refluxing from interpolation
         // done by refinement/coarsening.
         regrid_interval: 1_000_000,
-        reflux: true,
         time_stepping: TimeStepping::Subcycled,
         ..SolverProfile::smoke()
     };
@@ -100,7 +99,6 @@ fn subcycled_matches_synchronous_on_uniform_forest() {
     let base = SolverProfile {
         t_final: 0.01,
         minlevel: 2,
-        reflux: true,
         ..SolverProfile::smoke()
     };
     let run = |mode: TimeStepping| {

@@ -2,7 +2,8 @@
 //!
 //! A registry of named, fixed-seed scenarios covers every hot path of the
 //! workspace — Cholesky factorization and the O(n²) bordered extension vs.
-//! the O(n³) refit it replaces, GP fit/predict/augment, local-GP selection
+//! an O(n³) factorization from scratch, GP fit (from scratch, and by one
+//! O(n²) border step onto a held fit)/predict/augment, local-GP selection
 //! over a 10⁵-candidate grid, the AMR solver step and single-patch sweep,
 //! and one end-to-end RGMA sweep iteration. Each scenario runs warmup calls,
 //! then N timed repeats (auto-batched so a sample spans at least a few

@@ -52,10 +52,13 @@ pub struct AlOptions {
     pub hyperparam_stabilization: Option<(usize, f64)>,
     /// Absorb newly acquired samples by `O(n²)` bordered-Cholesky updates
     /// ([`al_gp::GpModel::augment`]) between hyperparameter re-optimizations,
-    /// instead of `O(n³)` refactorizations. Numerically equivalent up to
-    /// rounding (near-tie greedy picks may reorder). Off by default —
-    /// full refits are the paper-faithful reference path; enable for
-    /// large Active pools where the cubic refit dominates the loop.
+    /// instead of full refits. A full refit there is no `O(n³)`
+    /// refactorization either: [`al_gp::GpModel::fit`] grows the held
+    /// exact factor by one `O(n²)` border step per new row and then solves
+    /// in `O(n²)`, so the two paths cost about the same. Augments keep the
+    /// centering offset frozen, so the results agree only up to rounding
+    /// (near-tie greedy picks may reorder). Off by default — full refits
+    /// are the paper-faithful reference path.
     pub incremental: bool,
     /// Seed for the strategy's random draws.
     pub seed: u64,

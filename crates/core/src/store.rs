@@ -3,7 +3,7 @@
 //!
 //! The serving shape the ROADMAP asks for: sessions are keyed by a
 //! caller-chosen `u64` id, a session's shard is `id % n_shards`, and each
-//! shard is an independent [`parking_lot::Mutex`] over an ordered map —
+//! shard is an independent [`std::sync::Mutex`] over an ordered map —
 //! no cross-shard locks are ever held, so operations on sessions in
 //! different shards never contend. GP work never runs under a lock, and
 //! the types say so (DESIGN §14): both mutexes live in the private
@@ -212,19 +212,29 @@ const WARM_CAPACITY: NonZeroUsize = match NonZeroUsize::new(32) {
 /// would take, the warm key — is plain metadata stored beside the session
 /// in [`Entry`].
 ///
-/// Each accessor takes exactly one lock, returns no guard and takes no
-/// closure, so no guard ever nests and the warm-before-shard order cannot
-/// invert. Outside the vendored `parking_lot` stand-in these accessors
-/// are the workspace's only `Mutex::lock` calls: `clippy.toml` bans the
-/// method everywhere else, and each accessor carries the one `#[expect]`
-/// that admits it.
+/// Each accessor takes exactly one lock through `lock`, returns no guard
+/// and takes no closure, so no guard ever nests and the warm-before-shard
+/// order cannot invert. `lock` is the workspace's only `Mutex::lock`
+/// call: `clippy.toml` bans the method everywhere else, and the helper
+/// carries the one `#[expect]` that admits it.
 mod shards {
     use super::{HyperparamLru, SessionError, WarmKey};
     use crate::session::{Decision, WarmHyperparams};
     use al_gp::GpError;
-    use parking_lot::Mutex;
     use std::collections::BTreeMap;
     use std::num::NonZeroUsize;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Lock `mutex`, recovering the guard if a panicking holder poisoned
+    /// it. No accessor leaves a half-written map behind (each lock window
+    /// is one map call on plain data), so the data stays valid.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the shard module's one lock site; every accessor locks through it"
+    )]
+    fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+        mutex.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// One session plus the serving metadata its lock windows read.
     pub(super) struct Entry<V> {
@@ -264,28 +274,18 @@ mod shards {
         }
 
         /// Live sessions in shard `index`.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "one shard lock; reads the map's length"
-        )]
         pub(super) fn shard_len(&self, index: usize) -> usize {
-            self.shards[index].lock().len()
+            lock(&self.shards[index]).len()
         }
 
         /// True when `id` is in its shard (a checked-out session is not).
-        #[expect(clippy::disallowed_methods, reason = "one shard lock; a map lookup")]
         pub(super) fn contains(&self, id: u64) -> bool {
-            self.shard(id).lock().contains_key(&id)
+            lock(self.shard(id)).contains_key(&id)
         }
 
         /// The stored decision of `id`.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "one shard lock; copies the stored decision"
-        )]
         pub(super) fn decision(&self, id: u64) -> Result<Decision, SessionError> {
-            self.shard(id)
-                .lock()
+            lock(self.shard(id))
                 .get(&id)
                 .map(|e| e.decision)
                 .ok_or(SessionError::UnknownSession(id))
@@ -295,9 +295,8 @@ mod shards {
         /// back in. An id taken in the meantime is a
         /// [`SessionError::DuplicateSession`], and the entry already there
         /// stays.
-        #[expect(clippy::disallowed_methods, reason = "one shard lock; a map insert")]
         pub(super) fn insert(&self, id: u64, entry: Entry<V>) -> Result<(), SessionError> {
-            let mut shard = self.shard(id).lock();
+            let mut shard = lock(self.shard(id));
             if shard.contains_key(&id) {
                 return Err(SessionError::DuplicateSession(id));
             }
@@ -308,17 +307,13 @@ mod shards {
         /// Take `id` out of its shard to answer candidate `got`. Unknown,
         /// then mismatched, then non-finite (`finite` false) observations
         /// are rejected with the entry left in place.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "one shard lock; validates against the stored metadata"
-        )]
         pub(super) fn check_out(
             &self,
             id: u64,
             got: usize,
             finite: bool,
         ) -> Result<Entry<V>, SessionError> {
-            let mut shard = self.shard(id).lock();
+            let mut shard = lock(self.shard(id));
             let entry = shard.get(&id).ok_or(SessionError::UnknownSession(id))?;
             let expected = entry.decision.query().map(|q| q.dataset_index);
             if expected != Some(got) {
@@ -333,39 +328,25 @@ mod shards {
         }
 
         /// Remove `id` for good.
-        #[expect(clippy::disallowed_methods, reason = "one shard lock; a map remove")]
         pub(super) fn remove(&self, id: u64) -> Result<Entry<V>, SessionError> {
-            self.shard(id)
-                .lock()
+            lock(self.shard(id))
                 .remove(&id)
                 .ok_or(SessionError::UnknownSession(id))
         }
 
         /// Cached hyperparameters for `key`, refreshing its recency.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the warm lock alone; an LRU lookup"
-        )]
         pub(super) fn warm_get(&self, key: &WarmKey) -> Option<WarmHyperparams> {
-            self.warm.lock().get(key).cloned()
+            lock(&self.warm).get(key).cloned()
         }
 
         /// Cache `value` under `key` as the most recent entry.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the warm lock alone; an LRU insert"
-        )]
         pub(super) fn warm_insert(&self, key: WarmKey, value: WarmHyperparams) {
-            self.warm.lock().insert(key, value);
+            lock(&self.warm).insert(key, value);
         }
 
         /// Cached keys in recency order.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the warm lock alone; copies the LRU's keys"
-        )]
         pub(super) fn warm_keys(&self) -> Vec<WarmKey> {
-            self.warm.lock().iter().map(|(k, _)| k.clone()).collect()
+            lock(&self.warm).iter().map(|(k, _)| k.clone()).collect()
         }
     }
 
@@ -422,6 +403,18 @@ mod shards {
             assert_eq!(kept.session, 1);
             assert_eq!(kept.decision.query().map(|q| q.dataset_index), Some(9));
             assert_eq!(shards.shard_len(1), 0);
+        }
+
+        #[test]
+        fn lock_recovers_a_poisoned_mutex() {
+            let mutex = Mutex::new(7u32);
+            let holder = std::panic::catch_unwind(|| {
+                let _guard = lock(&mutex);
+                panic!("a lock holder panics");
+            });
+            assert!(holder.is_err());
+            assert!(mutex.is_poisoned());
+            assert_eq!(*lock(&mutex), 7);
         }
 
         #[test]

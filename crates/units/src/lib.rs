@@ -6,17 +6,18 @@
 //! different units (µs/update, ns/ghost-cell, seconds, node-hours,
 //! bytes/cell, MB). This crate turns each unit into a newtype so that a
 //! silent mix-up (pricing `wall_seconds` as node-hours, comparing bytes
-//! against an MB limit) is a *compile* error, and so the companion alint
-//! L5 `unit_safety` pass can treat the remaining `f64` world as suspect.
+//! against an MB limit) is a *compile* error. It is the workspace's only
+//! owner of the unit vocabulary: no lint or table restates it.
 //!
 //! # Conversion contract
 //!
 //! - Constructors (`new`) debug-assert the magnitude is finite; quantities
 //!   never wrap NaN/∞ in debug builds.
 //! - Conversions are explicit, exactly-factored methods (`to_seconds`,
-//!   `to_megabytes`, `node_hours`, ...). There are no `From`/`Into` impls
-//!   between unit types: every unit change is spelled at the call site,
-//!   which is also what the L5 lint keys its suppression on.
+//!   `to_megabytes`, `node_hours`, `log10`). There are no `From`/`Into`
+//!   impls and no cross-unit `Add`/`Sub`/`PartialOrd` impls between unit
+//!   types: every unit change is spelled at the call site, and rustc
+//!   rejects every other mix.
 //! - `Mul`/`Div` produce the correct derived unit: a per-item rate times a
 //!   [`CellUpdates`] count yields the rate's unit totalled over the items;
 //!   dividing two like quantities yields a dimensionless `f64` ratio;
@@ -25,6 +26,48 @@
 //!   to `f64`, so `{:.3}` etc. work); the unit lives in the type and the
 //!   field name, keeping CSV and log output byte-compatible with the
 //!   pre-typed pipeline.
+//! - `value()` is the raw-`f64` escape hatch for the numeric kernels (GP
+//!   features, CSV formatting). Past it the types no longer help, so no
+//!   expression combines the `value()`s of two different units.
+//!
+//! A mix goes through the named conversions:
+//!
+//! ```
+//! use al_units::{Bytes, CellUpdates, Megabytes, Micros, NodeHours, Seconds};
+//!
+//! let compute = Micros::new(2.0) * CellUpdates::new(1_500_000);
+//! let wall = Seconds::new(7197.0) + compute.to_seconds();
+//! let cost: NodeHours = wall.node_hours(4.0);
+//! assert_eq!(cost.value(), 8.0);
+//!
+//! let mut rss = Megabytes::new(10.0);
+//! rss += (Bytes::new(32.0) * CellUpdates::new(1_000_000)).to_megabytes();
+//! assert_eq!(rss.value(), 42.0);
+//! assert!((rss.log10().to_megabytes() - rss).value().abs() < 1e-12);
+//! ```
+//!
+//! Each mix below is a type error (E0308), not a lint finding:
+//!
+//! ```compile_fail,E0308
+//! # use al_units::{Megabytes, NodeHours};
+//! let _ = NodeHours::new(1.0) + Megabytes::new(1.0);
+//! ```
+//!
+//! ```compile_fail,E0308
+//! # use al_units::{Micros, Seconds};
+//! let _ = Seconds::new(1.0) < Micros::new(1.0);
+//! ```
+//!
+//! ```compile_fail,E0308
+//! # use al_units::{Bytes, Megabytes};
+//! let mut rss = Megabytes::new(1.0);
+//! rss += Bytes::new(1.0);
+//! ```
+//!
+//! ```compile_fail,E0308
+//! # use al_units::{CellUpdates, Micros, Seconds};
+//! let _ = Micros::new(1.0) * CellUpdates::new(2) + Seconds::new(1.0);
+//! ```
 
 #![warn(missing_docs)]
 // Unit tests assert exact round-trips of power-of-two representable values.
