@@ -89,10 +89,7 @@ pub fn lint_file(path: &str, lexed: &Lexed, scope: FileScope) -> Vec<Diagnostic>
     let mut diagnostics = Vec::new();
 
     let mut push = |lint: &'static str, line: u32, message: String| {
-        let by_id = suppressed
-            .get(&line)
-            .or_else(|| suppressed.get(&(line.saturating_sub(1))));
-        if let Some(ids) = by_id {
+        if let Some(ids) = suppressed.get(&line) {
             if ids.contains(lint) || ids.contains(lint_name(lint)) {
                 return;
             }
@@ -675,6 +672,19 @@ mod tests {
         let src = "pub fn f() -> Result<u32, String> { Ok(1) }";
         assert!(run(src, FileScope::default()).is_empty());
         assert_eq!(run(src, all_scopes()).len(), 1);
+    }
+
+    #[test]
+    fn markers_cover_their_own_line_and_the_next_only() {
+        let finding = "fn f(x: f64) -> bool { x == 0.0 }";
+        let same_line = format!("{finding} // alint: allow(L2)");
+        assert!(run(&same_line, all_scopes()).is_empty());
+        let above = format!("// alint: allow(float_cmp)\n{finding}");
+        assert!(run(&above, all_scopes()).is_empty());
+        let two_below = format!("// alint: allow(L2)\n\n{finding}");
+        let d = run(&two_below, all_scopes());
+        assert_eq!(d.len(), 1);
+        assert_eq!((d[0].line, d[0].lint), (3, "L2"));
     }
 
     #[test]

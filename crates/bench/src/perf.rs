@@ -646,6 +646,51 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             })
         },
     ));
+    // Rounds between optimize boundaries, as a session runs them, with no
+    // clone per round: setup grows the model one row per round, each row a
+    // pick moved out of the pool (augments at the serving shape, n 20 → 60
+    // over 420 → 380 candidates; border refits at the Fig. 3 shape,
+    // n 240 → 250 over 410 → 400), and warms a cache at the first model.
+    // Each sample restores that cache once, then predicts every later
+    // round's pool from it.
+    for (n0, rounds, q, augment) in [(20usize, 40usize, 380usize, true), (240, 10, 400, false)] {
+        out.push(Scenario::new(
+            "gp",
+            format!("gp_pool_rounds_n{n0}_{}_q{q}", n0 + rounds),
+            move || {
+                let (mut x, mut y) = training_data(n0, 5, 34);
+                let (pool, y_pool) = training_data(q + rounds, 5, 35);
+                let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+                gp.fit(&x, &y).expect("synthetic data fits");
+                let mut live: Vec<usize> = (0..pool.rows()).collect();
+                let mut warm = PoolCache::new();
+                gp.predict_cached(&pool, &mut warm)
+                    .expect("prediction succeeds");
+                let mut sequence = Vec::with_capacity(rounds);
+                for r in 0..rounds {
+                    let pick = live.remove(r * 37 % live.len());
+                    if augment {
+                        gp.augment(pool.row(pick), y_pool[pick])
+                            .expect("augment succeeds");
+                    } else {
+                        x = x.vstack(&pool.select_rows(&[pick])).expect("same width");
+                        y.push(y_pool[pick]);
+                        gp.fit(&x, &y).expect("synthetic data fits");
+                    }
+                    sequence.push((gp.clone(), pool.select_rows(&live)));
+                }
+                Box::new(move || {
+                    let mut cache = warm.clone();
+                    for (gp, xs) in &sequence {
+                        let p = gp
+                            .predict_cached(xs, &mut cache)
+                            .expect("prediction succeeds");
+                        std::hint::black_box(p.std.len());
+                    }
+                })
+            },
+        ));
+    }
     out.push(Scenario::new(
         "gp",
         format!("gp_augment_n{augment_n}"),
@@ -1643,6 +1688,8 @@ mod tests {
         // mean-only RMSE predict, and the pool predict from its cache.
         assert!(names.contains(&"gp/gp_predict_mean_n250_q200".to_string()));
         assert!(names.contains(&"gp/gp_predict_cached_n250_q400".to_string()));
+        assert!(names.contains(&"gp/gp_pool_rounds_n20_60_q380".to_string()));
+        assert!(names.contains(&"gp/gp_pool_rounds_n240_250_q400".to_string()));
         // The block kernel-value path alone at the Fig. 3 pool shape.
         assert!(names.contains(&"gp/kernel_values_rbf_n250_q400".to_string()));
         // Unknown group is a typed error.

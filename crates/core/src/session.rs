@@ -634,6 +634,12 @@ impl SessionState {
         self.train.n
     }
 
+    /// Feature dimension of the training rows: an observation must carry
+    /// this many scaled features.
+    pub(crate) fn feature_dim(&self) -> usize {
+        self.train.dim
+    }
+
     /// Records emitted so far (one per completed selection).
     pub fn records(&self) -> &[IterationRecord] {
         &self.records

@@ -208,9 +208,9 @@ const WARM_CAPACITY: NonZeroUsize = match NonZeroUsize::new(32) {
 /// [`Shards`] is generic over the session type with no trait bounds, so
 /// inside this module rustc rejects any method call on a session: no fit,
 /// solve or step can run under one of its locks. What a lock window needs
-/// to decide — the outstanding query, the row a non-finite observation
-/// would take, the warm key — is plain metadata stored beside the session
-/// in [`Entry`].
+/// to decide — the outstanding query, the feature dimension, the row a
+/// non-finite observation would take, the warm key — is plain metadata
+/// stored beside the session in [`Entry`].
 ///
 /// Each accessor takes exactly one lock through `lock`, returns no guard
 /// and takes no closure, so no guard ever nests and the warm-before-shard
@@ -221,6 +221,7 @@ mod shards {
     use super::{HyperparamLru, SessionError, WarmKey};
     use crate::session::{Decision, WarmHyperparams};
     use al_gp::GpError;
+    use al_linalg::LinalgError;
     use std::collections::BTreeMap;
     use std::num::NonZeroUsize;
     use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -244,6 +245,9 @@ mod shards {
         /// Training rows the session holds: the row its next observation
         /// takes.
         pub(super) rows: usize,
+        /// Feature dimension of the session's training rows, which its
+        /// next observation must match.
+        pub(super) dim: usize,
         /// Where a finished session publishes its hyperparameters.
         pub(super) warm_key: Option<WarmKey>,
     }
@@ -304,13 +308,15 @@ mod shards {
             Ok(())
         }
 
-        /// Take `id` out of its shard to answer candidate `got`. Unknown,
-        /// then mismatched, then non-finite (`finite` false) observations
-        /// are rejected with the entry left in place.
+        /// Take `id` out of its shard to answer candidate `got` with `dim`
+        /// features. Unknown, then mismatched, then wrongly dimensioned,
+        /// then non-finite (`finite` false) observations are rejected with
+        /// the entry left in place.
         pub(super) fn check_out(
             &self,
             id: u64,
             got: usize,
+            dim: usize,
             finite: bool,
         ) -> Result<Entry<V>, SessionError> {
             let mut shard = lock(self.shard(id));
@@ -318,6 +324,15 @@ mod shards {
             let expected = entry.decision.query().map(|q| q.dataset_index);
             if expected != Some(got) {
                 return Err(SessionError::ObservationMismatch { id, expected, got });
+            }
+            if dim != entry.dim {
+                return Err(SessionError::Gp(GpError::Linalg(
+                    LinalgError::ShapeMismatch {
+                        op: "observe",
+                        lhs: (1, entry.dim),
+                        rhs: (1, dim),
+                    },
+                )));
             }
             if !finite {
                 return Err(SessionError::Gp(GpError::NonFiniteTrainingData {
@@ -366,6 +381,7 @@ mod shards {
                     pred_mem_sigma: 1.0,
                 }),
                 rows: 3,
+                dim: 2,
                 warm_key: None,
             }
         }
@@ -382,11 +398,11 @@ mod shards {
             assert!(shards.insert(5, entry).is_ok());
             // A mismatched checkout leaves the entry and its metadata.
             assert!(matches!(
-                shards.check_out(5, 8, true),
+                shards.check_out(5, 8, 2, true),
                 Err(SessionError::ObservationMismatch { .. })
             ));
             assert!(matches!(shards.decision(5), Ok(Decision::Query(q)) if q.dataset_index == 7));
-            let mut checked_out = shards.check_out(5, 7, true).unwrap();
+            let mut checked_out = shards.check_out(5, 7, 2, true).unwrap();
             assert!(!shards.contains(5));
             assert_eq!(checked_out.rows, 3);
             assert_eq!(checked_out.warm_key, Some(WarmKey::new("g", "RBF")));
@@ -418,15 +434,15 @@ mod shards {
         }
 
         #[test]
-        fn check_out_rejects_unknown_then_mismatch_then_non_finite() {
+        fn check_out_rejects_unknown_then_mismatch_then_dimension_then_non_finite() {
             let shards = shards();
             assert!(shards.insert(4, awaiting(7)).is_ok());
             assert!(matches!(
-                shards.check_out(6, 8, false),
+                shards.check_out(6, 8, 3, false),
                 Err(SessionError::UnknownSession(6))
             ));
             assert!(matches!(
-                shards.check_out(4, 8, false),
+                shards.check_out(4, 8, 3, false),
                 Err(SessionError::ObservationMismatch {
                     id: 4,
                     expected: Some(7),
@@ -434,7 +450,17 @@ mod shards {
                 })
             ));
             assert!(matches!(
-                shards.check_out(4, 7, false),
+                shards.check_out(4, 7, 3, false),
+                Err(SessionError::Gp(GpError::Linalg(
+                    LinalgError::ShapeMismatch {
+                        op: "observe",
+                        lhs: (1, 2),
+                        rhs: (1, 3),
+                    }
+                )))
+            ));
+            assert!(matches!(
+                shards.check_out(4, 7, 2, false),
                 Err(SessionError::Gp(GpError::NonFiniteTrainingData { row: 3 }))
             ));
             assert!(shards.contains(4));
@@ -498,16 +524,7 @@ impl SessionStore {
         // costs a wasted fit, never a poisoned map.
         let warm = warm_key.as_ref().and_then(|key| self.shards.warm_get(key));
         let (session, decision) = SessionState::start_warm(config, warm.as_ref())?;
-        let rows = session.training_rows();
-        self.shards.insert(
-            id,
-            Entry {
-                session,
-                decision,
-                rows,
-                warm_key,
-            },
-        )?;
+        self.check_in(id, session, decision, warm_key)?;
         Ok(decision)
     }
 
@@ -519,9 +536,13 @@ impl SessionStore {
     /// Feed the result of a session's outstanding query; returns the next
     /// decision.
     ///
-    /// The observation is validated against the outstanding query, and its
-    /// responses and features checked finite, before any state is touched,
-    /// so a mismatched or non-finite report leaves the session intact. A
+    /// The observation is validated against the outstanding query and the
+    /// session's feature dimension, and its responses and features checked
+    /// finite, before any state is touched, so a mismatched, wrongly
+    /// dimensioned or non-finite report leaves the session intact (a wrong
+    /// dimension is a
+    /// [`LinalgError::ShapeMismatch`](al_linalg::LinalgError::ShapeMismatch)
+    /// inside [`SessionError::Gp`]). A
     /// GP failure mid-step is fatal for that session: it is
     /// removed from the store and the error returned.
     ///
@@ -538,21 +559,35 @@ impl SessionStore {
         let finite = obs.log_cost.is_finite()
             && obs.log_mem.is_finite()
             && obs.features_scaled.iter().all(|v| v.is_finite());
+        let dim = obs.features_scaled.len();
         let Entry {
             session, warm_key, ..
-        } = self.shards.check_out(id, obs.dataset_index, finite)?;
+        } = self.shards.check_out(id, obs.dataset_index, dim, finite)?;
         let (session, decision) = session.step(obs)?;
-        let rows = session.training_rows();
+        self.check_in(id, session, decision, warm_key)?;
+        Ok(decision)
+    }
+
+    /// Insert `session` under `id` with the metadata its next observation
+    /// is checked against.
+    fn check_in(
+        &self,
+        id: u64,
+        session: SessionState,
+        decision: Decision,
+        warm_key: Option<WarmKey>,
+    ) -> Result<(), SessionError> {
+        let (rows, dim) = (session.training_rows(), session.feature_dim());
         self.shards.insert(
             id,
             Entry {
                 session,
                 decision,
                 rows,
+                dim,
                 warm_key,
             },
-        )?;
-        Ok(decision)
+        )
     }
 
     /// Remove a session and return its trajectory.
@@ -777,6 +812,32 @@ mod tests {
         ));
         assert!(store.contains(3));
         assert_eq!(store.decision(3).unwrap().query(), Some(q));
+        assert_eq!(drive_to_finish(&store, 3, &d), reference);
+    }
+
+    #[test]
+    fn wrongly_dimensioned_observation_leaves_session_intact() {
+        let (cfg, d) = config(8);
+        let clean = SessionStore::new(2);
+        clean.create(3, cfg.clone(), None).unwrap();
+        let reference = drive_to_finish(&clean, 3, &d);
+
+        let store = SessionStore::new(2);
+        let q = store.create(3, cfg, None).unwrap().query().unwrap();
+        let good = Observation::from_dataset(&d, q.dataset_index);
+        let dim = good.features_scaled.len();
+        for wrong in [0, dim - 1, dim + 1] {
+            let mut bad = good.clone();
+            bad.features_scaled.resize(wrong, 0.5);
+            assert!(matches!(
+                store.observe(3, &bad),
+                Err(SessionError::Gp(GpError::Linalg(
+                    al_linalg::LinalgError::ShapeMismatch { op: "observe", lhs, rhs }
+                ))) if lhs == (1, dim) && rhs == (1, wrong)
+            ));
+            assert!(store.contains(3));
+            assert_eq!(store.decision(3).unwrap().query(), Some(q));
+        }
         assert_eq!(drive_to_finish(&store, 3, &d), reference);
     }
 

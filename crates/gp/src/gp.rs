@@ -430,7 +430,7 @@ impl GpModel {
         let fitted = self.query_fit(xs)?;
         let prior = self.kernel.diag_value();
         let mut std = Vec::with_capacity(xs.rows());
-        let mean = self.predict_tiles(fitted, xs, |_, w, kt| {
+        let mean = self.predict_tiles(fitted, xs, |w, kt| {
             // ‖L⁻¹k*‖² = Σ_i v_i² folds from −0.0 in ascending i, as
             // `ops::dot` does; `solve_lower_multi` matches `solve_lower`
             // column by column.
@@ -453,21 +453,24 @@ impl GpModel {
     /// This is all an RMSE needs. Fails as [`GpModel::predict`] does.
     pub fn predict_mean(&self, xs: &Matrix) -> Result<Vec<f64>, GpError> {
         let fitted = self.query_fit(xs)?;
-        self.predict_tiles(fitted, xs, |_, _, _| Ok(()))
+        self.predict_tiles(fitted, xs, |_, _| Ok(()))
     }
 
     /// [`GpModel::predict`] for a candidate pool predicted round after
-    /// round, bit for bit the same, reusing the solves `cache` holds from
-    /// the previous round.
+    /// round, bit for bit the same, reusing the kernel values and solves
+    /// `cache` holds from the previous round.
     ///
     /// While the model's factor keeps its leading rows (border refits and
     /// augments between optimizations) and the pool only loses
-    /// candidates, each candidate's `v = L⁻¹k*` grows by one element per
-    /// new factor row, computed in [`Cholesky::solve_lower`]'s order, and
-    /// its `Σv²` by the new terms in order. That is `O(m·n)` per new row
-    /// instead of `O(m·n²)`. μ is refolded from fresh `k*` since `α`
-    /// changes with every fit. Whenever `cache` does not match this model
-    /// or `xs` (see [`PoolCache`]) it is rebuilt, at the cost of a
+    /// candidates, each candidate's `k*` grows by one kernel value per new
+    /// training row, its `v = L⁻¹k*` by one element per new factor row,
+    /// computed in [`Cholesky::solve_lower`]'s order, and its `Σv²` by the
+    /// new terms in order. That is `m` kernel values and `O(m·n)` flops
+    /// per new row instead of `n·m` values and `O(m·n²)` flops. μ is
+    /// refolded from the cached `k*` since `α` changes with every fit:
+    /// `μ − ȳ = Σ_i k_i·α_i` from −0.0 in ascending `i`, as
+    /// [`GpModel::predict`] folds it. Whenever `cache` does not match this
+    /// model or `xs` (see [`PoolCache`]) it is rebuilt, at the cost of a
     /// [`GpModel::predict`].
     pub fn predict_cached(
         &self,
@@ -475,17 +478,19 @@ impl GpModel {
         cache: &mut PoolCache,
     ) -> Result<Prediction, GpError> {
         let fitted = self.query_fit(xs)?;
-        let m = xs.rows();
+        let (n, m) = (fitted.x.rows(), xs.rows());
         let solved = cache.prepare(&fitted.chol, xs);
-        // The tiles' kernel rows past `solved` are the right-hand sides of
-        // the rows still to solve.
-        let v = &mut cache.v;
-        let mean = self.predict_tiles(fitted, xs, |q0, w, kt| {
-            for (i, row) in kt.chunks_exact(w).enumerate().skip(solved) {
-                v[i * m + q0..][..w].copy_from_slice(row);
+        if solved < n {
+            // The new rows' kernel values, each one block over the whole
+            // pool, are also the right-hand sides of the rows to solve.
+            let xst = xs.transpose();
+            let new_k = &mut cache.k[solved * m..];
+            for (i, row) in (solved..n).zip(new_k.chunks_exact_mut(m.max(1))) {
+                self.kernel.values_into(fitted.x.row(i), &xst, 0, row);
             }
-            Ok(())
-        })?;
+            cache.v[solved * m..].copy_from_slice(new_k);
+        }
+        let v = &mut cache.v;
         fitted.chol.solve_lower_multi(v, m, solved)?;
         for row in v.chunks_exact(m.max(1)).skip(solved) {
             for (acc, v) in cache.ss.iter_mut().zip(row) {
@@ -493,13 +498,21 @@ impl GpModel {
             }
         }
         cache.seal(&fitted.chol);
+        let mut mu = vec![-0.0f64; m];
+        for (row, a) in cache.k.chunks_exact(m.max(1)).zip(&fitted.alpha) {
+            for (acc, k) in mu.iter_mut().zip(row) {
+                *acc += k * a;
+            }
+        }
         let prior = self.kernel.diag_value();
-        let std = cache
-            .ss
-            .iter()
-            .map(|&ss| posterior_std(prior, ss))
-            .collect();
-        Ok(Prediction { mean, std })
+        Ok(Prediction {
+            mean: mu.iter().map(|acc| fitted.y_mean + acc).collect(),
+            std: cache
+                .ss
+                .iter()
+                .map(|&ss| posterior_std(prior, ss))
+                .collect(),
+        })
     }
 
     /// The held fit, once `xs` is known to be queryable against it: a
@@ -519,21 +532,21 @@ impl GpModel {
         Ok(fitted)
     }
 
-    /// The one loop behind every prediction; returns the posterior means.
-    /// Queries run in tiles of up to QB through one `n × w` buffer whose
-    /// row `i` holds `k(x_q, x_i)` for every query `q` of the tile, one
+    /// The loop behind [`GpModel::predict`] and
+    /// [`GpModel::predict_mean`]; returns the posterior means. Queries run
+    /// in tiles of up to QB through one `n × w` buffer whose row `i` holds
+    /// `k(x_q, x_i)` for every query `q` of the tile, one
     /// [`Kernel::values_into`] of `x_i` against the tile's columns of the
-    /// transposed queries. Each μ
-    /// keeps the bits of the per-query loop this replaced (DESIGN §13):
-    /// `μ − ȳ = Σ_i k_i·α_i` folds from −0.0 in ascending `i`, as
-    /// `ops::dot` does. Then `tile_done(q0, w, block)` sees the tile's
-    /// block (queries `q0..q0 + w`) and may overwrite it: the σ half, if
-    /// any, lives there.
+    /// transposed queries. Each μ keeps the bits of the per-query loop
+    /// this replaced (DESIGN §13): `μ − ȳ = Σ_i k_i·α_i` folds from −0.0
+    /// in ascending `i`, as `ops::dot` does. Then `tile_done(w, block)`
+    /// sees the tile's block (its `w` queries) and may overwrite it: the σ
+    /// half, if any, lives there.
     fn predict_tiles(
         &self,
         fitted: &Fitted,
         xs: &Matrix,
-        mut tile_done: impl FnMut(usize, usize, &mut [f64]) -> Result<(), GpError>,
+        mut tile_done: impl FnMut(usize, &mut [f64]) -> Result<(), GpError>,
     ) -> Result<Vec<f64>, GpError> {
         let n = fitted.x.rows();
         let m = xs.rows();
@@ -554,7 +567,7 @@ impl GpModel {
                 }
             }
             mean.extend(mu.iter().map(|acc| fitted.y_mean + acc));
-            tile_done(q0, w, kt)?;
+            tile_done(w, kt)?;
         }
         Ok(mean)
     }
@@ -1338,46 +1351,235 @@ mod tests {
 
     #[test]
     fn cached_pool_predict_matches_predict_across_rounds_bitwise() {
-        // AL-style rounds: predict the pool, move `batch` picks from the
-        // pool into the training set, grow the model by border refits or
-        // augments, and cross an optimize boundary every fourth round.
+        // AL-style rounds for every kernel: predict the pool, move `batch`
+        // picks from the pool into the training set, grow the model by
+        // border refits or augments, and cross an optimize boundary every
+        // fourth round. Every third round also drops a candidate nobody
+        // trains on, so the cache compacts more than the picks; and a
+        // clone of the cache must serve the round as the cache does.
+        use crate::kernel::KernelKind;
         let (x, y) = cube_data(140);
-        let base = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-3);
-        for incremental in [false, true] {
-            for batch in [1usize, 3] {
-                let label = format!("incremental={incremental} batch={batch}");
-                let mut train: Vec<usize> = (0..20).collect();
-                let mut pool: Vec<usize> = (60..140).collect();
-                let ys = |rows: &[usize]| rows.iter().map(|&i| y[i]).collect::<Vec<_>>();
-                let mut model = base.clone();
-                model.fit(&x.select_rows(&train), &ys(&train)).unwrap();
-                let mut cache = PoolCache::new();
-                let mut want_reused = 0;
-                for round in 0..12 {
-                    let xs = x.select_rows(&pool);
-                    let label = format!("{label} round={round}");
-                    check_cached(&model, &xs, &mut cache, want_reused, &label);
-                    want_reused = model.n_train();
-                    // Picks from the front, middle and back of the pool.
-                    let picks: Vec<usize> = (0..batch)
-                        .map(|b| pool.remove((round * 7 + b * 13) % pool.len()))
-                        .collect();
-                    train.extend(&picks);
-                    let rows = x.select_rows(&train);
-                    if round % 4 == 3 {
-                        let opts = FitOptions::warm_start_only();
-                        model.fit_optimized(&rows, &ys(&train), &opts).unwrap();
-                        want_reused = 0;
-                    } else if incremental {
-                        for &p in &picks {
-                            model.augment(x.row(p), y[p]).unwrap();
+        let kinds = [
+            KernelKind::Rbf,
+            KernelKind::ArdRbf { dim: 3 },
+            KernelKind::Matern32,
+            KernelKind::Matern52,
+            KernelKind::RationalQuadratic,
+        ];
+        for kind in kinds {
+            let base = GpModel::new(kind.build(0.3), 1e-3);
+            for incremental in [false, true] {
+                for batch in [1usize, 3] {
+                    let label = format!("{} incremental={incremental} batch={batch}", kind.label());
+                    let mut train: Vec<usize> = (0..20).collect();
+                    let mut pool: Vec<usize> = (60..140).collect();
+                    let ys = |rows: &[usize]| rows.iter().map(|&i| y[i]).collect::<Vec<_>>();
+                    let mut model = base.clone();
+                    model.fit(&x.select_rows(&train), &ys(&train)).unwrap();
+                    let mut cache = PoolCache::new();
+                    let mut want_reused = 0;
+                    for round in 0..12 {
+                        if round % 3 == 2 {
+                            pool.remove((round * 5) % pool.len());
                         }
-                    } else {
-                        model.fit(&rows, &ys(&train)).unwrap();
+                        let xs = x.select_rows(&pool);
+                        let label = format!("{label} round={round}");
+                        let mut twin = cache.clone();
+                        check_cached(
+                            &model,
+                            &xs,
+                            &mut twin,
+                            want_reused,
+                            &format!("{label} clone"),
+                        );
+                        check_cached(&model, &xs, &mut cache, want_reused, &label);
+                        want_reused = model.n_train();
+                        // Picks from the front, middle and back of the pool.
+                        let picks: Vec<usize> = (0..batch)
+                            .map(|b| pool.remove((round * 7 + b * 13) % pool.len()))
+                            .collect();
+                        train.extend(&picks);
+                        let rows = x.select_rows(&train);
+                        if round % 4 == 3 {
+                            let opts = FitOptions::warm_start_only();
+                            model.fit_optimized(&rows, &ys(&train), &opts).unwrap();
+                            want_reused = 0;
+                        } else if incremental {
+                            for &p in &picks {
+                                model.augment(x.row(p), y[p]).unwrap();
+                            }
+                        } else {
+                            model.fit(&rows, &ys(&train)).unwrap();
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// A kernel that counts the values it computes, one per
+    /// [`Kernel::value`] call and one per lane of
+    /// [`Kernel::values_into`]; every other call goes to `inner` as is.
+    #[derive(Clone)]
+    struct CountingKernel {
+        inner: RbfKernel,
+        values: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl CountingKernel {
+        fn count(&self, values: usize) {
+            self.values
+                .fetch_add(values, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl Kernel for CountingKernel {
+        fn name(&self) -> &'static str {
+            "counting RBF"
+        }
+        fn n_params(&self) -> usize {
+            self.inner.n_params()
+        }
+        fn params(&self) -> Vec<f64> {
+            self.inner.params()
+        }
+        fn set_params(&mut self, p: &[f64]) -> Result<(), GpError> {
+            self.inner.set_params(p)
+        }
+        fn value(&self, a: &[f64], b: &[f64]) -> f64 {
+            self.count(1);
+            self.inner.value(a, b)
+        }
+        fn gradient(&self, a: &[f64], b: &[f64], k: f64, out: &mut [f64]) {
+            self.inner.gradient(a, b, k, out);
+        }
+        fn values_into(&self, a: &[f64], pts: &Matrix, j0: usize, out: &mut [f64]) {
+            self.count(out.len());
+            self.inner.values_into(a, pts, j0, out);
+        }
+        fn gradients_into(&self, a: &[f64], pts: &Matrix, j0: usize, k: &[f64], out: &mut [f64]) {
+            self.inner.gradients_into(a, pts, j0, k, out);
+        }
+        fn diag_value(&self) -> f64 {
+            self.inner.diag_value()
+        }
+        fn clone_box(&self) -> Box<dyn Kernel> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn cached_pool_predict_evaluates_the_kernel_only_for_new_rows() {
+        let values = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counting = |noise: f64| {
+            let kernel = CountingKernel {
+                inner: RbfKernel::new(0.4, 0.3),
+                values: values.clone(),
+            };
+            GpModel::new(Box::new(kernel), noise)
+        };
+        // Kernel values `predict_cached` evaluates for `xs`, after checking
+        // its bits against a fresh `predict`.
+        let evaluated = |model: &GpModel, xs: &Matrix, cache: &mut PoolCache, label: &str| {
+            let before = values.load(std::sync::atomic::Ordering::Relaxed);
+            let got = model.predict_cached(xs, cache).unwrap();
+            let after = values.load(std::sync::atomic::Ordering::Relaxed);
+            assert_predictions_bitwise_equal(&got, &model.predict(xs).unwrap(), label);
+            after - before
+        };
+        let (x, y) = cube_data(80);
+        let ys = |rows: &[usize]| rows.iter().map(|&i| y[i]).collect::<Vec<_>>();
+        let mut train: Vec<usize> = (0..20).collect();
+        let mut pool: Vec<usize> = (40..80).collect();
+        let mut model = counting(1e-3);
+        model.fit(&x.select_rows(&train), &ys(&train)).unwrap();
+        let mut cache = PoolCache::new();
+        assert_eq!(
+            evaluated(&model, &x.select_rows(&pool), &mut cache, "cold"),
+            20 * 40
+        );
+
+        // Border refits by one and by three rows, then augments: `m` new
+        // values per new factor row, from the cache or from a clone of it.
+        for (grow, augment) in [(1usize, false), (3, false), (1, true), (2, true)] {
+            let label = format!("grow={grow} augment={augment}");
+            let picks: Vec<usize> = (0..grow)
+                .map(|b| pool.remove(b * 11 % pool.len()))
+                .collect();
+            train.extend(&picks);
+            if augment {
+                for &p in &picks {
+                    model.augment(x.row(p), y[p]).unwrap();
+                }
+            } else {
+                model.fit(&x.select_rows(&train), &ys(&train)).unwrap();
+            }
+            let xs = x.select_rows(&pool);
+            let m = pool.len();
+            let mut twin = cache.clone();
+            assert_eq!(
+                evaluated(&model, &xs, &mut twin, &label),
+                grow * m,
+                "{label} clone"
+            );
+            assert_eq!(
+                evaluated(&model, &xs, &mut cache, &label),
+                grow * m,
+                "{label}"
+            );
+            // The same round again evaluates nothing.
+            assert_eq!(
+                evaluated(&model, &xs, &mut cache, &label),
+                0,
+                "{label} again"
+            );
+        }
+
+        // Everything else rebuilds: n·m values.
+        let (n, xs) = (model.n_train(), x.select_rows(&pool));
+        let m = pool.len();
+        let mut reversed = pool.clone();
+        reversed.reverse();
+        let mut twin = cache.clone();
+        let label = "reordered rows";
+        assert_eq!(
+            evaluated(&model, &x.select_rows(&reversed), &mut twin, label),
+            n * m
+        );
+        let mut other = counting(1e-3);
+        other.fit(&x.select_rows(&train), &ys(&train)).unwrap();
+        let mut twin = cache.clone();
+        assert_eq!(evaluated(&other, &xs, &mut twin, "another model"), n * m);
+        let mut optimized = model.clone();
+        let opts = FitOptions::warm_start_only();
+        optimized
+            .fit_optimized(&x.select_rows(&train), &ys(&train), &opts)
+            .unwrap();
+        let mut twin = cache.clone();
+        assert_eq!(
+            evaluated(&optimized, &xs, &mut twin, "optimize boundary"),
+            n * m
+        );
+
+        // An augment that falls back to a (jittered) refit: a duplicate
+        // point at a noise below the resolution of k(x, x) = 1.
+        let far = Matrix::from_vec(3, 1, vec![0.0, 5.0, 10.0]);
+        let pool = Matrix::from_vec(4, 1, vec![0.3, 2.5, 7.0, 9.9]);
+        let mut model = counting(1e-17);
+        model.fit(&far, &[1.0, 2.0, 3.0]).unwrap();
+        let mut cache = PoolCache::new();
+        assert_eq!(evaluated(&model, &pool, &mut cache, "far"), 3 * 4);
+        model.augment(&[5.0], 2.1).unwrap();
+        assert!(
+            model.fitted.as_ref().unwrap().chol.jitter() > 0.0,
+            "no fallback"
+        );
+        assert_eq!(evaluated(&model, &pool, &mut cache, "fallback"), 4 * 4);
+        model.augment(&[3.3], 1.5).unwrap();
+        assert_eq!(
+            evaluated(&model, &pool, &mut cache, "after the fallback"),
+            4
+        );
     }
 
     #[test]

@@ -3,19 +3,22 @@
 //!
 //! Between hyperparameter optimizations a model's factor `L` only grows:
 //! border refits and augments append rows and keep the leading ones bit
-//! for bit. A candidate's `v = L⁻¹k*` then only grows too, one element per
-//! new factor row, and its `Σv²` by one term. [`PoolCache`] keeps both, so
-//! [`GpModel::predict_cached`](crate::GpModel::predict_cached) solves only
-//! the new rows.
+//! for bit. A candidate's kernel column `k*` then only grows too, one
+//! value per new training row, and so do its `v = L⁻¹k*`, one element per
+//! new factor row, and its `Σv²`, one term. [`PoolCache`] keeps all three,
+//! so [`GpModel::predict_cached`](crate::GpModel::predict_cached)
+//! evaluates the kernel and solves only for the new rows.
 
 use al_linalg::{Cholesky, Matrix};
 
 /// Factor rows of growth [`PoolCache`] reserves room for when it must
-/// grow. Schedule-only: any value gives the same bits.
-const GROWTH_ROWS: usize = 16;
+/// grow: ten, the AL loop's default optimize cadence, so a cache rebuilt
+/// after an optimize boundary lasts the whole cycle without a realloc.
+/// Schedule-only: any value gives the same bits.
+const GROWTH_ROWS: usize = 10;
 
-/// Cached `V = L⁻¹K*` and per-candidate partial sums `Σv²` for one model's
-/// candidate pool.
+/// Cached kernel block `K*`, solves `V = L⁻¹K*` and per-candidate partial
+/// sums `Σv²` for one model's candidate pool.
 ///
 /// The cache proves its own validity on every use and never trusts the
 /// caller's bookkeeping. It records the [`Cholesky::prefix_id`] of the
@@ -27,8 +30,20 @@ const GROWTH_ROWS: usize = 16;
 /// rows, in any order: the result is always bit for bit
 /// [`GpModel::predict`](crate::GpModel::predict)'s.
 ///
-/// It holds `n × m` solves for `n` training rows and `m` candidates in
-/// one buffer of exactly that size; [`PoolCache::clear`] releases it.
+/// The prefix id also vouches for `K*`. A factor row's id is fresh with
+/// every factorization, border or extend that writes it, and a model
+/// drops its fit whenever its hyperparameters change
+/// ([`GpModel::set_hyperparams`](crate::GpModel::set_hyperparams)). So
+/// a factor that still carries the cached prefix id was written from the
+/// same training rows under the same kernel hyperparameters, and every
+/// cached `k(x_i, x*_q)` is the value a fresh prediction computes:
+/// [`Kernel::values_into`](crate::Kernel::values_into) gives each lane
+/// the bits of [`Kernel::value`](crate::Kernel::value), whatever the
+/// block's offset and width.
+///
+/// For `n` training rows and `m` candidates it holds two `n × m` blocks,
+/// `K*` and `V`, each in one buffer with room for a few more rounds
+/// (`GROWTH_ROWS`); [`PoolCache::clear`] releases them.
 #[derive(Clone, Default)]
 pub struct PoolCache {
     /// `(prefix id, rows)` of the factor rows `v` solves against; `None`
@@ -38,6 +53,9 @@ pub struct PoolCache {
     dim: usize,
     /// The candidates, row-major `m × dim`, in query order.
     rows: Vec<f64>,
+    /// `k[i·m + q]` is `k(x_i, x*_q)` for training row `i` and candidate
+    /// `q`: laid out as `v`, of which it is the right-hand side.
+    pub(crate) k: Vec<f64>,
     /// `v[i·m + q]` is element `i` of candidate `q`'s `L⁻¹k*`: row `i`
     /// holds that element for every candidate, as `solve_lower_multi`
     /// lays it out.
@@ -73,12 +91,13 @@ impl PoolCache {
     }
 
     /// Make the cache describe the candidates `xs` against `chol` and
-    /// return how many leading rows of `v` already hold their solves.
-    /// Those rows are kept (compacted to the candidates still present)
-    /// when `chol` starts with the cached factor rows and `xs` is the
-    /// cached candidates with some removed; otherwise the cache restarts
-    /// empty and this returns 0. Either way `v` leaves sized `n × m` and
-    /// the cache stays invalid until [`PoolCache::seal`].
+    /// return how many leading rows of `k` and `v` already hold their
+    /// kernel values and solves. Those rows are kept (compacted to the
+    /// candidates still present) when `chol` starts with the cached factor
+    /// rows and `xs` is the cached candidates with some removed; otherwise
+    /// the cache restarts empty and this returns 0. Either way `k` and `v`
+    /// leave sized `n × m` and the cache stays invalid until
+    /// [`PoolCache::seal`].
     pub(crate) fn prepare(&mut self, chol: &Cholesky, xs: &Matrix) -> usize {
         let solved = self
             .factor
@@ -91,6 +110,7 @@ impl PoolCache {
                 rows
             }
             None => {
+                self.k.clear();
                 self.v.clear();
                 self.ss.clear();
                 self.ss.resize(xs.rows(), -0.0);
@@ -101,16 +121,19 @@ impl PoolCache {
         self.rows.clear();
         self.rows.extend_from_slice(xs.as_slice());
         let (n, m) = (chol.dim(), xs.rows());
-        if self.v.capacity() < n * m {
-            // Room for V as it stands after up to GROWTH_ROWS more rounds
-            // that each move one candidate into the training set, so a
-            // pool shrinking as its model grows reallocates V at most once
-            // per GROWTH_ROWS rows, not every round (a realloc per round
-            // scatters V across the heap). Doubling would hold up to twice V.
-            let k = GROWTH_ROWS.min(m.saturating_sub(n) / 2);
-            self.v.reserve_exact((n + k) * (m - k) - self.v.len());
+        for block in [&mut self.k, &mut self.v] {
+            if block.capacity() < n * m {
+                // Room for the block as it stands after up to GROWTH_ROWS
+                // more rounds that each move one candidate into the
+                // training set, so a pool shrinking as its model grows
+                // reallocates it at most once per GROWTH_ROWS rows, not
+                // every round (a realloc per round scatters it across the
+                // heap). Doubling would hold up to twice the block.
+                let g = GROWTH_ROWS.min(m.saturating_sub(n) / 2);
+                block.reserve_exact((n + g) * (m - g) - block.len());
+            }
+            block.resize(n * m, 0.0);
         }
-        self.v.resize(n * m, 0.0);
         rows
     }
 
@@ -131,23 +154,29 @@ impl PoolCache {
             .collect()
     }
 
-    /// Keep the first `rows` rows of `v`, and of each row and of `ss` only
-    /// the candidates `keep` (ascending), moved down in place.
+    /// Keep the first `rows` rows of `k` and `v`, and of each row and of
+    /// `ss` only the candidates `keep` (ascending), moved down in place.
     fn compact(&mut self, rows: usize, keep: &[usize]) {
-        let (m_old, m) = (self.ss.len(), keep.len());
-        if m < m_old {
-            // Each destination index is at most its source index, and the
-            // sources still to be read lie beyond it.
-            for i in 0..rows {
-                for (t, &c) in keep.iter().enumerate() {
-                    self.v[i * m + t] = self.v[i * m_old + c];
-                }
-            }
+        let m_old = self.ss.len();
+        compact_rows(&mut self.k, rows, m_old, keep);
+        compact_rows(&mut self.v, rows, m_old, keep);
+        compact_rows(&mut self.ss, 1, m_old, keep);
+    }
+}
+
+/// Keep the first `rows` rows of the row-major `rows × m_old` block
+/// `buf`, and of each only the columns `keep` (ascending), moved down in
+/// place.
+fn compact_rows(buf: &mut Vec<f64>, rows: usize, m_old: usize, keep: &[usize]) {
+    let m = keep.len();
+    if m < m_old {
+        // Each destination index is at most its source index, and the
+        // sources still to be read lie beyond it.
+        for i in 0..rows {
             for (t, &c) in keep.iter().enumerate() {
-                self.ss[t] = self.ss[c];
+                buf[i * m + t] = buf[i * m_old + c];
             }
         }
-        self.v.truncate(rows * m);
-        self.ss.truncate(m);
     }
+    buf.truncate(rows * m);
 }

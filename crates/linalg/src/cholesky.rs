@@ -97,7 +97,7 @@ impl Cholesky {
     fn factor_reference(a: &Matrix, jitter: f64) -> Result<Self, LinalgError> {
         Self::check_input(a, jitter)?;
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
+        let mut l = Matrix::square_with_room(n);
         for j in 0..n {
             // Diagonal pivot.
             let mut d = a[(j, j)] + jitter;
@@ -171,7 +171,7 @@ impl Cholesky {
         Self::check_input(a, jitter)?;
         let n = a.rows();
         let ad = a.as_slice();
-        let mut l = Matrix::zeros(n, n);
+        let mut l = Matrix::square_with_room(n);
         let mut pack = vec![0.0f64; n * CB];
         // acc[i][jj] folds Σ_k L(i,k)·L(c0 + jj, k) for the current block.
         let mut acc = vec![[0.0f64; CB]; n];

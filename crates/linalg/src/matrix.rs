@@ -225,13 +225,31 @@ impl Matrix {
         self.rows -= 1;
     }
 
+    /// An `n × n` zero matrix whose buffer already holds the room
+    /// [`Matrix::grow_square`] would reserve, so a factor grown row by row
+    /// right after it is made does not reallocate for `n/8 + 2` rows.
+    pub(crate) fn square_with_room(n: usize) -> Self {
+        let mut data = Vec::with_capacity(with_room(n).pow(2));
+        data.resize(n * n, 0.0);
+        Matrix {
+            rows: n,
+            cols: n,
+            data,
+        }
+    }
+
     /// Grow a square `n × n` matrix in place to `(n + 1) × (n + 1)`: the
     /// old entries keep their `(i, j)`, the new row and column are zero.
-    /// The buffer grows by exactly the new entries.
+    /// When the buffer is full it reserves room for `(n + 1)/8 + 2` more
+    /// rows and columns beyond the new ones, so a matrix grown row by row
+    /// reallocates once every few rows, not on every call.
     pub(crate) fn grow_square(&mut self) {
         let n = self.rows;
         debug_assert_eq!(n, self.cols, "grow_square requires a square matrix");
-        self.data.reserve_exact(2 * n + 1);
+        if self.data.capacity() < (n + 1) * (n + 1) {
+            let ahead = with_room(n + 1);
+            self.data.reserve_exact(ahead * ahead - self.data.len());
+        }
         self.data.resize((n + 1) * (n + 1), 0.0);
         // Last row first: each row moves to a higher offset, past the
         // rows still to move.
@@ -260,6 +278,12 @@ impl Matrix {
             self[(i, i)] += value;
         }
     }
+}
+
+/// The order a growing square matrix of order `n` reserves room for:
+/// `n/8 + 2` rows and columns ahead. Schedule-only: no entry depends on it.
+fn with_room(n: usize) -> usize {
+    n + n / 8 + 2
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -378,6 +402,20 @@ mod tests {
                     assert_eq!(m[(i, j)], want, "n={n} ({i}, {j})");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_square_with_room_grows_in_place_for_its_room() {
+        for n in [0usize, 1, 7, 64, 250] {
+            let mut m = Matrix::square_with_room(n);
+            assert_eq!(m.shape(), (n, n));
+            assert!(m.as_slice().iter().all(|&x| x == 0.0), "n={n}");
+            let buffer = m.as_slice().as_ptr();
+            for _ in 0..n / 8 + 2 {
+                m.grow_square();
+            }
+            assert_eq!(m.as_slice().as_ptr(), buffer, "n={n} reallocated");
         }
     }
 

@@ -422,6 +422,8 @@ mod tests {
         assert_eq!(format!("{}", CellUpdates::new(42)), "42");
     }
 
+    // The check is a `debug_assert!`, so only a debug build panics.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "non-finite")]
     fn non_finite_magnitudes_are_rejected_in_debug() {
