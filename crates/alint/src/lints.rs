@@ -3,7 +3,7 @@
 //! | ID | name         | invariant                                                            |
 //! |----|--------------|----------------------------------------------------------------------|
 //! | L2 | `float_cmp`  | no bare `==`/`!=` against floating-point expressions                 |
-//! | L3 | `typed_error`| public `Result` fns in typed-error crates use a typed error          |
+//! | L3 | `typed_error`| public `Result` fns in library sources use a typed error             |
 //!
 //! The IDs L1 (`panic_site`), L4 (`lossy_cast`), L5 (units), L6
 //! (`determinism_safety`) and L7 (`lock_discipline`) are retired, not
@@ -64,20 +64,12 @@ pub fn lint_name(id: &str) -> &'static str {
     }
 }
 
-/// One-line description of what a lint enforces (shown by `alint lints`).
-pub fn lint_description(id: &str) -> &'static str {
-    match id {
-        "L2" => "no bare ==/!= against floating-point expressions",
-        "L3" => "public Result functions in typed-error crates return typed errors",
-        _ => "unknown lint",
-    }
-}
-
-/// Which passes apply to the file being linted (decided by scope config).
-/// L2 has no switch: it runs on every scanned file.
+/// Which passes apply to the file being linted (decided by
+/// [`crate::workspace::scope_for`]). L2 has no switch: it runs on every
+/// scanned file.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileScope {
-    /// L3: the file belongs to a typed-error crate's `src/` tree.
+    /// L3: the file is a library source (a `src/` tree, binaries excluded).
     pub typed_error: bool,
 }
 

@@ -39,10 +39,7 @@ impl Args {
     /// (`"--weighted"`), a name and a metavar take a value (`"--out FILE"`),
     /// and the metavar `N` requires an unsigned integer. An undeclared flag,
     /// a missing value or a malformed number is an error.
-    pub fn parse_from<I: IntoIterator<Item = String>>(
-        args: I,
-        extra: &[&str],
-    ) -> Result<Args, String> {
+    fn parse_from<I: IntoIterator<Item = String>>(args: I, extra: &[&str]) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -77,7 +74,7 @@ impl Args {
     }
 
     /// Parse the process arguments against the declared `extra` flags (see
-    /// [`Args::parse_from`]), exiting with status 2 and the usage line on
+    /// `Args::parse_from`), exiting with status 2 and the usage line on
     /// error.
     pub fn parse(extra: &[&str]) -> Args {
         match Self::parse_from(std::env::args().skip(1), extra) {

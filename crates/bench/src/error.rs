@@ -1,9 +1,9 @@
 //! Typed error for the bench library surface.
 //!
 //! The experiment *binaries* abort on failure by design, but the shared
-//! library modules (`report`, `json`, `perf`) follow the same discipline
-//! clippy's panic lints and alint L3 enforce on the core crates: no panics
-//! in library code, one crate error type on every public `Result`.
+//! library modules (`report`, `json`, `perf`, `cli`) follow the discipline
+//! clippy's panic lints and alint L3 enforce on every library crate: no
+//! panics in library code, one crate error type on every public `Result`.
 
 use std::fmt;
 

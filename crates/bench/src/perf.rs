@@ -1373,9 +1373,9 @@ impl Comparison {
         out
     }
 
-    /// Render GitHub workflow-command annotations (like `alint --format
-    /// github`): `::error` per regression, or `::warning` in check-only
-    /// mode so advisory CI runs annotate without failing.
+    /// Render GitHub workflow-command annotations: `::error` per
+    /// regression, or `::warning` in check-only mode so advisory CI runs
+    /// annotate without failing.
     pub fn render_github(&self, check_only: bool) -> String {
         let level = if check_only { "warning" } else { "error" };
         let mut out = String::new();

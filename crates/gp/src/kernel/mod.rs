@@ -38,16 +38,24 @@ pub trait Kernel: Send + Sync {
     fn set_params(&mut self, p: &[f64]) -> Result<(), GpError>;
 
     /// Covariance `k(a, b)`.
+    ///
+    /// This is the per-pair bit contract of [`Kernel::values_into`]: every
+    /// fit, predict and pool path evaluates kernels in blocks through
+    /// `values_into`, and only the tests call `value`, as the oracle each
+    /// block value must match bit for bit
+    /// (`block_values_and_gradients_match_the_per_pair_oracle_bitwise`).
     fn value(&self, a: &[f64], b: &[f64]) -> f64;
 
     /// Gradient `∂k(a,b)/∂p_i` for every log-space parameter, written into
     /// `out` (length [`Kernel::n_params`]).
     ///
+    /// Like [`Kernel::value`], this is a per-pair bit contract: the LML
+    /// gradient evaluates blocks through [`Kernel::gradients_into`], and
+    /// only the tests call `gradient`, as the oracle of each block term.
     /// `k` must be `self.value(a, b)`, bit for bit. A caller that has the
     /// pair's value already passes it in: the LML gradient reads it from
-    /// the `K_y` it just factored (through [`Kernel::gradients_into`],
-    /// whose per-pair oracle this is), so one evaluation computes each
-    /// kernel value once. Every kernel writes `out[0] = k`
+    /// the `K_y` it just factored, so one evaluation computes each kernel
+    /// value once. Every kernel writes `out[0] = k`
     /// (`∂k/∂log σ_f² = k`); the RBF, ARD-RBF and rational-quadratic
     /// length-scale terms scale `k` and need no `exp` or `powf` of their
     /// own, while Matérn keeps its own `e^{−s}` for them. The output bits
