@@ -676,16 +676,6 @@ impl Side {
             Side::North => (0, 1),
         }
     }
-
-    /// The side seen from the neighbour's perspective.
-    pub fn opposite(self) -> Side {
-        match self {
-            Side::West => Side::East,
-            Side::East => Side::West,
-            Side::South => Side::North,
-            Side::North => Side::South,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -813,9 +803,6 @@ mod tests {
     fn side_offsets_and_opposites() {
         assert_eq!(Side::West.offset(), (-1, 0));
         assert_eq!(Side::North.offset(), (0, 1));
-        for side in Side::ALL {
-            assert_eq!(side.opposite().opposite(), side);
-        }
     }
 
     #[test]

@@ -1,38 +1,35 @@
 //! `perf` — the BENCH_*.json trajectory driver.
 //!
 //! ```text
-//! perf list    [--tier quick|full] [--group G]...
-//! perf run     [--tier quick|full] [--group G]... [--out DIR]
-//! perf validate <file>...
-//! perf compare <old> <new> [--threshold F] [--format text|github] [--check-only]
+//! perf run     [--group G]... [--out DIR]
+//! perf compare <old> <new> [--format text|github] [--check-only]
 //! ```
 //!
-//! `run` writes one schema-versioned `BENCH_<group>.json` per group
-//! (workspace root by default). `compare` takes two files or directories,
-//! flags scenarios whose median slowed by more than the threshold with
-//! disjoint IQRs, and exits 1 on any regression unless `--check-only`
-//! (advisory mode for cross-machine CI). Usage errors exit 2.
+//! `run` prints every scenario it measures and writes one schema-versioned
+//! `BENCH_<group>.json` per group (workspace root by default). `compare`
+//! takes two files or directories, schema-validates every report of both
+//! operands, flags scenarios whose median slowed by more than the threshold
+//! with disjoint IQRs, and exits 1 on any regression unless `--check-only`
+//! (advisory mode for cross-machine CI). Usage errors and malformed
+//! reports exit 2.
 
 use al_bench::perf::{
-    compare, group_names, load_dir, load_report, registry, run, workspace_root, BenchReport, Tier,
-    DEFAULT_THRESHOLD,
+    compare, group_names, load_dir, load_report, run, workspace_root, write_report, BenchReport,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  perf list    [--tier quick|full] [--group G]...\n  perf run     [--tier quick|full] [--group G]... [--out DIR]\n  perf validate <file>...\n  perf compare <old> <new> [--threshold F] [--format text|github] [--check-only]\n\ngroups: {}",
+        "usage:\n  perf run     [--group G]... [--out DIR]\n  perf compare <old> <new> [--format text|github] [--check-only]\n\ngroups: {}",
         group_names().join(", ")
     );
     ExitCode::from(2)
 }
 
 struct Common {
-    tier: Tier,
     groups: Vec<String>,
     out: Option<PathBuf>,
-    threshold: f64,
     github: bool,
     check_only: bool,
     positional: Vec<String>,
@@ -40,10 +37,8 @@ struct Common {
 
 fn parse_args(args: &[String]) -> Option<Common> {
     let mut c = Common {
-        tier: Tier::Quick,
         groups: Vec::new(),
         out: None,
-        threshold: DEFAULT_THRESHOLD,
         github: false,
         check_only: false,
         positional: Vec::new(),
@@ -51,10 +46,8 @@ fn parse_args(args: &[String]) -> Option<Common> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tier" => c.tier = Tier::from_label(it.next()?)?,
             "--group" => c.groups.push(it.next()?.clone()),
             "--out" => c.out = Some(PathBuf::from(it.next()?)),
-            "--threshold" => c.threshold = it.next()?.parse().ok().filter(|t: &f64| *t > 0.0)?,
             "--format" => match it.next()?.as_str() {
                 "github" => c.github = true,
                 "text" => c.github = false,
@@ -86,23 +79,6 @@ fn main() -> ExitCode {
         return usage();
     };
     match cmd.as_str() {
-        "list" => {
-            if !c.positional.is_empty() {
-                return usage();
-            }
-            match registry(c.tier, &c.groups) {
-                Ok(scenarios) => {
-                    for s in &scenarios {
-                        println!("{}/{}", s.group, s.name);
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("perf list: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
         "run" => {
             if !c.positional.is_empty() {
                 return usage();
@@ -112,7 +88,7 @@ fn main() -> ExitCode {
                 eprintln!("perf run: {}: {e}", out_dir.display());
                 return ExitCode::from(2);
             }
-            let reports = match run(c.tier, &c.groups, |line| println!("{line}")) {
+            let reports = match run(&c.groups, |line| println!("{line}")) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("perf run: {e}");
@@ -120,7 +96,7 @@ fn main() -> ExitCode {
                 }
             };
             for report in &reports {
-                match al_bench::perf::write_report(report, &out_dir) {
+                match write_report(report, &out_dir) {
                     Ok(path) => println!("wrote {}", path.display()),
                     Err(e) => {
                         eprintln!("perf run: {e}");
@@ -130,49 +106,14 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "validate" => {
-            if c.positional.is_empty() {
-                return usage();
-            }
-            let mut ok = true;
-            for p in &c.positional {
-                match load_report(Path::new(p)) {
-                    Ok(r) => println!(
-                        "{p}: valid ({} scenarios, group {})",
-                        r.scenarios.len(),
-                        r.group
-                    ),
-                    Err(e) => {
-                        eprintln!("{p}: INVALID: {e}");
-                        ok = false;
-                    }
-                }
-            }
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
         "compare" => {
             let [old_path, new_path] = c.positional.as_slice() else {
                 return usage();
             };
-            let old = match load_operand(Path::new(old_path)) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("perf compare: {old_path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let new = match load_operand(Path::new(new_path)) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("perf compare: {new_path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let cmp = match compare(&old, &new, c.threshold) {
+            // Every load error names the file or directory it came from.
+            let cmp = load_operand(Path::new(old_path))
+                .and_then(|old| compare(&old, &load_operand(Path::new(new_path))?));
+            let cmp = match cmp {
                 Ok(cmp) => cmp,
                 Err(e) => {
                     eprintln!("perf compare: {e}");

@@ -40,6 +40,13 @@ pub enum BenchError {
         /// Why it failed.
         detail: String,
     },
+    /// A `BENCH_*.json` file did not parse or validate.
+    Report {
+        /// File involved (display form).
+        path: String,
+        /// The parse or schema error.
+        source: Box<BenchError>,
+    },
     /// `perf run --group` named a group the registry does not contain.
     UnknownGroup(String),
     /// `perf compare` found no scenario present in both reports.
@@ -60,6 +67,7 @@ impl fmt::Display for BenchError {
             BenchError::Schema { field, detail } => {
                 write!(f, "BENCH schema violation at `{field}`: {detail}")
             }
+            BenchError::Report { path, source } => write!(f, "{path}: {source}"),
             BenchError::UnknownGroup(g) => write!(f, "unknown scenario group {g:?}"),
             BenchError::NoCommonScenarios => {
                 write!(f, "compare: the two reports share no scenario names")
@@ -72,6 +80,7 @@ impl std::error::Error for BenchError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BenchError::Io { source, .. } => Some(source),
+            BenchError::Report { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }

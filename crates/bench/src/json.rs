@@ -2,7 +2,7 @@
 //! perf trajectory.
 //!
 //! The build environment is fully offline (no serde), so the harness
-//! carries its own ~200-line JSON layer: enough of RFC 8259 to round-trip
+//! carries its own JSON layer: enough of RFC 8259 to round-trip
 //! the BENCH report schema exactly. Objects use `BTreeMap` so emitted key
 //! order is deterministic (clippy.toml disallows the hash containers).
 

@@ -4,11 +4,12 @@
 //! workspace — Cholesky factorization and the O(n²) bordered extension vs.
 //! an O(n³) factorization from scratch, GP fit (from scratch, and by one
 //! O(n²) border step onto a held fit)/predict/augment, local-GP selection
-//! over a 10⁵-candidate grid, the AMR solver step and single-patch sweep,
-//! and one end-to-end RGMA sweep iteration. Each scenario runs warmup calls,
-//! then N timed repeats (auto-batched so a sample spans at least a few
-//! milliseconds), and records robust statistics (min / quartiles / median)
-//! plus a machine fingerprint and a schema version into one
+//! over a 10⁵-candidate grid, the AMR solver step and single-patch sweeps,
+//! and the AL layer: one selection per paper strategy, a session step, the
+//! sharded store under contention and the warm-start pair. Each scenario
+//! runs one warmup call, then five timed repeats (auto-batched so a sample
+//! spans at least 2 ms), and records robust statistics (min / quartiles /
+//! median) plus a machine fingerprint and a schema version into one
 //! `BENCH_<group>.json` file per group at the workspace root.
 //!
 //! `compare` flags a regression only when the median moved by more than the
@@ -34,60 +35,19 @@ use std::path::{Path, PathBuf};
 /// Version stamp written into (and required from) every BENCH file.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Default regression threshold for `compare`: relative median change
-/// beyond which (together with disjoint IQRs) a scenario is flagged.
-pub const DEFAULT_THRESHOLD: f64 = 0.10;
+/// Regression threshold for `compare`: relative median change beyond
+/// which (together with disjoint IQRs) a scenario is flagged.
+const THRESHOLD: f64 = 0.10;
 
-/// Scenario size preset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// Reduced problem sizes: CI smoke runs and debug builds.
-    Quick,
-    /// The full trajectory point (paper-scale problem sizes).
-    Full,
-}
+/// Warmup calls before sampling.
+const WARMUP: usize = 1;
 
-impl Tier {
-    /// Parse a CLI spelling.
-    pub fn from_label(s: &str) -> Option<Tier> {
-        match s {
-            "quick" => Some(Tier::Quick),
-            "full" => Some(Tier::Full),
-            _ => None,
-        }
-    }
+/// Recorded samples per scenario.
+const REPEATS: usize = 5;
 
-    /// Canonical label (as written into the JSON).
-    pub fn label(self) -> &'static str {
-        match self {
-            Tier::Quick => "quick",
-            Tier::Full => "full",
-        }
-    }
-
-    fn warmup(self) -> usize {
-        match self {
-            Tier::Quick => 1,
-            Tier::Full => 2,
-        }
-    }
-
-    fn repeats(self) -> usize {
-        match self {
-            Tier::Quick => 5,
-            Tier::Full => 10,
-        }
-    }
-
-    /// Minimum wall-clock span of one recorded sample; faster bodies are
-    /// batched (`inner` calls per sample) until they reach it.
-    fn min_sample_s(self) -> f64 {
-        match self {
-            Tier::Quick => 2e-3,
-            Tier::Full => 10e-3,
-        }
-    }
-}
+/// Minimum wall-clock span of one recorded sample; faster bodies are
+/// batched (`inner` calls per sample) until they reach it.
+const MIN_SAMPLE_S: f64 = 2e-3;
 
 /// Host identity recorded with every report so cross-machine comparisons
 /// are visible as such.
@@ -170,8 +130,6 @@ pub struct BenchReport {
     pub schema_version: u64,
     /// Scenario group (`linalg`, `gp`, `amr`, `al`).
     pub group: String,
-    /// Tier label the run used.
-    pub tier: String,
     /// Producing host/build.
     pub fingerprint: Fingerprint,
     /// Measured scenarios, in registry order.
@@ -192,7 +150,6 @@ impl BenchReport {
             Json::Num(self.schema_version as f64),
         );
         root.insert("group".to_string(), Json::Str(self.group.clone()));
-        root.insert("tier".to_string(), Json::Str(self.tier.clone()));
         let mut fp = BTreeMap::new();
         fp.insert("os".to_string(), Json::Str(self.fingerprint.os.clone()));
         fp.insert("arch".to_string(), Json::Str(self.fingerprint.arch.clone()));
@@ -244,7 +201,6 @@ impl BenchReport {
             ));
         }
         let group = get_str(doc, "group")?;
-        let tier = get_str(doc, "tier")?;
         let fp = doc
             .get("fingerprint")
             .ok_or_else(|| schema_err("fingerprint", "missing"))?;
@@ -298,7 +254,6 @@ impl BenchReport {
         Ok(BenchReport {
             schema_version,
             group,
-            tier,
             fingerprint,
             scenarios,
         })
@@ -421,24 +376,16 @@ fn spd_gram(n: usize, seed: u64) -> Matrix {
     a
 }
 
-fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
-    let sizes: &[usize] = match tier {
-        Tier::Quick => &[200, 400],
-        Tier::Full => &[200, 400, 800, 1600],
-    };
+fn linalg_scenarios() -> Vec<Scenario> {
     // The factorization curve, timed once per n on the register-tiled path
     // `Cholesky::new` takes, with the unblocked reference loop beside it at
     // the naive sizes: each pair pins the tiling speedup (DESIGN §13),
     // while the in-crate parity tests pin that both paths produce
     // identical bits. n = 250 is the largest model the Fig. 3 loop fits;
-    // the quick tier keeps n = 1600 so the committed trajectory records
-    // the ratio at paper scale.
-    let (factor_sizes, naive_sizes): (&[usize], &[usize]) = match tier {
-        Tier::Quick => (&[200, 250, 400, 1600], &[400, 1600]),
-        Tier::Full => (&[200, 250, 400, 800, 1600], &[400, 800, 1600]),
-    };
+    // n = 1600 records the ratio at paper scale.
+    let naive_sizes = [400, 1600];
     let mut out = Vec::new();
-    for &n in factor_sizes {
+    for n in [200, 250, 400, 1600] {
         out.push(Scenario::new(
             "linalg",
             format!("cholesky_factor_n{n}"),
@@ -464,7 +411,7 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
             ));
         }
     }
-    for &n in sizes {
+    for n in [200, 400] {
         // The augment-vs-refit pair: extending an n-point factor by one
         // bordered row (O(n²); `extend` grows in place, so each call
         // includes a clone that resets the factor) against refactoring the
@@ -525,18 +472,10 @@ fn linalg_scenarios(tier: Tier) -> Vec<Scenario> {
     out
 }
 
-fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
+fn gp_scenarios() -> Vec<Scenario> {
     use al_gp::{FitOptions, GpModel, KernelKind, LocalGpModel, PoolCache};
-    let fit_sizes: &[usize] = match tier {
-        Tier::Quick => &[100, 200],
-        Tier::Full => &[200, 400],
-    };
-    let augment_n = match tier {
-        Tier::Quick => 200,
-        Tier::Full => 400,
-    };
     let mut out = Vec::new();
-    for &n in fit_sizes {
+    for n in [100, 200] {
         out.push(Scenario::new("gp", format!("gp_fit_n{n}"), move || {
             let (x, y) = training_data(n, 5, 21);
             let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
@@ -546,12 +485,11 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             })
         }));
     }
-    let predict_n = *fit_sizes.last().unwrap_or(&200);
     out.push(Scenario::new(
         "gp",
-        format!("gp_predict_n{predict_n}_q100"),
-        move || {
-            let (x, y) = training_data(predict_n, 5, 22);
+        "gp_predict_n200_q100".to_string(),
+        || {
+            let (x, y) = training_data(200, 5, 22);
             let (xq, _) = training_data(100, 5, 23);
             let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
             gp.fit(&x, &y).expect("synthetic data fits");
@@ -691,37 +629,29 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
             },
         ));
     }
-    out.push(Scenario::new(
-        "gp",
-        format!("gp_augment_n{augment_n}"),
-        move || {
-            let (x, y) = training_data(augment_n, 5, 24);
-            let (xn, yn) = training_data(1, 5, 25);
-            let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-            gp.fit(&x, &y).expect("synthetic data fits");
-            Box::new(move || {
-                let mut m = gp.clone();
-                m.augment(xn.row(0), yn[0]).expect("augment succeeds");
-                std::hint::black_box(m.n_train());
-            })
-        },
-    ));
-    out.push(Scenario::new(
-        "gp",
-        format!("gp_refit_n{augment_n}"),
-        move || {
-            let (x, y) = training_data(augment_n, 5, 24);
-            let (xn, yn) = training_data(1, 5, 25);
-            let x_next = x.vstack(&xn).expect("same width");
-            let mut y_next = y;
-            y_next.push(yn[0]);
-            let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-            Box::new(move || {
-                gp.fit(&x_next, &y_next).expect("synthetic data fits");
-                std::hint::black_box(gp.n_train());
-            })
-        },
-    ));
+    out.push(Scenario::new("gp", "gp_augment_n200".to_string(), || {
+        let (x, y) = training_data(200, 5, 24);
+        let (xn, yn) = training_data(1, 5, 25);
+        let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+        gp.fit(&x, &y).expect("synthetic data fits");
+        Box::new(move || {
+            let mut m = gp.clone();
+            m.augment(xn.row(0), yn[0]).expect("augment succeeds");
+            std::hint::black_box(m.n_train());
+        })
+    }));
+    out.push(Scenario::new("gp", "gp_refit_n200".to_string(), || {
+        let (x, y) = training_data(200, 5, 24);
+        let (xn, yn) = training_data(1, 5, 25);
+        let x_next = x.vstack(&xn).expect("same width");
+        let mut y_next = y;
+        y_next.push(yn[0]);
+        let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
+        Box::new(move || {
+            gp.fit(&x_next, &y_next).expect("synthetic data fits");
+            std::hint::black_box(gp.n_train());
+        })
+    }));
     // A refit between optimize boundaries at the Fig. 3 loop's largest
     // model: `fit` on one more row than a held n-row fit, which grows the
     // held factor by one exact border step (clone included, as in
@@ -826,16 +756,12 @@ fn gp_scenarios(tier: Tier) -> Vec<Scenario> {
     out
 }
 
-fn amr_scenarios(tier: Tier) -> Vec<Scenario> {
+fn amr_scenarios() -> Vec<Scenario> {
     use al_amr_sim::{AmrSolver, SimulationConfig, SolverProfile};
-    let maxlevel = match tier {
-        Tier::Quick => 3,
-        Tier::Full => 4,
-    };
     let config = SimulationConfig {
         p: 8,
         mx: 16,
-        maxlevel,
+        maxlevel: 3,
         r0: 0.35,
         rhoin: 0.1,
     };
@@ -1107,9 +1033,9 @@ fn al_scenarios() -> Vec<Scenario> {
     out
 }
 
-/// Build the full registry for a tier, optionally restricted to `groups`
-/// (empty slice = every group).
-pub fn registry(tier: Tier, groups: &[String]) -> Result<Vec<Scenario>, BenchError> {
+/// Build the registry, optionally restricted to `groups` (empty slice =
+/// every group).
+pub fn registry(groups: &[String]) -> Result<Vec<Scenario>, BenchError> {
     for g in groups {
         if !group_names().contains(&g.as_str()) {
             return Err(BenchError::UnknownGroup(g.clone()));
@@ -1118,13 +1044,13 @@ pub fn registry(tier: Tier, groups: &[String]) -> Result<Vec<Scenario>, BenchErr
     let wanted = |g: &str| groups.is_empty() || groups.iter().any(|w| w == g);
     let mut out = Vec::new();
     if wanted("linalg") {
-        out.extend(linalg_scenarios(tier));
+        out.extend(linalg_scenarios());
     }
     if wanted("gp") {
-        out.extend(gp_scenarios(tier));
+        out.extend(gp_scenarios());
     }
     if wanted("amr") {
-        out.extend(amr_scenarios(tier));
+        out.extend(amr_scenarios());
     }
     if wanted("al") {
         out.extend(al_scenarios());
@@ -1137,14 +1063,12 @@ pub fn registry(tier: Tier, groups: &[String]) -> Result<Vec<Scenario>, BenchErr
 // ---------------------------------------------------------------------------
 
 /// Time one scenario: warmup, calibrate an inner batch count so each
-/// sample spans at least `min_sample_s`, then record `repeats` samples of
-/// seconds-per-call.
-fn measure(scenario: Scenario, tier: Tier) -> ScenarioResult {
+/// sample spans at least [`MIN_SAMPLE_S`], then record [`REPEATS`]
+/// samples of seconds-per-call.
+fn measure(scenario: Scenario) -> ScenarioResult {
     let name = scenario.name;
     let mut body = (scenario.setup)();
-    let warmup = tier.warmup();
-    let repeats = tier.repeats();
-    for _ in 0..warmup {
+    for _ in 0..WARMUP {
         body();
     }
     let started = crate::clock::now();
@@ -1154,9 +1078,9 @@ fn measure(scenario: Scenario, tier: Tier) -> ScenarioResult {
         clippy::cast_possible_truncation,
         reason = "ceiled and clamped to [1, 1024] first, so the cast is exact"
     )]
-    let inner = ((tier.min_sample_s() / once).ceil().clamp(1.0, 1024.0)) as usize;
-    let mut samples = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
+    let inner = ((MIN_SAMPLE_S / once).ceil().clamp(1.0, 1024.0)) as usize;
+    let mut samples = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
         let started = crate::clock::now();
         for _ in 0..inner {
             body();
@@ -1165,8 +1089,8 @@ fn measure(scenario: Scenario, tier: Tier) -> ScenarioResult {
     }
     ScenarioResult {
         name,
-        warmup,
-        repeats,
+        warmup: WARMUP,
+        repeats: REPEATS,
         inner,
         stats: RobustStats::of(&samples),
     }
@@ -1175,17 +1099,16 @@ fn measure(scenario: Scenario, tier: Tier) -> ScenarioResult {
 /// Run every selected scenario and assemble one report per group, in
 /// registry group order. `progress` receives a line per finished scenario.
 pub fn run(
-    tier: Tier,
     groups: &[String],
     mut progress: impl FnMut(&str),
 ) -> Result<Vec<BenchReport>, BenchError> {
-    let scenarios = registry(tier, groups)?;
+    let scenarios = registry(groups)?;
     let fingerprint = Fingerprint::current();
     let mut by_group: Vec<(&'static str, Vec<ScenarioResult>)> = Vec::new();
     for scenario in scenarios {
         let group = scenario.group;
         let label = scenario.name.clone();
-        let result = measure(scenario, tier);
+        let result = measure(scenario);
         progress(&format!(
             "{group}/{label}: median {} (n={} x{})",
             format_duration(result.stats.median_s),
@@ -1202,7 +1125,6 @@ pub fn run(
         .map(|(group, scenarios)| BenchReport {
             schema_version: SCHEMA_VERSION,
             group: group.to_string(),
-            tier: tier.label().to_string(),
             fingerprint: fingerprint.clone(),
             scenarios,
         })
@@ -1244,13 +1166,16 @@ pub fn write_report(report: &BenchReport, dir: &Path) -> Result<PathBuf, BenchEr
     Ok(path)
 }
 
-/// Load and schema-validate one report.
+/// Load and schema-validate one report; every error names the file.
 pub fn load_report(path: &Path) -> Result<BenchReport, BenchError> {
     let text = std::fs::read_to_string(path).map_err(|source| BenchError::Io {
         path: path.display().to_string(),
         source,
     })?;
-    BenchReport::parse_str(&text)
+    BenchReport::parse_str(&text).map_err(|e| BenchError::Report {
+        path: path.display().to_string(),
+        source: Box::new(e),
+    })
 }
 
 /// Load every `BENCH_*.json` directly under `dir`, sorted by file name.
@@ -1315,8 +1240,6 @@ pub struct Comparison {
     /// Host or build profile differs between the runs — absolute numbers
     /// are then not comparable (CI's check-only mode exists for this).
     pub fingerprint_differs: bool,
-    /// Threshold the verdicts used.
-    pub threshold: f64,
 }
 
 impl Comparison {
@@ -1368,7 +1291,7 @@ impl Comparison {
             self.deltas.len(),
             self.regression_count(),
             improvements,
-            self.threshold * 100.0
+            THRESHOLD * 100.0
         ));
         out
     }
@@ -1402,14 +1325,10 @@ impl Comparison {
 }
 
 /// Compare two report sets. A scenario regresses when its median slowed by
-/// more than `threshold` (relative) AND the new IQR sits entirely above
+/// more than 10% (relative) AND the new IQR sits entirely above
 /// the old one (`new.q1 > old.q3`) — both conditions, so neither a noisy
 /// single run nor a sub-threshold drift can flag.
-pub fn compare(
-    old: &[BenchReport],
-    new: &[BenchReport],
-    threshold: f64,
-) -> Result<Comparison, BenchError> {
+pub fn compare(old: &[BenchReport], new: &[BenchReport]) -> Result<Comparison, BenchError> {
     let index = |reports: &[BenchReport]| -> BTreeMap<String, (RobustStats, Fingerprint)> {
         let mut m = BTreeMap::new();
         for r in reports {
@@ -1439,9 +1358,9 @@ pub fn compare(
                 let rel = (new_stats.median_s - old_stats.median_s) / denom;
                 let disjoint_slower = new_stats.q1_s > old_stats.q3_s;
                 let disjoint_faster = new_stats.q3_s < old_stats.q1_s;
-                let verdict = if rel > threshold && disjoint_slower {
+                let verdict = if rel > THRESHOLD && disjoint_slower {
                     Verdict::Regression
-                } else if rel < -threshold && disjoint_faster {
+                } else if rel < -THRESHOLD && disjoint_faster {
                     Verdict::Improvement
                 } else {
                     Verdict::Within
@@ -1471,7 +1390,6 @@ pub fn compare(
         only_old,
         only_new,
         fingerprint_differs,
-        threshold,
     })
 }
 
@@ -1483,7 +1401,6 @@ mod tests {
         BenchReport {
             schema_version: SCHEMA_VERSION,
             group: "linalg".to_string(),
-            tier: "quick".to_string(),
             fingerprint: Fingerprint::current(),
             scenarios: stats
                 .iter()
@@ -1515,6 +1432,11 @@ mod tests {
         let text = r.to_json().render();
         let back = BenchReport::parse_str(&text).unwrap();
         assert_eq!(back, r);
+        assert!(!text.contains("\"tier\""));
+        // Files recorded before the key was retired still load.
+        let old = text.replace("\"group\"", "\"tier\": \"quick\",\n  \"group\"");
+        assert_ne!(old, text);
+        assert_eq!(BenchReport::parse_str(&old).unwrap(), r);
     }
 
     #[test]
@@ -1522,12 +1444,7 @@ mod tests {
         let r = report_with(&[("a", stats(1e-3)), ("b", stats(2.5e-2))]);
         let text = r.to_json().render();
         let back = BenchReport::parse_str(&text).unwrap();
-        let cmp = compare(
-            std::slice::from_ref(&r),
-            std::slice::from_ref(&back),
-            DEFAULT_THRESHOLD,
-        )
-        .unwrap();
+        let cmp = compare(std::slice::from_ref(&r), std::slice::from_ref(&back)).unwrap();
         assert_eq!(cmp.regression_count(), 0);
         assert!(!cmp.fingerprint_differs);
         assert!(cmp.deltas.iter().all(|d| d.verdict == Verdict::Within));
@@ -1537,7 +1454,7 @@ mod tests {
     fn injected_2x_slowdown_is_flagged() {
         let old = report_with(&[("a", stats(1e-3)), ("b", stats(4e-3))]);
         let new = report_with(&[("a", stats(2e-3)), ("b", stats(4e-3))]);
-        let cmp = compare(&[old], &[new], DEFAULT_THRESHOLD).unwrap();
+        let cmp = compare(&[old], &[new]).unwrap();
         assert_eq!(cmp.regression_count(), 1);
         let reg = cmp
             .deltas
@@ -1556,7 +1473,7 @@ mod tests {
         // 5% median drift: below threshold.
         let old = report_with(&[("a", stats(1.00e-3))]);
         let new = report_with(&[("a", stats(1.05e-3))]);
-        let cmp = compare(&[old], &[new], DEFAULT_THRESHOLD).unwrap();
+        let cmp = compare(&[old], &[new]).unwrap();
         assert_eq!(cmp.regression_count(), 0);
 
         // 20% median drift but wide overlapping IQRs: still within noise.
@@ -1570,7 +1487,7 @@ mod tests {
         };
         let old = report_with(&[("a", stats(1.0e-3))]);
         let new = report_with(&[("a", wide)]);
-        let cmp = compare(&[old], &[new], DEFAULT_THRESHOLD).unwrap();
+        let cmp = compare(&[old], &[new]).unwrap();
         assert_eq!(cmp.regression_count(), 0);
     }
 
@@ -1578,7 +1495,7 @@ mod tests {
     fn missing_scenarios_are_reported_not_fatal() {
         let old = report_with(&[("a", stats(1e-3)), ("gone", stats(1e-3))]);
         let new = report_with(&[("a", stats(1e-3)), ("fresh", stats(1e-3))]);
-        let cmp = compare(&[old], &[new], DEFAULT_THRESHOLD).unwrap();
+        let cmp = compare(&[old], &[new]).unwrap();
         assert_eq!(cmp.only_old, vec!["linalg/gone".to_string()]);
         assert_eq!(cmp.only_new, vec!["linalg/fresh".to_string()]);
         assert!(cmp.render_github(true).contains("perf scenario missing"));
@@ -1589,7 +1506,7 @@ mod tests {
         let old = report_with(&[("a", stats(1e-3))]);
         let new = report_with(&[("b", stats(1e-3))]);
         assert!(matches!(
-            compare(&[old], &[new], DEFAULT_THRESHOLD),
+            compare(&[old], &[new]),
             Err(BenchError::NoCommonScenarios)
         ));
     }
@@ -1625,7 +1542,7 @@ mod tests {
 
     #[test]
     fn registry_covers_contracted_scenarios() {
-        let names: Vec<String> = registry(Tier::Quick, &[])
+        let names: Vec<String> = registry(&[])
             .unwrap()
             .iter()
             .map(|s| format!("{}/{}", s.group, s.name))
@@ -1694,34 +1611,13 @@ mod tests {
         assert!(names.contains(&"gp/kernel_values_rbf_n250_q400".to_string()));
         // Unknown group is a typed error.
         assert!(matches!(
-            registry(Tier::Quick, &["nope".to_string()]),
+            registry(&["nope".to_string()]),
             Err(BenchError::UnknownGroup(_))
         ));
         // Group filter narrows the registry.
-        let only_amr = registry(Tier::Quick, &["amr".to_string()]).unwrap();
+        let only_amr = registry(&["amr".to_string()]).unwrap();
         assert!(only_amr.iter().all(|s| s.group == "amr"));
         assert_eq!(only_amr.len(), 5);
-    }
-
-    #[test]
-    fn full_tier_grows_the_cholesky_curve() {
-        let full: Vec<String> = registry(Tier::Full, &["linalg".to_string()])
-            .unwrap()
-            .iter()
-            .map(|s| s.name.clone())
-            .collect();
-        for n in [200, 400, 800, 1600] {
-            assert!(full.contains(&format!("cholesky_factor_n{n}")), "n={n}");
-            assert!(full.contains(&format!("cholesky_extend_n{n}")), "n={n}");
-            assert!(full.contains(&format!("cholesky_refit_n{n}")), "n={n}");
-        }
-        for n in [400, 800, 1600] {
-            assert!(
-                full.contains(&format!("cholesky_factor_naive_n{n}")),
-                "n={n}"
-            );
-        }
-        assert!(!full.iter().any(|n| n.contains("cholesky_factor_blocked")));
     }
 
     #[test]
@@ -1734,7 +1630,7 @@ mod tests {
                 std::hint::black_box(x);
             })
         });
-        let r = measure(s, Tier::Quick);
+        let r = measure(s);
         assert_eq!(r.repeats, 5);
         assert!(r.inner >= 1);
         assert!(r.stats.min_s >= 0.0);

@@ -1,10 +1,10 @@
 //! End-to-end tests of the `perf` binary: the acceptance-criteria paths.
-//! A real (tiny) `run` emits schema-valid `BENCH_*.json`; `validate`
-//! accepts them; `compare` against an injected 2× median slowdown exits
-//! nonzero with a `REGRESSION` line and `--format github` annotations;
-//! self-compare and `--check-only` exit zero.
+//! A real (tiny) `run` emits schema-valid `BENCH_*.json`; `compare`
+//! against an injected 2× median slowdown exits nonzero with a
+//! `REGRESSION` line and `--format github` annotations; self-compare and
+//! `--check-only` exit zero; a malformed report in either operand exits 2.
 
-use al_bench::perf::{load_report, SCHEMA_VERSION};
+use al_bench::perf::{compare, load_dir, load_report, registry, workspace_root, SCHEMA_VERSION};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -23,35 +23,29 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One real quick-tier run of the cheapest group, then every downstream
-/// CLI path against its artifact. Grouped into one test because the run
-/// itself (a real AMR measurement) is the expensive part.
+/// One real run of the cheapest group, then every downstream CLI path
+/// against its artifact. Grouped into one test because the run itself (a
+/// real AMR measurement) is the expensive part.
 #[test]
-fn run_validate_and_compare_round_trip() {
+fn run_and_compare_round_trip() {
     let dir = temp_dir("run");
     let out = perf(
-        &[
-            "run",
-            "--tier",
-            "quick",
-            "--group",
-            "amr",
-            "--out",
-            dir.to_str().unwrap(),
-        ],
+        &["run", "--group", "amr", "--out", dir.to_str().unwrap()],
         &dir,
     );
     assert!(out.status.success(), "run failed: {out:?}");
     let bench_path = dir.join("BENCH_amr.json");
     assert!(bench_path.exists(), "run writes BENCH_amr.json");
 
-    // The artifact is schema-valid both through the library and the CLI.
+    // The artifact is schema-valid, and `run` printed every scenario.
     let report = load_report(&bench_path).expect("emitted file validates");
     assert_eq!(report.schema_version, SCHEMA_VERSION);
     assert_eq!(report.group, "amr");
     assert_eq!(report.scenarios.len(), 5);
-    let out = perf(&["validate", bench_path.to_str().unwrap()], &dir);
-    assert!(out.status.success(), "validate failed: {out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    for s in &report.scenarios {
+        assert!(text.contains(&format!("amr/{}: median", s.name)), "{text}");
+    }
 
     // Self-compare: zero regressions, exit 0.
     let out = perf(
@@ -139,10 +133,13 @@ fn usage_and_bad_input_exit_two() {
     for args in [
         &[][..],
         &["frobnicate"][..],
-        &["run", "--tier", "warp"][..],
         &["run", "--group", "nope"][..],
         &["compare", "only-one-operand"][..],
-        &["compare", "a", "b", "--threshold", "-1"][..],
+        // The retired commands and options.
+        &["list"][..],
+        &["validate", "BENCH_gp.json"][..],
+        &["run", "--tier", "quick"][..],
+        &["compare", "a", "b", "--threshold", "0.1"][..],
     ] {
         let out = perf(args, &dir);
         assert_eq!(out.status.code(), Some(2), "args {args:?}: {out:?}");
@@ -155,27 +152,69 @@ fn usage_and_bad_input_exit_two() {
         &dir,
     );
     assert_eq!(out.status.code(), Some(2), "{out:?}");
-    // validate reports invalid files with exit 1.
-    let out = perf(&["validate", bad.to_str().unwrap()], &dir);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A directory operand is schema-validated file by file: one malformed
+/// `BENCH_*.json` beside a good one fails the compare with exit 2.
 #[test]
-fn list_names_the_contracted_scenarios() {
-    let dir = temp_dir("list");
-    let out = perf(&["list", "--tier", "quick"], &dir);
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    for needle in [
-        "linalg/cholesky_extend_n",
-        "linalg/cholesky_refit_n",
-        "gp/local_select_100k",
-        "amr/solver_step",
-        "al/strategy_select_rgma_q400",
-        "amr/patch_sweep_x_mx32",
+fn compare_rejects_a_directory_with_one_malformed_report() {
+    let dir = temp_dir("malformed");
+    let good = workspace_root().join("BENCH_amr.json");
+    std::fs::copy(&good, dir.join("BENCH_amr.json")).unwrap();
+    let out = perf(
+        &["compare", good.to_str().unwrap(), dir.to_str().unwrap()],
+        &dir,
+    );
+    assert!(
+        out.status.success(),
+        "the good copy alone compares: {out:?}"
+    );
+    // Valid JSON with its median removed fails the schema, not the parser.
+    let bad = std::fs::read_to_string(&good)
+        .unwrap()
+        .replace("\"median_s\"", "\"median\"");
+    std::fs::write(dir.join("BENCH_gp.json"), bad).unwrap();
+    let root = workspace_root();
+    for args in [
+        [root.to_str().unwrap(), dir.to_str().unwrap()],
+        [dir.to_str().unwrap(), root.to_str().unwrap()],
     ] {
-        assert!(text.contains(needle), "missing {needle} in:\n{text}");
+        let out = perf(&["compare", args[0], args[1]], &dir);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("BENCH_gp.json"), "names the bad file: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The committed trajectory still loads (files recorded before the `tier`
+/// key was retired carry it; the reader ignores it), self-compares clean,
+/// and matches the registry name for name.
+#[test]
+fn committed_reports_load_and_match_the_registry() {
+    let committed = load_dir(&workspace_root()).expect("committed BENCH files validate");
+    let groups: Vec<&str> = committed.iter().map(|r| r.group.as_str()).collect();
+    assert_eq!(groups, ["al", "amr", "gp", "linalg"]);
+    let cmp = compare(&committed, &committed).expect("self-compare");
+    assert_eq!(cmp.regression_count(), 0);
+    assert!(cmp.only_old.is_empty() && cmp.only_new.is_empty());
+
+    let mut recorded: Vec<String> = committed
+        .iter()
+        .flat_map(|r| {
+            r.scenarios
+                .iter()
+                .map(|s| format!("{}/{}", r.group, s.name))
+        })
+        .collect();
+    let mut registered: Vec<String> = registry(&[])
+        .unwrap()
+        .iter()
+        .map(|s| format!("{}/{}", s.group, s.name))
+        .collect();
+    recorded.sort();
+    registered.sort();
+    assert_eq!(recorded, registered);
+    assert_eq!(registered.len(), 43);
 }

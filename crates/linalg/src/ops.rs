@@ -79,19 +79,6 @@ impl DenseFold for SqDists<'_> {
     }
 }
 
-/// Euclidean norm.
-#[inline]
-pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// Element-wise difference `a - b` into a new vector.
-#[inline]
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
 /// Index of the maximum element; ties resolve to the lowest index.
 /// Returns `None` for empty input or when all elements are NaN.
 pub fn argmax(v: &[f64]) -> Option<usize> {
@@ -115,7 +102,6 @@ mod tests {
     #[test]
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -188,11 +174,6 @@ mod tests {
     fn block_past_the_last_point_panics() {
         let pts = Matrix::zeros(2, 3);
         sq_dists_into(&[0.0, 0.0], &pts, 2, &mut [0.0; 2]);
-    }
-
-    #[test]
-    fn sub_elementwise() {
-        assert_eq!(sub(&[3.0, 5.0], &[1.0, 2.0]), vec![2.0, 3.0]);
     }
 
     #[test]
