@@ -27,7 +27,6 @@ pub mod exact_riemann;
 pub mod machine;
 pub mod patch;
 pub mod problem;
-pub mod refine;
 pub mod runner;
 pub mod shockbubble;
 pub mod solver;

@@ -18,7 +18,6 @@
 
 use crate::error::AmrError;
 use crate::patch::{BoundaryFluxes, Patch, SweepScratch};
-use crate::refine::RefinementCriteria;
 use crate::shockbubble::SimulationConfig;
 use crate::tree::{Axis, Bc, Forest, PatchKey};
 use std::collections::BTreeMap;
@@ -53,16 +52,30 @@ impl std::fmt::Display for TruncationReason {
     }
 }
 
+/// CFL number for the global time step.
+pub const CFL: f64 = 0.45;
+
+/// Refine a patch when its refinement indicator (the largest relative
+/// density jump between adjacent cells, see
+/// [`Patch::refinement_indicator`]) exceeds this value. Tuned for the
+/// shock–bubble problem: it tags the shock (density ratio ≈ 2.7 across a
+/// few cells) and the bubble interface (ratio up to 50) but not the
+/// smooth post-shock flow.
+pub const REFINE_THRESHOLD: f64 = 0.12;
+
+/// Coarsen a sibling quartet when all four indicators are below this
+/// value. The gap to [`REFINE_THRESHOLD`] is hysteresis: it keeps patches
+/// from oscillating between levels as a feature sweeps through them.
+pub const COARSEN_THRESHOLD: f64 = 0.04;
+
+const _: () = assert!(COARSEN_THRESHOLD < REFINE_THRESHOLD);
+
 /// Numerical profile controlling how long and how accurately to simulate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverProfile {
     /// Simulated end time (domain units; the shock crosses the whole
     /// domain in roughly 0.37 time units).
     pub t_final: f64,
-    /// CFL number for the global time step.
-    pub cfl: f64,
-    /// Refinement thresholds.
-    pub criteria: RefinementCriteria,
     /// Steps between regrid cycles.
     pub regrid_interval: u64,
     /// Coarsest level of the forest.
@@ -83,8 +96,6 @@ impl SolverProfile {
     pub fn paper() -> Self {
         SolverProfile {
             t_final: 0.005,
-            cfl: 0.45,
-            criteria: RefinementCriteria::default(),
             regrid_interval: 4,
             minlevel: 2,
             max_steps: 200_000,
@@ -110,8 +121,6 @@ impl SolverProfile {
             t_final: 0.001,
             minlevel: 1,
             regrid_interval: 4,
-            cfl: 0.45,
-            criteria: RefinementCriteria::default(),
             max_steps: 200_000,
             time_stepping: TimeStepping::LevelSynchronous,
         }
@@ -244,10 +253,7 @@ impl AmrSolver {
     ) -> Self {
         let minlevel = profile.minlevel.min(maxlevel);
         let mut forest = Forest::uniform(mx, minlevel, maxlevel);
-        forest.init_adaptive(
-            &|x, y| problem.initial_state(x, y),
-            profile.criteria.refine_threshold,
-        );
+        forest.init_adaptive(&|x, y| problem.initial_state(x, y), REFINE_THRESHOLD);
         let bc = problem.boundary_conditions();
         let stats = WorkStats {
             peak_storage_cells: forest.total_storage_cells(),
@@ -295,7 +301,7 @@ impl AmrSolver {
     /// CFL step (ghost fill → x sweep → ghost fill → y sweep, alternating
     /// the sweep order every step for second-order splitting symmetry).
     fn step_synchronous(&mut self) -> Result<f64, AmrError> {
-        let mut dt = self.forest.cfl_dt(self.profile.cfl);
+        let mut dt = self.forest.cfl_dt(CFL);
         // Do not overshoot the end time.
         if self.time + dt > self.profile.t_final {
             dt = self.profile.t_final - self.time;
@@ -334,13 +340,13 @@ impl AmrSolver {
     fn step_subcycled(&mut self) -> Result<f64, AmrError> {
         let coarsest = self.forest.coarsest_level();
         let finest = self.forest.finest_level();
-        let mut dt = self.forest.cfl_dt_subcycled(self.profile.cfl, coarsest);
+        let mut dt = self.forest.cfl_dt_subcycled(CFL, coarsest);
         // Do not overshoot the end time.
         if self.time + dt > self.profile.t_final {
             dt = self.profile.t_final - self.time;
         }
 
-        if dt < self.forest.cfl_dt(self.profile.cfl) {
+        if dt < self.forest.cfl_dt(CFL) {
             // The end-time clamp shrank dt below even the finest level's
             // CFL step; a single lockstep advance is both stable and
             // strictly cheaper than recursing through 2^ℓ sub-steps of an
@@ -458,10 +464,7 @@ impl AmrSolver {
             .steps
             .is_multiple_of(self.profile.regrid_interval)
         {
-            let changes = self.forest.regrid(
-                self.profile.criteria.refine_threshold,
-                self.profile.criteria.coarsen_threshold,
-            );
+            let changes = self.forest.regrid(REFINE_THRESHOLD, COARSEN_THRESHOLD);
             self.stats.regrid_count += 1;
             self.stats.regrid_changes += changes as u64;
             self.stats.peak_storage_cells = self

@@ -14,6 +14,7 @@
 
 use al_amr_sim::patch::SweepScratch;
 use al_amr_sim::problem::{Problem, ShockBubbleProblem};
+use al_amr_sim::solver::{CFL, COARSEN_THRESHOLD, REFINE_THRESHOLD};
 use al_amr_sim::tree::Axis;
 use al_amr_sim::{AmrSolver, SimulationConfig, SolverProfile, TimeStepping};
 use std::collections::BTreeMap;
@@ -60,7 +61,7 @@ fn solver_matches_hand_rolled_serial_stepper() {
     let mut time = 0.0f64;
     let mut steps = 0u64;
     while time < profile.t_final {
-        let mut dt = reference.cfl_dt(profile.cfl);
+        let mut dt = reference.cfl_dt(CFL);
         if time + dt > profile.t_final {
             dt = profile.t_final - time;
         }
@@ -84,10 +85,7 @@ fn solver_matches_hand_rolled_serial_stepper() {
         time += dt;
         steps += 1;
         if steps.is_multiple_of(profile.regrid_interval) {
-            reference.regrid(
-                profile.criteria.refine_threshold,
-                profile.criteria.coarsen_threshold,
-            );
+            reference.regrid(REFINE_THRESHOLD, COARSEN_THRESHOLD);
         }
         assert!(steps < profile.max_steps, "reference run ran away");
         assert!(dt > 0.0 && dt.is_finite());

@@ -15,6 +15,7 @@
 use al_amr_sim::euler::{conservative, State};
 use al_amr_sim::exact_riemann::{ExactRiemann, Primitive1d};
 use al_amr_sim::problem::Problem;
+use al_amr_sim::solver::CFL;
 use al_amr_sim::tree::{Bc, Forest};
 use al_amr_sim::{AmrSolver, SolverProfile, TimeStepping};
 
@@ -34,7 +35,7 @@ fn run_sod(level: u8, mx: usize, t_final: f64) -> (Forest, f64) {
     let mut t = 0.0;
     let mut step = 0u64;
     while t < t_final {
-        let mut dt = forest.cfl_dt(0.45);
+        let mut dt = forest.cfl_dt(CFL);
         if t + dt > t_final {
             dt = t_final - t;
         }

@@ -340,9 +340,6 @@ impl SessionState {
             candidate_ids.is_empty() || candidate_features.cols() == init_features.cols(),
             "candidate and initial feature dimensions must match"
         );
-        // Every optimize boundary runs `opts.refit`: refuse options it
-        // would fail on now, before any fit, not mid-trajectory.
-        opts.refit.validate()?;
 
         let rng = StdRng::seed_from_u64(opts.seed);
         let train = TrainingSet::new(&init_features, init_log_cost, init_log_mem);
@@ -899,46 +896,6 @@ mod tests {
                 (state, decision) = state.step(&obs).unwrap();
             }
             assert_eq!(checked, p.active.len());
-        }
-    }
-
-    #[test]
-    fn invalid_refit_options_are_rejected_before_any_fit() {
-        let d = synth_dataset(24);
-        let mut rng = StdRng::seed_from_u64(22);
-        let p = Partition::random(d.len(), 3, 8, &mut rng);
-        let bad = [
-            ((8.0, -8.0), 0.08),
-            ((f64::NAN, 8.0), 0.08),
-            ((-8.0, 8.0), 0.0),
-            ((-8.0, 8.0), f64::NAN),
-        ];
-        for (bounds, learning_rate) in bad {
-            let opts = AlOptions {
-                refit: FitOptions {
-                    bounds,
-                    learning_rate,
-                    ..FitOptions::default()
-                },
-                ..fast_opts()
-            };
-            let want = opts.refit.validate().unwrap_err();
-            assert!(matches!(want, GpError::InvalidFitOptions { .. }));
-            let config = SessionConfig::from_partition(&d, &p, StrategyKind::RandUniform, &opts);
-            let warm = WarmHyperparams {
-                cost: vec![0.0, -1.0, -6.0],
-                mem: vec![0.0, -1.0, -6.0],
-            };
-            // Cold starts use `initial_fit`, which is fine: the refit
-            // options are still refused up front.
-            assert_eq!(
-                SessionState::start(config.clone()).err(),
-                Some(want.clone())
-            );
-            assert_eq!(
-                SessionState::start_warm(config, Some(&warm)).err(),
-                Some(want)
-            );
         }
     }
 }

@@ -767,34 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_fit_options_are_a_typed_create_error() {
-        let (mut cfg, _) = config(9);
-        let store = SessionStore::new(2);
-        for (bounds, learning_rate) in [
-            ((8.0, -8.0), 0.08),
-            ((-8.0, f64::NAN), 0.08),
-            ((-8.0, 8.0), -1.0),
-        ] {
-            for initial in [false, true] {
-                let mut opts = fast_opts();
-                let bad = if initial {
-                    &mut opts.initial_fit
-                } else {
-                    &mut opts.refit
-                };
-                bad.bounds = bounds;
-                bad.learning_rate = learning_rate;
-                cfg.opts = opts;
-                assert!(matches!(
-                    store.create(4, cfg.clone(), None),
-                    Err(SessionError::Gp(GpError::InvalidFitOptions { .. }))
-                ));
-                assert!(!store.contains(4));
-            }
-        }
-    }
-
-    #[test]
     fn non_finite_observation_leaves_session_intact() {
         let (cfg, d) = config(8);
         let clean = SessionStore::new(2);

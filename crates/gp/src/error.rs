@@ -30,13 +30,6 @@ pub enum GpError {
         /// Query row of the first offending value.
         row: usize,
     },
-    /// [`FitOptions`](crate::FitOptions) the optimizer cannot run with:
-    /// non-finite or empty `bounds`, or a non-finite or non-positive
-    /// `learning_rate`.
-    InvalidFitOptions {
-        /// Which option is bad, and why.
-        reason: &'static str,
-    },
     /// A hyperparameter vector of the wrong length was supplied.
     BadParamLength {
         /// Expected number of parameters.
@@ -60,7 +53,6 @@ impl fmt::Display for GpError {
             GpError::NonFiniteQuery { row } => {
                 write!(f, "query row {row} contains a non-finite value")
             }
-            GpError::InvalidFitOptions { reason } => write!(f, "invalid fit options: {reason}"),
             GpError::BadParamLength { expected, got } => {
                 write!(f, "expected {expected} hyperparameters, got {got}")
             }
@@ -91,8 +83,6 @@ mod tests {
         assert!(e.to_string().contains("row 7"));
         let e = GpError::NonFiniteQuery { row: 3 };
         assert!(e.to_string().contains("query row 3"));
-        let e = GpError::InvalidFitOptions { reason: "bad" };
-        assert!(e.to_string().contains("fit options: bad"));
         let e = GpError::BadParamLength {
             expected: 2,
             got: 5,

@@ -313,15 +313,12 @@ impl GpModel {
     /// hyperparameters, then refit at the optimum. The refit is skipped
     /// when the optimizer's last evaluation already fit `(x, y)` at the
     /// optimum's exact bits, since it would rebuild that fit bit for bit.
-    /// Options that fail [`FitOptions::validate`] are rejected with
-    /// [`GpError::InvalidFitOptions`] before the model is touched.
     pub fn fit_optimized(
         &mut self,
         x: &Matrix,
         y: &[f64],
         opts: &FitOptions,
     ) -> Result<(), GpError> {
-        opts.validate()?;
         if x.rows() != y.len() {
             return Err(GpError::InvalidTrainingData {
                 n_x: x.rows(),

@@ -626,7 +626,7 @@ const CB: usize = 8;
 const RT: usize = 4;
 
 /// [`Cholesky::factor`] hands matrices smaller than this to the reference
-/// loop, a size rule measured on the host in DESIGN §13.
+/// loop, where the tiled one measured no faster (DESIGN §13).
 const TILED_MIN_N: usize = 32;
 
 /// `t[r][jj] = Σ_k rows[r][k] · hist[k·CB + jj]`, every sum folded from
