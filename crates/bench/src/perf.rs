@@ -865,7 +865,6 @@ fn al_scenarios() -> Vec<Scenario> {
                 };
                 let (mu_cost, sigma_cost) = (draw(-3.0, 1.0), draw(0.01, 0.5));
                 let (mu_mem, sigma_mem) = (draw(-2.0, 1.5), draw(0.01, 0.5));
-                let strategy = kind.build();
                 let mut rng = StdRng::seed_from_u64(2);
                 Box::new(move || {
                     let ctx = SelectionContext {
@@ -875,7 +874,7 @@ fn al_scenarios() -> Vec<Scenario> {
                         sigma_mem: &sigma_mem,
                         mem_limit_log: Some(al_units::LogMegabytes::new(1.0)),
                     };
-                    std::hint::black_box(strategy.select(&ctx, &mut rng));
+                    std::hint::black_box(kind.select(&ctx, &mut rng));
                 })
             })
         })

@@ -9,7 +9,8 @@
 //! GPR models by selecting one experiment at a time from an Active pool),
 //! the five candidate-selection algorithms of Section IV-B —
 //! `RandUniform`, `MaxSigma`, `MinPred`, `RandGoodness` and the
-//! memory-aware `RGMA` (Algorithm 2) — and the evaluation metrics of
+//! memory-aware `RGMA` (Algorithm 2), one arm each of
+//! [`StrategyKind::select`] — and the evaluation metrics of
 //! Section V-B: non-log RMSE on the Test partition, cumulative cost, and
 //! cumulative regret with respect to a memory limit `L_mem`.
 //!
@@ -43,5 +44,5 @@ pub use session::{
 };
 pub use stopping::StopReason;
 pub use store::{HyperparamLru, SessionError, SessionStore, WarmKey};
-pub use strategy::{SelectionStrategy, StrategyKind};
+pub use strategy::StrategyKind;
 pub use trajectory::{IterationRecord, Trajectory};

@@ -340,6 +340,16 @@ impl SessionState {
             candidate_ids.is_empty() || candidate_features.cols() == init_features.cols(),
             "candidate and initial feature dimensions must match"
         );
+        let strategy_error = kind.parameter_error();
+        assert!(strategy_error.is_none(), "{}", strategy_error.unwrap_or(""));
+        // The detectors assert their own inputs: build them before the
+        // fits so bad options panic before any work is done.
+        let detector = opts
+            .stabilization
+            .map(|(w, tol)| StabilizationDetector::new(w, tol));
+        let hp_detector = opts
+            .hyperparam_stabilization
+            .map(|(w, tol)| VectorStabilization::new(w, tol));
 
         let rng = StdRng::seed_from_u64(opts.seed);
         let train = TrainingSet::new(&init_features, init_log_cost, init_log_mem);
@@ -367,12 +377,8 @@ impl SessionState {
             n_init: init_features.rows(),
             mem_limit_raw: opts.mem_limit_log.map(|l| l.to_megabytes()),
             max_iterations: opts.max_iterations.unwrap_or(usize::MAX),
-            detector: opts
-                .stabilization
-                .map(|(w, tol)| StabilizationDetector::new(w, tol)),
-            hp_detector: opts
-                .hyperparam_stabilization
-                .map(|(w, tol)| VectorStabilization::new(w, tol)),
+            detector,
+            hp_detector,
             kind,
             opts,
             train,
@@ -507,7 +513,7 @@ impl SessionState {
             sigma_mem: &round.sg_m,
             mem_limit_log: self.opts.mem_limit_log,
         };
-        let k = self.kind.build().select(&ctx, &mut self.rng)?;
+        let k = self.kind.select(&ctx, &mut self.rng)?;
         let query = Query {
             dataset_index: self.active_ids[k],
             pred_cost_log: round.mu_c[k],
@@ -817,6 +823,50 @@ mod tests {
         // Pick a wrong id: any other active candidate.
         let wrong = *p.active.iter().find(|&&i| i != q.dataset_index).unwrap();
         let _ = state.step(&Observation::from_dataset(&d, wrong));
+    }
+
+    /// A config whose first initial cost response is NaN, so the initial
+    /// fit fails: a panic from `start` shows that a check ran before it.
+    fn config_with_nan_response(kind: StrategyKind, opts: &AlOptions) -> SessionConfig {
+        let d = synth_dataset(24);
+        let mut rng = StdRng::seed_from_u64(10);
+        let p = Partition::random(d.len(), 2, 8, &mut rng);
+        let mut config = SessionConfig::from_partition(&d, &p, kind, opts);
+        config.init_log_cost[0] = f64::NAN;
+        config
+    }
+
+    #[test]
+    fn nan_initial_response_is_a_typed_fit_error() {
+        let config = config_with_nan_response(StrategyKind::MaxSigma, &fast_opts());
+        assert!(matches!(
+            SessionState::start(config),
+            Err(GpError::NonFiniteTrainingData { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "window must cover at least two observations")]
+    fn stabilization_window_is_checked_before_the_initial_fits() {
+        let opts = AlOptions {
+            stabilization: Some((1, 0.1)),
+            ..fast_opts()
+        };
+        let _ = SessionState::start(config_with_nan_response(StrategyKind::MaxSigma, &opts));
+    }
+
+    #[test]
+    #[should_panic(expected = "base must exceed")]
+    fn goodness_base_is_checked_before_the_initial_fits() {
+        let kind = StrategyKind::RandGoodness { base: 0.5 };
+        let _ = SessionState::start(config_with_nan_response(kind, &fast_opts()));
+    }
+
+    #[test]
+    #[should_panic(expected = "lambda must be in [0, 1]")]
+    fn cost_weighted_lambda_is_checked_before_the_initial_fits() {
+        let kind = StrategyKind::CostWeightedSigma { lambda: 1.5 };
+        let _ = SessionState::start(config_with_nan_response(kind, &fast_opts()));
     }
 
     #[test]

@@ -45,7 +45,7 @@ proptest! {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         for kind in StrategyKind::paper_five() {
-            let pick = kind.build().select(&ctx, &mut rng);
+            let pick = kind.select(&ctx, &mut rng);
             let i = pick.expect("non-empty pool with permissive limit");
             prop_assert!(i < mu_c.len(), "{}: index {} out of bounds", kind.label(), i);
         }
@@ -65,7 +65,7 @@ proptest! {
             mem_limit_log: Some(al_units::LogMegabytes::new(limit)),
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let rgma = StrategyKind::Rgma { base: 10.0 }.build();
+        let rgma = StrategyKind::Rgma { base: 10.0 };
         match rgma.select(&ctx, &mut rng) {
             Some(i) => prop_assert!(mu_m[i] < limit, "picked μ_mem {} >= {}", mu_m[i], limit),
             None => {
@@ -88,7 +88,7 @@ proptest! {
             mem_limit_log: None,
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let pick = StrategyKind::MaxSigma.build().select(&ctx, &mut rng).unwrap();
+        let pick = StrategyKind::MaxSigma.select(&ctx, &mut rng).unwrap();
         for &s in &sg_c {
             prop_assert!(sg_c[pick] >= s);
         }
@@ -141,7 +141,7 @@ proptest! {
             sigma_mem: &sg,
             mem_limit_log: None,
         };
-        let strategy = StrategyKind::RandGoodness { base: 10.0 }.build();
+        let strategy = StrategyKind::RandGoodness { base: 10.0 };
         let mut rng = StdRng::seed_from_u64(seed);
         let cheap_picks = (0..200)
             .filter(|_| strategy.select(&ctx, &mut rng).unwrap() < n / 2)

@@ -41,7 +41,8 @@ pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<u
     let mut target = rng.random::<f64>() * total;
     let mut last_positive = None;
     for (i, &w) in weights.iter().enumerate() {
-        if w <= 0.0 {
+        // Skip exactly what `total` left out, NaN included.
+        if w.is_nan() || w <= 0.0 {
             continue;
         }
         last_positive = Some(i);
@@ -118,6 +119,23 @@ mod tests {
         assert_eq!(weighted_index(&mut rng, &[0.0, 0.0]), None);
         assert_eq!(weighted_index(&mut rng, &[f64::INFINITY]), None);
         assert_eq!(weighted_index(&mut rng, &[0.0, 2.5]), Some(1));
+    }
+
+    #[test]
+    fn weighted_index_never_draws_a_nan_weight() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut counts = [0usize; 3];
+        for _ in 0..2000 {
+            counts[weighted_index(&mut rng, &[f64::NAN, 1.0, 1.0]).unwrap()] += 1;
+        }
+        assert_eq!(counts[0], 0);
+        assert!(counts[1] > 800 && counts[2] > 800, "counts {counts:?}");
+        for _ in 0..200 {
+            assert_eq!(
+                weighted_index(&mut rng, &[f64::NAN, 1.0, f64::NAN]),
+                Some(1)
+            );
+        }
     }
 
     #[test]
