@@ -788,6 +788,50 @@ mod tests {
     }
 
     #[test]
+    fn bad_kernel_options_are_typed_create_errors() {
+        let (cfg, d) = config(4);
+        let (rows, dim) = cfg.init_features.shape();
+        let clean = SessionStore::new(2);
+        clean.create(1, cfg.clone(), None).unwrap();
+        let reference = drive_to_finish(&clean, 1, &d);
+
+        let mut bad = Vec::new();
+        for wrong in [dim - 1, dim + 1] {
+            let mut c = cfg.clone();
+            c.opts.kernel = al_gp::KernelKind::ArdRbf { dim: wrong };
+            let e = al_linalg::LinalgError::ShapeMismatch {
+                op: "fit",
+                lhs: (rows, wrong),
+                rhs: (rows, dim),
+            };
+            bad.push((c, GpError::Linalg(e)));
+        }
+        for v in [0.0, -0.3, f64::NAN] {
+            let mut c = cfg.clone();
+            c.opts.init_length_scale = v;
+            bad.push((c, GpError::NonFiniteHyperparameter { index: 1 }));
+            let mut c = cfg.clone();
+            c.opts.noise_variance = v;
+            bad.push((c, GpError::NonFiniteHyperparameter { index: 2 }));
+        }
+        let store = SessionStore::new(2);
+        for (id, (c, want)) in (10u64..).zip(bad) {
+            match store.create(id, c, None) {
+                Err(SessionError::Gp(e)) => assert_eq!(e, want, "session {id}"),
+                other => panic!("session {id}: {other:?}"),
+            }
+            assert!(!store.contains(id));
+            // The store keeps serving: a good create right after succeeds.
+            store.create(id + 100, cfg.clone(), None).unwrap();
+        }
+        // ARD built for the features' own dimension is accepted.
+        let mut ard = cfg.clone();
+        ard.opts.kernel = al_gp::KernelKind::ArdRbf { dim };
+        store.create(99, ard, None).unwrap();
+        assert_eq!(drive_to_finish(&store, 110, &d), reference);
+    }
+
+    #[test]
     fn wrongly_dimensioned_observation_leaves_session_intact() {
         let (cfg, d) = config(8);
         let clean = SessionStore::new(2);

@@ -30,6 +30,13 @@ pub enum GpError {
         /// Query row of the first offending value.
         row: usize,
     },
+    /// A log-space hyperparameter is NaN or infinite, e.g. the log of a
+    /// length scale or noise variance that was not positive and finite.
+    NonFiniteHyperparameter {
+        /// Index of the first offending value in
+        /// [`GpModel::hyperparams`](crate::GpModel::hyperparams).
+        index: usize,
+    },
     /// A hyperparameter vector of the wrong length was supplied.
     BadParamLength {
         /// Expected number of parameters.
@@ -52,6 +59,9 @@ impl fmt::Display for GpError {
             }
             GpError::NonFiniteQuery { row } => {
                 write!(f, "query row {row} contains a non-finite value")
+            }
+            GpError::NonFiniteHyperparameter { index } => {
+                write!(f, "log hyperparameter {index} is not finite")
             }
             GpError::BadParamLength { expected, got } => {
                 write!(f, "expected {expected} hyperparameters, got {got}")
@@ -83,6 +93,8 @@ mod tests {
         assert!(e.to_string().contains("row 7"));
         let e = GpError::NonFiniteQuery { row: 3 };
         assert!(e.to_string().contains("query row 3"));
+        let e = GpError::NonFiniteHyperparameter { index: 2 };
+        assert!(e.to_string().contains("hyperparameter 2"));
         let e = GpError::BadParamLength {
             expected: 2,
             got: 5,

@@ -12,7 +12,7 @@
 #![warn(clippy::cast_possible_truncation)]
 
 use crate::error::GpError;
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, KernelKind};
 use crate::optimize::{self, FitOptions};
 use crate::pool_cache::PoolCache;
 use al_linalg::{ops, Cholesky, Matrix};
@@ -47,7 +47,8 @@ struct Fitted {
     exact: bool,
 }
 
-/// Gaussian process regressor with a pluggable stationary kernel.
+/// Gaussian process regressor with a stationary kernel of any
+/// [`KernelKind`].
 ///
 /// # Examples
 ///
@@ -68,7 +69,7 @@ struct Fitted {
 /// ```
 #[derive(Clone)]
 pub struct GpModel {
-    kernel: Box<dyn Kernel>,
+    kernel: Kernel,
     /// `log σ_n²`.
     log_noise: f64,
     /// When true (default), the training targets are centered before
@@ -80,7 +81,7 @@ pub struct GpModel {
 impl std::fmt::Debug for GpModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GpModel")
-            .field("kernel", &self.kernel.name())
+            .field("kernel", &self.kernel.kind().label())
             .field("params", &self.kernel.params())
             .field("log_noise", &self.log_noise)
             .field("fitted", &self.fitted.is_some())
@@ -90,9 +91,9 @@ impl std::fmt::Debug for GpModel {
 
 impl GpModel {
     /// Create an unfitted model from a kernel and a natural-space noise
-    /// variance `σ_n²`.
-    pub fn new(kernel: Box<dyn Kernel>, noise_variance: f64) -> Self {
-        assert!(noise_variance > 0.0);
+    /// variance `σ_n²`. A variance that is not positive and finite leaves a
+    /// non-finite `log σ_n²`, which [`GpModel::fit`] rejects.
+    pub fn new(kernel: Kernel, noise_variance: f64) -> Self {
         GpModel {
             kernel,
             log_noise: noise_variance.ln(),
@@ -113,17 +114,10 @@ impl GpModel {
         self.log_noise.exp()
     }
 
-    /// Kernel in use.
-    pub fn kernel(&self) -> &dyn Kernel {
-        self.kernel.as_ref()
-    }
-
     /// Full hyperparameter vector in log space:
     /// `[kernel params..., log σ_n²]`.
     pub fn hyperparams(&self) -> Vec<f64> {
-        let mut p = self.kernel.params();
-        p.push(self.log_noise);
-        p
+        [self.kernel.params(), &[self.log_noise]].concat()
     }
 
     /// Replace the full hyperparameter vector (log space). Invalidates any
@@ -159,8 +153,11 @@ impl GpModel {
     /// When `x` only appends rows to a held fit's, the held factor grows in
     /// place by one `O(n²)` border step per new row instead of an `O(n³)`
     /// factorization, with the same bits. A NaN or infinite input or
-    /// response fails with [`GpError::NonFiniteTrainingData`] and leaves
-    /// the model untouched. A border pivot that fails drops the held fit
+    /// response fails with [`GpError::NonFiniteTrainingData`], an ARD
+    /// kernel built for another number of columns than `x` has with a
+    /// `"fit"` shape mismatch, and a NaN or infinite log hyperparameter
+    /// with [`GpError::NonFiniteHyperparameter`], each leaving the model
+    /// untouched. A border pivot that fails drops the held fit
     /// and factors from scratch; should that fail too, the model is left
     /// unfitted.
     pub fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), GpError> {
@@ -175,7 +172,7 @@ impl GpModel {
                 "training set",
             )));
         }
-        check_finite(x, y)?;
+        self.check_training(x, y)?;
         let chol = match self.border_held_fit(x) {
             Some(chol) => chol,
             None => {
@@ -185,6 +182,34 @@ impl GpModel {
             }
         };
         self.hold_fit(x, y, chol)
+    }
+
+    /// What [`GpModel::fit`] and [`GpModel::fit_optimized`] reject before
+    /// touching the model: a NaN or infinite value in `(x, y)` (which must
+    /// already agree in length), an ARD kernel built for another number
+    /// of columns than `x` has, and a NaN or infinite hyperparameter.
+    fn check_training(&self, x: &Matrix, y: &[f64]) -> Result<(), GpError> {
+        check_finite(x, y)?;
+        if let KernelKind::ArdRbf { dim } = self.kernel.kind() {
+            if dim != x.cols() {
+                return Err(GpError::Linalg(al_linalg::LinalgError::ShapeMismatch {
+                    op: "fit",
+                    lhs: (x.rows(), dim),
+                    rhs: x.shape(),
+                }));
+            }
+        }
+        self.check_hyperparams()
+    }
+
+    /// Reject a NaN or infinite log hyperparameter, naming its index in
+    /// [`GpModel::hyperparams`].
+    fn check_hyperparams(&self) -> Result<(), GpError> {
+        let mut p = self.kernel.params().iter().chain([&self.log_noise]);
+        match p.position(|v| !v.is_finite()) {
+            Some(index) => Err(GpError::NonFiniteHyperparameter { index }),
+            None => Ok(()),
+        }
     }
 
     /// Hold the fit of `(x, y)` whose `K_y` factor is `chol`: center `y`,
@@ -259,8 +284,11 @@ impl GpModel {
     /// hyperparameter-optimization cadence). Falls back to a full refit
     /// internally when the bordered matrix is numerically not SPD. A NaN
     /// or infinite observation fails with
-    /// [`GpError::NonFiniteTrainingData`] before the fit is touched.
+    /// [`GpError::NonFiniteTrainingData`], and a NaN or infinite log
+    /// hyperparameter with [`GpError::NonFiniteHyperparameter`], before
+    /// the fit is touched.
     pub fn augment(&mut self, x_new: &[f64], y_new: f64) -> Result<(), GpError> {
+        self.check_hyperparams()?;
         let fitted = self.fitted.as_mut().ok_or(GpError::NotFitted)?;
         if x_new.len() != fitted.x.cols() {
             return Err(GpError::Linalg(al_linalg::LinalgError::ShapeMismatch {
@@ -313,6 +341,7 @@ impl GpModel {
     /// hyperparameters, then refit at the optimum. The refit is skipped
     /// when the optimizer's last evaluation already fit `(x, y)` at the
     /// optimum's exact bits, since it would rebuild that fit bit for bit.
+    /// Fails before the model is touched where [`GpModel::fit`] would.
     pub fn fit_optimized(
         &mut self,
         x: &Matrix,
@@ -325,7 +354,7 @@ impl GpModel {
                 n_y: y.len(),
             });
         }
-        check_finite(x, y)?;
+        self.check_training(x, y)?;
         // With a single observation the LML surface is degenerate; just fit.
         if x.rows() < 2 {
             return self.fit(x, y);
@@ -655,10 +684,19 @@ fn check_finite(x: &Matrix, y: &[f64]) -> Result<(), GpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::RbfKernel;
 
     fn toy_model() -> GpModel {
-        GpModel::new(Box::new(RbfKernel::new(1.0, 1.0)), 1e-4)
+        GpModel::new(KernelKind::Rbf.build(1.0), 1e-4)
+    }
+
+    /// An RBF model at amplitude `σ_f²`, length scale `l` and noise
+    /// `σ_n²`, each held as its log.
+    fn rbf_model(sigma_f2: f64, length: f64, noise: f64) -> GpModel {
+        let mut model = GpModel::new(KernelKind::Rbf.build(length), noise);
+        model
+            .set_hyperparams(&[sigma_f2.ln(), length.ln(), noise.ln()])
+            .unwrap();
+        model
     }
 
     /// 1-D training set y = sin(2x) on [0, 3].
@@ -802,7 +840,7 @@ mod tests {
         // Two identical inputs with slightly different noisy observations.
         let x = Matrix::from_vec(3, 1, vec![0.5, 0.5, 1.0]);
         let y = vec![1.0, 1.02, 2.0];
-        let mut m = GpModel::new(Box::new(RbfKernel::new(1.0, 1.0)), 1e-6);
+        let mut m = GpModel::new(KernelKind::Rbf.build(1.0), 1e-6);
         m.fit(&x, &y).unwrap();
         let (mu, _) = m.predict_one(&[0.5]).unwrap();
         assert!((mu - 1.01).abs() < 0.05);
@@ -870,7 +908,6 @@ mod tests {
         // between-refit update, so pin the O(n²) bordered update to the
         // O(n³) refit across the shapes sessions actually produce: input
         // dims {1, 2, 5} × kernel families × augment chains up to 8.
-        use crate::kernel::KernelKind;
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(77);
@@ -929,7 +966,7 @@ mod tests {
         // Augmenting with an exact duplicate makes the bordered matrix
         // nearly singular; the fallback refit must keep the model usable.
         let (x, y) = sine_data(6);
-        let mut m = GpModel::new(Box::new(RbfKernel::new(1.0, 1.0)), 1e-9);
+        let mut m = GpModel::new(KernelKind::Rbf.build(1.0), 1e-9);
         m.fit(&x, &y).unwrap();
         m.augment(x.row(2), y[2] + 1e-6).unwrap();
         assert_eq!(m.n_train(), 7);
@@ -991,6 +1028,72 @@ mod tests {
         assert_eq!(m.lml().unwrap().to_bits(), lml.to_bits());
     }
 
+    #[test]
+    fn ard_fit_on_another_number_of_columns_is_rejected_untouched() {
+        // Five feature columns: an ARD kernel built for three would drop
+        // the last two, and one built for seven would read gradient terms
+        // for l_6 and l_7 from a stale buffer.
+        let n = 12;
+        let wide = Matrix::from_vec(n, 5, (0..n * 5).map(|e| (e as f64 * 0.37).sin()).collect());
+        let y: Vec<f64> = (0..n).map(|i| wide.row(i).iter().sum()).collect();
+        let opts = FitOptions::warm_start_only();
+        for dim in [3, 7] {
+            let mut m = GpModel::new(KernelKind::ArdRbf { dim }.build(0.5), 1e-3);
+            let want = Err(GpError::Linalg(al_linalg::LinalgError::ShapeMismatch {
+                op: "fit",
+                lhs: (n, dim),
+                rhs: (n, 5),
+            }));
+            assert_eq!(m.fit(&wide, &y), want, "fit, dim {dim}");
+            assert_eq!(
+                m.fit_optimized(&wide, &y, &opts),
+                want,
+                "optimized, dim {dim}"
+            );
+            assert_eq!(m.n_train(), 0);
+        }
+        // A held fit and its hyperparameters survive both rejections.
+        let (x, y3) = cube_data(n);
+        let mut m = GpModel::new(KernelKind::ArdRbf { dim: 3 }.build(0.5), 1e-3);
+        m.fit(&x, &y3).unwrap();
+        let held = m.clone();
+        assert!(m.fit(&wide, &y).is_err());
+        assert!(m.fit_optimized(&wide, &y, &opts).is_err());
+        assert_eq!(m.hyperparams(), held.hyperparams());
+        assert_fits_bitwise_equal(&m, &held, "after the rejected fits");
+    }
+
+    #[test]
+    fn non_finite_hyperparameters_are_rejected_before_the_fit_is_touched() {
+        let (x, y) = sine_data(6);
+        let opts = FitOptions::warm_start_only();
+        // A length scale or noise variance that is not positive and finite
+        // leaves a non-finite log: index 1 or 2 of `[log σ_f², log l, log σ_n²]`.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for (mut m, index) in [
+                (GpModel::new(KernelKind::Rbf.build(bad), 1e-4), 1),
+                (GpModel::new(KernelKind::Rbf.build(1.0), bad), 2),
+            ] {
+                let want = Err(GpError::NonFiniteHyperparameter { index });
+                assert_eq!(m.fit(&x, &y), want, "fit at {bad}");
+                assert_eq!(m.fit_optimized(&x, &y, &opts), want, "optimized at {bad}");
+                assert_eq!(m.n_train(), 0);
+            }
+        }
+        // `set_hyperparams` drops the fit, so only a fit whose noise went
+        // bad in place can reach `augment`'s check.
+        let mut m = toy_model();
+        m.fit(&x, &y).unwrap();
+        let lml = m.lml().unwrap();
+        m.log_noise = f64::NAN;
+        assert_eq!(
+            m.augment(&[0.5], 0.5),
+            Err(GpError::NonFiniteHyperparameter { index: 2 })
+        );
+        assert_eq!(m.n_train(), 6);
+        assert_eq!(m.lml().unwrap().to_bits(), lml.to_bits());
+    }
+
     /// The per-query prediction loop `predict` replaced, verbatim: one
     /// `solve_lower` and two `ops::dot` folds per query.
     fn predict_reference(model: &GpModel, xs: &Matrix) -> Prediction {
@@ -1017,7 +1120,6 @@ mod tests {
     /// n ∈ {1, 7, 63, 64, 65, 150, 250} 3-D points and query sets of
     /// m ∈ {1, 63, 64, 65, 257, 400} rows, around the QB = 64 tile.
     fn each_predict_shape(mut check: impl FnMut(&str, &GpModel, &Matrix)) {
-        use crate::kernel::KernelKind;
         let dim = 3;
         let kinds = [
             KernelKind::Rbf,
@@ -1158,7 +1260,7 @@ mod tests {
         ];
         let (mut skipped, mut refitted) = (0, 0);
         for (label, (x, y), opts) in cases {
-            let base = GpModel::new(Box::new(RbfKernel::new(0.7, 0.4)), 1e-3);
+            let base = rbf_model(0.7, 0.4, 1e-3);
             // Which path does fit_optimized take? The same optimizer run
             // on a clone says whether its last evaluation sits at the
             // optimum.
@@ -1231,7 +1333,7 @@ mod tests {
         // fit; each against a fresh model's fit of the same rows.
         let sizes: Vec<usize> = (1..=200).chain([250, 257]).collect();
         let (x, y) = cube_data(260);
-        let base = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-3);
+        let base = rbf_model(0.4, 0.3, 1e-3);
         for n in sizes {
             let held = fresh_fit(&base, &x, &y, n);
             let mut grown = Vec::new();
@@ -1258,7 +1360,7 @@ mod tests {
     #[test]
     fn fit_refactors_when_bordering_would_not_be_exact() {
         let (x, y) = cube_data(40);
-        let base = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-3);
+        let base = rbf_model(0.4, 0.3, 1e-3);
         let rows = |n: usize| x.select_rows(&(0..n).collect::<Vec<_>>());
         // `held` takes the full path and lands on a fresh fit's bits.
         let check = |mut held: GpModel, xs: &Matrix, ys: &[f64], label: &str| {
@@ -1306,7 +1408,7 @@ mod tests {
 
         // A jittered held factor: a duplicated point at a noise below the
         // resolution of k(x, x) = 1 cannot factor without jitter.
-        let tiny = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-17);
+        let tiny = rbf_model(0.4, 0.3, 1e-17);
         let mut dup = rows(6).vstack(&rows(1)).unwrap();
         let y_dup: Vec<f64> = y[..6].iter().chain(&y[..1]).copied().collect();
         let mut jittered = tiny.clone();
@@ -1354,7 +1456,6 @@ mod tests {
         // fourth round. Every third round also drops a candidate nobody
         // trains on, so the cache compacts more than the picks; and a
         // clone of the cache must serve the round as the cache does.
-        use crate::kernel::KernelKind;
         let (x, y) = cube_data(140);
         let kinds = [
             KernelKind::Rbf,
@@ -1414,73 +1515,17 @@ mod tests {
         }
     }
 
-    /// A kernel that counts the values it computes, one per
-    /// [`Kernel::value`] call and one per lane of
-    /// [`Kernel::values_into`]; every other call goes to `inner` as is.
-    #[derive(Clone)]
-    struct CountingKernel {
-        inner: RbfKernel,
-        values: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl CountingKernel {
-        fn count(&self, values: usize) {
-            self.values
-                .fetch_add(values, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    impl Kernel for CountingKernel {
-        fn name(&self) -> &'static str {
-            "counting RBF"
-        }
-        fn n_params(&self) -> usize {
-            self.inner.n_params()
-        }
-        fn params(&self) -> Vec<f64> {
-            self.inner.params()
-        }
-        fn set_params(&mut self, p: &[f64]) -> Result<(), GpError> {
-            self.inner.set_params(p)
-        }
-        fn value(&self, a: &[f64], b: &[f64]) -> f64 {
-            self.count(1);
-            self.inner.value(a, b)
-        }
-        fn gradient(&self, a: &[f64], b: &[f64], k: f64, out: &mut [f64]) {
-            self.inner.gradient(a, b, k, out);
-        }
-        fn values_into(&self, a: &[f64], pts: &Matrix, j0: usize, out: &mut [f64]) {
-            self.count(out.len());
-            self.inner.values_into(a, pts, j0, out);
-        }
-        fn gradients_into(&self, a: &[f64], pts: &Matrix, j0: usize, k: &[f64], out: &mut [f64]) {
-            self.inner.gradients_into(a, pts, j0, k, out);
-        }
-        fn diag_value(&self) -> f64 {
-            self.inner.diag_value()
-        }
-        fn clone_box(&self) -> Box<dyn Kernel> {
-            Box::new(self.clone())
-        }
-    }
-
     #[test]
     fn cached_pool_predict_evaluates_the_kernel_only_for_new_rows() {
-        let values = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counting = |noise: f64| {
-            let kernel = CountingKernel {
-                inner: RbfKernel::new(0.4, 0.3),
-                values: values.clone(),
-            };
-            GpModel::new(Box::new(kernel), noise)
-        };
-        // Kernel values `predict_cached` evaluates for `xs`, after checking
-        // its bits against a fresh `predict`.
+        let counting = |noise: f64| rbf_model(0.4, 0.3, noise);
+        // Kernel values `predict_cached` evaluates for `xs`, counted by
+        // this thread's `values_into` lanes, after checking its bits
+        // against a fresh `predict`.
+        let lanes = || crate::kernel::LANES.with(|lanes| lanes.get());
         let evaluated = |model: &GpModel, xs: &Matrix, cache: &mut PoolCache, label: &str| {
-            let before = values.load(std::sync::atomic::Ordering::Relaxed);
+            let before = lanes();
             let got = model.predict_cached(xs, cache).unwrap();
-            let after = values.load(std::sync::atomic::Ordering::Relaxed);
+            let after = lanes();
             assert_predictions_bitwise_equal(&got, &model.predict(xs).unwrap(), label);
             after - before
         };
@@ -1585,7 +1630,7 @@ mod tests {
         // resolution of k(x, x) = 1; a duplicate cannot, so its augment
         // falls back to a jittered refit, a new factor.
         let far = Matrix::from_vec(3, 1, vec![0.0, 5.0, 10.0]);
-        let mut model = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-17);
+        let mut model = rbf_model(0.4, 0.3, 1e-17);
         model.fit(&far, &[1.0, 2.0, 3.0]).unwrap();
         let pool = Matrix::from_vec(4, 1, vec![0.3, 2.5, 7.0, 9.9]);
         let mut cache = PoolCache::new();
@@ -1603,7 +1648,7 @@ mod tests {
     #[test]
     fn cached_pool_predict_rebuilds_for_another_factor_or_other_rows() {
         let (x, y) = cube_data(60);
-        let base = GpModel::new(Box::new(RbfKernel::new(0.4, 0.3)), 1e-3);
+        let base = rbf_model(0.4, 0.3, 1e-3);
         let rows = |r: std::ops::Range<usize>| x.select_rows(&r.collect::<Vec<_>>());
         let held = fresh_fit(&base, &x, &y, 20);
         let pool = rows(30..60);
@@ -1692,7 +1737,6 @@ mod tests {
         // The objective reads each kernel value from the K_y it factored;
         // `lml_gradient` evaluates it afresh. Same bits, every kernel, at
         // several points, through one buffer refilled in place.
-        use crate::kernel::KernelKind;
         let (x, y) = cube_data(70);
         let kinds = [
             KernelKind::Rbf,

@@ -25,7 +25,7 @@ mod pool_cache;
 
 pub use error::GpError;
 pub use gp::{GpModel, Prediction};
-pub use kernel::{ArdRbfKernel, Kernel, KernelKind, Matern32Kernel, Matern52Kernel, RbfKernel};
+pub use kernel::{Kernel, KernelKind};
 pub use local::LocalGpModel;
 pub use optimize::FitOptions;
 pub use pool_cache::PoolCache;

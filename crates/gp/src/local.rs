@@ -194,10 +194,10 @@ impl LocalGpModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::RbfKernel;
+    use crate::kernel::KernelKind;
 
     fn template() -> GpModel {
-        GpModel::new(Box::new(RbfKernel::new(1.0, 0.5)), 1e-4)
+        GpModel::new(KernelKind::Rbf.build(0.5), 1e-4)
     }
 
     /// Piecewise response with a hard break at x = 0.5 — hostile to a

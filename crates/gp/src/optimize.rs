@@ -170,7 +170,7 @@ fn adam_maximize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::RbfKernel;
+    use crate::kernel::KernelKind;
     use crate::GpModel;
 
     /// Concave quadratic with maximum at (1, -2).
@@ -228,11 +228,11 @@ mod tests {
         let y: Vec<f64> = xs.iter().map(|x| (20.0 * x).sin()).collect();
         let x = Matrix::from_vec(n, 1, xs);
 
-        let mut base = GpModel::new(Box::new(RbfKernel::new(1.0, 1.0)), 1e-4);
+        let mut base = GpModel::new(KernelKind::Rbf.build(1.0), 1e-4);
         base.fit(&x, &y).unwrap();
         let lml_default = base.lml().unwrap();
 
-        let mut opt = GpModel::new(Box::new(RbfKernel::new(1.0, 1.0)), 1e-4);
+        let mut opt = GpModel::new(KernelKind::Rbf.build(1.0), 1e-4);
         opt.fit_optimized(&x, &y, &FitOptions::default()).unwrap();
         let lml_opt = opt.lml().unwrap();
         assert!(
@@ -240,7 +240,7 @@ mod tests {
             "optimized {lml_opt} vs default {lml_default}"
         );
         // The learned length scale should be much shorter than 1.
-        let l = opt.kernel().params()[1].exp();
+        let l = opt.hyperparams()[1].exp();
         assert!(l < 0.5, "length scale {l}");
     }
 
@@ -252,7 +252,7 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|i| i as f64 / (n - 1) as f64).collect();
         let y: Vec<f64> = xs.iter().map(|x| x * 2.0).collect();
         let x = Matrix::from_vec(n, 1, xs);
-        let mut m = GpModel::new(Box::new(RbfKernel::new(1.0, 1.0)), 1e-4);
+        let mut m = GpModel::new(KernelKind::Rbf.build(1.0), 1e-4);
         m.fit_optimized(&x, &y, &opts).unwrap();
         let (mu, _) = m.predict_one(&[0.5]).unwrap();
         assert!((mu - 1.0).abs() < 0.1);
@@ -262,7 +262,7 @@ mod tests {
     fn single_point_fit_skips_optimization() {
         let x = Matrix::from_vec(1, 1, vec![0.5]);
         let y = vec![2.0];
-        let mut m = GpModel::new(Box::new(RbfKernel::new(1.0, 1.0)), 1e-4);
+        let mut m = GpModel::new(KernelKind::Rbf.build(1.0), 1e-4);
         m.fit_optimized(&x, &y, &FitOptions::default()).unwrap();
         let (mu, _) = m.predict_one(&[0.5]).unwrap();
         assert!((mu - 2.0).abs() < 1e-3);
@@ -277,7 +277,7 @@ mod tests {
         let y: Vec<f64> = xs.iter().map(|x| (3.0 * x).sin()).collect();
         let x = Matrix::from_vec(n, 1, xs);
         for opts in [FitOptions::warm_start_only(), FitOptions::default()] {
-            let mut m = GpModel::new(Box::new(RbfKernel::new(1.0, 1.0)), 1e-4);
+            let mut m = GpModel::new(KernelKind::Rbf.build(1.0), 1e-4);
             m.set_hyperparams(&[0.0, 0.0, -20.0]).unwrap();
             m.fit_optimized(&x, &y, &opts).unwrap();
             let p = m.hyperparams();

@@ -38,8 +38,8 @@ const GROWTH_ROWS: usize = 10;
 /// same training rows under the same kernel hyperparameters, and every
 /// cached `k(x_i, x*_q)` is the value a fresh prediction computes:
 /// [`Kernel::values_into`](crate::Kernel::values_into) gives each lane
-/// the bits of [`Kernel::value`](crate::Kernel::value), whatever the
-/// block's offset and width.
+/// the bits of the per-pair formula, whatever the block's offset and
+/// width.
 ///
 /// For `n` training rows and `m` candidates it holds two `n × m` blocks,
 /// `K*` and `V`, each in one buffer with room for a few more rounds
