@@ -6,7 +6,9 @@ use std::fmt;
 
 /// Failures surfaced by forest operations and simulation runs.
 ///
-/// The structural variants mean the 2:1-balanced quadtree has lost a leaf
+/// [`AmrError::InvalidConfig`] means a configuration the solver cannot
+/// simulate was refused before anything was allocated. The structural
+/// variants mean the 2:1-balanced quadtree has lost a leaf
 /// or a flux register it was guaranteed to have — a logic error in
 /// regridding or balance enforcement. [`AmrError::Truncated`] means a run
 /// stopped meaningfully short of its configured end time, so its work
@@ -15,6 +17,14 @@ use std::fmt;
 /// configuration and continue with the remaining jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AmrError {
+    /// A [`SimulationConfig`](crate::SimulationConfig) field breaks the
+    /// rule `rule`; nothing ran.
+    InvalidConfig {
+        /// The field's name.
+        field: &'static str,
+        /// What the field must be.
+        rule: &'static str,
+    },
     /// A leaf patch expected at `key` was absent from the forest.
     MissingLeaf(PatchKey),
     /// A fine-level flux register expected at `key` was absent during
@@ -33,6 +43,9 @@ pub enum AmrError {
 impl fmt::Display for AmrError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            AmrError::InvalidConfig { field, rule } => {
+                write!(f, "invalid simulation config: `{field}` must be {rule}")
+            }
             AmrError::MissingLeaf((l, i, j)) => {
                 write!(
                     f,
@@ -64,6 +77,14 @@ mod tests {
         assert!(e.to_string().contains("(3, 4)"));
         let e = AmrError::MissingFluxRegister((1, 0, 0));
         assert!(e.to_string().contains("flux register"));
+        let e = AmrError::InvalidConfig {
+            field: "mx",
+            rule: "at least 4",
+        };
+        assert_eq!(
+            e.to_string(),
+            "invalid simulation config: `mx` must be at least 4"
+        );
     }
 
     #[test]

@@ -10,6 +10,9 @@ use al_linalg::{dispatch, DenseFold};
 /// upwind neighbours).
 pub const NG: usize = 2;
 
+/// Fewest cells per patch side the MUSCL stencil works on.
+pub(crate) const MIN_MX: usize = 4;
+
 /// Extent of the square computational domain `[0, DOMAIN)²`.
 pub const DOMAIN: f64 = 1.0;
 
@@ -108,7 +111,7 @@ impl Patch {
             i < n_side && j < n_side,
             "patch ({i},{j}) outside level {level}"
         );
-        assert!(mx >= 4, "mx must be at least 4 for the MUSCL stencil");
+        assert!(mx >= MIN_MX, "mx must be at least 4 for the MUSCL stencil");
         let h = DOMAIN / (n_side as f64 * mx as f64);
         Patch {
             level,

@@ -35,7 +35,10 @@ pub struct SimulationOutcome {
 /// same bits whichever worker runs it, so callers may run many
 /// simulations in parallel without perturbing the dataset.
 ///
-/// A run that stops short of `t_final` (step cap, collapsed dt) returns
+/// A configuration the solver cannot simulate (`p` = 0, `mx` < 4, or a
+/// non-finite or non-positive `r0` or `rhoin`) returns
+/// [`AmrError::InvalidConfig`] before anything is allocated. A run that
+/// stops short of `t_final` (step cap, collapsed dt) returns
 /// [`AmrError::Truncated`] instead of an outcome: a partial burst priced
 /// as a completed job would silently corrupt the dataset's cost surface.
 ///
@@ -59,6 +62,7 @@ pub fn run_simulation(
     machine: &MachineModel,
     repeat: u32,
 ) -> Result<SimulationOutcome, AmrError> {
+    config.check()?;
     let mut solver = AmrSolver::new(config, profile);
     let work = solver.run()?;
     if let Some(reason) = work.truncation {
@@ -138,6 +142,47 @@ mod tests {
             }
             other => panic!("expected truncation, got {other:?}"),
         }
+    }
+
+    /// `run_simulation` on `config()` with one field changed refuses it,
+    /// naming `field`, for every value in `bad`.
+    fn refused(field: &str, bad: &[SimulationConfig]) {
+        let m = MachineModel::default();
+        for c in bad {
+            match run_simulation(c, SolverProfile::smoke(), &m, 0) {
+                Err(AmrError::InvalidConfig { field: f, .. }) => assert_eq!(f, field, "{c:?}"),
+                other => panic!("{c:?}: expected an invalid `{field}`, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_nodes_is_an_invalid_config() {
+        refused("p", &[SimulationConfig { p: 0, ..config() }]);
+    }
+
+    #[test]
+    fn patches_narrower_than_the_stencil_are_an_invalid_config() {
+        let bad: Vec<_> = (0..4)
+            .map(|mx| SimulationConfig { mx, ..config() })
+            .collect();
+        refused("mx", &bad);
+    }
+
+    #[test]
+    fn a_bubble_without_a_finite_positive_size_is_an_invalid_config() {
+        let bad: Vec<_> = [0.0, -1.0, f64::NAN, f64::INFINITY]
+            .map(|r0| SimulationConfig { r0, ..config() })
+            .into();
+        refused("r0", &bad);
+    }
+
+    #[test]
+    fn a_bubble_without_a_finite_positive_density_is_an_invalid_config() {
+        let bad: Vec<_> = [0.0, -1.0, f64::NAN, f64::NEG_INFINITY]
+            .map(|rhoin| SimulationConfig { rhoin, ..config() })
+            .into();
+        refused("rhoin", &bad);
     }
 
     #[test]

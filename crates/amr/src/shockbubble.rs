@@ -7,7 +7,9 @@
 //! crucially for performance modelling, a refined region whose extent
 //! depends on the bubble size `r0` and density `rhoin`.
 
+use crate::error::AmrError;
 use crate::euler::{conservative, State, GAMMA};
+use crate::patch::MIN_MX;
 
 /// Shock Mach number driving the problem.
 pub const SHOCK_MACH: f64 = 2.0;
@@ -48,6 +50,26 @@ impl SimulationConfig {
             self.r0,
             self.rhoin,
         ]
+    }
+
+    /// Refuse a configuration the solver cannot simulate, naming its
+    /// first bad field: `p` must be at least 1 (the machine model divides
+    /// by it), `mx` at least `MIN_MX` (the MUSCL stencil), and `r0` and
+    /// `rhoin` finite and positive (a bubble with a size and a density).
+    pub(crate) fn check(&self) -> Result<(), AmrError> {
+        let invalid = |field, rule| Err(AmrError::InvalidConfig { field, rule });
+        if self.p < 1 {
+            return invalid("p", "at least 1");
+        }
+        if self.mx < MIN_MX {
+            return invalid("mx", "at least 4");
+        }
+        for (field, v) in [("r0", self.r0), ("rhoin", self.rhoin)] {
+            if !(v.is_finite() && v > 0.0) {
+                return invalid(field, "finite and positive");
+            }
+        }
+        Ok(())
     }
 
     /// Physical bubble radius in domain units.

@@ -488,15 +488,17 @@ impl GpModel {
     ///
     /// While the model's factor keeps its leading rows (border refits and
     /// augments between optimizations) and the pool only loses
-    /// candidates, each candidate's `k*` grows by one kernel value per new
-    /// training row, its `v = L⁻¹k*` by one element per new factor row,
-    /// computed in [`Cholesky::solve_lower`]'s order, and its `Σv²` by the
-    /// new terms in order. That is `m` kernel values and `O(m·n)` flops
-    /// per new row instead of `n·m` values and `O(m·n²)` flops. μ is
-    /// refolded from the cached `k*` since `α` changes with every fit:
-    /// `μ − ȳ = Σ_i k_i·α_i` from −0.0 in ascending `i`, as
-    /// [`GpModel::predict`] folds it. Whenever `cache` does not match this
-    /// model or `xs` (see [`PoolCache`]) it is rebuilt, at the cost of a
+    /// candidates, each cached column's `k*` grows by one kernel value per
+    /// new training row, its `v = L⁻¹k*` by one element per new factor
+    /// row, computed in [`Cholesky::solve_lower`]'s order, and its `Σv²` by
+    /// the new terms in order. That is `m_c` kernel values and `O(m_c·n)`
+    /// flops per new row instead of `n·m` values and `O(m·n²)` flops, for
+    /// the `m_c ≥ m` columns the cache was built with: a dropped candidate
+    /// keeps its column (see [`PoolCache`]). μ is refolded from the cached
+    /// `k*` since `α` changes with every fit: `μ − ȳ = Σ_i k_i·α_i` from
+    /// −0.0 in ascending `i`, as [`GpModel::predict`] folds it. The query's
+    /// μ and σ are then read from its columns. Whenever `cache` does not
+    /// match this model or `xs` it is rebuilt, at the cost of a
     /// [`GpModel::predict`].
     pub fn predict_cached(
         &self,
@@ -504,39 +506,40 @@ impl GpModel {
         cache: &mut PoolCache,
     ) -> Result<Prediction, GpError> {
         let fitted = self.query_fit(xs)?;
-        let (n, m) = (fitted.x.rows(), xs.rows());
+        let n = fitted.x.rows();
         let solved = cache.prepare(&fitted.chol, xs);
+        let mc = cache.ss.len();
         if solved < n {
-            // The new rows' kernel values, each one block over the whole
-            // pool, are also the right-hand sides of the rows to solve.
-            let xst = xs.transpose();
-            let new_k = &mut cache.k[solved * m..];
-            for (i, row) in (solved..n).zip(new_k.chunks_exact_mut(m.max(1))) {
-                self.kernel.values_into(fitted.x.row(i), &xst, 0, row);
+            // The new rows' kernel values, each one block over every
+            // cached column, are also the right-hand sides of the rows to
+            // solve.
+            let new_k = &mut cache.k[solved * mc..];
+            for (i, row) in (solved..n).zip(new_k.chunks_exact_mut(mc.max(1))) {
+                self.kernel.values_into(fitted.x.row(i), &cache.xt, 0, row);
             }
-            cache.v[solved * m..].copy_from_slice(new_k);
+            cache.v[solved * mc..].copy_from_slice(new_k);
         }
         let v = &mut cache.v;
-        fitted.chol.solve_lower_multi(v, m, solved)?;
-        for row in v.chunks_exact(m.max(1)).skip(solved) {
+        fitted.chol.solve_lower_multi(v, mc, solved)?;
+        for row in v.chunks_exact(mc.max(1)).skip(solved) {
             for (acc, v) in cache.ss.iter_mut().zip(row) {
                 *acc += v * v;
             }
         }
         cache.seal(&fitted.chol);
-        let mut mu = vec![-0.0f64; m];
-        for (row, a) in cache.k.chunks_exact(m.max(1)).zip(&fitted.alpha) {
+        let mut mu = vec![-0.0f64; mc];
+        for (row, a) in cache.k.chunks_exact(mc.max(1)).zip(&fitted.alpha) {
             for (acc, k) in mu.iter_mut().zip(row) {
                 *acc += k * a;
             }
         }
         let prior = self.kernel.diag_value();
         Ok(Prediction {
-            mean: mu.iter().map(|acc| fitted.y_mean + acc).collect(),
+            mean: cache.live.iter().map(|&c| fitted.y_mean + mu[c]).collect(),
             std: cache
-                .ss
+                .live
                 .iter()
-                .map(|&ss| posterior_std(prior, ss))
+                .map(|&c| posterior_std(prior, cache.ss[c]))
                 .collect(),
         })
     }
@@ -1454,7 +1457,7 @@ mod tests {
         // picks from the pool into the training set, grow the model by
         // border refits or augments, and cross an optimize boundary every
         // fourth round. Every third round also drops a candidate nobody
-        // trains on, so the cache compacts more than the picks; and a
+        // trains on, so the cache drops more than the picks; and a
         // clone of the cache must serve the round as the cache does.
         let (x, y) = cube_data(140);
         let kinds = [
@@ -1533,6 +1536,9 @@ mod tests {
         let ys = |rows: &[usize]| rows.iter().map(|&i| y[i]).collect::<Vec<_>>();
         let mut train: Vec<usize> = (0..20).collect();
         let mut pool: Vec<usize> = (40..80).collect();
+        // `columns[q]` is the cached column of `pool[q]`: a dropped
+        // candidate keeps its column, and the others keep their indices.
+        let mut columns: Vec<usize> = (0..40).collect();
         let mut model = counting(1e-3);
         model.fit(&x.select_rows(&train), &ys(&train)).unwrap();
         let mut cache = PoolCache::new();
@@ -1541,12 +1547,19 @@ mod tests {
             20 * 40
         );
 
-        // Border refits by one and by three rows, then augments: `m` new
-        // values per new factor row, from the cache or from a clone of it.
+        // Border refits by one and by three rows, then augments: one value
+        // per cached column (all 40, the picked ones too) per new factor
+        // row, from the cache or from a clone of it. The blocks' rows
+        // already solved keep their bits, in place.
+        let block_bits = |cache: &PoolCache| (bits(&cache.k), bits(&cache.v));
         for (grow, augment) in [(1usize, false), (3, false), (1, true), (2, true)] {
             let label = format!("grow={grow} augment={augment}");
             let picks: Vec<usize> = (0..grow)
-                .map(|b| pool.remove(b * 11 % pool.len()))
+                .map(|b| {
+                    let q = b * 11 % pool.len();
+                    columns.remove(q);
+                    pool.remove(q)
+                })
                 .collect();
             train.extend(&picks);
             if augment {
@@ -1557,18 +1570,23 @@ mod tests {
                 model.fit(&x.select_rows(&train), &ys(&train)).unwrap();
             }
             let xs = x.select_rows(&pool);
-            let m = pool.len();
+            let (old_k, old_v) = block_bits(&cache);
             let mut twin = cache.clone();
             assert_eq!(
                 evaluated(&model, &xs, &mut twin, &label),
-                grow * m,
+                grow * 40,
                 "{label} clone"
             );
             assert_eq!(
                 evaluated(&model, &xs, &mut cache, &label),
-                grow * m,
+                grow * 40,
                 "{label}"
             );
+            let (k, v) = block_bits(&cache);
+            assert_eq!(k.len(), model.n_train() * 40, "{label}: K* rows");
+            assert_eq!(k[..old_k.len()], old_k[..], "{label}: K* moved");
+            assert_eq!(v[..old_v.len()], old_v[..], "{label}: V moved");
+            assert_eq!(cache.live, columns, "{label}: live");
             // The same round again evaluates nothing.
             assert_eq!(
                 evaluated(&model, &xs, &mut cache, &label),
@@ -1577,8 +1595,21 @@ mod tests {
             );
         }
 
-        // Everything else rebuilds: n·m values.
-        let (n, xs) = (model.n_train(), x.select_rows(&pool));
+        // A round that only drops candidates evaluates and solves nothing,
+        // and leaves both blocks as they were.
+        let n = model.n_train();
+        let (old_k, old_v) = block_bits(&cache);
+        for q in [0, pool.len() / 2, pool.len() - 3] {
+            columns.remove(q);
+            pool.remove(q);
+        }
+        let xs = x.select_rows(&pool);
+        assert_eq!(reused_rows(&model, &xs, &cache), n, "drop only: solves");
+        assert_eq!(evaluated(&model, &xs, &mut cache, "drop only"), 0);
+        assert_eq!(block_bits(&cache), (old_k, old_v), "drop only: blocks");
+        assert_eq!(cache.live, columns, "drop only: live");
+
+        // Everything else rebuilds: n·m values, for the query's m rows.
         let m = pool.len();
         let mut reversed = pool.clone();
         reversed.reverse();

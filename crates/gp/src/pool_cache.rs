@@ -12,10 +12,11 @@
 use al_linalg::{Cholesky, Matrix};
 
 /// Factor rows of growth [`PoolCache`] reserves room for when it must
-/// grow: ten, the AL loop's default optimize cadence, so a cache rebuilt
-/// after an optimize boundary lasts the whole cycle without a realloc.
+/// grow: nine. A session clears its caches at every optimize boundary,
+/// ten picks apart by default, so a cache rebuilt after one gains at most
+/// nine rows before the next and never reallocates in between.
 /// Schedule-only: any value gives the same bits.
-const GROWTH_ROWS: usize = 10;
+const GROWTH_ROWS: usize = 9;
 
 /// Cached kernel block `K*`, solves `V = L⁻¹K*` and per-candidate partial
 /// sums `Σv²` for one model's candidate pool.
@@ -23,12 +24,11 @@ const GROWTH_ROWS: usize = 10;
 /// The cache proves its own validity on every use and never trusts the
 /// caller's bookkeeping. It records the [`Cholesky::prefix_id`] of the
 /// factor rows it solved against, how many rows those were, and the
-/// exact bits of the candidate rows. A prediction reuses it only when the
-/// model's factor still starts with those rows and every query row
-/// matches a cached candidate, in order; candidates no longer queried are
-/// dropped. Anything else recomputes from scratch. Hand it any model, any
-/// rows, in any order: the result is always bit for bit
-/// [`GpModel::predict`](crate::GpModel::predict)'s.
+/// exact bits of the candidates it was built with. A prediction reuses it
+/// only when the model's factor still starts with those rows and every
+/// query row matches a cached candidate, in order; anything else rebuilds
+/// it from the query. Hand it any model, any rows, in any order: the
+/// result is always bit for bit [`GpModel::predict`](crate::GpModel::predict)'s.
 ///
 /// The prefix id also vouches for `K*`. A factor row's id is fresh with
 /// every factorization, border or extend that writes it, and a model
@@ -36,32 +36,42 @@ const GROWTH_ROWS: usize = 10;
 /// ([`GpModel::set_hyperparams`](crate::GpModel::set_hyperparams)). So
 /// a factor that still carries the cached prefix id was written from the
 /// same training rows under the same kernel hyperparameters, and every
-/// cached `k(x_i, x*_q)` is the value a fresh prediction computes:
+/// cached `k(x_i, x*_c)` is the value a fresh prediction computes:
 /// [`Kernel::values_into`](crate::Kernel::values_into) gives each lane
 /// the bits of the per-pair formula, whatever the block's offset and
 /// width.
 ///
-/// For `n` training rows and `m` candidates it holds two `n × m` blocks,
-/// `K*` and `V`, each in one buffer with room for a few more rounds
+/// Nothing is ever moved. The cache keeps a column for every candidate it
+/// was built with, and a candidate the query no longer holds (a pick, say)
+/// stays as a dead column that the new rows still extend; a map `live`
+/// takes each query row to its column. Every column's arithmetic is
+/// independent of the others', so the dead ones cost work but no bits.
+/// They number at most the candidates dropped since the last rebuild, so
+/// the cache never holds more columns than its last rebuild's query.
+///
+/// For `n` training rows and `m_c` cached columns it holds two `n × m_c`
+/// blocks, `K*` and `V`, each in one buffer with room for a few more rows
 /// (`GROWTH_ROWS`); [`PoolCache::clear`] releases them.
 #[derive(Clone, Default)]
 pub struct PoolCache {
     /// `(prefix id, rows)` of the factor rows `v` solves against; `None`
     /// while the cache is empty or being updated.
     factor: Option<(u64, usize)>,
-    /// Feature dimension of `rows`.
-    dim: usize,
-    /// The candidates, row-major `m × dim`, in query order.
-    rows: Vec<f64>,
-    /// `k[i·m + q]` is `k(x_i, x*_q)` for training row `i` and candidate
-    /// `q`: laid out as `v`, of which it is the right-hand side.
+    /// The cached candidates, transposed once: `dim × m_c`, one column per
+    /// candidate, as [`Kernel::values_into`](crate::Kernel::values_into)
+    /// takes them.
+    pub(crate) xt: Matrix,
+    /// `live[q]` is the column of query row `q`: ascending.
+    pub(crate) live: Vec<usize>,
+    /// `k[i·m_c + c]` is `k(x_i, x*_c)` for training row `i` and cached
+    /// column `c`: laid out as `v`, of which it is the right-hand side.
     pub(crate) k: Vec<f64>,
-    /// `v[i·m + q]` is element `i` of candidate `q`'s `L⁻¹k*`: row `i`
-    /// holds that element for every candidate, as `solve_lower_multi`
-    /// lays it out.
+    /// `v[i·m_c + c]` is element `i` of column `c`'s `L⁻¹k*`: row `i`
+    /// holds that element for every column, as `solve_lower_multi` lays
+    /// it out.
     pub(crate) v: Vec<f64>,
-    /// `ss[q] = Σ_i v[i·m + q]²` over the rows solved so far, folded from
-    /// −0.0 in ascending `i`, as a fresh prediction folds it.
+    /// `ss[c] = Σ_i v[i·m_c + c]²` over the rows solved so far, folded
+    /// from −0.0 in ascending `i`, as a fresh prediction folds it.
     pub(crate) ss: Vec<f64>,
 }
 
@@ -69,7 +79,8 @@ impl std::fmt::Debug for PoolCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolCache")
             .field("factor_rows", &self.factor_rows())
-            .field("candidates", &self.ss.len())
+            .field("columns", &self.ss.len())
+            .field("live", &self.live.len())
             .finish()
     }
 }
@@ -92,24 +103,26 @@ impl PoolCache {
 
     /// Make the cache describe the candidates `xs` against `chol` and
     /// return how many leading rows of `k` and `v` already hold their
-    /// kernel values and solves. Those rows are kept (compacted to the
-    /// candidates still present) when `chol` starts with the cached factor
-    /// rows and `xs` is the cached candidates with some removed; otherwise
-    /// the cache restarts empty and this returns 0. Either way `k` and `v`
-    /// leave sized `n × m` and the cache stays invalid until
-    /// [`PoolCache::seal`].
+    /// kernel values and solves. Those rows are kept, and `live` maps the
+    /// query into the cached columns, when `chol` starts with the cached
+    /// factor rows and `xs` is the cached candidates with some removed;
+    /// otherwise the cache restarts from `xs` and this returns 0. Either
+    /// way `k` and `v` leave sized `n × m_c` and the cache stays invalid
+    /// until [`PoolCache::seal`].
     pub(crate) fn prepare(&mut self, chol: &Cholesky, xs: &Matrix) -> usize {
-        let solved = self
+        let kept = self
             .factor
             .take()
-            .filter(|&(id, rows)| xs.cols() == self.dim && chol.prefix_id(rows) == Some(id))
+            .filter(|&(id, rows)| xs.cols() == self.xt.rows() && chol.prefix_id(rows) == Some(id))
             .and_then(|(_, rows)| Some((rows, self.kept_candidates(xs)?)));
-        let rows = match solved {
-            Some((rows, keep)) => {
-                self.compact(rows, &keep);
+        let rows = match kept {
+            Some((rows, live)) => {
+                self.live = live;
                 rows
             }
             None => {
+                self.xt = xs.transpose();
+                self.live = (0..xs.rows()).collect();
                 self.k.clear();
                 self.v.clear();
                 self.ss.clear();
@@ -117,20 +130,13 @@ impl PoolCache {
                 0
             }
         };
-        self.dim = xs.cols();
-        self.rows.clear();
-        self.rows.extend_from_slice(xs.as_slice());
-        let (n, m) = (chol.dim(), xs.rows());
+        let (n, m) = (chol.dim(), self.ss.len());
         for block in [&mut self.k, &mut self.v] {
             if block.capacity() < n * m {
-                // Room for the block as it stands after up to GROWTH_ROWS
-                // more rounds that each move one candidate into the
-                // training set, so a pool shrinking as its model grows
-                // reallocates it at most once per GROWTH_ROWS rows, not
-                // every round (a realloc per round scatters it across the
-                // heap). Doubling would hold up to twice the block.
-                let g = GROWTH_ROWS.min(m.saturating_sub(n) / 2);
-                block.reserve_exact((n + g) * (m - g) - block.len());
+                // One reservation per GROWTH_ROWS rows: a realloc per
+                // round would scatter the block across the heap, and
+                // doubling would hold up to twice it.
+                block.reserve_exact((n + GROWTH_ROWS) * m - block.len());
             }
             block.resize(n * m, 0.0);
         }
@@ -143,40 +149,18 @@ impl PoolCache {
         self.factor = chol.prefix_id(rows).map(|id| (id, rows));
     }
 
-    /// For each row of `xs`, in order, the index of the cached candidate
-    /// with the same bits, matching in order; `None` when some row has no
-    /// match.
+    /// For each row of `xs`, in order, the cached column with the same
+    /// bits, matching in order; `None` when some row has no match.
     fn kept_candidates(&self, xs: &Matrix) -> Option<Vec<usize>> {
-        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-        let mut cached = (0..self.ss.len()).map(|c| (c, &self.rows[c * self.dim..][..self.dim]));
+        let xt = &self.xt;
+        let same = |c: usize, row: &[f64]| {
+            row.iter()
+                .enumerate()
+                .all(|(d, x)| x.to_bits() == xt[(d, c)].to_bits())
+        };
+        let mut cached = 0..xt.cols();
         (0..xs.rows())
-            .map(|q| cached.find(|(_, row)| same(row, xs.row(q))).map(|(c, _)| c))
+            .map(|q| cached.find(|&c| same(c, xs.row(q))))
             .collect()
     }
-
-    /// Keep the first `rows` rows of `k` and `v`, and of each row and of
-    /// `ss` only the candidates `keep` (ascending), moved down in place.
-    fn compact(&mut self, rows: usize, keep: &[usize]) {
-        let m_old = self.ss.len();
-        compact_rows(&mut self.k, rows, m_old, keep);
-        compact_rows(&mut self.v, rows, m_old, keep);
-        compact_rows(&mut self.ss, 1, m_old, keep);
-    }
-}
-
-/// Keep the first `rows` rows of the row-major `rows × m_old` block
-/// `buf`, and of each only the columns `keep` (ascending), moved down in
-/// place.
-fn compact_rows(buf: &mut Vec<f64>, rows: usize, m_old: usize, keep: &[usize]) {
-    let m = keep.len();
-    if m < m_old {
-        // Each destination index is at most its source index, and the
-        // sources still to be read lie beyond it.
-        for i in 0..rows {
-            for (t, &c) in keep.iter().enumerate() {
-                buf[i * m + t] = buf[i * m_old + c];
-            }
-        }
-    }
-    buf.truncate(rows * m);
 }

@@ -19,7 +19,7 @@ use crate::error::LinalgError;
 /// let b = a.matmul(&Matrix::identity(2)).unwrap();
 /// assert_eq!(a, b);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
