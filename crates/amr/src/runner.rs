@@ -186,6 +186,19 @@ mod tests {
     }
 
     #[test]
+    fn a_forest_past_the_storage_cap_is_refused_before_it_is_built() {
+        // `Forest::uniform` would panic on levels above 15; all three are
+        // refused before any patch exists.
+        let bad: Vec<_> = [11, 16, 40]
+            .map(|maxlevel| SimulationConfig {
+                maxlevel,
+                ..config()
+            })
+            .into();
+        refused("maxlevel", &bad);
+    }
+
+    #[test]
     fn deeper_refinement_is_more_expensive() {
         let m = MachineModel::default();
         let shallow = run_simulation(&config(), SolverProfile::smoke(), &m, 0).unwrap();

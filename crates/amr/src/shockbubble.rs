@@ -9,7 +9,7 @@
 
 use crate::error::AmrError;
 use crate::euler::{conservative, State, GAMMA};
-use crate::patch::MIN_MX;
+use crate::patch::{MIN_MX, NG};
 
 /// Shock Mach number driving the problem.
 pub const SHOCK_MACH: f64 = 2.0;
@@ -23,6 +23,11 @@ pub const BUBBLE_CENTER: (f64, f64) = (0.45, 0.5);
 /// Scale factor from the `r0` feature to the physical bubble radius,
 /// keeping the largest bubble inside the unit square.
 pub const RADIUS_SCALE: f64 = 0.45;
+
+/// Largest worst-case forest [`SimulationConfig::check`] admits, in
+/// bytes: 1 GiB. The default sweep grid's deepest corner (`maxlevel` 6,
+/// `mx` 32) needs 170 MB.
+pub const STORAGE_CAP_BYTES: u64 = 1 << 30;
 
 /// One point of the paper's input space (Table I features).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,10 +58,16 @@ impl SimulationConfig {
     }
 
     /// Refuse a configuration the solver cannot simulate, naming its
-    /// first bad field: `p` must be at least 1 (the machine model divides
-    /// by it), `mx` at least `MIN_MX` (the MUSCL stencil), and `r0` and
-    /// `rhoin` finite and positive (a bubble with a size and a density).
-    pub(crate) fn check(&self) -> Result<(), AmrError> {
+    /// first bad field, without allocating: `p` must be at least 1 (the
+    /// machine model divides by it), `mx` at least 4 (the MUSCL stencil),
+    /// `r0` and `rhoin` finite and positive (a bubble with a size and a
+    /// density), and the bubble clear of the shock,
+    /// `r0 · RADIUS_SCALE < BUBBLE_CENTER.0 − SHOCK_X` (which also keeps
+    /// it inside the domain). Last, a forest refined everywhere to
+    /// `maxlevel`, `4^maxlevel` patches of `(mx + 2·NG)²` cells of 32 B,
+    /// must fit in [`STORAGE_CAP_BYTES`]; that failure names `maxlevel`.
+    /// [`run_simulation`](crate::run_simulation) calls this first.
+    pub fn check(&self) -> Result<(), AmrError> {
         let invalid = |field, rule| Err(AmrError::InvalidConfig { field, rule });
         if self.p < 1 {
             return invalid("p", "at least 1");
@@ -69,7 +80,31 @@ impl SimulationConfig {
                 return invalid(field, "finite and positive");
             }
         }
+        if self.bubble_radius() >= BUBBLE_CENTER.0 - SHOCK_X {
+            return invalid(
+                "r0",
+                "below 0.25 / 0.45 ≈ 0.556, so the bubble clears the shock",
+            );
+        }
+        if self
+            .worst_case_storage_bytes()
+            .is_none_or(|b| b > STORAGE_CAP_BYTES)
+        {
+            return invalid(
+                "maxlevel",
+                "low enough that 4^maxlevel · (mx + 4)² cells of 32 B fit in 1 GiB",
+            );
+        }
         Ok(())
+    }
+
+    /// Bytes of a forest refined everywhere to `maxlevel`, or `None` past
+    /// `u64`.
+    fn worst_case_storage_bytes(&self) -> Option<u64> {
+        let side = u64::try_from(self.mx).ok()?.checked_add(2 * NG as u64)?;
+        4u64.checked_pow(u32::from(self.maxlevel))?
+            .checked_mul(side.checked_mul(side)?)?
+            .checked_mul(std::mem::size_of::<State>() as u64)
     }
 
     /// Physical bubble radius in domain units.
@@ -166,6 +201,68 @@ mod tests {
         assert!(BUBBLE_CENTER.0 - r > SHOCK_X, "bubble clear of the shock");
         assert!(BUBBLE_CENTER.0 + r < 1.0);
         assert!(BUBBLE_CENTER.1 + r < 1.0);
+    }
+
+    fn refusal(c: SimulationConfig) -> Option<&'static str> {
+        match c.check() {
+            Ok(()) => None,
+            Err(AmrError::InvalidConfig { field, .. }) => Some(field),
+            Err(other) => unreachable!("check returned {other:?}"),
+        }
+    }
+
+    #[test]
+    fn check_admits_a_bubble_up_to_the_shock_and_not_past_it() {
+        let c = SimulationConfig {
+            p: 4,
+            mx: 8,
+            maxlevel: 3,
+            r0: 0.555,
+            rhoin: 0.5,
+        };
+        assert_eq!(refusal(c), None);
+        assert_eq!(refusal(SimulationConfig { r0: 0.556, ..c }), Some("r0"));
+    }
+
+    #[test]
+    fn check_caps_the_worst_case_storage() {
+        // 4^7 · (41 + 4)² · 32 B = 1.06e9 B fits in 1 GiB; mx 42 does not.
+        let c = SimulationConfig {
+            p: 4,
+            mx: 41,
+            maxlevel: 7,
+            r0: 0.3,
+            rhoin: 0.5,
+        };
+        assert_eq!(refusal(c), None);
+        assert_eq!(refusal(SimulationConfig { mx: 42, ..c }), Some("maxlevel"));
+        assert_eq!(
+            refusal(SimulationConfig {
+                maxlevel: 10,
+                mx: 4,
+                ..c
+            }),
+            Some("maxlevel")
+        );
+        // Past u64 in every factor: refused, not overflowed.
+        assert_eq!(
+            refusal(SimulationConfig { maxlevel: 40, ..c }),
+            Some("maxlevel")
+        );
+        assert_eq!(
+            refusal(SimulationConfig {
+                maxlevel: u8::MAX,
+                ..c
+            }),
+            Some("maxlevel")
+        );
+        assert_eq!(
+            refusal(SimulationConfig {
+                mx: usize::MAX,
+                ..c
+            }),
+            Some("maxlevel")
+        );
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! peak number of resident cells.
 
 use crate::error::AmrError;
-use crate::patch::{BoundaryFluxes, Patch, SweepScratch};
+use crate::patch::{BoundaryFluxes, SweepScratch};
 use crate::shockbubble::SimulationConfig;
-use crate::tree::{Axis, Bc, Forest, PatchKey};
-use std::collections::BTreeMap;
+use crate::tree::{Axis, Bc, EdgeRing, Forest, PatchKey};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How the forest's refinement levels advance in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,10 +57,10 @@ pub const CFL: f64 = 0.45;
 
 /// Refine a patch when its refinement indicator (the largest relative
 /// density jump between adjacent cells, see
-/// [`Patch::refinement_indicator`]) exceeds this value. Tuned for the
-/// shock–bubble problem: it tags the shock (density ratio ≈ 2.7 across a
-/// few cells) and the bubble interface (ratio up to 50) but not the
-/// smooth post-shock flow.
+/// [`Patch::refinement_indicator`](crate::patch::Patch::refinement_indicator))
+/// exceeds this value. Tuned for the shock–bubble problem: it tags the
+/// shock (density ratio ≈ 2.7 across a few cells) and the bubble
+/// interface (ratio up to 50) but not the smooth post-shock flow.
 pub const REFINE_THRESHOLD: f64 = 0.12;
 
 /// Coarsen a sibling quartet when all four indicators are below this
@@ -195,6 +195,34 @@ pub struct AmrSolver {
     /// on its own cadence so a uniform forest reproduces the
     /// level-synchronous sweep sequence exactly.
     level_substeps: Vec<u64>,
+    /// The leaves whose flux registers a sweep keeps, per axis; rebuilt
+    /// only when the forest changes (construction and regrid).
+    interfaces: InterfaceLeaves,
+}
+
+/// Per-axis sets of the leaves with a neighbour at another level across a
+/// face on that axis ([`Forest::interface_leaves`]): the only leaves whose
+/// boundary fluxes refluxing reads.
+#[derive(Debug, Clone)]
+struct InterfaceLeaves {
+    x: BTreeSet<PatchKey>,
+    y: BTreeSet<PatchKey>,
+}
+
+impl InterfaceLeaves {
+    fn of(forest: &Forest) -> Self {
+        InterfaceLeaves {
+            x: forest.interface_leaves(Axis::X),
+            y: forest.interface_leaves(Axis::Y),
+        }
+    }
+
+    fn on(&self, axis: Axis) -> &BTreeSet<PatchKey> {
+        match axis {
+            Axis::X => &self.x,
+            Axis::Y => &self.y,
+        }
+    }
 }
 
 /// Per-axis boundary-flux registers recorded while a level advances,
@@ -211,22 +239,36 @@ impl LevelFluxes {
             y: BTreeMap::new(),
         }
     }
-}
 
-/// Merge the time-average of two fine sub-step register maps (weight 1/2
-/// each, matching `dt_fine = dt_coarse / 2`) into `into`.
-fn merge_time_averaged(
-    into: &mut BTreeMap<PatchKey, BoundaryFluxes>,
-    first: &BTreeMap<PatchKey, BoundaryFluxes>,
-    second: &BTreeMap<PatchKey, BoundaryFluxes>,
-) {
-    for (key, fluxes) in first {
-        let mut avg = BoundaryFluxes::zeros(fluxes.lo.len());
-        avg.add_scaled(fluxes, 0.5);
-        if let Some(other) = second.get(key) {
-            avg.add_scaled(other, 0.5);
+    /// The start of the time average of a fine level's two sub-steps
+    /// (weight 1/2 each, matching `dt_fine = dt_coarse / 2`): `½·first`
+    /// per register, accumulated onto zeros.
+    fn half_of(first: LevelFluxes) -> Self {
+        let half = |registers: &BTreeMap<PatchKey, BoundaryFluxes>| {
+            registers
+                .iter()
+                .map(|(key, fluxes)| {
+                    let mut avg = BoundaryFluxes::zeros(fluxes.lo.len());
+                    avg.add_scaled(fluxes, 0.5);
+                    (*key, avg)
+                })
+                .collect()
+        };
+        LevelFluxes {
+            x: half(&first.x),
+            y: half(&first.y),
         }
-        into.insert(*key, avg);
+    }
+
+    /// Complete the average: add `½·second` to each register it holds.
+    fn add_half(&mut self, second: &LevelFluxes) {
+        for (avg, other) in [(&mut self.x, &second.x), (&mut self.y, &second.y)] {
+            for (key, fluxes) in avg.iter_mut() {
+                if let Some(other) = other.get(key) {
+                    fluxes.add_scaled(other, 0.5);
+                }
+            }
+        }
     }
 }
 
@@ -234,6 +276,14 @@ impl AmrSolver {
     /// Set up the shock–bubble problem for `config`: build the forest,
     /// adaptively refine the initial condition, and install the inflow
     /// (west) / outflow boundary conditions.
+    ///
+    /// # Panics
+    ///
+    /// If `config.mx < 4` (the MUSCL stencil needs four cells) or
+    /// `config.maxlevel > 15` (patch coordinates would overflow).
+    /// [`run_simulation`](crate::run_simulation) runs
+    /// [`SimulationConfig::check`] first and returns
+    /// [`AmrError::InvalidConfig`] instead.
     pub fn new(config: &SimulationConfig, profile: SolverProfile) -> Self {
         Self::with_problem(
             &crate::problem::ShockBubbleProblem::new(*config),
@@ -254,7 +304,11 @@ impl AmrSolver {
         let minlevel = profile.minlevel.min(maxlevel);
         let mut forest = Forest::uniform(mx, minlevel, maxlevel);
         forest.init_adaptive(&|x, y| problem.initial_state(x, y), REFINE_THRESHOLD);
-        let bc = problem.boundary_conditions();
+        Self::from_forest(forest, problem.boundary_conditions(), profile)
+    }
+
+    /// Take over an initialized forest at time 0.
+    fn from_forest(forest: Forest, bc: Bc, profile: SolverProfile) -> Self {
         let stats = WorkStats {
             peak_storage_cells: forest.total_storage_cells(),
             peak_leaves: forest.n_leaves() as u64,
@@ -262,6 +316,7 @@ impl AmrSolver {
         };
 
         AmrSolver {
+            interfaces: InterfaceLeaves::of(&forest),
             forest,
             bc,
             profile,
@@ -353,7 +408,7 @@ impl AmrSolver {
             // already-tiny dt.
             self.advance_all_levels_lockstep(dt)?;
         } else {
-            let mut snapshots: Vec<BTreeMap<PatchKey, Patch>> =
+            let mut snapshots: Vec<BTreeMap<PatchKey, EdgeRing>> =
                 vec![BTreeMap::new(); finest as usize + 1];
             self.advance_level(coarsest, finest, dt, 0.0, &mut snapshots)?;
         }
@@ -365,17 +420,20 @@ impl AmrSolver {
 
     /// Sweep every leaf of `level` (all leaves when `None`) in direction
     /// `axis` by `dt`, in ascending key order, and count the directional
-    /// cell updates. Returns the `(key, boundary fluxes)` reflux registers
-    /// in that order.
+    /// cell updates. Returns, in that order, the `(key, boundary fluxes)`
+    /// reflux registers of the leaves refluxing reads: those with a
+    /// neighbour at another level across a face on `axis`.
     fn sweep(&mut self, level: Option<u8>, axis: Axis, dt: f64) -> Vec<(PatchKey, BoundaryFluxes)> {
-        let patches = self.forest.patches_mut(level);
-        let mut registers = Vec::with_capacity(patches.len());
-        for (key, patch) in patches {
+        let keep = self.interfaces.on(axis);
+        let mut registers = Vec::new();
+        for (key, patch) in self.forest.patches_mut(level) {
             let fluxes = match axis {
                 Axis::X => patch.sweep_x(dt, &mut self.scratch),
                 Axis::Y => patch.sweep_y(dt, &mut self.scratch),
             };
-            registers.push((key, fluxes));
+            if keep.contains(&key) {
+                registers.push((key, fluxes));
+            }
             self.stats.cell_updates += patch.interior_cell_count();
         }
         registers
@@ -387,21 +445,22 @@ impl AmrSolver {
     /// fluxes. `theta0` locates this step's start within the parent's
     /// step interval (0 for the first sub-step, 1/2 for the second) and
     /// drives time interpolation of coarse ghost data; `snapshots[ℓ]`
-    /// holds pre-step copies of the interface patches of level ℓ.
-    /// Returns this level's boundary-flux registers for the caller.
+    /// holds pre-step edge rings of the interface patches of level ℓ.
+    /// Returns this level's interface-leaf boundary-flux registers for the
+    /// caller.
     fn advance_level(
         &mut self,
         level: u8,
         finest: u8,
         dt: f64,
         theta0: f64,
-        snapshots: &mut Vec<BTreeMap<PatchKey, Patch>>,
+        snapshots: &mut Vec<BTreeMap<PatchKey, EdgeRing>>,
     ) -> Result<LevelFluxes, AmrError> {
-        // Snapshot coarse–fine interface patches before this level moves
-        // so the finer level can interpolate its ghost bands in time
-        // across [t, t + dt].
+        // Snapshot the edges of coarse–fine interface patches before this
+        // level moves so the finer level can interpolate its ghost bands
+        // in time across [t, t + dt].
         if level < finest {
-            snapshots[level as usize] = self.forest.snapshot_interface_patches(level);
+            snapshots[level as usize] = self.forest.snapshot_interface_edges(level);
         }
         if self.level_substeps.len() <= level as usize {
             self.level_substeps.resize(level as usize + 1, 0);
@@ -437,18 +496,18 @@ impl AmrSolver {
 
         if level < finest {
             let half_dt = 0.5 * dt;
-            let sub0 = self.advance_level(level + 1, finest, half_dt, 0.0, snapshots)?;
-            let sub1 = self.advance_level(level + 1, finest, half_dt, 0.5, snapshots)?;
-            let mut regs_x = fluxes.x.clone();
-            let mut regs_y = fluxes.y.clone();
-            merge_time_averaged(&mut regs_x, &sub0.x, &sub1.x);
-            merge_time_averaged(&mut regs_y, &sub0.y, &sub1.y);
+            // Average each sub-step's registers in as it returns, so at
+            // most two copies of the fine registers are alive at once.
+            let first = self.advance_level(level + 1, finest, half_dt, 0.0, snapshots)?;
+            let mut fine = LevelFluxes::half_of(first);
+            let second = self.advance_level(level + 1, finest, half_dt, 0.5, snapshots)?;
+            fine.add_half(&second);
             self.stats.reflux_faces +=
                 self.forest
-                    .reflux_level(Axis::X, &regs_x, dt, Some(level))?;
+                    .reflux_level(Axis::X, &fluxes.x, &fine.x, dt, Some(level))?;
             self.stats.reflux_faces +=
                 self.forest
-                    .reflux_level(Axis::Y, &regs_y, dt, Some(level))?;
+                    .reflux_level(Axis::Y, &fluxes.y, &fine.y, dt, Some(level))?;
         }
         Ok(fluxes)
     }
@@ -465,6 +524,7 @@ impl AmrSolver {
             .is_multiple_of(self.profile.regrid_interval)
         {
             let changes = self.forest.regrid(REFINE_THRESHOLD, COARSEN_THRESHOLD);
+            self.interfaces = InterfaceLeaves::of(&self.forest);
             self.stats.regrid_count += 1;
             self.stats.regrid_changes += changes as u64;
             self.stats.peak_storage_cells = self
@@ -679,6 +739,49 @@ mod tests {
         assert!(stats.truncated());
         assert_eq!(stats.steps, 3);
         assert!(stats.final_time < 1.0);
+    }
+
+    #[test]
+    fn subcycled_step_holds_edge_rings_and_interface_registers_only() {
+        // One refined quadrant of a level-1 forest, mx = 8: the fine block
+        // (2, 0..2, 0..2) meets coarse (1, 1, 0) across x and (1, 0, 1)
+        // across y; (1, 1, 1) touches only coarse leaves.
+        let mut forest = Forest::uniform(8, 1, 2);
+        forest.refine_patch((1, 0, 0));
+        forest.fill_all(&|x, y| {
+            let r2 = (x - 0.5) * (x - 0.5) + (y - 0.5) * (y - 0.5);
+            let amp = 2.0 * (-r2 / 0.01).exp();
+            crate::euler::conservative(1.0 + amp, 0.0, 0.0, 1.0 + amp)
+        });
+        let mut solver =
+            AmrSolver::from_forest(forest, Bc::all_extrapolate(), SolverProfile::bench());
+        let dt = solver.forest.cfl_dt_subcycled(CFL, 1);
+        let keys =
+            |regs: &BTreeMap<PatchKey, BoundaryFluxes>| regs.keys().copied().collect::<Vec<_>>();
+
+        // The body of one subcycled step: level 1, then two level-2 substeps.
+        let mut snapshots = vec![BTreeMap::new(); 3];
+        let coarse = solver
+            .advance_level(1, 2, dt, 0.0, &mut snapshots)
+            .expect("coarse step");
+        // Each snapshot is the NG-deep edge ring: 4·NG·(mx − NG) = 48
+        // states, not the patch's (mx + 2·NG)² = 144.
+        let held: Vec<(PatchKey, usize)> =
+            snapshots[1].iter().map(|(k, r)| (*k, r.len())).collect();
+        assert_eq!(held, [((1, 0, 1), 48), ((1, 1, 0), 48)]);
+        assert!(
+            snapshots[2].is_empty(),
+            "the finest level is never snapshotted"
+        );
+        assert_eq!(keys(&coarse.x), [(1, 1, 0)]);
+        assert_eq!(keys(&coarse.y), [(1, 0, 1)]);
+
+        // A fine substep keeps the fine side of the same interfaces.
+        let fine = solver
+            .advance_level(2, 2, 0.5 * dt, 0.0, &mut snapshots)
+            .expect("fine substep");
+        assert_eq!(keys(&fine.x), [(2, 1, 0), (2, 1, 1)]);
+        assert_eq!(keys(&fine.y), [(2, 0, 1), (2, 1, 1)]);
     }
 
     #[test]

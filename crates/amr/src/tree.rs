@@ -12,7 +12,7 @@
 use crate::error::AmrError;
 use crate::euler::{self, State, NVAR};
 use crate::patch::{BoundaryFluxes, Patch, Side, DOMAIN, NG};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Sweep direction, for refluxing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +21,16 @@ pub enum Axis {
     X,
     /// y-direction sweep (south/north faces).
     Y,
+}
+
+impl Axis {
+    /// The two faces a sweep along this axis crosses, low side first.
+    fn sides(self) -> [Side; 2] {
+        match self {
+            Axis::X => [Side::West, Side::East],
+            Axis::Y => [Side::South, Side::North],
+        }
+    }
 }
 
 /// Identifies a patch position: `(level, i, j)` with `i, j < 2^level`.
@@ -95,6 +105,63 @@ impl ExchangeStats {
 pub struct LevelCensus {
     /// `counts[l]` = number of leaf patches at level `l`.
     pub counts: Vec<usize>,
+}
+
+/// Pre-step copy of the interior cells within [`NG`] cells of a patch's
+/// edges: `4·NG·(mx − NG)` states instead of the patch's `(mx + 2·NG)²`.
+///
+/// Coarse→fine prolongation reads only this ring. A coarser face
+/// neighbour meets a fine patch only on the boundary of the fine patch's
+/// parent, and a fine ghost band of `NG` = 2 fine cells lies within one
+/// coarse cell of that face, so every coarse cell it samples sits in the
+/// coarse patch's outermost row or column.
+#[derive(Debug, Clone)]
+pub(crate) struct EdgeRing {
+    mx: usize,
+    /// The `NG` south rows and the `NG` north rows (`mx` cells each),
+    /// then, for every row between them, its `NG` west and `NG` east
+    /// cells.
+    cells: Vec<State>,
+}
+
+impl EdgeRing {
+    fn capture(patch: &Patch) -> Self {
+        let mx = patch.mx();
+        let mut cells = Vec::with_capacity(4 * NG * (mx - NG));
+        for cy in (0..NG).chain(mx - NG..mx) {
+            cells.extend((0..mx).map(|cx| *patch.interior(cx, cy)));
+        }
+        for cy in NG..mx - NG {
+            cells.extend((0..NG).chain(mx - NG..mx).map(|cx| *patch.interior(cx, cy)));
+        }
+        EdgeRing { mx, cells }
+    }
+
+    /// Interior cell `(cx, cy)` as it was when captured. Panics off the
+    /// ring: a read there would mean the prolongation stencil outgrew it.
+    fn interior(&self, cx: usize, cy: usize) -> &State {
+        let mx = self.mx;
+        let on_edge = |c: usize| c < NG || c >= mx - NG;
+        assert!(
+            cx < mx && cy < mx && (on_edge(cx) || on_edge(cy)),
+            "cell ({cx}, {cy}) is off the {NG}-deep edge ring of an mx = {mx} patch"
+        );
+        let index = if cy < NG {
+            cy * mx + cx
+        } else if cy >= mx - NG {
+            (cy + 2 * NG - mx) * mx + cx
+        } else {
+            let col = if cx < NG { cx } else { cx + 2 * NG - mx };
+            2 * NG * mx + (cy - NG) * 2 * NG + col
+        };
+        &self.cells[index]
+    }
+
+    /// States held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
 }
 
 /// A quadtree forest of `mx × mx` patches covering the unit square.
@@ -301,16 +368,16 @@ impl Forest {
 
     /// Fill the ghost bands of the leaves at one refinement level only —
     /// the subcycled stepper's per-level exchange. `coarse_old` holds
-    /// pre-step copies of the coarser patches bordering this level and
-    /// `theta ∈ [0, 1]` the position of this level's substep within the
-    /// coarse step: coarse→fine prolongation samples the linear
+    /// pre-step edge rings of the coarser patches bordering this level
+    /// and `theta ∈ [0, 1]` the position of this level's substep within
+    /// the coarse step: coarse→fine prolongation samples the linear
     /// interpolation `(1−θ)·old + θ·new` so fine ghosts see the coarse
     /// solution at the matching intermediate time.
-    pub fn fill_ghosts_level(
+    pub(crate) fn fill_ghosts_level(
         &mut self,
         level: u8,
         bc: &Bc,
-        coarse_old: &BTreeMap<PatchKey, Patch>,
+        coarse_old: &BTreeMap<PatchKey, EdgeRing>,
         theta: f64,
     ) -> Result<ExchangeStats, AmrError> {
         self.fill_ghost_set(&self.leaf_keys_at(level), bc, Some((coarse_old, theta)))
@@ -323,7 +390,7 @@ impl Forest {
         &mut self,
         keys: &[PatchKey],
         bc: &Bc,
-        interp: Option<(&BTreeMap<PatchKey, Patch>, f64)>,
+        interp: Option<(&BTreeMap<PatchKey, EdgeRing>, f64)>,
     ) -> Result<ExchangeStats, AmrError> {
         let mut stats = ExchangeStats::default();
         for &key in keys {
@@ -348,7 +415,7 @@ impl Forest {
         key: PatchKey,
         side: Side,
         bc: &Bc,
-        interp: Option<(&BTreeMap<PatchKey, Patch>, f64)>,
+        interp: Option<(&BTreeMap<PatchKey, EdgeRing>, f64)>,
         stats: &mut ExchangeStats,
     ) -> Result<(), AmrError> {
         let (level, i, j) = key;
@@ -441,7 +508,7 @@ impl Forest {
     /// Coarse→fine ghost fill: piecewise-constant sampling of the coarse
     /// neighbour's interior (first-order at the interface, standard for a
     /// performance-focused substrate). When `old` carries the neighbour's
-    /// pre-step copy and a time fraction `θ`, the sampled value is the
+    /// pre-step edge ring and a time fraction `θ`, the sampled value is the
     /// linear interpolation `(1−θ)·old + θ·new` — the time-interpolated
     /// ghost fill subcycled fine levels need at coarse–fine interfaces.
     fn prolong_from_coarse(
@@ -449,7 +516,7 @@ impl Forest {
         patch: &mut Patch,
         key: PatchKey,
         nb: &Patch,
-        old: Option<(&Patch, f64)>,
+        old: Option<(&EdgeRing, f64)>,
         side: Side,
     ) {
         let (xr, yr) = self.ghost_band(side);
@@ -547,34 +614,34 @@ impl Forest {
     /// coarse–fine interfaces (Berger–Colella refluxing, simplified by the
     /// global time step — no time interpolation needed).
     ///
-    /// `registers` must hold the [`BoundaryFluxes`] every leaf returned
-    /// from this sweep — a missing register is reported as
-    /// [`AmrError::MissingFluxRegister`]. Returns the number of corrected
-    /// coarse faces.
+    /// `registers` must hold the [`BoundaryFluxes`] this sweep returned
+    /// for every leaf with a neighbour at another level across a face on
+    /// `axis` (the only ones read; others may be passed too) — a missing
+    /// register is reported as [`AmrError::MissingFluxRegister`]. Returns
+    /// the number of corrected coarse faces.
     pub fn reflux(
         &mut self,
         axis: Axis,
         registers: &BTreeMap<PatchKey, BoundaryFluxes>,
         dt: f64,
     ) -> Result<u64, AmrError> {
-        self.reflux_level(axis, registers, dt, None)
+        self.reflux_level(axis, registers, registers, dt, None)
     }
 
-    /// [`Forest::reflux`] restricted to the coarse leaves of one level —
-    /// the subcycled stepper refluxes each coarse–fine level pair on its
-    /// own cadence, with `registers` holding only that pair's fluxes
-    /// (coarse sweep fluxes plus the fine level's substep-averaged ones).
-    pub fn reflux_level(
+    /// [`Forest::reflux`] with the coarse leaves' registers in `coarse`
+    /// and the fine leaves' in `fine`, restricted to the coarse leaves of
+    /// one level when `only_level` is given — the subcycled stepper
+    /// refluxes each coarse–fine level pair on its own cadence, against
+    /// the coarse level's sweep fluxes and the fine level's
+    /// sub-step-averaged ones.
+    pub(crate) fn reflux_level(
         &mut self,
         axis: Axis,
-        registers: &BTreeMap<PatchKey, BoundaryFluxes>,
+        coarse: &BTreeMap<PatchKey, BoundaryFluxes>,
+        fine: &BTreeMap<PatchKey, BoundaryFluxes>,
         dt: f64,
         only_level: Option<u8>,
     ) -> Result<u64, AmrError> {
-        let sides: [Side; 2] = match axis {
-            Axis::X => [Side::West, Side::East],
-            Axis::Y => [Side::South, Side::North],
-        };
         let mx = self.mx;
         let mut corrected = 0u64;
         for key in self.leaf_keys() {
@@ -582,14 +649,12 @@ impl Forest {
             if only_level.is_some_and(|l| l != level) {
                 continue;
             }
-            for side in sides {
+            for side in axis.sides() {
                 if self.neighbor_level(key, side) != Some(level + 1) {
                     continue;
                 }
-                // The sweep produced registers for every leaf.
-                let own = registers
-                    .get(&key)
-                    .ok_or(AmrError::MissingFluxRegister(key))?;
+                // A coarse leaf with a finer neighbour is an interface leaf.
+                let own = coarse.get(&key).ok_or(AmrError::MissingFluxRegister(key))?;
                 for t in 0..mx {
                     // The two fine faces under coarse transverse index `t`.
                     let mut correct = [0.0; NVAR];
@@ -616,13 +681,13 @@ impl Forest {
                             Side::South => (level + 1, fine_patch_t, 2 * j - 1),
                         };
                         // 2:1 balance guarantees the fine registers exist.
-                        let fine = registers
+                        let fine_fluxes = fine
                             .get(&fine_key)
                             .ok_or(AmrError::MissingFluxRegister(fine_key))?;
                         // The fine face opposite our side.
                         let flux = match side {
-                            Side::East | Side::North => &fine.lo[local],
-                            Side::West | Side::South => &fine.hi[local],
+                            Side::East | Side::North => &fine_fluxes.lo[local],
+                            Side::West | Side::South => &fine_fluxes.hi[local],
                         };
                         for k in 0..NVAR {
                             correct[k] += 0.5 * flux[k];
@@ -650,24 +715,38 @@ impl Forest {
         Ok(corrected)
     }
 
-    /// Pre-step copies of the level-`level` leaves that border a finer
-    /// face neighbour — the interpolation sources for the fine level's
-    /// time-interpolated ghost fill. Only interface patches are cloned,
-    /// keeping the subcycling scratch footprint proportional to the
-    /// coarse–fine interface rather than the whole level.
-    pub fn snapshot_interface_patches(&self, level: u8) -> BTreeMap<PatchKey, Patch> {
-        let mut snapshots = BTreeMap::new();
-        for key in self.leaf_keys_at(level) {
-            let borders_finer = Side::ALL
-                .iter()
-                .any(|&side| self.neighbor_level(key, side) == Some(level + 1));
-            if borders_finer {
-                if let Some(patch) = self.leaves.get(&key) {
-                    snapshots.insert(key, patch.clone());
-                }
-            }
-        }
-        snapshots
+    /// Pre-step edge rings of the level-`level` leaves that border a
+    /// finer face neighbour — the interpolation sources for the fine
+    /// level's time-interpolated ghost fill. Only interface patches are
+    /// copied, and of each only the ring prolongation reads, keeping the
+    /// subcycling scratch proportional to the coarse–fine interface.
+    pub(crate) fn snapshot_interface_edges(&self, level: u8) -> BTreeMap<PatchKey, EdgeRing> {
+        self.leaves
+            .iter()
+            .filter(|(&key, _)| {
+                key.0 == level
+                    && Side::ALL
+                        .iter()
+                        .any(|&side| self.neighbor_level(key, side) == Some(level + 1))
+            })
+            .map(|(&key, patch)| (key, EdgeRing::capture(patch)))
+            .collect()
+    }
+
+    /// The leaves with a neighbour at another level across a face on
+    /// `axis`: exactly the leaves whose registers [`Forest::reflux`]
+    /// reads after a sweep along `axis`, as the coarse side's own fluxes
+    /// or as the fine side's.
+    pub(crate) fn interface_leaves(&self, axis: Axis) -> BTreeSet<PatchKey> {
+        self.leaves
+            .keys()
+            .filter(|&&key| {
+                axis.sides()
+                    .iter()
+                    .any(|&side| self.neighbor_level(key, side).is_some_and(|l| l != key.0))
+            })
+            .copied()
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1342,6 +1421,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn edge_ring_holds_exactly_the_cells_within_ng_of_an_edge() {
+        for mx in [4, 5, 8] {
+            let mut patch = Patch::new(0, 0, 0, mx);
+            patch.fill_with(&|x, y| conservative(1.0 + x + 10.0 * y, x, y, 5.0));
+            let ring = EdgeRing::capture(&patch);
+            assert_eq!(ring.len(), 4 * NG * (mx - NG), "mx {mx}");
+            let bits = |q: &State| q.map(f64::to_bits);
+            for cy in 0..mx {
+                for cx in 0..mx {
+                    if cx < NG || cx >= mx - NG || cy < NG || cy >= mx - NG {
+                        assert_eq!(
+                            bits(ring.interior(cx, cy)),
+                            bits(patch.interior(cx, cy)),
+                            "mx {mx} cell ({cx}, {cy})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "off the 2-deep edge ring")]
+    fn edge_ring_refuses_an_inner_cell() {
+        let ring = EdgeRing::capture(&Patch::new(0, 0, 0, 5));
+        let _ = ring.interior(NG, NG);
     }
 
     #[test]

@@ -167,6 +167,17 @@ mod tests {
     }
 
     #[test]
+    fn every_grid_config_is_admitted_by_the_solver() {
+        // `run_simulation` checks each job first; a grid point it refused
+        // would drop a dataset row.
+        for grid in [SweepGrid::default(), SweepGrid::small()] {
+            for config in grid.all_configs() {
+                assert_eq!(config.check(), Ok(()), "{config:?}");
+            }
+        }
+    }
+
+    #[test]
     fn grid_covers_table_one_ranges() {
         let g = SweepGrid::default();
         assert_eq!(*g.p.first().unwrap(), 4);

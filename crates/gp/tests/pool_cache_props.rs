@@ -1,13 +1,16 @@
 //! A state machine over `al_gp::PoolCache`: arbitrary sequences of model
-//! growth, pool drops, hyperparameter changes, edited queries and
-//! diverging clones that trade caches, with `GpModel::predict` as the oracle.
+//! growth, duplicated training rows, pool drops, hyperparameter changes,
+//! edited queries and diverging clones that trade caches, with
+//! `GpModel::predict` as the oracle.
 //!
 //! The property `PoolCache`'s doc claims (DESIGN §13): hand it any model,
 //! any rows, in any order, and `predict_cached` is bit for bit the
 //! model's own `predict`, whether it reuses, extends or rebuilds its
-//! blocks. So after every operation the machine predicts its pool both
-//! ways and compares `to_bits` (or the two errors, while the model holds
-//! no fit).
+//! blocks. So after every operation the machine predicts its pool three
+//! ways, `predict`, `predict_cached` and `predict_mean`, and compares
+//! `to_bits` (or the errors, while the model holds no fit). Half the runs
+//! use a noise variance below the resolution of `k(x, x) = 1`, where a
+//! duplicated row cannot factor without jitter.
 //!
 //! The vendored proptest does not shrink, so a failing sequence is
 //! shrunk here: operations are dropped one at a time while the sequence
@@ -36,6 +39,10 @@ enum Op {
         augment: bool,
         at: usize,
     },
+    /// Append a copy of a training row: a border refit, or an augment
+    /// (at the tiny noise its border pivot fails and it falls back to a
+    /// jittered refit).
+    Duplicate { augment: bool, at: usize },
     /// Drop none, one, most or all of the pool.
     Drop { how: usize, at: usize },
     /// Append unused rows to the pool (the cache must rebuild).
@@ -59,7 +66,7 @@ enum Op {
 
 /// Growth and drops, the rounds that extend the cache, are drawn most.
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..13, 0usize..1000, 0usize..1000).prop_map(|(tag, a, b)| match tag {
+    (0u8..14, 0usize..1000, 0usize..1000).prop_map(|(tag, a, b)| match tag {
         0..=3 => Op::Grow {
             rows: 1 + a % 3,
             augment: b % 2 == 0,
@@ -81,6 +88,10 @@ fn op() -> impl Strategy<Value = Op> {
         },
         10 => Op::Clone,
         11 => Op::Swap,
+        12 => Op::Duplicate {
+            augment: a % 2 == 0,
+            at: b,
+        },
         _ => Op::Trade,
     })
 }
@@ -110,7 +121,7 @@ struct State {
 }
 
 impl State {
-    fn new(kind: KernelKind) -> Self {
+    fn new(kind: KernelKind, noise: f64) -> Self {
         let x = Matrix::from_vec(
             N_ROWS,
             3,
@@ -124,7 +135,7 @@ impl State {
         let mut state = State {
             x,
             y,
-            model: GpModel::new(kind.build(0.4), 1e-3),
+            model: GpModel::new(kind.build(0.4), noise),
             cache: PoolCache::new(),
             train: (0..N_TRAIN).collect(),
             pool: (N_TRAIN..N_TRAIN + N_POOL).collect(),
@@ -153,6 +164,15 @@ impl State {
                     }
                 }
                 if !augment || self.model.n_train() == 0 {
+                    self.refit();
+                }
+            }
+            Op::Duplicate { augment, at } => {
+                let p = self.train[at % self.train.len()];
+                self.train.push(p);
+                if augment && self.model.n_train() > 0 {
+                    self.model.augment(self.x.row(p), self.y[p]).unwrap();
+                } else {
                     self.refit();
                 }
             }
@@ -203,39 +223,44 @@ impl State {
         }
     }
 
-    /// Predict the pool through the cache and afresh; `Err` names the
-    /// first difference.
+    /// Predict the pool through the cache, its means alone, and afresh;
+    /// `Err` names the first difference.
     fn check(&mut self) -> Result<(), String> {
         let xs = self.x.select_rows(&self.pool);
         let got = self.model.predict_cached(&xs, &mut self.cache);
+        let mean = self.model.predict_mean(&xs);
         let want = self.model.predict(&xs);
-        match (got, want) {
-            (Ok(got), Ok(want)) => same_bits(&got, &want),
-            (got, want) if got == want => Ok(()),
-            (got, want) => Err(format!("{got:?} vs {want:?}")),
+        match (got, mean, want) {
+            (Ok(got), Ok(mean), Ok(want)) => {
+                same_bits("cached mean", &got.mean, &want.mean)?;
+                same_bits("cached std", &got.std, &want.std)?;
+                same_bits("predict_mean", &mean, &want.mean)
+            }
+            (Err(got), Err(mean), Err(want)) if got == want && mean == want => Ok(()),
+            (got, mean, want) => Err(format!(
+                "cached {:?}, predict_mean {:?} vs predict {:?}",
+                got.map(|_| ()),
+                mean.map(|_| ()),
+                want.map(|_: Prediction| ())
+            )),
         }
     }
 }
 
-fn same_bits(got: &Prediction, want: &Prediction) -> Result<(), String> {
-    for (what, g, w) in [
-        ("mean", &got.mean, &want.mean),
-        ("std", &got.std, &want.std),
-    ] {
-        if g.len() != w.len() {
-            return Err(format!("{what}: {} values vs {}", g.len(), w.len()));
-        }
-        if let Some(q) = (0..g.len()).find(|&q| g[q].to_bits() != w[q].to_bits()) {
-            return Err(format!("{what}[{q}]: {} vs {}", g[q], w[q]));
-        }
+fn same_bits(what: &str, got: &[f64], want: &[f64]) -> Result<(), String> {
+    if got.len() != want.len() {
+        return Err(format!("{what}: {} values vs {}", got.len(), want.len()));
     }
-    Ok(())
+    match (0..got.len()).find(|&q| got[q].to_bits() != want[q].to_bits()) {
+        Some(q) => Err(format!("{what}[{q}]: {} vs {}", got[q], want[q])),
+        None => Ok(()),
+    }
 }
 
 /// Run `ops` from a fresh state, checking after the start and after every
 /// step; `Err` names the failing step.
-fn run(kind: KernelKind, ops: &[Op]) -> Result<(), String> {
-    let mut state = State::new(kind);
+fn run(kind: KernelKind, noise: f64, ops: &[Op]) -> Result<(), String> {
+    let mut state = State::new(kind, noise);
     let mut aside = state.clone();
     state.check().map_err(|e| format!("start: {e}"))?;
     for (step, &op) in ops.iter().enumerate() {
@@ -254,11 +279,11 @@ fn run(kind: KernelKind, ops: &[Op]) -> Result<(), String> {
 
 /// A shorter sequence that still fails: drop one operation at a time,
 /// keeping any drop after which `run` still fails, until none can go.
-fn shrink(kind: KernelKind, mut ops: Vec<Op>) -> Vec<Op> {
+fn shrink(kind: KernelKind, noise: f64, mut ops: Vec<Op>) -> Vec<Op> {
     let without = |ops: &[Op], i: usize| [&ops[..i], &ops[i + 1..]].concat();
     while let Some(fewer) = (0..ops.len())
         .map(|i| without(&ops, i))
-        .find(|fewer| run(kind, fewer).is_err())
+        .find(|fewer| run(kind, noise, fewer).is_err())
     {
         ops = fewer;
     }
@@ -269,12 +294,16 @@ proptest! {
     #[test]
     fn cached_predict_matches_predict_after_every_step(
         kind in kinds(),
+        noise in prop_oneof![Just(1e-3), Just(1e-17)],
         ops in proptest::collection::vec(op(), 1..64),
     ) {
-        if let Err(e) = run(kind, &ops) {
-            let short = shrink(kind, ops);
-            let why = run(kind, &short).unwrap_err();
-            panic!("{kind:?}: {e}\nshrunk to {} ops: {short:?}\n{why}", short.len());
+        if let Err(e) = run(kind, noise, &ops) {
+            let short = shrink(kind, noise, ops);
+            let why = run(kind, noise, &short).unwrap_err();
+            panic!(
+                "{kind:?}, noise {noise:e}: {e}\nshrunk to {} ops: {short:?}\n{why}",
+                short.len()
+            );
         }
     }
 }
