@@ -15,7 +15,7 @@ pub struct SourceFile {
 }
 
 /// Workspace-relative directories scanned for sources.
-const SCAN_ROOTS: [&str; 2] = ["crates", "src"];
+const SCAN_ROOTS: [&str; 1] = ["crates"];
 
 /// Directory names never descended into: generated output, vendored stubs,
 /// test suites, benches, and lint fixtures (which contain violations on
@@ -24,7 +24,7 @@ const SKIP_DIRS: [&str; 7] = [
     "target", "vendor", "tests", "benches", "fixtures", "examples", ".git",
 ];
 
-/// Collect every `.rs` file under `crates/` and `src/` of `root`, sorted by
+/// Collect every `.rs` file under `crates/` of `root`, sorted by
 /// relative path for deterministic output.
 pub fn scan(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
@@ -73,12 +73,11 @@ fn rel_string(path: &Path, root: &Path) -> String {
 /// Map a workspace-relative path onto the passes that cover it.
 ///
 /// - L2 runs on everything scanned (it has no scope switch).
-/// - L3 runs on every library source: the files under `src/` and
-///   `crates/<name>/src/`, except binaries (`main.rs`, `bin/`), which are
-///   not public API.
+/// - L3 runs on every library source: the files under `crates/<name>/src/`,
+///   except binaries (`main.rs`, `bin/`), which are not public API.
 pub fn scope_for(rel_path: &str) -> FileScope {
     let parts: Vec<&str> = rel_path.split('/').collect();
-    let library = matches!(parts.as_slice(), ["src", ..] | ["crates", _, "src", ..])
+    let library = matches!(parts.as_slice(), ["crates", _, "src", ..])
         && !parts.contains(&"bin")
         && parts.last() != Some(&"main.rs");
     FileScope {
@@ -100,16 +99,16 @@ mod tests {
             "crates/alint/src/lints.rs",
             "crates/units/src/lib.rs",
             "crates/parallel/src/pool.rs",
-            "crates/bench/src/cli.rs",
-            "src/lib.rs",
+            "crates/bench/src/json.rs",
         ] {
             assert!(scope_for(library).typed_error, "{library}");
         }
-        // Binaries, and files outside a `src/` tree, are exempt.
+        // Binaries, and files outside a crate's `src/` tree, are exempt.
         for exempt in [
             "crates/core/src/main.rs",
-            "crates/bench/src/bin/sweep.rs",
+            "crates/bench/src/bin/reproduce/cli.rs",
             "crates/bench/src/bin/perf.rs",
+            "src/lib.rs",
             "src/main.rs",
             "src/bin/tool.rs",
             "crates/amr/build.rs",

@@ -2,14 +2,14 @@
 //! print ASCII density frames plus the patch census as refinement tracks
 //! the moving shock and the deforming bubble (the paper's Fig. 1, live).
 //!
-//! Run: `cargo run --release --example amr_viz`
+//! Run: `cargo run --release -p al-bench --example amr_viz`
 
 // Examples abort on failure by design, so they opt out of the
 // workspace's clippy panic lints.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use al_for_amr::amr::viz::{ascii_density, census_table};
-use al_for_amr::amr::{AmrSolver, SimulationConfig, SolverProfile};
+use al_amr_sim::viz::{ascii_density, census_table};
+use al_amr_sim::{AmrSolver, SimulationConfig, SolverProfile};
 
 fn main() {
     let config = SimulationConfig {

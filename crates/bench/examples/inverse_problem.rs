@@ -7,17 +7,17 @@
 //! candidate grid for the best predicted-affordable configuration, using
 //! posterior uncertainty for a safety margin (μ + 2σ must fit the budget).
 //!
-//! Run: `cargo run --release --example inverse_problem`
+//! Run: `cargo run --release -p al-bench --example inverse_problem`
 
 // Examples abort on failure by design, so they opt out of the
 // workspace's clippy panic lints.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use al_for_amr::amr::{run_simulation, MachineModel, SolverProfile};
-use al_for_amr::dataset::transform::unlog10_response;
-use al_for_amr::dataset::{generate_parallel, Dataset, GenerateOptions, SweepGrid};
-use al_for_amr::gp::{FitOptions, GpModel, KernelKind};
-use al_for_amr::linalg::Matrix;
+use al_amr_sim::{run_simulation, MachineModel, SolverProfile};
+use al_dataset::transform::unlog10_response;
+use al_dataset::{generate_parallel, Dataset, GenerateOptions, SweepGrid};
+use al_gp::{FitOptions, GpModel, KernelKind};
+use al_linalg::Matrix;
 
 /// Budget for one simulation, node-hours.
 const BUDGET: f64 = 0.02;

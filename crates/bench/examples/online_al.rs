@@ -10,20 +10,20 @@
 //! across sessions — the contrast the `warm_start_hit` perf scenario
 //! measures).
 //!
-//! Run: `cargo run --release --example online_al`
+//! Run: `cargo run --release -p al-bench --example online_al`
 
 // Examples abort on failure by design, so they opt out of the
 // workspace's clippy panic lints.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use al_for_amr::al::{
+use al_amr_sim::{run_simulation, MachineModel, SimulationConfig, SolverProfile};
+use al_core::{
     AlOptions, Decision, Observation, SessionConfig, SessionStore, StrategyKind, WarmKey,
 };
-use al_for_amr::amr::{run_simulation, MachineModel, SimulationConfig, SolverProfile};
-use al_for_amr::dataset::transform::log10_response;
-use al_for_amr::dataset::{FeatureScaler, SweepGrid};
-use al_for_amr::linalg::Matrix;
-use al_for_amr::units::{LogMegabytes, NodeHours};
+use al_dataset::transform::log10_response;
+use al_dataset::{FeatureScaler, SweepGrid};
+use al_linalg::Matrix;
+use al_units::{LogMegabytes, NodeHours};
 
 /// Memory budget per process, MB: candidates predicted above it are
 /// filtered out (RGMA's safety rule).

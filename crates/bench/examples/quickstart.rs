@@ -1,15 +1,15 @@
 //! Quickstart: generate a small AMR performance dataset, run one
 //! cost-aware active-learning trajectory, and watch the model error fall.
 //!
-//! Run: `cargo run --release --example quickstart`
+//! Run: `cargo run --release -p al-bench --example quickstart`
 
 // Examples abort on failure by design, so they opt out of the
 // workspace's clippy panic lints.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use al_for_amr::al::{run_trajectory, AlOptions, StrategyKind};
-use al_for_amr::amr::{MachineModel, SolverProfile};
-use al_for_amr::dataset::{generate_parallel, Dataset, GenerateOptions, Partition, SweepGrid};
+use al_amr_sim::{MachineModel, SolverProfile};
+use al_core::{run_trajectory, AlOptions, StrategyKind};
+use al_dataset::{generate_parallel, Dataset, GenerateOptions, Partition, SweepGrid};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

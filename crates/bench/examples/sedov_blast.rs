@@ -2,15 +2,15 @@
 //! the library's problem-agnostic interface (`AmrSolver::with_problem`)
 //! and how refinement chases an expanding circular front.
 //!
-//! Run: `cargo run --release --example sedov_blast`
+//! Run: `cargo run --release -p al-bench --example sedov_blast`
 
 // Examples abort on failure by design, so they opt out of the
 // workspace's clippy panic lints.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use al_for_amr::amr::problem::SedovBlast;
-use al_for_amr::amr::viz::{ascii_density, census_table};
-use al_for_amr::amr::{AmrSolver, SolverProfile};
+use al_amr_sim::problem::SedovBlast;
+use al_amr_sim::viz::{ascii_density, census_table};
+use al_amr_sim::{AmrSolver, SolverProfile};
 
 fn main() {
     let blast = SedovBlast::strong();

@@ -2,22 +2,14 @@
 //! simulations per AL round divides the number of (serial) retraining
 //! rounds by `q` at the price of less greedy selection — within a round
 //! all `q` picks come from the same stale predictions.
-//!
-//! Run: `cargo run -p al-bench --release --bin ablation_batch [--fast]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
+use crate::Ctx;
 use al_core::{run_trajectory, AlOptions, StrategyKind};
-use al_dataset::Partition;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
 
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let partition = Partition::random(dataset.len(), 50, 200, &mut rng);
+    let partition = ctx.partition(50, args.seed);
     const SELECTIONS: usize = 152;
 
     println!("BATCH-SELECTION ABLATION (RandGoodness, {SELECTIONS} selections)\n");
@@ -34,7 +26,7 @@ fn main() {
         };
         let started = al_bench::clock::now();
         let t = run_trajectory(
-            &dataset,
+            dataset,
             &partition,
             StrategyKind::RandGoodness { base: 10.0 },
             &opts,

@@ -3,24 +3,16 @@
 //! to more skewed candidate distributions". This experiment quantifies
 //! that: for `base ∈ {e, 10, 100}`, how skewed are RandGoodness's
 //! selections and how does the cost/error trade-off change?
-//!
-//! Run: `cargo run -p al-bench --release --bin ablation_goodness_base [--fast]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
-use al_bench::report::format_violin;
+use crate::report::format_violin;
+use crate::Ctx;
 use al_core::{run_trajectory, AlOptions, StrategyKind};
-use al_dataset::Partition;
 use al_linalg::stats;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
 
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let partition = Partition::random(dataset.len(), 50, 200, &mut rng);
+    let partition = ctx.partition(50, args.seed);
     let pool_median = stats::median(&dataset.raw_cost(&partition.active));
     println!(
         "GOODNESS-BASE ABLATION (150 iterations, Active-pool median cost = {pool_median:.3})\n"
@@ -33,7 +25,7 @@ fn main() {
             ..AlOptions::default()
         };
         let t = run_trajectory(
-            &dataset,
+            dataset,
             &partition,
             StrategyKind::RandGoodness { base },
             &opts,

@@ -4,33 +4,25 @@
 //!
 //! Fits each kernel on the same Initial+AL-selected training sets and
 //! compares Test-partition RMSE of the cost and memory models.
-//!
-//! Run: `cargo run -p al-bench --release --bin ablation_kernels [--fast]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
+use crate::{fit_gp, Ctx};
 use al_core::metrics::rmse_nonlog;
 use al_core::{run_trajectory, AlOptions, StrategyKind};
-use al_dataset::Partition;
 use al_gp::{FitOptions, GpModel, KernelKind};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
 
     // Build one training set with the paper's default pipeline (RBF-driven
     // RandGoodness), then refit every kernel family on it.
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let partition = Partition::random(dataset.len(), 50, 200, &mut rng);
+    let partition = ctx.partition(50, args.seed);
     let opts = AlOptions {
         max_iterations: Some(150),
         seed: args.seed,
         ..AlOptions::default()
     };
     let t = run_trajectory(
-        &dataset,
+        dataset,
         &partition,
         StrategyKind::RandGoodness { base: 10.0 },
         &opts,
@@ -46,6 +38,7 @@ fn main() {
 
     let x_train = dataset.features_scaled(&learned);
     let x_test = dataset.features_scaled(&partition.test);
+    let predict = |gp: &GpModel| gp.predict(&x_test).expect("predict").mean;
     let kernels = [
         KernelKind::Rbf,
         KernelKind::ArdRbf { dim: 5 },
@@ -62,23 +55,11 @@ fn main() {
             n_restarts: 3,
             ..FitOptions::default()
         };
-        let mut gp_cost = GpModel::new(kind.build(0.3), 1e-3);
-        gp_cost
-            .fit_optimized(&x_train, &dataset.log_cost(&learned), &fit)
-            .expect("cost fit");
-        let mut gp_mem = GpModel::new(kind.build(0.3), 1e-3);
-        gp_mem
-            .fit_optimized(&x_train, &dataset.log_memory(&learned), &fit)
-            .expect("memory fit");
+        let gp_cost = fit_gp(kind, &x_train, &dataset.log_cost(&learned), &fit);
+        let gp_mem = fit_gp(kind, &x_train, &dataset.log_memory(&learned), &fit);
 
-        let rmse_c = rmse_nonlog(
-            &gp_cost.predict(&x_test).expect("predict").mean,
-            &dataset.raw_cost(&partition.test),
-        );
-        let rmse_m = rmse_nonlog(
-            &gp_mem.predict(&x_test).expect("predict").mean,
-            &dataset.raw_memory(&partition.test),
-        );
+        let rmse_c = rmse_nonlog(&predict(&gp_cost), &dataset.raw_cost(&partition.test));
+        let rmse_m = rmse_nonlog(&predict(&gp_mem), &dataset.raw_memory(&partition.test));
         println!(
             "{:<12} {:>14.4} {:>14.4} {:>12.1} {:>12.1}",
             kind.label(),

@@ -1,22 +1,14 @@
 //! Memory-limit sensitivity: how RGMA's cumulative regret, early stopping
 //! and feasible-pool size respond as `L_mem` sweeps from restrictive to
 //! permissive (the paper fixes it at the 95% quantile of log memory).
-//!
-//! Run: `cargo run -p al-bench --release --bin ablation_lmem [--fast]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
+use crate::Ctx;
 use al_core::{run_trajectory, AlOptions, StopReason, StrategyKind};
-use al_dataset::Partition;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
 
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let partition = Partition::random(dataset.len(), 50, 200, &mut rng);
+    let partition = ctx.partition(50, args.seed);
 
     println!("L_MEM SENSITIVITY (RGMA, 200-iteration cap)\n");
     println!(
@@ -38,7 +30,7 @@ fn main() {
             ..AlOptions::default()
         };
         let t = run_trajectory(
-            &dataset,
+            dataset,
             &partition,
             StrategyKind::Rgma { base: 10.0 },
             &opts,

@@ -2,23 +2,15 @@
 //! performance models simultaneously"): global GP vs axis-partitioned
 //! local GPs on the real dataset. The natural split axis is `maxlevel`
 //! (feature 2): refinement depth changes the response regime most.
-//!
-//! Run: `cargo run -p al-bench --release --bin ablation_local [--fast]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
+use crate::{fit_gp, Ctx};
 use al_core::metrics::rmse_nonlog;
-use al_dataset::Partition;
 use al_gp::{FitOptions, GpModel, KernelKind, LocalGpModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
 
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let partition = Partition::random(dataset.len(), 200, 200, &mut rng);
+    let partition = ctx.partition(200, args.seed);
     let x_train = dataset.features_scaled(&partition.init);
     let y_train = dataset.log_cost(&partition.init);
     let x_test = dataset.features_scaled(&partition.test);
@@ -36,8 +28,7 @@ fn main() {
     );
 
     let t0 = al_bench::clock::now();
-    let mut global = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-    global.fit_optimized(&x_train, &y_train, &fit).expect("fit");
+    let global = fit_gp(KernelKind::Rbf, &x_train, &y_train, &fit);
     let rmse = rmse_nonlog(&global.predict(&x_test).expect("predict").mean, &actual);
     println!(
         "{:<28} {:>10} {:>14.4} {:>10.1}",

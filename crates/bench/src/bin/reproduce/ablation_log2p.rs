@@ -4,16 +4,11 @@
 //!
 //! Fits the cost and memory models on identical training indices with the
 //! linear `p` axis and with `log2(p)`, and compares Test RMSE.
-//!
-//! Run: `cargo run -p al-bench --release --bin ablation_log2p [--fast]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
+use crate::{fit_gp, Ctx};
 use al_core::metrics::rmse_nonlog;
 use al_dataset::{Dataset, FeatureMap, Partition};
-use al_gp::{FitOptions, GpModel, KernelKind};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use al_gp::{FitOptions, KernelKind};
 
 fn rmse_pair(dataset: &Dataset, partition: &Partition, seed: u64) -> (f64, f64) {
     let fit = FitOptions {
@@ -21,32 +16,20 @@ fn rmse_pair(dataset: &Dataset, partition: &Partition, seed: u64) -> (f64, f64) 
         seed,
         ..FitOptions::default()
     };
-    let x_train = dataset.features_scaled(&partition.init);
-    let x_test = dataset.features_scaled(&partition.test);
-
-    let mut gp_cost = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-    gp_cost
-        .fit_optimized(&x_train, &dataset.log_cost(&partition.init), &fit)
-        .expect("cost fit");
-    let rc = rmse_nonlog(
-        &gp_cost.predict(&x_test).expect("predict").mean,
-        &dataset.raw_cost(&partition.test),
-    );
-
-    let mut gp_mem = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-    gp_mem
-        .fit_optimized(&x_train, &dataset.log_memory(&partition.init), &fit)
-        .expect("memory fit");
-    let rm = rmse_nonlog(
-        &gp_mem.predict(&x_test).expect("predict").mean,
-        &dataset.raw_memory(&partition.test),
-    );
-    (rc, rm)
+    let (init, test) = (&partition.init, &partition.test);
+    let x_train = dataset.features_scaled(init);
+    let x_test = dataset.features_scaled(test);
+    let rmse = |y_train: &[f64], actual: &[f64]| {
+        let gp = fit_gp(KernelKind::Rbf, &x_train, y_train, &fit);
+        rmse_nonlog(&gp.predict(&x_test).expect("predict").mean, actual)
+    };
+    let cost = rmse(&dataset.log_cost(init), &dataset.raw_cost(test));
+    let memory = rmse(&dataset.log_memory(init), &dataset.raw_memory(test));
+    (cost, memory)
 }
 
-fn main() {
-    let args = Args::parse(&[]);
-    let linear = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, linear) = (&ctx.args, ctx.dataset());
     let log2p = Dataset::with_map(linear.samples().to_vec(), FeatureMap { log2_p: true });
 
     println!("LOG2(P) FEATURE ABLATION (n_init = 100, 200 test samples)\n");
@@ -58,9 +41,8 @@ fn main() {
     let mut wins_mem = 0usize;
     const SPLITS: u64 = 5;
     for split in 0..SPLITS {
-        let mut rng = StdRng::seed_from_u64(args.seed + split);
-        let partition = Partition::random(linear.len(), 100, 200, &mut rng);
-        let (lc, lm) = rmse_pair(&linear, &partition, args.seed + split);
+        let partition = ctx.partition(100, args.seed + split);
+        let (lc, lm) = rmse_pair(linear, &partition, args.seed + split);
         let (gc, gm) = rmse_pair(&log2p, &partition, args.seed + split);
         println!("{split:>6} {:>8} {lc:>14.4} {lm:>14.4}", "linear");
         println!("{split:>6} {:>8} {gc:>14.4} {gm:>14.4}", "log2(p)");

@@ -4,25 +4,19 @@
 //! predictions. This experiment fits the cost model with and without the
 //! transform on identical training data and compares RMSE and the count
 //! of nonsensical negative predictions.
-//!
-//! Run: `cargo run -p al-bench --release --bin ablation_logtransform [--fast]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
+use crate::{fit_gp, Ctx};
 use al_core::metrics::rmse_nonlog;
-use al_dataset::Partition;
-use al_gp::{FitOptions, GpModel, KernelKind};
+use al_gp::{FitOptions, KernelKind};
 use al_linalg::stats;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::collections::BTreeMap;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
 
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let partition = Partition::random(dataset.len(), 100, 200, &mut rng);
-    let x_train = dataset.features_scaled(&partition.init);
+    let partition = ctx.partition(100, args.seed);
+    let init = &partition.init;
+    let x_train = dataset.features_scaled(init);
     let x_test = dataset.features_scaled(&partition.test);
     let actual = dataset.raw_cost(&partition.test);
     let fit = FitOptions {
@@ -31,18 +25,12 @@ fn main() {
     };
 
     // With log10 transform (the paper's pipeline).
-    let mut gp_log = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-    gp_log
-        .fit_optimized(&x_train, &dataset.log_cost(&partition.init), &fit)
-        .expect("fit log");
+    let gp_log = fit_gp(KernelKind::Rbf, &x_train, &dataset.log_cost(init), &fit);
     let pred_log = gp_log.predict(&x_test).expect("predict");
     let rmse_log = rmse_nonlog(&pred_log.mean, &actual);
 
     // Without transform: fit raw node-hours directly.
-    let mut gp_raw = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-    gp_raw
-        .fit_optimized(&x_train, &dataset.raw_cost(&partition.init), &fit)
-        .expect("fit raw");
+    let gp_raw = fit_gp(KernelKind::Rbf, &x_train, &dataset.raw_cost(init), &fit);
     let pred_raw = gp_raw.predict(&x_test).expect("predict");
     let errors: Vec<f64> = pred_raw
         .mean
@@ -64,21 +52,13 @@ fn main() {
         "{:>20} {:>12} {:>12} {:>6}",
         "decade (node-hours)", "log model", "raw model", "n"
     );
-    let mut decades: Vec<(i32, Vec<f64>, Vec<f64>)> = Vec::new();
+    let mut decades: BTreeMap<i32, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
     for ((pl, pr), a) in pred_log.mean.iter().zip(&pred_raw.mean).zip(&actual) {
-        let d = a.log10().floor() as i32;
-        let entry = match decades.iter_mut().find(|(dd, _, _)| *dd == d) {
-            Some(e) => e,
-            None => {
-                decades.push((d, Vec::new(), Vec::new()));
-                decades.last_mut().unwrap()
-            }
-        };
-        entry.1.push((10f64.powf(*pl) - a).abs());
-        entry.2.push((pr - a).abs());
+        let (el, er) = decades.entry(a.log10().floor() as i32).or_default();
+        el.push((10f64.powf(*pl) - a).abs());
+        er.push((pr - a).abs());
     }
-    decades.sort_by_key(|(d, _, _)| *d);
-    for (d, el, er) in &decades {
+    for (d, (el, er)) in &decades {
         println!(
             "{:>10}..{:<9} {:>12.4} {:>12.4} {:>6}",
             format!("1e{d}"),

@@ -4,49 +4,31 @@
 //! reduction of prediction uncertainty, should influence stopping
 //! decisions"). Compares running the pool dry against the two
 //! stabilization heuristics.
-//!
-//! Run: `cargo run -p al-bench --release --bin ablation_stopping [--fast]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
+use crate::Ctx;
 use al_core::{run_trajectory, AlOptions, StopReason, StrategyKind};
-use al_dataset::Partition;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let partition = Partition::random(dataset.len(), 50, 200, &mut rng);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
+    let partition = ctx.partition(50, args.seed);
 
-    let variants: Vec<(&str, AlOptions)> = vec![
-        (
-            "run dry (300 cap)",
-            AlOptions {
-                max_iterations: Some(300),
-                seed: args.seed,
-                ..AlOptions::default()
-            },
-        ),
-        (
-            "stabilizing predictions",
-            AlOptions {
-                max_iterations: Some(300),
-                stabilization: Some((20, 0.05)),
-                seed: args.seed,
-                ..AlOptions::default()
-            },
-        ),
-        (
-            "stabilizing hyperparams",
-            AlOptions {
-                max_iterations: Some(300),
-                hyperparam_stabilization: Some((25, 0.01)),
-                seed: args.seed,
-                ..AlOptions::default()
-            },
-        ),
+    let dry = AlOptions {
+        max_iterations: Some(300),
+        seed: args.seed,
+        ..AlOptions::default()
+    };
+    let predictions = AlOptions {
+        stabilization: Some((20, 0.05)),
+        ..dry.clone()
+    };
+    let hyperparams = AlOptions {
+        hyperparam_stabilization: Some((25, 0.01)),
+        ..dry.clone()
+    };
+    let variants = [
+        ("run dry (300 cap)", dry),
+        ("stabilizing predictions", predictions),
+        ("stabilizing hyperparams", hyperparams),
     ];
 
     println!("STOPPING-CONDITION ABLATION (RandGoodness, n_init = 50)\n");
@@ -56,7 +38,7 @@ fn main() {
     );
     for (name, opts) in variants {
         let t = run_trajectory(
-            &dataset,
+            dataset,
             &partition,
             StrategyKind::RandGoodness { base: 10.0 },
             &opts,

@@ -3,18 +3,13 @@
 //! memory limit. Attribution question: how much of RGMA's regret win
 //! comes from the feasibility filter alone (MaxSigmaMA vs MaxSigma), and
 //! where does the deterministic σ−λμ interpolation land?
-//!
-//! Run: `cargo run -p al-bench --release --bin ablation_strategies
-//!       [--fast] [--trajectories N]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
-use al_core::{run_batch, AlOptions, BatchSpec, StrategyKind};
+use crate::Ctx;
+use al_core::StrategyKind;
 use al_linalg::stats;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
     let lmem_log = dataset.memory_limit_log_percentile(0.90);
 
     let strategies = vec![
@@ -26,25 +21,10 @@ fn main() {
         StrategyKind::RandGoodness { base: 10.0 },
         StrategyKind::Rgma { base: 10.0 },
     ];
-    let opts = AlOptions {
-        mem_limit_log: Some(lmem_log),
-        max_iterations: Some(150),
-        ..AlOptions::default()
-    };
-    let spec = BatchSpec {
-        strategies: strategies.clone(),
-        n_init: 50,
-        n_test: 200,
-        n_trajectories: args.trajectories,
-        base_seed: args.seed,
-        n_threads: args.threads,
-    };
-    let started = al_bench::clock::now();
-    let results = run_batch(&dataset, &spec, &opts).expect("batch");
+    let (results, secs) = ctx.batch(strategies, 50, lmem_log, 150);
     println!(
-        "EXTENDED STRATEGY COMPARISON ({} trajectories per strategy, {:.0}s)",
-        args.trajectories,
-        started.elapsed().as_secs_f64()
+        "EXTENDED STRATEGY COMPARISON ({} trajectories per strategy, {secs:.0}s)",
+        args.trajectories
     );
     println!(
         "L_mem = {:.2} MB ({:.1}% of jobs violate)\n",

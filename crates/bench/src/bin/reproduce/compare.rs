@@ -1,40 +1,19 @@
 //! Cross-validated statistical comparison of the five algorithms: batch
 //! statistics plus paired sign tests on shared partitions — the summary
 //! judgement the paper's Section V builds toward.
-//!
-//! Run: `cargo run -p al-bench --release --bin compare
-//!       [--fast] [--trajectories N] [--seed N]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
+use crate::Ctx;
 use al_core::analysis::{format_stats_table, paired_wins, sign_test_p, summarize};
-use al_core::{run_batch, AlOptions, BatchSpec, StrategyKind};
+use al_core::StrategyKind;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
     let lmem_log = dataset.memory_limit_log_percentile(0.90);
 
-    let strategies = StrategyKind::paper_five().to_vec();
-    let opts = AlOptions {
-        mem_limit_log: Some(lmem_log),
-        max_iterations: Some(150),
-        ..AlOptions::default()
-    };
-    let spec = BatchSpec {
-        strategies: strategies.clone(),
-        n_init: 50,
-        n_test: 200,
-        n_trajectories: args.trajectories,
-        base_seed: args.seed,
-        n_threads: args.threads,
-    };
-    let started = al_bench::clock::now();
-    let results = run_batch(&dataset, &spec, &opts).expect("batch");
+    let (results, secs) = ctx.batch(StrategyKind::paper_five().to_vec(), 50, lmem_log, 150);
     println!(
-        "STRATEGY COMPARISON: {} paired trajectories each, 150 iterations, {:.0}s\n",
-        args.trajectories,
-        started.elapsed().as_secs_f64()
+        "STRATEGY COMPARISON: {} paired trajectories each, 150 iterations, {secs:.0}s\n",
+        args.trajectories
     );
 
     let stats: Vec<_> = results.iter().map(|(_, ts)| summarize(ts)).collect();
@@ -75,13 +54,11 @@ fn main() {
     }
     println!("\n(wins on shared partitions; smaller metric wins; two-sided exact sign test)");
 
-    // Archive every trajectory for offline re-analysis (the paper's
-    // published-notebook workflow).
-    let dir = al_bench::data::dataset_path(false)
-        .parent()
-        .unwrap()
-        .join("trajectories");
-    std::fs::create_dir_all(&dir).expect("create trajectory directory");
+    // With `--out DIR`, archive every trajectory for offline re-analysis
+    // (the paper's published-notebook workflow).
+    let Some(dir) = ctx.artifact_dir("trajectories") else {
+        return;
+    };
     let mut written = 0usize;
     for (kind, ts) in &results {
         for (i, t) in ts.iter().enumerate() {

@@ -3,29 +3,18 @@
 //! finer features of the simulated phenomenon".
 //!
 //! Prints an ASCII density rendering and the per-level patch census for
-//! `maxlevel ∈ {3, 4, 5, 6}`, and writes PGM images under `data/fig1/`.
-//!
-//! Run: `cargo run -p al-bench --release --bin fig1 [--fast]`
+//! `maxlevel ∈ {3, 4, 5, 6}`; with `--out DIR` it also writes PGM images
+//! under `DIR/fig1/`.
 
+use crate::Ctx;
 use al_amr_sim::viz::{ascii_density, census_table, write_pgm};
-use al_amr_sim::{AmrSolver, SimulationConfig, SolverProfile};
-use al_bench::cli::Args;
+use al_amr_sim::{AmrSolver, SimulationConfig};
 use std::fs::File;
 use std::io::BufWriter;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let profile = if args.fast {
-        SolverProfile::fast()
-    } else {
-        SolverProfile::paper()
-    };
-
-    let out_dir = al_bench::data::dataset_path(false)
-        .parent()
-        .unwrap()
-        .join("fig1");
-    std::fs::create_dir_all(&out_dir).expect("create data/fig1");
+pub(crate) fn run(ctx: &Ctx) {
+    let profile = ctx.profile();
+    let pgm_dir = ctx.artifact_dir("fig1");
 
     println!("FIG 1: shock-bubble interaction at increasing maxlevel\n");
     for maxlevel in [3u8, 4, 5, 6] {
@@ -48,9 +37,12 @@ fn main() {
         println!("{}", census_table(solver.forest()));
         println!("{}", ascii_density(solver.forest(), 64));
 
-        let pgm_path = out_dir.join(format!("shockbubble_ml{maxlevel}.pgm"));
-        let mut w = BufWriter::new(File::create(&pgm_path).expect("create pgm"));
-        write_pgm(solver.forest(), 512, &mut w).expect("write pgm");
-        println!("wrote {}\n", pgm_path.display());
+        if let Some(dir) = &pgm_dir {
+            let pgm_path = dir.join(format!("shockbubble_ml{maxlevel}.pgm"));
+            let mut w = BufWriter::new(File::create(&pgm_path).expect("create pgm"));
+            write_pgm(solver.forest(), 512, &mut w).expect("write pgm");
+            println!("wrote {}", pgm_path.display());
+        }
+        println!();
     }
 }

@@ -5,25 +5,17 @@
 //! distributions; MinPred and RandGoodness concentrate on inexpensive
 //! experiments (low medians, tight IQRs), with RandGoodness keeping a
 //! longer exploratory tail than MinPred.
-//!
-//! Run: `cargo run -p al-bench --release --bin fig2 [--fast] [--seed N]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
-use al_bench::report::format_violin;
+use crate::report::format_violin;
+use crate::Ctx;
 use al_core::{run_trajectory, AlOptions, StrategyKind};
-use al_dataset::Partition;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
 
     // One trajectory per algorithm on a shared partition, first 150
     // iterations — exactly the figure's setup.
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let partition = Partition::random(dataset.len(), 50, 200, &mut rng);
+    let partition = ctx.partition(50, args.seed);
     let opts = AlOptions {
         max_iterations: Some(150),
         seed: args.seed,
@@ -35,7 +27,7 @@ fn main() {
     println!(" histogram bins are log10 node-hours)\n");
     for kind in StrategyKind::cost_only_four() {
         let started = al_bench::clock::now();
-        let t = run_trajectory(&dataset, &partition, kind, &opts).expect("trajectory");
+        let t = run_trajectory(dataset, &partition, kind, &opts).expect("trajectory");
         let costs = t.selected_costs(150);
         let log_costs: Vec<f64> = costs.iter().map(|c| c.log10()).collect();
         print!("{}", format_violin(kind.label(), &costs, 1));

@@ -9,48 +9,25 @@
 //! the memory limit.
 //!
 //! `--weighted` additionally reports the cost-weighted RMSE of Eq. 12.
-//!
-//! Run: `cargo run -p al-bench --release --bin fig4
-//!       [--fast] [--trajectories N] [--seed N] [--threads N] [--paper-lmem]
-//!       [--weighted]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
-use al_bench::report::format_curves;
+use crate::report::format_curves;
+use crate::{fit_gp, mean_of, Ctx};
+use al_core::metrics::{cost_weights, rmse_nonlog, weighted_rmse_nonlog};
 use al_core::trajectory::mean_curve;
-use al_core::{run_batch, AlOptions, BatchSpec, StrategyKind};
+use al_core::{run_trajectory, AlOptions, StrategyKind};
+use al_gp::{FitOptions, KernelKind};
+use al_units::LogMegabytes;
 
-fn main() {
-    let args = Args::parse(&["--paper-lmem", "--weighted"]);
-    let dataset = paper_dataset(args.fast, args.threads);
-    // Same limit convention as fig3 (see the comment there).
-    let lmem_log = if args.has_flag("--paper-lmem") {
-        dataset.memory_limit_log(0.95)
-    } else {
-        dataset.memory_limit_log_percentile(0.90)
-    };
+pub(crate) fn run(ctx: &Ctx) {
+    let args = &ctx.args;
+    let lmem_log = crate::fig3::lmem(ctx);
 
     println!("FIG 4: RMSE trajectories (Test partition, non-log units)\n");
     for n_init in [1usize, 50, 100] {
-        let opts = AlOptions {
-            mem_limit_log: Some(lmem_log),
-            max_iterations: Some(200),
-            ..AlOptions::default()
-        };
-        let spec = BatchSpec {
-            strategies: StrategyKind::paper_five().to_vec(),
-            n_init,
-            n_test: 200,
-            n_trajectories: args.trajectories,
-            base_seed: args.seed,
-            n_threads: args.threads,
-        };
-        let started = al_bench::clock::now();
-        let results = run_batch(&dataset, &spec, &opts).expect("batch");
+        let (results, secs) = ctx.batch(StrategyKind::paper_five().to_vec(), n_init, lmem_log, 200);
         println!(
-            "--- n_init = {n_init} ({} trajectories per strategy, {:.0}s) ---\n",
-            args.trajectories,
-            started.elapsed().as_secs_f64()
+            "--- n_init = {n_init} ({} trajectories per strategy, {secs:.0}s) ---\n",
+            args.trajectories
         );
         let labels: Vec<&str> = results.iter().map(|(k, _)| k.label()).collect();
 
@@ -59,20 +36,14 @@ fn main() {
             .iter()
             .map(|(_, ts)| mean_curve(ts, |r| r.rmse_cost))
             .collect();
-        println!(
-            "{}",
-            format_curves(&labels, &rmse_curves, 20).expect("labels match curves")
-        );
+        println!("{}", format_curves(&labels, &rmse_curves, 20));
 
         println!("(b) memory-model RMSE vs iteration");
         let mem_curves: Vec<Vec<f64>> = results
             .iter()
             .map(|(_, ts)| mean_curve(ts, |r| r.rmse_mem))
             .collect();
-        println!(
-            "{}",
-            format_curves(&labels, &mem_curves, 20).expect("labels match curves")
-        );
+        println!("{}", format_curves(&labels, &mem_curves, 20));
 
         println!("(c) cost-model RMSE vs cumulative cost (node-hours)");
         for (kind, ts) in &results {
@@ -93,15 +64,13 @@ fn main() {
         // Paper-style summary: initial vs final RMSE per strategy.
         println!("(d) initial vs final RMSE (cost model)");
         for (kind, ts) in &results {
-            let init: f64 =
-                ts.iter().map(|t| t.initial_rmse_cost).sum::<f64>() / ts.len().max(1) as f64;
+            let init = mean_of(ts, |t| t.initial_rmse_cost);
             let fin: f64 = ts
                 .iter()
                 .filter_map(|t| t.records.last().map(|r| r.rmse_cost))
                 .sum::<f64>()
                 / ts.len().max(1) as f64;
-            let cost: f64 =
-                ts.iter().map(|t| t.total_cost().value()).sum::<f64>() / ts.len().max(1) as f64;
+            let cost = mean_of(ts, |t| t.total_cost().value());
             println!(
                 "{:<14} initial {init:8.4} -> final {fin:8.4}  (mean total cost {cost:8.2} node-hours)",
                 kind.label()
@@ -111,28 +80,18 @@ fn main() {
     }
 
     if args.has_flag("--weighted") {
-        weighted_rmse_report(&dataset, &args, lmem_log);
+        weighted_rmse_report(ctx, lmem_log);
     }
 }
 
 /// Eq. 12 ablation: compare uniform and cost-weighted RMSE of a model
 /// trained by RandGoodness — expensive-region errors dominate the weighted
 /// metric, showing why scale-dependent weighting matters for cost-aware AL.
-fn weighted_rmse_report(
-    dataset: &al_dataset::Dataset,
-    args: &Args,
-    lmem_log: al_units::LogMegabytes,
-) {
-    use al_core::metrics::{cost_weights, rmse_nonlog, weighted_rmse_nonlog};
-    use al_core::run_trajectory;
-    use al_dataset::Partition;
-    use al_gp::{FitOptions, GpModel, KernelKind};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+fn weighted_rmse_report(ctx: &Ctx, lmem_log: LogMegabytes) {
+    let (args, dataset) = (&ctx.args, ctx.dataset());
 
     println!("--- weighted RMSE (Eq. 12) ---");
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let partition = Partition::random(dataset.len(), 50, 200, &mut rng);
+    let partition = ctx.partition(50, args.seed);
     let opts = AlOptions {
         mem_limit_log: Some(lmem_log),
         max_iterations: Some(150),
@@ -151,13 +110,11 @@ fn weighted_rmse_report(
     // uniform vs cost-weighted test error.
     let mut learned = partition.init.clone();
     learned.extend(t.records.iter().map(|r| r.dataset_index));
-    let mut gp = GpModel::new(KernelKind::Rbf.build(0.3), 1e-3);
-    gp.fit_optimized(
-        &dataset.features_scaled(&learned),
-        &dataset.log_cost(&learned),
-        &FitOptions::default(),
-    )
-    .expect("fit");
+    let (x, y) = (
+        dataset.features_scaled(&learned),
+        dataset.log_cost(&learned),
+    );
+    let gp = fit_gp(KernelKind::Rbf, &x, &y, &FitOptions::default());
     let pred = gp
         .predict(&dataset.features_scaled(&partition.test))
         .expect("predict");

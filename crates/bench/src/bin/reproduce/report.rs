@@ -2,7 +2,6 @@
 //! summaries, so every figure's data prints in a form directly comparable
 //! with the paper's plots.
 
-use crate::error::BenchError;
 use al_linalg::stats::{histogram, Summary};
 
 /// Downsampling stride that keeps the emitted row count within `max_rows`:
@@ -15,7 +14,7 @@ fn stride_for(len: usize, max_rows: usize) -> usize {
 /// ASCII violin: a quantile summary plus a sideways histogram of the
 /// distribution (log10 bins work well for cost data — pass transformed
 /// values if desired).
-pub fn format_violin(label: &str, values: &[f64], bins: usize) -> String {
+pub(crate) fn format_violin(label: &str, values: &[f64], bins: usize) -> String {
     if values.is_empty() {
         return format!("{label}: (no data)\n");
     }
@@ -44,20 +43,10 @@ pub fn format_violin(label: &str, values: &[f64], bins: usize) -> String {
 
 /// Align several labelled curves into one CSV block with a shared
 /// iteration column: `iter,label1,label2,...`. Shorter curves print empty
-/// cells once exhausted (RGMA stops early). Errors (instead of panicking —
-/// this is library code under the panic-free, typed-error policy) when
-/// the label and curve counts disagree.
-pub fn format_curves(
-    labels: &[&str],
-    curves: &[Vec<f64>],
-    max_rows: usize,
-) -> Result<String, BenchError> {
-    if labels.len() != curves.len() {
-        return Err(BenchError::LabelCountMismatch {
-            labels: labels.len(),
-            curves: curves.len(),
-        });
-    }
+/// cells once exhausted (RGMA stops early). Panics when the label and
+/// curve counts disagree.
+pub(crate) fn format_curves(labels: &[&str], curves: &[Vec<f64>], max_rows: usize) -> String {
+    assert_eq!(labels.len(), curves.len(), "one label per curve");
     let n = curves.iter().map(|c| c.len()).max().unwrap_or(0);
     let mut out = String::from("iter");
     for l in labels {
@@ -79,7 +68,7 @@ pub fn format_curves(
         }
         out.push('\n');
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -117,7 +106,7 @@ mod tests {
 
     #[test]
     fn curves_handle_ragged_lengths() {
-        let s = format_curves(&["a", "b"], &[vec![1.0, 2.0, 3.0], vec![10.0]], 10).unwrap();
+        let s = format_curves(&["a", "b"], &[vec![1.0, 2.0, 3.0], vec![10.0]], 10);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[0], "iter,a,b");
         assert!(lines[1].starts_with("0,1.000000,10.000000"));
@@ -126,21 +115,15 @@ mod tests {
     }
 
     #[test]
-    fn curves_mismatched_labels_are_a_typed_error() {
-        let err = format_curves(&["a"], &[vec![1.0], vec![2.0]], 10).unwrap_err();
-        assert!(matches!(
-            err,
-            BenchError::LabelCountMismatch {
-                labels: 1,
-                curves: 2
-            }
-        ));
+    #[should_panic(expected = "one label per curve")]
+    fn curves_mismatched_labels_panic() {
+        format_curves(&["a"], &[vec![1.0], vec![2.0]], 10);
     }
 
     #[test]
     fn curves_respect_max_rows_at_boundary_lengths() {
         let long: Vec<f64> = (0..150).map(|i| i as f64).collect();
-        let s = format_curves(&["a"], &[long], 100).unwrap();
+        let s = format_curves(&["a"], &[long], 100);
         let rows = s.lines().count() - 1;
         assert!(rows <= 100, "emitted {rows} rows");
         assert!(s.lines().last().unwrap().starts_with("149,"));

@@ -1,19 +1,15 @@
 //! Table I: descriptive statistics of the 600-sample AMR shock-bubble
 //! dataset (min / median / mean / max of the 5 features and 3 responses).
-//!
-//! Run: `cargo run -p al-bench --release --bin table1 [--fast]`
 
-use al_bench::cli::Args;
-use al_bench::data::paper_dataset;
+use crate::Ctx;
 use al_dataset::TableSummary;
 
-fn main() {
-    let args = Args::parse(&[]);
-    let dataset = paper_dataset(args.fast, args.threads);
+pub(crate) fn run(ctx: &Ctx) {
+    let dataset = ctx.dataset();
 
     println!("TABLE I: Parameters of the AMR shock-bubble simulation dataset");
     println!("({} samples)\n", dataset.len());
-    let summary = TableSummary::of(&dataset);
+    let summary = TableSummary::of(dataset);
     println!("{}", summary.format());
     println!(
         "cost dynamic range (max/min): {:.3e}   (paper reports 5.4e3)",

@@ -1,24 +1,16 @@
 //! Typed error for the bench library surface.
 //!
-//! The experiment *binaries* abort on failure by design, but the shared
-//! library modules (`report`, `json`, `perf`, `cli`) follow the discipline
+//! The experiment binary aborts on failure by design, but the library
+//! modules (`json`, `perf`) follow the discipline
 //! clippy's panic lints and alint L3 enforce on every library crate: no
 //! panics in library code, one crate error type on every public `Result`.
 
 use std::fmt;
 
-/// Errors from the bench support library (reporting helpers, the perf
-/// harness and its JSON schema layer).
+/// Errors from the bench support library (the perf harness and its JSON
+/// schema layer).
 #[derive(Debug)]
 pub enum BenchError {
-    /// `format_curves` was given a label list and a curve list of
-    /// different lengths.
-    LabelCountMismatch {
-        /// Number of labels provided.
-        labels: usize,
-        /// Number of curves provided.
-        curves: usize,
-    },
     /// Reading or writing a `BENCH_*.json` file failed.
     Io {
         /// Path involved (display form).
@@ -56,10 +48,6 @@ pub enum BenchError {
 impl fmt::Display for BenchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BenchError::LabelCountMismatch { labels, curves } => write!(
-                f,
-                "format_curves: {labels} labels for {curves} curves (must match)"
-            ),
             BenchError::Io { path, source } => write!(f, "{path}: {source}"),
             BenchError::JsonParse { offset, detail } => {
                 write!(f, "JSON parse error at byte {offset}: {detail}")
@@ -92,11 +80,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = BenchError::LabelCountMismatch {
-            labels: 2,
-            curves: 3,
-        };
-        assert!(e.to_string().contains("2 labels for 3 curves"));
         let e = BenchError::Schema {
             field: "scenarios[0].stats".into(),
             detail: "missing".into(),

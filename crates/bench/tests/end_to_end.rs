@@ -11,10 +11,10 @@
     clippy::float_cmp
 )]
 
-use al_for_amr::al::{run_batch, run_trajectory, AlOptions, BatchSpec, StrategyKind};
-use al_for_amr::amr::{MachineModel, SolverProfile};
-use al_for_amr::dataset::{generate_parallel, Dataset, GenerateOptions, Partition, SweepGrid};
-use al_for_amr::gp::FitOptions;
+use al_amr_sim::{MachineModel, SolverProfile};
+use al_core::{run_batch, run_trajectory, AlOptions, BatchSpec, StrategyKind};
+use al_dataset::{generate_parallel, Dataset, GenerateOptions, Partition, SweepGrid};
+use al_gp::FitOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -91,9 +91,7 @@ fn rgma_beats_oblivious_strategies_on_regret() {
         .iter()
         .map(|s| s.memory_mb.value())
         .collect();
-    let lmem_log = al_for_amr::units::LogMegabytes::new(
-        al_for_amr::linalg::stats::quantile(&mems, 0.7).log10(),
-    );
+    let lmem_log = al_units::LogMegabytes::new(al_linalg::stats::quantile(&mems, 0.7).log10());
     // Compare at an equal selection budget (paper Fig. 3 plots CR per
     // iteration). Without a cap every strategy exhausts the 20-sample pool
     // and final CR is order-independent — all strategies tie exactly.
@@ -115,7 +113,7 @@ fn rgma_beats_oblivious_strategies_on_regret() {
         n_threads: 1,
     };
     let results = run_batch(&dataset, &spec, &opts).expect("batch");
-    let mean_regret = |ts: &Vec<al_for_amr::al::Trajectory>| {
+    let mean_regret = |ts: &Vec<al_core::Trajectory>| {
         ts.iter().map(|t| t.total_regret().value()).sum::<f64>() / ts.len() as f64
     };
     let uniform_cr = mean_regret(&results[0].1);
@@ -135,8 +133,8 @@ fn dataset_roundtrips_through_csv() {
     let dataset = small_real_dataset();
     let mut path = std::env::temp_dir();
     path.push(format!("al_e2e_roundtrip_{}.csv", std::process::id()));
-    al_for_amr::dataset::io::write_csv(dataset.samples(), &path).expect("write");
-    let back = al_for_amr::dataset::io::read_csv(&path).expect("read");
+    al_dataset::io::write_csv(dataset.samples(), &path).expect("write");
+    let back = al_dataset::io::read_csv(&path).expect("read");
     assert_eq!(dataset.samples(), back.as_slice());
     std::fs::remove_file(&path).ok();
 }
@@ -172,7 +170,7 @@ fn cost_grows_with_maxlevel_in_real_data() {
             .map(|s| s.cost_node_hours.value())
             .collect();
         assert!(!v.is_empty());
-        al_for_amr::linalg::stats::mean(&v)
+        al_linalg::stats::mean(&v)
     };
     // The smoke profile simulates a very short burst, compressing the
     // contrast; the full paper profile separates levels by ~4x.

@@ -11,11 +11,11 @@
     clippy::float_cmp
 )]
 
-use al_for_amr::amr::{run_simulation, MachineModel, SolverProfile};
-use al_for_amr::dataset::transform::log10_response;
-use al_for_amr::dataset::{FeatureScaler, SweepGrid};
-use al_for_amr::gp::{FitOptions, GpModel, KernelKind};
-use al_for_amr::linalg::Matrix;
+use al_amr_sim::{run_simulation, MachineModel, SolverProfile};
+use al_dataset::transform::log10_response;
+use al_dataset::{FeatureScaler, SweepGrid};
+use al_gp::{FitOptions, GpModel, KernelKind};
+use al_linalg::Matrix;
 
 #[test]
 fn online_al_loop_runs_and_improves() {
@@ -28,7 +28,7 @@ fn online_al_loop_runs_and_improves() {
     // Bootstrap with two measurements.
     let mut xs: Vec<[f64; 5]> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
-    let mut measured: Vec<(al_for_amr::amr::SimulationConfig, f64)> = Vec::new();
+    let mut measured: Vec<(al_amr_sim::SimulationConfig, f64)> = Vec::new();
     for _ in 0..2 {
         let config = candidates.remove(0);
         let outcome = run_simulation(&config, profile, &machine, 0).expect("simulation");
@@ -57,7 +57,7 @@ fn online_al_loop_runs_and_improves() {
         let pred = gp
             .predict(&Matrix::from_vec(candidates.len(), 5, rows))
             .expect("predict");
-        let pick = al_for_amr::linalg::ops::argmax(&pred.std).expect("candidates remain");
+        let pick = al_linalg::ops::argmax(&pred.std).expect("candidates remain");
         let config = candidates.remove(pick);
         let outcome = run_simulation(&config, profile, &machine, 0).expect("simulation");
         xs.push(scaler.transform(&config.features()));

@@ -1,7 +1,7 @@
 //! A state machine over `al_gp::PoolCache`: arbitrary sequences of model
-//! growth, duplicated training rows, pool drops, hyperparameter changes,
-//! edited queries and diverging clones that trade caches, with
-//! `GpModel::predict` as the oracle.
+//! growth, duplicated training rows, pool drops, hyperparameter changes
+//! and short optimizations, edited queries and diverging clones that trade
+//! caches, with `GpModel::predict` and a from-scratch fit as the oracles.
 //!
 //! The property `PoolCache`'s doc claims (DESIGN §13): hand it any model,
 //! any rows, in any order, and `predict_cached` is bit for bit the
@@ -12,6 +12,11 @@
 //! use a noise variance below the resolution of `k(x, x) = 1`, where a
 //! duplicated row cannot factor without jitter.
 //!
+//! A held fit that `fit` or `fit_optimized` made (an augment's is not
+//! checked) must also be exact: a fresh model with the same
+//! hyperparameters, `fit` on the same rows, predicts the same μ and σ and
+//! has the same LML, `to_bits`, however the held fit was grown.
+//!
 //! The vendored proptest does not shrink, so a failing sequence is
 //! shrunk here: operations are dropped one at a time while the sequence
 //! still fails, and the panic names the short sequence that is left.
@@ -19,7 +24,7 @@
 // Integration tests run outside #[cfg(test)]; tests may panic.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use al_gp::{GpModel, KernelKind, PoolCache, Prediction};
+use al_gp::{FitOptions, GpModel, KernelKind, PoolCache, Prediction};
 use al_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -53,6 +58,13 @@ enum Op {
     /// Refit on the same rows (a new factor with the same bits), or with
     /// two training rows swapped.
     Refit { swap: bool, at: usize },
+    /// `fit_optimized` on the training rows with a tiny budget: 0 or 1
+    /// restarts of 1–3 Adam steps.
+    Optimize {
+        restarts: usize,
+        iters: usize,
+        seed: u64,
+    },
     /// Swap two pool rows, or move one coordinate of a pool row one ulp.
     Edit { nudge: bool, at: usize },
     /// Put a copy of the whole state aside.
@@ -66,7 +78,7 @@ enum Op {
 
 /// Growth and drops, the rounds that extend the cache, are drawn most.
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..14, 0usize..1000, 0usize..1000).prop_map(|(tag, a, b)| match tag {
+    (0u8..15, 0usize..1000, 0usize..1000).prop_map(|(tag, a, b)| match tag {
         0..=3 => Op::Grow {
             rows: 1 + a % 3,
             augment: b % 2 == 0,
@@ -92,6 +104,11 @@ fn op() -> impl Strategy<Value = Op> {
             augment: a % 2 == 0,
             at: b,
         },
+        13 => Op::Optimize {
+            restarts: a % 2,
+            iters: 1 + b % 3,
+            seed: a as u64,
+        },
         _ => Op::Trade,
     })
 }
@@ -112,7 +129,12 @@ struct State {
     /// The data universe; `Edit` nudges its rows in place.
     x: Matrix,
     y: Vec<f64>,
+    kind: KernelKind,
+    noise: f64,
     model: GpModel,
+    /// The model's fit came from `fit` or `fit_optimized` on `train`, not
+    /// from an augment.
+    exact: bool,
     cache: PoolCache,
     /// Row ids of the training set, in fit order.
     train: Vec<usize>,
@@ -135,7 +157,10 @@ impl State {
         let mut state = State {
             x,
             y,
+            kind,
+            noise,
             model: GpModel::new(kind.build(0.4), noise),
+            exact: false,
             cache: PoolCache::new(),
             train: (0..N_TRAIN).collect(),
             pool: (N_TRAIN..N_TRAIN + N_POOL).collect(),
@@ -144,11 +169,16 @@ impl State {
         state
     }
 
+    fn train_ys(&self) -> Vec<f64> {
+        self.train.iter().map(|&i| self.y[i]).collect()
+    }
+
     fn refit(&mut self) {
-        let ys: Vec<f64> = self.train.iter().map(|&i| self.y[i]).collect();
+        let ys = self.train_ys();
         self.model
             .fit(&self.x.select_rows(&self.train), &ys)
             .unwrap();
+        self.exact = true;
     }
 
     fn apply(&mut self, op: Op) {
@@ -161,6 +191,7 @@ impl State {
                     // augment; it refits below instead.
                     if augment && self.model.n_train() > 0 {
                         self.model.augment(self.x.row(p), self.y[p]).unwrap();
+                        self.exact = false;
                     }
                 }
                 if !augment || self.model.n_train() == 0 {
@@ -172,6 +203,7 @@ impl State {
                 self.train.push(p);
                 if augment && self.model.n_train() > 0 {
                     self.model.augment(self.x.row(p), self.y[p]).unwrap();
+                    self.exact = false;
                 } else {
                     self.refit();
                 }
@@ -199,6 +231,7 @@ impl State {
                     .map(|(i, v)| v + 0.05 * ((shift + i) % 7) as f64 - 0.15)
                     .collect();
                 self.model.set_hyperparams(&p).unwrap();
+                self.exact = false;
                 if refit {
                     self.refit();
                 }
@@ -209,6 +242,22 @@ impl State {
                     self.train.swap(i, i + 1);
                 }
                 self.refit();
+            }
+            Op::Optimize {
+                restarts,
+                iters,
+                seed,
+            } => {
+                let opts = FitOptions {
+                    n_restarts: restarts,
+                    max_iters: iters,
+                    seed,
+                };
+                let ys = self.train_ys();
+                self.model
+                    .fit_optimized(&self.x.select_rows(&self.train), &ys, &opts)
+                    .unwrap();
+                self.exact = true;
             }
             Op::Edit { nudge, at } => {
                 let m = self.pool.len();
@@ -223,10 +272,14 @@ impl State {
         }
     }
 
-    /// Predict the pool through the cache, its means alone, and afresh;
-    /// `Err` names the first difference.
+    /// Predict the pool through the cache, its means alone, and afresh,
+    /// and compare an exact held fit with a from-scratch one; `Err` names
+    /// the first difference.
     fn check(&mut self) -> Result<(), String> {
         let xs = self.x.select_rows(&self.pool);
+        if self.exact {
+            self.check_exact(&xs)?;
+        }
         let got = self.model.predict_cached(&xs, &mut self.cache);
         let mean = self.model.predict_mean(&xs);
         let want = self.model.predict(&xs);
@@ -242,6 +295,32 @@ impl State {
                 got.map(|_| ()),
                 mean.map(|_| ()),
                 want.map(|_: Prediction| ())
+            )),
+        }
+    }
+}
+
+impl State {
+    /// The held fit against a fresh model with the same hyperparameters,
+    /// `fit` on the same rows: μ and σ over the pool, and the LML.
+    fn check_exact(&self, xs: &Matrix) -> Result<(), String> {
+        let mut fresh = GpModel::new(self.kind.build(0.4), self.noise);
+        fresh.set_hyperparams(&self.model.hyperparams()).unwrap();
+        fresh
+            .fit(&self.x.select_rows(&self.train), &self.train_ys())
+            .unwrap();
+        let (held_lml, fresh_lml) = (self.model.lml().unwrap(), fresh.lml().unwrap());
+        same_bits("held LML", &[held_lml], &[fresh_lml])?;
+        match (self.model.predict(xs), fresh.predict(xs)) {
+            (Ok(held), Ok(fresh)) => {
+                same_bits("held mean", &held.mean, &fresh.mean)?;
+                same_bits("held std", &held.std, &fresh.std)
+            }
+            (Err(held), Err(fresh)) if held == fresh => Ok(()),
+            (held, fresh) => Err(format!(
+                "held predict {:?} vs fresh {:?}",
+                held.map(|_| ()),
+                fresh.map(|_| ())
             )),
         }
     }
